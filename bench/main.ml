@@ -16,6 +16,8 @@
    with exactly one, -j is handed to the provers (per-svar strategy),
    which keeps the two levels of parallelism from oversubscribing. *)
 
+module Json = Upec.Json
+
 type ctx = { fmt : Format.formatter; jobs : int option }
 
 let section ctx title =
@@ -37,6 +39,25 @@ let formal_soc ?(cfg = Soc.Config.formal_default) () =
 
 let spec ?cfg ?(pers = Upec.Spec.Full_pers) variant =
   Upec.Spec.make ~pers_model:pers (formal_soc ?cfg ()) variant
+
+(* The experiments pin the fresh-session strategy, a new solver session
+   per check (the paper's per-iteration re-check), with Alg. 1 capped at
+   64 iterations; [ctx.jobs] selects the per-svar strategy. *)
+let alg1_fresh =
+  {
+    Upec.Options.default with
+    Upec.Options.incremental = false;
+    max_iterations = 64;
+  }
+
+let alg2_fresh = { Upec.Options.default with Upec.Options.incremental = false }
+let alg1_opts ctx = { alg1_fresh with Upec.Options.jobs = ctx.jobs }
+let alg2_opts ctx = { alg2_fresh with Upec.Options.jobs = ctx.jobs }
+
+let write_json path j =
+  let oc = open_out path in
+  output_string oc (Json.to_string j);
+  close_out oc
 
 (* ---------------------------------------------------------------- *)
 (* E1: Fig. 1 — the DMA + timer attack walkthrough                   *)
@@ -148,7 +169,7 @@ let e3 ~full ctx =
     "after the fix, Alg. 1 proves the SoC secure in 3 iterations; iteration \
      runtimes between 58 s and 2 h 52 min";
   Format.fprintf ctx.fmt "--- Alg. 1 to fixed point + induction ---@.";
-  let r = Upec.Alg1.run ?jobs:ctx.jobs (spec Upec.Spec.Secure) in
+  let r = Upec.Alg1.run_with (alg1_opts ctx) (spec Upec.Spec.Secure) in
   print_report ctx r;
   let times = List.map (fun s -> s.Upec.Report.st_seconds) r.Upec.Report.steps in
   Format.fprintf ctx.fmt
@@ -162,7 +183,9 @@ let e3 ~full ctx =
     Format.fprintf ctx.fmt
       "@.--- Alg. 2 (unrolled) + induction, k up to 2 ---@.";
     let r2 =
-      Upec.Alg2.conclude ~max_k:4 ?jobs:ctx.jobs (spec Upec.Spec.Secure)
+      Upec.Alg2.conclude_with
+        { (alg2_opts ctx) with Upec.Options.max_k = 4 }
+        (spec Upec.Spec.Secure)
     in
     print_report ctx r2
   end
@@ -219,7 +242,7 @@ let e4 ctx =
               Upec.Macros.state_equivalence_goal eng s ~frame:k
                 (Upec.Spec.s_neg_victim s)
             in
-            ignore (Ipc.Engine.check eng goal))
+            ignore (Ipc.Engine.decide eng (Ipc.Engine.Goal goal)))
       in
       Format.fprintf ctx.fmt "%8d | %13d | %6.2fs@." k
         (Aig.num_ands (Ipc.Engine.graph eng))
@@ -253,7 +276,11 @@ let e5 ctx =
       in
       let s = spec ~cfg Upec.Spec.Vulnerable in
       let nl = s.Upec.Spec.soc.Soc.Builder.netlist in
-      let r1 = Upec.Alg1.run ~max_iterations:1 ?jobs:ctx.jobs s in
+      let r1 =
+        Upec.Alg1.run_with
+          { (alg1_opts ctx) with Upec.Options.max_iterations = 1 }
+          s
+      in
       let iter1 =
         match r1.Upec.Report.steps with
         | st :: _ -> st.Upec.Report.st_seconds
@@ -261,7 +288,9 @@ let e5 ctx =
       in
       let secure_time =
         if depth <= 8 then begin
-          let r = Upec.Alg1.run ?jobs:ctx.jobs (spec ~cfg Upec.Spec.Secure) in
+          let r =
+            Upec.Alg1.run_with (alg1_opts ctx) (spec ~cfg Upec.Spec.Secure)
+          in
           Format.asprintf "%8.2fs" r.Upec.Report.total_seconds
         end
         else "   (skip)"
@@ -289,7 +318,7 @@ let e6 ctx =
     (fun (label, variant) ->
       let s = spec variant in
       let ift_verdict, ift_time = Ift.Formal.analyze ~max_k:2 s in
-      let upec_report = Upec.Alg1.run ?jobs:ctx.jobs s in
+      let upec_report = Upec.Alg1.run_with (alg1_opts ctx) s in
       let ift_str =
         match ift_verdict with
         | Ift.Formal.Flow { k; tainted } ->
@@ -359,7 +388,7 @@ let e8 ctx =
   List.iter
     (fun (label, arb, variant) ->
       let cfg = { Soc.Config.formal_default with Soc.Config.arbiter = arb } in
-      let r = Upec.Alg1.run ?jobs:ctx.jobs (spec ~cfg variant) in
+      let r = Upec.Alg1.run_with (alg1_opts ctx) (spec ~cfg variant) in
       Format.fprintf ctx.fmt "%-11s | %-25s | %s (%d iters, %.1fs)@." label
         (match variant with
         | Upec.Spec.Vulnerable -> "threat model only"
@@ -416,10 +445,13 @@ let e9 ctx =
   let s = spec Upec.Spec.Vulnerable in
   let (bmc_report, bmc_outcome), bmc_t =
     time (fun () ->
-        Upec.Alg2.run ~max_k:4 ~reset_start:true ?jobs:ctx.jobs s)
+        Upec.Alg2.run_with
+          { (alg2_opts ctx) with Upec.Options.max_k = 4; reset_start = true }
+          s)
   in
   let (ipc_report, _), ipc_t =
-    time (fun () -> Upec.Alg2.run ?jobs:ctx.jobs (spec Upec.Spec.Vulnerable))
+    time (fun () ->
+        Upec.Alg2.run_with (alg2_opts ctx) (spec Upec.Spec.Vulnerable))
   in
   Format.fprintf ctx.fmt
     "start state      | verdict on the vulnerable SoC | time@.";
@@ -450,8 +482,10 @@ let a1 ctx =
   List.iter
     (fun (label, arb) ->
       let cfg = { Soc.Config.formal_default with Soc.Config.arbiter = arb } in
-      let rv = Upec.Alg1.run ?jobs:ctx.jobs (spec ~cfg Upec.Spec.Vulnerable) in
-      let rs = Upec.Alg1.run ?jobs:ctx.jobs (spec ~cfg Upec.Spec.Secure) in
+      let rv =
+        Upec.Alg1.run_with (alg1_opts ctx) (spec ~cfg Upec.Spec.Vulnerable)
+      in
+      let rs = Upec.Alg1.run_with (alg1_opts ctx) (spec ~cfg Upec.Spec.Secure) in
       Format.fprintf ctx.fmt "%-13s | %-16s | %-15s | %8.2fs@." label
         (if Upec.Report.is_vulnerable rv then "VULNERABLE" else "secure?!")
         (if Upec.Report.is_secure rs then "SECURE" else "vulnerable?!")
@@ -475,7 +509,11 @@ let a2 ctx =
      all of its members are interconnect buffers, i.e. false alarms under
      the naive classification *)
   let s = spec Upec.Spec.Secure in
-  let r = Upec.Alg1.run ~max_iterations:1 ?jobs:ctx.jobs s in
+  let r =
+    Upec.Alg1.run_with
+      { (alg1_opts ctx) with Upec.Options.max_iterations = 1 }
+      s
+  in
   (match r.Upec.Report.steps with
   | st :: _ ->
       Format.fprintf ctx.fmt "secured SoC, iteration 1 S_cex: %a@."
@@ -498,9 +536,10 @@ let a2 ctx =
 let a3 ctx =
   section ctx "A3 (ablation): fixed-point (Alg. 1) vs unrolled (Alg. 2)";
   let s1 = spec Upec.Spec.Vulnerable in
-  let r1, t1 = time (fun () -> Upec.Alg1.run ?jobs:ctx.jobs s1) in
+  let r1, t1 = time (fun () -> Upec.Alg1.run_with (alg1_opts ctx) s1) in
   let (r2, _), t2 =
-    time (fun () -> Upec.Alg2.run ?jobs:ctx.jobs (spec Upec.Spec.Vulnerable))
+    time (fun () ->
+        Upec.Alg2.run_with (alg2_opts ctx) (spec Upec.Spec.Vulnerable))
   in
   Format.fprintf ctx.fmt "procedure | iterations | final k | verdict | time@.";
   Format.fprintf ctx.fmt "Alg. 1    | %10d | %7d | %-7s | %5.2fs@."
@@ -538,7 +577,9 @@ let a4 ctx =
     (fun (label, options) ->
       let r, dt =
         time (fun () ->
-            Upec.Alg1.run ~solver_options:options (spec Upec.Spec.Vulnerable))
+            Upec.Alg1.run_with
+              { alg1_fresh with Upec.Options.solver_options = Some options }
+              (spec Upec.Spec.Vulnerable))
       in
       Format.fprintf ctx.fmt "%-13s | %5.2fs | %s@." label dt
         (if Upec.Report.is_vulnerable r then "VULN" else "??"))
@@ -581,30 +622,60 @@ let a5 ctx =
     "The paper re-runs the property checker per iteration; an engineering@.";
   Format.fprintf ctx.fmt
     "alternative keeps one session and passes State_Equivalence(S) as@.";
-  Format.fprintf ctx.fmt "solver assumptions (learnt clauses survive).@.@.";
-  Format.fprintf ctx.fmt "mode         | variant    | verdict | iterations | time@.";
+  Format.fprintf ctx.fmt
+    "solver assumptions (learnt clauses survive). Designs: formal_tiny.@.@.";
+  Format.fprintf ctx.fmt
+    "design              | mode        | verdict | iterations | conflicts | \
+     time@.";
+  let tiny = Soc.Config.formal_tiny in
+  let arbiter a = { tiny with Soc.Config.arbiter = a } in
+  let conflicts r =
+    List.fold_left
+      (fun acc st ->
+        match st.Upec.Report.st_stats with
+        | Some s -> acc + s.Satsolver.Solver.conflicts
+        | None -> acc)
+      0 r.Upec.Report.steps
+  in
   List.iter
-    (fun (label, incremental, variant) ->
-      let r, dt =
-        time (fun () -> Upec.Alg1.run ~incremental (spec variant))
-      in
-      Format.fprintf ctx.fmt "%-12s | %-10s | %-7s | %10d | %5.2fs@." label
-        (match variant with
-        | Upec.Spec.Vulnerable -> "baseline"
-        | Upec.Spec.Secure -> "secured")
-        (if Upec.Report.is_vulnerable r then "VULN"
-         else if Upec.Report.is_secure r then "SECURE"
-         else "??")
-        (Upec.Report.iterations r) dt)
+    (fun (label, alg, s) ->
+      List.iter
+        (fun (mode, incremental) ->
+          let r, dt =
+            time (fun () ->
+                if alg = 2 then
+                  Upec.Alg2.conclude_with
+                    { alg2_fresh with Upec.Options.incremental }
+                    s
+                else
+                  Upec.Alg1.run_with
+                    { alg1_fresh with Upec.Options.incremental }
+                    s)
+          in
+          Format.fprintf ctx.fmt "%-19s | %-11s | %-7s | %10d | %9d | %5.2fs@."
+            label mode
+            (if Upec.Report.is_vulnerable r then "VULN"
+             else if Upec.Report.is_secure r then "SECURE"
+             else "??")
+            (Upec.Report.iterations r) (conflicts r) dt)
+        [ ("per-check", false); ("incremental", true) ])
     [
-      ("per-check", false, Upec.Spec.Vulnerable);
-      ("incremental", true, Upec.Spec.Vulnerable);
-      ("per-check", false, Upec.Spec.Secure);
-      ("incremental", true, Upec.Spec.Secure);
+      ("secure", 1, spec ~cfg:tiny Upec.Spec.Secure);
+      ( "fixed-prio secure",
+        1,
+        spec ~cfg:(arbiter `Fixed_priority) Upec.Spec.Secure );
+      ("TDMA secure", 1, spec ~cfg:(arbiter `Tdma) Upec.Spec.Vulnerable);
+      ("vulnerable", 1, spec ~cfg:tiny Upec.Spec.Vulnerable);
+      ( "HWPE (Alg. 2)",
+        2,
+        spec
+          ~cfg:{ tiny with Soc.Config.with_dma = false }
+          ~pers:Upec.Spec.Memory_only Upec.Spec.Vulnerable );
     ];
   Format.fprintf ctx.fmt
-    "=> counterexample iterations become nearly free incrementally; the \
-     final inductive UNSAT dominates either way@."
+    "=> neither mode wins everywhere: incremental sessions detect \
+     vulnerabilities faster, per-check sessions finish SECURE proofs in \
+     fewer conflicts@."
 
 (* ---------------------------------------------------------------- *)
 (* Certification overhead: proof logging + independent checking      *)
@@ -705,49 +776,41 @@ let certify_experiment ctx =
           | Some false -> "FAILED"
           | None -> "n/a"
         in
+        let overhead =
+          if t.Cert.Proof.solve_seconds > 0. then
+            100. *. t.Cert.Proof.check_seconds /. t.Cert.Proof.solve_seconds
+          else 0.
+        in
         Format.fprintf ctx.fmt
           "%-26s | %-10s | %-7s | %7.3fs | %7.3fs | %7.1f%% | %11d | %6d | \
            %s@."
           name mode verdict t.Cert.Proof.solve_seconds
-          t.Cert.Proof.check_seconds
-          (if t.Cert.Proof.solve_seconds > 0. then
-             100. *. t.Cert.Proof.check_seconds /. t.Cert.Proof.solve_seconds
-           else 0.)
-          t.Cert.Proof.proof_steps t.Cert.Proof.epochs cex_str;
-        (name, mode, cert_jobs, verdict, dt, t, c.Upec.Report.ct_cex_validated))
+          t.Cert.Proof.check_seconds overhead t.Cert.Proof.proof_steps
+          t.Cert.Proof.epochs cex_str;
+        Json.Obj
+          [
+            ("name", Json.Str name);
+            ("mode", Json.Str mode);
+            ("cert_jobs", Json.Int cert_jobs);
+            ("verdict", Json.Str verdict);
+            ("total_seconds", Json.Float dt);
+            ("solve_seconds", Json.Float t.Cert.Proof.solve_seconds);
+            ("check_seconds", Json.Float t.Cert.Proof.check_seconds);
+            ("overhead_percent", Json.Float overhead);
+            ("proof_steps", Json.Int t.Cert.Proof.proof_steps);
+            ("proof_lits", Json.Int t.Cert.Proof.proof_lits);
+            ("epochs", Json.Int t.Cert.Proof.epochs);
+            ("spilled_epochs", Json.Int t.Cert.Proof.spilled_epochs);
+            ("unsat_checked", Json.Int t.Cert.Proof.unsat_checked);
+            ("sat_checked", Json.Int t.Cert.Proof.sat_checked);
+            ( "cex_validated",
+              match c.Upec.Report.ct_cex_validated with
+              | Some b -> Json.Bool b
+              | None -> Json.Null );
+          ])
       runs
   in
-  let oc = open_out "BENCH_certify.json" in
-  Printf.fprintf oc "{\n  \"runs\": [\n";
-  List.iteri
-    (fun i (name, mode, cert_jobs, verdict, dt, t, cex) ->
-      let overhead =
-        if t.Cert.Proof.solve_seconds > 0. then
-          100. *. t.Cert.Proof.check_seconds /. t.Cert.Proof.solve_seconds
-        else 0.
-      in
-      Printf.fprintf oc
-        "    { \"name\": \"%s\", \"mode\": \"%s\", \"cert_jobs\": %d, \
-         \"verdict\": \"%s\", \"total_seconds\": %.3f,\n\
-        \      \"solve_seconds\": %.3f, \"check_seconds\": %.3f, \
-         \"overhead_percent\": %.1f,\n\
-        \      \"proof_steps\": %d, \"proof_lits\": %d, \"epochs\": %d, \
-         \"spilled_epochs\": %d,\n\
-        \      \"unsat_checked\": %d, \"sat_checked\": %d, \"cex_validated\": \
-         %s }%s\n"
-        name mode cert_jobs verdict dt t.Cert.Proof.solve_seconds
-        t.Cert.Proof.check_seconds overhead t.Cert.Proof.proof_steps
-        t.Cert.Proof.proof_lits t.Cert.Proof.epochs
-        t.Cert.Proof.spilled_epochs t.Cert.Proof.unsat_checked
-        t.Cert.Proof.sat_checked
-        (match cex with
-        | Some true -> "true"
-        | Some false -> "false"
-        | None -> "null")
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
+  write_json "BENCH_certify.json" (Json.Obj [ ("runs", Json.List rows) ]);
   Format.fprintf ctx.fmt "wrote BENCH_certify.json@.";
   Format.fprintf ctx.fmt
     "=> sequentially, the forward RUP check re-propagates every learnt \
@@ -792,7 +855,13 @@ let budget_experiment ctx =
             in
             let r, dt =
               time (fun () ->
-                  Upec.Alg1.run ~jobs ~budget ~budget_retries:retries
+                  Upec.Alg1.run_with
+                    {
+                      alg1_fresh with
+                      Upec.Options.jobs = Some jobs;
+                      budget;
+                      budget_retries = retries;
+                    }
                     (spec ~cfg Upec.Spec.Secure))
             in
             let verdict =
@@ -807,22 +876,19 @@ let budget_experiment ctx =
               retries verdict unknowns
               (Upec.Report.iterations r)
               dt;
-            (conflicts, retries, verdict, unknowns, dt))
+            Json.Obj
+              [
+                ("conflict_budget", Json.Int conflicts);
+                ("retries", Json.Int retries);
+                ("verdict", Json.Str verdict);
+                ("unknown_svars", Json.Int unknowns);
+                ("seconds", Json.Float dt);
+              ])
           (if conflicts = 0 then [ 0 ] else [ 0; 2 ]))
       budgets
   in
-  let oc = open_out "BENCH_budget.json" in
-  Printf.fprintf oc "{\n  \"jobs\": %d,\n  \"runs\": [\n" jobs;
-  List.iteri
-    (fun i (conflicts, retries, verdict, unknowns, dt) ->
-      Printf.fprintf oc
-        "    { \"conflict_budget\": %d, \"retries\": %d, \"verdict\": \
-         \"%s\", \"unknown_svars\": %d, \"seconds\": %.3f }%s\n"
-        conflicts retries verdict unknowns dt
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
+  write_json "BENCH_budget.json"
+    (Json.Obj [ ("jobs", Json.Int jobs); ("runs", Json.List rows) ]);
   Format.fprintf ctx.fmt "wrote BENCH_budget.json@.";
   Format.fprintf ctx.fmt
     "=> tight budgets trade proof coverage for bounded latency: the run \
@@ -927,7 +993,6 @@ let farm_experiment ctx =
     Format.fprintf ctx.fmt
       "upec_farm.exe not built (run dune build first) — skipping@."
   else begin
-    let module Json = Upec.Json in
     let job ~id ~tw ~depth =
       Json.Obj
         [
@@ -988,7 +1053,14 @@ let farm_experiment ctx =
             cold_dt
             (float_of_int n /. cold_dt)
             warm_dt ratio (cold_dt /. warm_dt);
-          (workers, cold_dt, warm_dt, ratio))
+          Json.Obj
+            [
+              ("workers", Json.Int workers);
+              ("cold_seconds", Json.Float cold_dt);
+              ("warm_seconds", Json.Float warm_dt);
+              ("cold_throughput", Json.Float (float_of_int n /. cold_dt));
+              ("warm_hit_ratio", Json.Float ratio);
+            ])
         [ 1; 2; 4 ]
     in
     (* the RTL delta: resubmit the depth-3 jobs one timer bit narrower;
@@ -1053,37 +1125,32 @@ let farm_experiment ctx =
        (%.0f/s) — hits survive a dead pool@."
       n degraded_dt
       (float_of_int n /. degraded_dt);
-    let oc = open_out "BENCH_farm.json" in
-    Printf.fprintf oc
-      "{\n  \"jobs_per_batch\": %d,\n  \"cores\": %d,\n  \"pool\": [\n" n
-      (Parallel.Pool.default_jobs ());
-    List.iteri
-      (fun i (workers, cold_dt, warm_dt, ratio) ->
-        Printf.fprintf oc
-          "    { \"workers\": %d, \"cold_seconds\": %.3f, \
-           \"warm_seconds\": %.3f, \"cold_throughput\": %.2f, \
-           \"warm_hit_ratio\": %.3f }%s\n"
-          workers cold_dt warm_dt
-          (float_of_int n /. cold_dt)
-          ratio
-          (if i = List.length rows - 1 then "" else ","))
-      rows;
-    Printf.fprintf oc
-      "  ],\n\
-      \  \"delta\": { \"jobs\": %d, \"lemma_hits\": %d, \"lemma_misses\": \
-       %d, \"invalidated\": %d, \"seconds\": %.3f },\n"
-      (List.length delta) d_hits d_misses d_inval delta_dt;
-    Printf.fprintf oc
-      "  \"fault_tolerance\": {\n\
-      \    \"retry_clean_seconds\": %.3f,\n\
-      \    \"retry_faulted_seconds\": %.3f,\n\
-      \    \"degraded_cache_only_jobs\": %d,\n\
-      \    \"degraded_cache_only_seconds\": %.3f,\n\
-      \    \"degraded_cache_only_throughput\": %.2f\n\
-      \  }\n}\n"
-      clean_dt retry_dt n degraded_dt
-      (float_of_int n /. degraded_dt);
-    close_out oc;
+    write_json "BENCH_farm.json"
+      (Json.Obj
+         [
+           ("jobs_per_batch", Json.Int n);
+           ("cores", Json.Int (Parallel.Pool.default_jobs ()));
+           ("pool", Json.List rows);
+           ( "delta",
+             Json.Obj
+               [
+                 ("jobs", Json.Int (List.length delta));
+                 ("lemma_hits", Json.Int d_hits);
+                 ("lemma_misses", Json.Int d_misses);
+                 ("invalidated", Json.Int d_inval);
+                 ("seconds", Json.Float delta_dt);
+               ] );
+           ( "fault_tolerance",
+             Json.Obj
+               [
+                 ("retry_clean_seconds", Json.Float clean_dt);
+                 ("retry_faulted_seconds", Json.Float retry_dt);
+                 ("degraded_cache_only_jobs", Json.Int n);
+                 ("degraded_cache_only_seconds", Json.Float degraded_dt);
+                 ( "degraded_cache_only_throughput",
+                   Json.Float (float_of_int n /. degraded_dt) );
+               ] );
+         ]);
     Format.fprintf ctx.fmt "wrote BENCH_farm.json@.";
     Format.fprintf ctx.fmt
       "=> an unchanged resubmission never reaches a solver — the daemon \
@@ -1123,10 +1190,7 @@ let matrix_experiment ctx =
            else "UNEXPECTED"))
       Scenarios.Scenario.catalog
   in
-  let oc = open_out "BENCH_matrix.json" in
-  output_string oc
-    (Upec.Json.to_string (Scenarios.Crosscheck.matrix_to_json outcomes));
-  close_out oc;
+  write_json "BENCH_matrix.json" (Scenarios.Crosscheck.matrix_to_json outcomes);
   Format.fprintf ctx.fmt "wrote BENCH_matrix.json@.";
   let bad =
     List.filter
@@ -1180,7 +1244,9 @@ let measure_trace_overhead () =
       with_hwpe = false;
     }
   in
-  let proof () = ignore (Upec.Alg1.run (spec ~cfg Upec.Spec.Vulnerable)) in
+  let proof () =
+    ignore (Upec.Alg1.run_with alg1_fresh (spec ~cfg Upec.Spec.Vulnerable))
+  in
   proof () (* warm-up: first run pays one-off allocation costs *);
   let best f =
     let m = ref infinity in
@@ -1197,33 +1263,15 @@ let measure_trace_overhead () =
   if plain > 0. then (traced -. plain) /. plain *. 100. else 0.
 
 let write_smoke_json ~jobs ~total ~overhead_pct results =
-  let oc = open_out "BENCH_smoke.json" in
-  Printf.fprintf oc "{\n  \"mode\": \"smoke\",\n  \"jobs\": %d,\n" jobs;
-  Printf.fprintf oc "  \"total_seconds\": %.3f,\n  \"experiments\": [\n" total;
-  List.iteri
-    (fun i (name, _, dt) ->
-      Printf.fprintf oc "    { \"name\": \"%s\", \"seconds\": %.3f }%s\n" name
-        dt
-        (if i = List.length results - 1 then "" else ","))
-    results;
-  Printf.fprintf oc "  ],\n";
-  Printf.fprintf oc "  \"trace_overhead_percent\": %.2f,\n" overhead_pct;
   (* CNF problem-reduction accounting (cone-of-influence restriction of
      witness-free solves): sizes before -> after, aggregated over the
      smoke proofs. *)
-  (match !smoke_simp with
-  | Some red when red.Simp.red_solves > 0 ->
-      Printf.fprintf oc
-        "  \"simp\": {\n\
-        \    \"reduced_solves\": %d,\n\
-        \    \"full_vars\": %d,\n\
-        \    \"full_clauses\": %d,\n\
-        \    \"reduced_vars\": %d,\n\
-        \    \"reduced_clauses\": %d\n\
-        \  },\n"
-        red.Simp.red_solves red.Simp.red_full_vars red.Simp.red_full_clauses
-        red.Simp.red_vars red.Simp.red_clauses
-  | _ -> ());
+  let simp =
+    match !smoke_simp with
+    | Some red when red.Simp.red_solves > 0 ->
+        [ ("simp", Upec.Report.simp_json red) ]
+    | _ -> []
+  in
   (* Per-phase profile of the smoke run itself, from the metrics
      registry: where the proof time actually went. *)
   let snap = Obs.Metrics.snapshot () in
@@ -1237,27 +1285,36 @@ let write_smoke_json ~jobs ~total ~overhead_pct results =
     | Some n -> n
     | None -> 0
   in
-  Printf.fprintf oc "  \"profile\": {\n";
-  let phases =
-    [
-      "sat.solve_seconds";
-      "unroll.frame_seconds";
-      "ipc.pre_encode_seconds";
-      "pool.task_seconds";
-    ]
+  let profile =
+    List.map
+      (fun name -> (name, Json.Float (hist_sum name)))
+      [
+        "sat.solve_seconds";
+        "unroll.frame_seconds";
+        "ipc.pre_encode_seconds";
+        "pool.task_seconds";
+      ]
+    @ List.map
+        (fun name -> (name, Json.Int (counter name)))
+        [ "sat.solves"; "sat.conflicts"; "ipc.checks"; "pool.tasks" ]
   in
-  List.iter
-    (fun name -> Printf.fprintf oc "    \"%s\": %.4f,\n" name (hist_sum name))
-    phases;
-  let counters = [ "sat.solves"; "sat.conflicts"; "ipc.checks"; "pool.tasks" ]
-  in
-  List.iteri
-    (fun i name ->
-      Printf.fprintf oc "    \"%s\": %d%s\n" name (counter name)
-        (if i = List.length counters - 1 then "" else ","))
-    counters;
-  Printf.fprintf oc "  }\n}\n";
-  close_out oc;
+  write_json "BENCH_smoke.json"
+    (Json.Obj
+       ([
+          ("mode", Json.Str "smoke");
+          ("jobs", Json.Int jobs);
+          ("total_seconds", Json.Float total);
+          ( "experiments",
+            Json.List
+              (List.map
+                 (fun (name, _, dt) ->
+                   Json.Obj
+                     [ ("name", Json.Str name); ("seconds", Json.Float dt) ])
+                 results) );
+          ("trace_overhead_percent", Json.Float overhead_pct);
+        ]
+       @ simp
+       @ [ ("profile", Json.Obj profile) ]));
   Format.printf "wrote BENCH_smoke.json@."
 
 let usage () =

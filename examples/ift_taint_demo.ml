@@ -52,7 +52,15 @@ let () =
     (fun (label, variant) ->
       let spec = Upec.Spec.make soc variant in
       let ift_verdict, secs = Ift.Formal.analyze ~max_k:2 spec in
-      let upec = Upec.Alg1.run spec in
+      let upec =
+        Upec.Alg1.run_with
+          {
+            Upec.Options.default with
+            Upec.Options.incremental = false;
+            max_iterations = 64;
+          }
+          spec
+      in
       let ift_str =
         match ift_verdict with
         | Ift.Formal.Flow { k; tainted } ->

@@ -156,7 +156,7 @@ let add_lemma t ~svar ~key ~holds =
 
 let has_svar t ~svar = Hashtbl.mem t.st_svars svar
 
-let atomic_write ~dir:d ~path text =
+let atomic_write ~dir ~path text =
   (* chaos: publish a torn artefact — the rename stays atomic, the
      content is damaged, and the read-side quarantine must catch it *)
   let text =
@@ -164,16 +164,7 @@ let atomic_write ~dir:d ~path text =
       String.sub text 0 (String.length text / 2)
     else text
   in
-  let tmp = Filename.temp_file ~temp_dir:d (Filename.basename path) ".tmp" in
-  let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o644 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      let n = String.length text in
-      if Unix.write_substring fd text 0 n <> n then
-        failwith "Store: short write";
-      Unix.fsync fd);
-  Sys.rename tmp path
+  Upec.Atomic_file.write ~dir ~path text
 
 let report t ~key =
   match Hashtbl.find_opt t.st_reports key with

@@ -96,9 +96,11 @@ let analyze ?(max_k = 4) (spec : Upec.Spec.t) =
           pers_svars []
       in
       let goal = Aig.mk_or_list g (List.map snd targets) in
-      match Ipc.Engine.check_sat eng [ goal ] with
-      | None -> try_k (k + 1)
-      | Some cex ->
+      match Ipc.Engine.decide eng (Ipc.Engine.Violation [ goal ]) with
+      | Ipc.Engine.Proved -> try_k (k + 1)
+      | Ipc.Engine.Unknown reason -> failwith ("Ift.Formal.analyze: " ^ reason)
+      | Ipc.Engine.Refuted c ->
+          let cex = Option.get c in
           let tainted =
             List.filter_map
               (fun (sv, _) ->

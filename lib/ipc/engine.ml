@@ -2,7 +2,6 @@ module S = Satsolver.Solver
 module L = Satsolver.Lit
 
 exception Certification_failed of string
-exception Unknown_verdict of string
 
 type t = {
   g : Aig.t;
@@ -396,47 +395,6 @@ let decide ?(cex = true) t q : verdict =
   | `Sat value ->
       Refuted
         (if cex then Some (Cex.extract t.u (model_fn_of t value)) else None)
-
-(* --- legacy pairs, now thin views of [decide] ----------------------- *)
-
-type outcome = Holds | Cex of Cex.t
-type 'a bounded = Decided of 'a | Unknown of string
-
-let check_sat_bounded t extra : Cex.t option bounded =
-  match decide t (Violation extra) with
-  | Proved -> Decided None
-  | Refuted c -> Decided (Some (Option.get c))
-  | Unknown reason -> Unknown reason
-
-let sat_bounded t extra : bool bounded =
-  match decide ~cex:false t (Violation extra) with
-  | Proved -> Decided false
-  | Refuted _ -> Decided true
-  | Unknown reason -> Unknown reason
-
-let check_bounded t goal : outcome bounded =
-  match decide t (Goal goal) with
-  | Proved -> Decided Holds
-  | Refuted c -> Decided (Cex (Option.get c))
-  | Unknown reason -> Unknown reason
-
-(* Legacy unbounded API: an engine without budget or interrupt can never
-   answer Unknown, so these only raise for callers that installed a
-   budget and then used the wrong entry point. *)
-let check_sat t extra =
-  match check_sat_bounded t extra with
-  | Decided r -> r
-  | Unknown reason -> raise (Unknown_verdict reason)
-
-let sat t extra =
-  match sat_bounded t extra with
-  | Decided b -> b
-  | Unknown reason -> raise (Unknown_verdict reason)
-
-let check t goal =
-  match check_bounded t goal with
-  | Decided o -> o
-  | Unknown reason -> raise (Unknown_verdict reason)
 
 (* --- reduction accounting ------------------------------------------- *)
 

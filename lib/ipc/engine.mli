@@ -33,12 +33,6 @@ exception Certification_failed of string
     — either the solver or the checker is wrong, and the verdict cannot
     be trusted. *)
 
-exception Unknown_verdict of string
-(** Raised by the unbounded entry points ({!check}, {!check_sat},
-    {!sat}) when a solve ends [Unknown] — only possible after
-    {!set_budget} or {!set_interrupt}; budget-aware callers use
-    {!decide} (or the [_bounded] variants) instead. *)
-
 val create :
   ?solver_options:Satsolver.Solver.options ->
   ?portfolio:int ->
@@ -122,45 +116,6 @@ val decide : ?cex:bool -> t -> query -> verdict
     (default [true]) no counterexample is extracted and the solve may
     run on the reduced problem; [Refuted None] then only reports
     existence. *)
-
-(** {1 Legacy entry points}
-
-    Thin views of {!decide}, kept so existing callers compile.
-    @deprecated Use {!decide}: [check t g] is [decide t (Goal g)],
-    [check_sat t ls] is [decide t (Violation ls)], [sat t ls] is
-    [decide ~cex:false t (Violation ls)]; the [_bounded] forms
-    correspond to matching [Unknown] instead of letting it raise. *)
-
-type outcome = Holds | Cex of Cex.t
-
-type 'a bounded = Decided of 'a | Unknown of string
-    (** Three-valued solve result: [Unknown reason] when the budget ran
-        out or the interrupt fired before a verdict. *)
-
-val check_bounded : t -> Aig.lit -> outcome bounded
-(** @deprecated Use [decide t (Goal goal)]. *)
-
-val check_sat_bounded : t -> Aig.lit list -> Cex.t option bounded
-(** @deprecated Use [decide t (Violation lits)]. *)
-
-val sat_bounded : t -> Aig.lit list -> bool bounded
-(** @deprecated Use [decide ~cex:false t (Violation lits)]. *)
-
-val check : t -> Aig.lit -> outcome
-(** [check t goal] decides whether the assumptions imply [goal]. If
-    satisfiable with [¬goal], returns the extracted counterexample over
-    all materialised frames.
-    @deprecated Use [decide t (Goal goal)]. *)
-
-val check_sat : t -> Aig.lit list -> Cex.t option
-(** Low-level: is the conjunction of assumptions and the given literals
-    satisfiable? Returns the witness if so.
-    @deprecated Use [decide t (Violation lits)]. *)
-
-val sat : t -> Aig.lit list -> bool
-(** Like {!check_sat} but without counterexample extraction — the cheap
-    form for per-svar condition checks where only the verdict matters.
-    @deprecated Use [decide ~cex:false t (Violation lits)]. *)
 
 (** {1 Statistics} *)
 

@@ -85,42 +85,3 @@ let hwpe_memory_of ?(slice = 640) ?(primed_words = 1024) spec ns =
           Rtl.Bitvec.to_int (Sim.Engine.mem_value eng "cpu.regs" 28);
       })
     ns
-
-(* ---- deprecated flag-era shims ---- *)
-
-(* The legacy entry points took a raw simulation config; desugar its
-   structural features onto a Scenario.spec so the design construction
-   path is the same one the matrix uses. Simulation-scale size knobs
-   (memory sizes, data width) are sim_default's — which is what every
-   historical caller passed. *)
-let design_of_sim (cfg : Soc.Config.t) =
-  {
-    Upec.Cli.default_design with
-    Upec.Cli.d_banks = cfg.Soc.Config.pub_banks;
-    d_dma = cfg.Soc.Config.with_dma;
-    d_hwpe = cfg.Soc.Config.with_hwpe;
-    d_uart = cfg.Soc.Config.with_uart;
-    d_timer = cfg.Soc.Config.with_timer;
-    d_dma_on_private = cfg.Soc.Config.dma_on_private;
-    d_arbiter =
-      (match cfg.Soc.Config.arbiter with
-      | `Fixed_priority -> "fixed"
-      | `Tdma -> "tdma"
-      | `Round_robin -> "rr");
-  }
-
-let spec_of_sim family cfg =
-  {
-    (Scenario.default_for family) with
-    Scenario.sp_design = design_of_sim cfg;
-  }
-
-let dma_timer ?(cfg = Soc.Config.sim_default) ns =
-  dma_timer_of (spec_of_sim Scenario.Busted_timer cfg) ns
-
-let hwpe_memory ?(cfg = Soc.Config.sim_default) ns =
-  hwpe_memory_of (spec_of_sim Scenario.Hwpe_progressive cfg) ns
-
-let hwpe_memory_with_noise ?cfg ~noisy_timer ns =
-  ignore noisy_timer;
-  (hwpe_memory [@warning "-3"]) ?cfg ns

@@ -9,9 +9,7 @@
     code length — reaches the attacker.
 
     The design under test comes from a {!Scenario.spec}: the same
-    declarative record the scenario matrix, the farm and the CLI use.
-    The legacy [?cfg] entry points survive as deprecated shims that
-    desugar the config's structural features onto a spec. *)
+    declarative record the scenario matrix, the farm and the CLI use. *)
 
 type dma_timer_reading = {
   dt_accesses : int;  (** victim accesses n *)
@@ -44,20 +42,3 @@ val hwpe_memory_of :
     primed region; retrieval scans the footprint. No timer access.
     Defaults keep the historical E7 amplitudes ([slice = 640],
     [primed_words = 1024]). *)
-
-val dma_timer : ?cfg:Soc.Config.t -> int list -> dma_timer_reading list
-[@@deprecated
-  "construct a Scenario.spec and use dma_timer_of; only the config's \
-   structural features survive the desugaring"]
-
-val hwpe_memory : ?cfg:Soc.Config.t -> int list -> hwpe_reading list
-[@@deprecated
-  "construct a Scenario.spec and use hwpe_memory_of; only the config's \
-   structural features survive the desugaring"]
-
-val hwpe_memory_with_noise :
-  ?cfg:Soc.Config.t -> noisy_timer:bool -> int list -> hwpe_reading list
-[@@deprecated "use hwpe_memory_of; the attack never reads the timer"]
-(** Same attack; [noisy_timer] documents that the attack is oblivious
-    to timer countermeasures (the flag has no effect on the
-    readings). *)

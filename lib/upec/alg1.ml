@@ -431,15 +431,16 @@ let run_with ?initial_s ?resume ?svar_cache (o : Options.t) spec =
           | None -> Spec.s_neg_victim spec ))
     | Some ck ->
         if ck.Checkpoint.ck_alg <> Checkpoint.Alg1 then
-          invalid_arg "Alg1.run: checkpoint was written by another algorithm";
+          invalid_arg
+            "Alg1.run_with: checkpoint was written by another algorithm";
         if ck.Checkpoint.ck_config_hash <> Lazy.force config_hash then
           invalid_arg
-            "Alg1.run: checkpoint config hash mismatch (different design, \
+            "Alg1.run_with: checkpoint config hash mismatch (different design, \
              variant or persistence model)";
         unknowns_acc := List.rev ck.Checkpoint.ck_unknown;
         let tbl = svar_table nl in
         ( ck.Checkpoint.ck_iter,
-          resolve_names tbl ck.Checkpoint.ck_frames.(0) ~what:"Alg1.run" )
+          resolve_names tbl ck.Checkpoint.ck_frames.(0) ~what:"Alg1.run_with" )
   in
   let stopped () =
     match o.Options.should_stop with Some f -> f () | None -> false
@@ -542,7 +543,7 @@ let run_with ?initial_s ?resume ?svar_cache (o : Options.t) spec =
         | Some ck -> Some ck.Checkpoint.ck_iter
         | None -> None);
       metrics = Some (Obs.Metrics.snapshot ());
-      options = Some o;
+      options = o;
       simp =
         List.fold_left
           (fun acc e ->
@@ -594,7 +595,7 @@ let run_with ?initial_s ?resume ?svar_cache (o : Options.t) spec =
         | Some ck ->
             resolve_names (svar_table nl)
               (List.map fst ck.Checkpoint.ck_unknown)
-              ~what:"Alg1.run"
+              ~what:"Alg1.run_with"
       in
       run_per_svar ?svar_cache o ~jobs:(max 1 j) ~register ~start_iter
         ~initial_unknown ~stopped ~note_unknowns ~post_iter spec s0 finish
@@ -656,25 +657,3 @@ let run_with ?initial_s ?resume ?svar_cache (o : Options.t) spec =
         end
       in
       loop start_iter s0
-
-let run ?initial_s ?(max_iterations = 64) ?solver_options
-    ?(incremental = false) ?jobs ?portfolio ?(certify = false) ?cex_vcd
-    ?(budget = S.no_budget) ?(budget_retries = 2) ?(budget_escalation = 4.0)
-    ?checkpoint_file ?resume ?should_stop spec =
-  run_with ?initial_s ?resume
-    {
-      Options.default with
-      Options.max_iterations;
-      solver_options;
-      incremental;
-      jobs;
-      portfolio = (match portfolio with Some p -> p | None -> 1);
-      certify;
-      cex_vcd;
-      budget;
-      budget_retries;
-      budget_escalation;
-      checkpoint_file;
-      should_stop;
-    }
-    spec

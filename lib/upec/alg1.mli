@@ -37,7 +37,7 @@ val run_with :
   Options.t ->
   Spec.t ->
   Report.run
-(** The primary entry point; every knob lives in {!Options.t}
+(** Every knob lives in {!Options.t}
     (strategy, problem reduction, certification, budgets, checkpoints
     — see there). [initial_s] overrides the starting set (used by
     {!Alg2.conclude_with} for the final induction); [resume] restarts
@@ -67,25 +67,3 @@ val run_with :
     partially-completed iteration is discarded (the checkpoint keeps
     the last {e completed} iteration) and the run returns
     [Inconclusive "interrupted"]. *)
-
-val run :
-  ?initial_s:Structural.Svar_set.t ->
-  ?max_iterations:int ->
-  ?solver_options:Satsolver.Solver.options ->
-  ?incremental:bool ->
-  ?jobs:int ->
-  ?portfolio:int ->
-  ?certify:bool ->
-  ?cex_vcd:string ->
-  ?budget:Satsolver.Solver.budget ->
-  ?budget_retries:int ->
-  ?budget_escalation:float ->
-  ?checkpoint_file:string ->
-  ?resume:Checkpoint.t ->
-  ?should_stop:(unit -> bool) ->
-  Spec.t ->
-  Report.run
-(** Legacy optional-argument surface with its historical defaults
-    ([max_iterations] 64, [incremental] false); forwards to
-    {!run_with}. Problem reduction is on — it never changes verdicts.
-    @deprecated Use {!run_with} with an {!Options.t} record. *)

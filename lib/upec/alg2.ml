@@ -238,7 +238,7 @@ let run_with ?resume (o : Options.t) spec =
   let finish verdict outcome =
     let unknowns = List.rev !unknowns_acc in
     (* undecided pairs are unproven goals, so a standalone Secure claim
-       is degraded; the [Hold] outcome survives — {!conclude}'s
+       is degraded; the [Hold] outcome survives — {!conclude_with}'s
        induction re-decides every svar from scratch and subsumes the
        bounded window, so unrolled-phase Unknowns cannot contaminate
        its verdict *)
@@ -288,7 +288,7 @@ let run_with ?resume (o : Options.t) spec =
           | Some ck -> Some ck.Checkpoint.ck_iter
           | None -> None);
         metrics = Some (Obs.Metrics.snapshot ());
-        options = Some o;
+        options = o;
         simp =
           List.fold_left
             (fun acc e ->
@@ -336,10 +336,11 @@ let run_with ?resume (o : Options.t) spec =
     | None -> (1, 1)
     | Some ck ->
         if ck.Checkpoint.ck_alg <> Checkpoint.Alg2 then
-          invalid_arg "Alg2.run: checkpoint was written by another algorithm";
+          invalid_arg
+            "Alg2.run_with: checkpoint was written by another algorithm";
         if ck.Checkpoint.ck_config_hash <> Lazy.force config_hash then
           invalid_arg
-            "Alg2.run: checkpoint config hash mismatch (different design, \
+            "Alg2.run_with: checkpoint config hash mismatch (different design, \
              variant or persistence model)";
         unknowns_acc := List.rev ck.Checkpoint.ck_unknown;
         List.iter
@@ -351,7 +352,7 @@ let run_with ?resume (o : Options.t) spec =
         let tbl = svar_table nl in
         s_frames :=
           Array.map
-            (fun names -> resolve_names tbl names ~what:"Alg2.run")
+            (fun names -> resolve_names tbl names ~what:"Alg2.run_with")
             ck.Checkpoint.ck_frames;
         (ck.Checkpoint.ck_iter, ck.Checkpoint.ck_k)
   in
@@ -728,43 +729,3 @@ let conclude_with ?resume ?svar_cache (o : Options.t) spec =
             simp = merge_simp report.Report.simp induction.Report.simp;
           }
       )
-
-let options_of ?max_k ?(max_iterations = 128) ?solver_options
-    ?(reset_start = false) ?jobs ?portfolio ?(certify = false) ?cex_vcd
-    ?(budget = S.no_budget) ?(budget_retries = 2) ?(budget_escalation = 4.0)
-    ?checkpoint_file ?should_stop () =
-  {
-    Options.default with
-    Options.max_iterations;
-    max_k = (match max_k with Some k -> k | None -> 8);
-    solver_options;
-    incremental = false;
-    reset_start;
-    jobs;
-    portfolio = (match portfolio with Some p -> p | None -> 1);
-    certify;
-    cex_vcd;
-    budget;
-    budget_retries;
-    budget_escalation;
-    checkpoint_file;
-    should_stop;
-  }
-
-let run ?max_k ?max_iterations ?solver_options ?reset_start ?jobs ?portfolio
-    ?certify ?cex_vcd ?budget ?budget_retries ?budget_escalation
-    ?checkpoint_file ?resume ?should_stop spec =
-  run_with ?resume
-    (options_of ?max_k ?max_iterations ?solver_options ?reset_start ?jobs
-       ?portfolio ?certify ?cex_vcd ?budget ?budget_retries ?budget_escalation
-       ?checkpoint_file ?should_stop ())
-    spec
-
-let conclude ?max_k ?max_iterations ?solver_options ?jobs ?portfolio ?certify
-    ?cex_vcd ?budget ?budget_retries ?budget_escalation ?checkpoint_file
-    ?resume ?should_stop spec =
-  conclude_with ?resume
-    (options_of ?max_k ?max_iterations ?solver_options ?jobs ?portfolio
-       ?certify ?cex_vcd ?budget ?budget_retries ?budget_escalation
-       ?checkpoint_file ?should_stop ())
-    spec

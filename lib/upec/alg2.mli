@@ -17,7 +17,7 @@ type outcome =
 
 val run_with :
   ?resume:Checkpoint.t -> Options.t -> Spec.t -> Report.run * outcome
-(** The primary entry point; every knob lives in {!Options.t}.
+(** Every knob lives in {!Options.t}.
 
     [Options.reset_start] pins cycle 0 to the concrete reset state,
     degrading IPC to plain bounded model checking — the E9 comparison.
@@ -83,44 +83,3 @@ val conclude_with :
     {!Alg1.svar_cache}); the unrolled phase never consults it — its
     (cycle, svar) obligations live in a k-deep formula that no 2-cycle
     lemma answers. *)
-
-val run :
-  ?max_k:int ->
-  ?max_iterations:int ->
-  ?solver_options:Satsolver.Solver.options ->
-  ?reset_start:bool ->
-  ?jobs:int ->
-  ?portfolio:int ->
-  ?certify:bool ->
-  ?cex_vcd:string ->
-  ?budget:Satsolver.Solver.budget ->
-  ?budget_retries:int ->
-  ?budget_escalation:float ->
-  ?checkpoint_file:string ->
-  ?resume:Checkpoint.t ->
-  ?should_stop:(unit -> bool) ->
-  Spec.t ->
-  Report.run * outcome
-(** Legacy optional-argument surface with its historical defaults
-    ([max_k] 8, [max_iterations] 128, [incremental] false); forwards
-    to {!run_with}.
-    @deprecated Use {!run_with} with an {!Options.t} record. *)
-
-val conclude :
-  ?max_k:int ->
-  ?max_iterations:int ->
-  ?solver_options:Satsolver.Solver.options ->
-  ?jobs:int ->
-  ?portfolio:int ->
-  ?certify:bool ->
-  ?cex_vcd:string ->
-  ?budget:Satsolver.Solver.budget ->
-  ?budget_retries:int ->
-  ?budget_escalation:float ->
-  ?checkpoint_file:string ->
-  ?resume:Checkpoint.t ->
-  ?should_stop:(unit -> bool) ->
-  Spec.t ->
-  Report.run
-(** Legacy optional-argument surface; forwards to {!conclude_with}.
-    @deprecated Use {!conclude_with} with an {!Options.t} record. *)

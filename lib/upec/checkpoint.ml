@@ -1,7 +1,7 @@
 (* Crash-safe persistence of UPEC-SSC iteration state.
 
    The checkpoint is deliberately string-based: it stores svar *names*,
-   not svars, so (de)serialization is a pure string transformation that
+   not svars, so (de)serialization is a pure {!Json} transformation that
    can be property-tested without building a SoC, and the algorithm
    layer owns the name -> svar resolution (guarded by the config hash,
    which changes whenever the name universe could). *)
@@ -22,8 +22,9 @@ type t = {
          are out of every frame set but must surface in the report *)
 }
 
-let version = 1
+let version = 2
 let magic = "upec-ssc-checkpoint"
+let alg_tag = function Alg1 -> "alg1" | Alg2 -> "alg2"
 
 (* ---- config hash ----------------------------------------------------
 
@@ -35,7 +36,7 @@ let magic = "upec-ssc-checkpoint"
 let config_hash ~alg spec =
   let nl = spec.Spec.soc.Soc.Builder.netlist in
   let b = Buffer.create 4096 in
-  Buffer.add_string b (match alg with Alg1 -> "alg1" | Alg2 -> "alg2");
+  Buffer.add_string b (alg_tag alg);
   Buffer.add_char b '\n';
   Buffer.add_string b
     (match spec.Spec.variant with
@@ -64,192 +65,99 @@ let config_hash ~alg spec =
     names;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-(* ---- percent-encoding ----------------------------------------------
-
-   Names and reasons are arbitrary byte strings as far as the format is
-   concerned; everything outside [A-Za-z0-9_.:\[\]-] is %XX-escaped so a
-   record is always one token on one line. *)
-
-let enc_ok c =
-  (c >= 'a' && c <= 'z')
-  || (c >= 'A' && c <= 'Z')
-  || (c >= '0' && c <= '9')
-  || c = '_' || c = '.' || c = ':' || c = '[' || c = ']' || c = '-'
-
-let encode s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      if enc_ok c then Buffer.add_char b c
-      else Buffer.add_string b (Printf.sprintf "%%%02X" (Char.code c)))
-    s;
-  Buffer.contents b
-
-let decode s =
-  let b = Buffer.create (String.length s) in
-  let n = String.length s in
-  let rec go i =
-    if i < n then
-      if s.[i] = '%' && i + 2 < n then begin
-        (match int_of_string_opt ("0x" ^ String.sub s (i + 1) 2) with
-        | Some code -> Buffer.add_char b (Char.chr (code land 0xff))
-        | None -> failwith "Checkpoint.decode: bad escape");
-        go (i + 3)
-      end
-      else begin
-        Buffer.add_char b s.[i];
-        go (i + 1)
-      end
-  in
-  go 0;
-  Buffer.contents b
-
-(* ---- text form ------------------------------------------------------ *)
+(* ---- JSON form ----------------------------------------------------- *)
 
 let to_string ck =
-  let b = Buffer.create 4096 in
-  Printf.bprintf b "%s %d\n" magic version;
-  Printf.bprintf b "hash %s\n" (encode ck.ck_config_hash);
-  Printf.bprintf b "alg %s\n"
-    (match ck.ck_alg with Alg1 -> "alg1" | Alg2 -> "alg2");
-  Printf.bprintf b "variant %s\n" (encode ck.ck_variant);
-  Printf.bprintf b "iter %d\n" ck.ck_iter;
-  Printf.bprintf b "k %d\n" ck.ck_k;
-  Printf.bprintf b "frames %d\n" (Array.length ck.ck_frames);
-  Array.iteri
-    (fun i names ->
-      Printf.bprintf b "frame %d %d\n" i (List.length names);
-      List.iter (fun n -> Printf.bprintf b "s %s\n" (encode n)) names)
-    ck.ck_frames;
-  List.iter
-    (fun (n, reason) ->
-      Printf.bprintf b "unknown %s %s\n" (encode n) (encode reason))
-    ck.ck_unknown;
-  Buffer.add_string b "end\n";
-  Buffer.contents b
+  let strs l = Json.List (List.map (fun n -> Json.Str n) l) in
+  Json.to_string
+    (Json.Obj
+       [
+         ("magic", Json.Str magic);
+         ("version", Json.Int version);
+         ("alg", Json.Str (alg_tag ck.ck_alg));
+         ("variant", Json.Str ck.ck_variant);
+         ("hash", Json.Str ck.ck_config_hash);
+         ("iter", Json.Int ck.ck_iter);
+         ("k", Json.Int ck.ck_k);
+         ("frames", Json.List (Array.to_list (Array.map strs ck.ck_frames)));
+         ( "unknown",
+           Json.List
+             (List.map
+                (fun (n, r) ->
+                  Json.Obj [ ("name", Json.Str n); ("reason", Json.Str r) ])
+                ck.ck_unknown) );
+       ])
+
+(* [Some] only when every element converts *)
+let list_of conv j =
+  Option.bind (Json.to_list j) (fun l ->
+      List.fold_right
+        (fun x acc ->
+          match (conv x, acc) with
+          | Some v, Some a -> Some (v :: a)
+          | _ -> None)
+        l (Some []))
 
 let of_string text =
-  let fail fmt = Printf.ksprintf (fun m -> Error m) fmt in
-  let lines =
-    (* tokens must be preserved exactly — an encoded empty name is an
-       empty token, which [String.trim] would silently swallow — so only
-       strip a Windows '\r' and skip blank lines *)
-    String.split_on_char '\n' text
-    |> List.filter_map (fun l ->
-           let l =
-             let n = String.length l in
-             if n > 0 && l.[n - 1] = '\r' then String.sub l 0 (n - 1) else l
-           in
-           if String.trim l = "" then None
-           else Some (String.split_on_char ' ' l))
+  let ( let* ) = Result.bind in
+  let check ok msg = if ok then Ok () else Error msg in
+  let field name conv j =
+    match conv (Json.member name j) with
+    | Some v -> Ok v
+    | None -> Error ("missing or ill-typed member " ^ name)
   in
-  match lines with
-  | [ m; v ] :: rest when m = magic -> (
-      match int_of_string_opt v with
-      | Some ver when ver = version -> (
-          let hash = ref None
-          and alg = ref None
-          and variant = ref None
-          and iter = ref None
-          and k = ref None
-          and nframes = ref None in
-          let frames = ref [] (* (idx, rev names) in rev order *)
-          and unknown = ref []
-          and ended = ref false
-          and err = ref None in
-          let set what r v =
-            match !r with
-            | None -> r := Some v
-            | Some _ -> err := Some ("duplicate " ^ what)
-          in
-          let int_field what r s =
-            match int_of_string_opt s with
-            | Some i when i >= 0 -> set what r i
-            | _ -> err := Some ("bad " ^ what)
-          in
-          List.iter
-            (fun toks ->
-              if !err = None then
-                if !ended then err := Some "content after end marker"
-                else
-                  match toks with
-                  | [ "hash"; h ] -> set "hash" hash (decode h)
-                  | [ "alg"; "alg1" ] -> set "alg" alg Alg1
-                  | [ "alg"; "alg2" ] -> set "alg" alg Alg2
-                  | [ "variant"; v ] -> set "variant" variant (decode v)
-                  | [ "iter"; i ] -> int_field "iter" iter i
-                  | [ "k"; i ] -> int_field "k" k i
-                  | [ "frames"; i ] -> int_field "frames" nframes i
-                  | [ "frame"; i; _count ] -> (
-                      match int_of_string_opt i with
-                      | Some i when i = List.length !frames ->
-                          frames := (i, ref []) :: !frames
-                      | _ -> err := Some "bad frame header")
-                  | [ "s"; n ] -> (
-                      match !frames with
-                      | (_, names) :: _ -> names := decode n :: !names
-                      | [] -> err := Some "svar before frame header")
-                  | [ "unknown"; n; reason ] ->
-                      unknown := (decode n, decode reason) :: !unknown
-                  | [ "end" ] -> ended := true
-                  | _ -> err := Some "unrecognised line")
-            rest;
-          match (!err, !hash, !alg, !variant, !iter, !k, !nframes) with
-          | Some m, _, _, _, _, _, _ -> fail "%s" m
-          | _, None, _, _, _, _, _ -> fail "missing hash"
-          | _, _, None, _, _, _, _ -> fail "missing alg"
-          | _, _, _, None, _, _, _ -> fail "missing variant"
-          | _, _, _, _, None, _, _ -> fail "missing iter"
-          | _, _, _, _, _, None, _ -> fail "missing k"
-          | _, _, _, _, _, _, None -> fail "missing frames"
-          | ( None,
-              Some hash,
-              Some alg,
-              Some variant,
-              Some iter,
-              Some k,
-              Some nframes ) ->
-              if not !ended then
-                fail "truncated checkpoint (no end marker)"
-              else if List.length !frames <> nframes then
-                fail "frame count mismatch"
-              else
-                Ok
-                  {
-                    ck_alg = alg;
-                    ck_variant = variant;
-                    ck_config_hash = hash;
-                    ck_iter = iter;
-                    ck_k = k;
-                    ck_frames =
-                      (let arr = Array.make nframes [] in
-                       List.iter
-                         (fun (i, names) -> arr.(i) <- List.rev !names)
-                         !frames;
-                       arr);
-                    ck_unknown = List.rev !unknown;
-                  })
-      | _ -> fail "unsupported checkpoint version")
-  | _ -> fail "not a %s file" magic
-
-(* ---- atomic file I/O ------------------------------------------------ *)
+  let count name j =
+    let* n = field name Json.to_int j in
+    let* () = check (n >= 0) ("negative " ^ name) in
+    Ok n
+  in
+  let* j =
+    match Json.of_string text with
+    | j -> Ok j
+    | exception Json.Parse_error m -> Error ("malformed checkpoint: " ^ m)
+  in
+  let* m = field "magic" Json.to_str j in
+  let* () = check (m = magic) ("not a " ^ magic ^ " file") in
+  let* v = field "version" Json.to_int j in
+  let* () =
+    check (v = version) (Printf.sprintf "unsupported checkpoint version %d" v)
+  in
+  let* alg =
+    field "alg"
+      (fun a ->
+        match Json.to_str a with
+        | Some "alg1" -> Some Alg1
+        | Some "alg2" -> Some Alg2
+        | _ -> None)
+      j
+  in
+  let* variant = field "variant" Json.to_str j in
+  let* hash = field "hash" Json.to_str j in
+  let* iter = count "iter" j in
+  let* k = count "k" j in
+  let* frames = field "frames" (list_of (list_of Json.to_str)) j in
+  let* unknown =
+    field "unknown"
+      (list_of (fun u ->
+           let str name = Json.to_str (Json.member name u) in
+           match (str "name", str "reason") with
+           | Some n, Some r -> Some (n, r)
+           | _ -> None))
+      j
+  in
+  Ok
+    {
+      ck_alg = alg;
+      ck_variant = variant;
+      ck_config_hash = hash;
+      ck_iter = iter;
+      ck_k = k;
+      ck_frames = Array.of_list frames;
+      ck_unknown = unknown;
+    }
 
 let save path ck =
-  let dir = Filename.dirname path in
-  let tmp = Filename.temp_file ~temp_dir:dir (Filename.basename path) ".tmp" in
-  let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o644 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      let text = to_string ck in
-      let n = String.length text in
-      let written = Unix.write_substring fd text 0 n in
-      if written <> n then failwith "Checkpoint.save: short write";
-      (* the rename must only ever publish fully-persisted bytes: a
-         crash between write and rename leaves the previous checkpoint
-         untouched, never a torn file under [path] *)
-      Unix.fsync fd);
-  Sys.rename tmp path
+  Atomic_file.write ~dir:(Filename.dirname path) ~path (to_string ck)
 
 let load path =
   match

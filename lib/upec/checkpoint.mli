@@ -7,13 +7,14 @@
     as an uninterrupted run (iteration state is a semantic fact of the
     formula, not of the schedule).
 
-    The on-disk form is a versioned line-based text file ending in an
-    [end] marker; {!save} publishes it atomically (write to a temp file,
-    [fsync], [rename]) so a crash at any point leaves either the
-    previous checkpoint or the new one — never a torn file. A config
-    hash over the algorithm, design variant, persistence model and the
-    full svar universe guards resumption: state recorded under any
-    other configuration is refused rather than misread. *)
+    The on-disk form is one {!Json} object (members [magic],
+    [version] 2, [alg], [variant], [hash], [iter], [k], [frames],
+    [unknown]); {!save} publishes it atomically ({!Atomic_file.write})
+    so a crash at any point leaves either the previous checkpoint or
+    the new one — never a torn file. A config hash over the algorithm,
+    design variant, persistence model and the full svar universe guards
+    resumption: state recorded under any other configuration is refused
+    rather than misread. *)
 
 type alg = Alg1 | Alg2
 
@@ -38,12 +39,13 @@ val config_hash : alg:alg -> Spec.t -> string
 
 val to_string : t -> string
 val of_string : string -> (t, string) result
-(** Inverse of {!to_string}; [Error] on unknown version, truncation
-    (missing [end] marker) or any malformed record. *)
+(** Inverse of {!to_string}; never raises. [Error] on malformed or
+    truncated JSON, a missing or ill-typed member, a negative count, or
+    a wrong magic or version. *)
 
 val save : string -> t -> unit
-(** Atomic publish: temp file + [fsync] + [rename]. May raise
-    [Unix.Unix_error] / [Sys_error] on I/O failure. *)
+(** Atomic publish ({!Atomic_file.write}). May raise [Unix.Unix_error] /
+    [Sys_error] on I/O failure. *)
 
 val load : string -> (t, string) result
 (** [Error] (never an exception) on unreadable or malformed files. *)

@@ -20,9 +20,9 @@ let check_inductive ?solver_options spec =
       Ipc.Engine.assume eng (U.blast_at u U.A ~frame:1 env1).(0);
       let goal = (U.blast_at u U.A ~frame:1 inv).(0) in
       let ok =
-        match Ipc.Engine.check eng goal with
-        | Ipc.Engine.Holds -> true
-        | Ipc.Engine.Cex _ -> false
+        match Ipc.Engine.decide eng (Ipc.Engine.Goal goal) with
+        | Ipc.Engine.Proved -> true
+        | Ipc.Engine.Refuted _ | Ipc.Engine.Unknown _ -> false
       in
       (name, ok))
     invs

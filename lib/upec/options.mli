@@ -4,11 +4,7 @@
     this record instead of a dozen optional arguments; build it with a
     functional update of {!default}:
 
-    {[ Upec.Alg1.run_with { Upec.Options.default with jobs = Some 4 } spec ]}
-
-    The legacy entry points ({!Alg1.run}, {!Alg2.run}, {!Alg2.conclude})
-    are thin wrappers that assemble this record with their historical
-    defaults. *)
+    {[ Upec.Alg1.run_with { Upec.Options.default with jobs = Some 4 } spec ]} *)
 
 type t = {
   max_iterations : int;  (** refinement-iteration cap (default 128) *)
@@ -18,10 +14,15 @@ type t = {
       (** reuse one solver session across iterations — assumptions and
           activation literals instead of fresh engines — keeping learnt
           clauses and branching heuristics warm (default [true]).
-          Monolithic strategies only; the per-svar strategy is already
-          incremental within each worker. Verdict classes are
-          unaffected; the reported witness set of a monolithic run may
-          differ (both are correct). *)
+          [false] gives every check a fresh session, the paper's own
+          per-iteration re-check. Neither side wins everywhere (bench
+          A5): warm sessions find counterexamples 1.8–3.4× faster, while
+          fresh sessions finish SECURE proofs, whose cost is the final
+          inductive UNSAT check, in fewer conflicts. Monolithic
+          strategies only; the per-svar strategy is already incremental
+          within each worker. Verdict classes are unaffected; the
+          reported witness set of a monolithic run may differ (both are
+          correct). *)
   simp : bool;
       (** cone-of-influence problem reduction for witness-free solves
           (default [true]); never changes verdicts or counterexamples —

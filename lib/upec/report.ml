@@ -44,7 +44,7 @@ type run = {
   unknowns : (string * string) list;
   resumed_from : int option;
   metrics : Obs.Metrics.snapshot option;
-  options : Options.t option;
+  options : Options.t;
   simp : Simp.reduction option;
   cache : cache_info option;
   extra : (string * Json.t) list;
@@ -287,15 +287,8 @@ let to_json r =
                  [ ("name", Json.Str name); ("reason", Json.Str reason) ])
              r.unknowns) );
       ("resumed_from", opt (fun i -> Json.Int i) r.resumed_from);
-      ( "cert",
-        opt
-          (cert_json
-             ~cert_jobs:
-               (match r.options with
-               | Some o -> o.Options.cert_jobs
-               | None -> 0))
-          r.cert );
-      ("options", opt options_json r.options);
+      ("cert", opt (cert_json ~cert_jobs:r.options.Options.cert_jobs) r.cert);
+      ("options", options_json r.options);
       ("simp", opt simp_json r.simp);
       ("cache", opt cache_json r.cache);
     ]

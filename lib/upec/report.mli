@@ -74,9 +74,7 @@ type run = {
       (** process-wide cumulative {!Obs.Metrics} snapshot taken when
           the report was assembled; for a [conclude] run (unrolled +
           induction) the induction-phase snapshot covers both phases *)
-  options : Options.t option;
-      (** the options record the run was configured with (legacy entry
-          points record their assembled equivalent) *)
+  options : Options.t;  (** the options record the run was configured with *)
   simp : Simp.reduction option;
       (** problem-reduction accounting aggregated over every engine the
           run created; [None] when reduction was disabled *)
@@ -118,6 +116,10 @@ val to_json : run -> Json.t
     echo, the problem-reduction statistics and the [extra] extension
     blocks. Counterexample waveforms are summarised (frame count), not
     serialised — the VCD artefact carries them. *)
+
+val simp_json : Simp.reduction -> Json.t
+(** The ["simp"] member of {!to_json}: reduced solves and the CNF sizes
+    before and after reduction. *)
 
 val pp_metrics : Format.formatter -> run -> unit
 (** The embedded {!Obs.Metrics} snapshot as a human table; a notice

@@ -9,6 +9,11 @@ module S = Satsolver.Solver
 module L = Satsolver.Lit
 module Proof = Cert.Proof
 module Rup = Cert.Rup
+module O = Upec.Options
+
+(* a fresh solver session per check; Alg. 1 capped at 64 iterations *)
+let alg1_fresh = { O.default with O.incremental = false; max_iterations = 64 }
+let alg2_fresh = { O.default with O.incremental = false }
 
 let lit v s = L.make v s
 
@@ -452,7 +457,7 @@ let vulnerable_cex =
   let fresh () =
     let soc = Soc.Builder.build Soc.Config.formal_tiny Soc.Builder.Formal in
     let spec = Upec.Spec.make soc Upec.Spec.Vulnerable in
-    let r = Upec.Alg1.run spec in
+    let r = Upec.Alg1.run_with alg1_fresh spec in
     match r.Upec.Report.verdict with
     | Upec.Report.Vulnerable { s_cex; cex } ->
         (soc.Soc.Builder.netlist, s_cex, cex)
@@ -565,7 +570,11 @@ let cert_of r =
   | None -> Alcotest.fail "certified run carries no certification info"
 
 let test_certified_alg1_vulnerable () =
-  let r = Upec.Alg1.run ~certify:true (tiny_spec Upec.Spec.Vulnerable) in
+  let r =
+    Upec.Alg1.run_with
+      { alg1_fresh with O.certify = true }
+      (tiny_spec Upec.Spec.Vulnerable)
+  in
   Alcotest.(check bool) "vulnerable" true (Upec.Report.is_vulnerable r);
   let c = cert_of r in
   Alcotest.(check bool) "cex validated" true
@@ -574,7 +583,11 @@ let test_certified_alg1_vulnerable () =
     (c.Upec.Report.ct_totals.Proof.sat_checked > 0)
 
 let test_certified_alg1_secure () =
-  let r = Upec.Alg1.run ~certify:true (micro_spec Upec.Spec.Secure) in
+  let r =
+    Upec.Alg1.run_with
+      { alg1_fresh with O.certify = true }
+      (micro_spec Upec.Spec.Secure)
+  in
   Alcotest.(check bool) "secure" true (Upec.Report.is_secure r);
   let c = cert_of r in
   Alcotest.(check bool) "unsat proof checked" true
@@ -591,7 +604,8 @@ let test_certified_alg1_jobs_and_portfolio () =
   List.iter
     (fun (label, jobs, portfolio) ->
       let r =
-        Upec.Alg1.run ~certify:true ?jobs ~portfolio
+        Upec.Alg1.run_with
+          { alg1_fresh with O.certify = true; jobs; portfolio }
           (micro_spec Upec.Spec.Secure)
       in
       Alcotest.(check bool) (label ^ ": secure") true (Upec.Report.is_secure r);
@@ -631,12 +645,13 @@ let test_certified_alg1_pipelined () =
   Alcotest.(check bool) "sequential has no epochs" true (ts.Proof.epochs = 0)
 
 let test_certified_alg2 () =
-  let r = Upec.Alg2.conclude ~certify:true (tiny_spec Upec.Spec.Vulnerable) in
+  let certified = { alg2_fresh with O.certify = true } in
+  let r = Upec.Alg2.conclude_with certified (tiny_spec Upec.Spec.Vulnerable) in
   Alcotest.(check bool) "vulnerable" true (Upec.Report.is_vulnerable r);
   let c = cert_of r in
   Alcotest.(check bool) "cex validated" true
     (c.Upec.Report.ct_cex_validated = Some true);
-  let r2 = Upec.Alg2.conclude ~certify:true (micro_spec Upec.Spec.Secure) in
+  let r2 = Upec.Alg2.conclude_with certified (micro_spec Upec.Spec.Secure) in
   Alcotest.(check bool) "secure" true (Upec.Report.is_secure r2);
   let c2 = cert_of r2 in
   Alcotest.(check bool) "unsat proofs checked" true

@@ -4,6 +4,11 @@
    refusal, and graceful degradation under SAT budgets. *)
 
 module Ck = Upec.Checkpoint
+module O = Upec.Options
+
+(* a fresh solver session per check; Alg. 1 capped at 64 iterations *)
+let alg1_fresh = { O.default with O.incremental = false; max_iterations = 64 }
+let alg2_fresh = { O.default with O.incremental = false }
 
 let spec_of variant =
   let soc = Soc.Builder.build Soc.Config.formal_tiny Soc.Builder.Formal in
@@ -72,7 +77,7 @@ let test_save_load_roundtrip () =
 
 let test_rejects_truncation () =
   let text = Ck.to_string (sample_ck ()) in
-  (* drop the trailing "end\n" marker: a torn write must be refused *)
+  (* cut the document's last 4 bytes: a torn write must be refused *)
   let cut = String.sub text 0 (String.length text - 4) in
   (match Ck.of_string cut with
   | Ok _ -> Alcotest.fail "truncated checkpoint accepted"
@@ -83,6 +88,36 @@ let test_rejects_truncation () =
   match Ck.of_string "not a checkpoint at all\n" with
   | Ok _ -> Alcotest.fail "garbage accepted"
   | Error _ -> ()
+
+let test_rejects_malformed_members () =
+  let module J = Upec.Json in
+  let members =
+    match J.of_string (Ck.to_string (sample_ck ())) with
+    | J.Obj m -> m
+    | _ -> Alcotest.fail "a checkpoint is a JSON object"
+  in
+  let with_member k v =
+    J.to_string
+      (J.Obj (List.map (fun (k', v') -> (k', if k' = k then v else v')) members))
+  in
+  List.iter
+    (fun (what, text) ->
+      match Ck.of_string text with
+      | Ok _ -> Alcotest.failf "%s accepted" what
+      | Error _ -> ())
+    [
+      ( "version-1 text form",
+        "upec-ssc-checkpoint 1\nhash x\nalg alg1\nvariant secure\niter 1\n\
+         k 1\nframes 0\nend\n" );
+      ("version 1", with_member "version" (J.Int 1));
+      ("wrong magic", with_member "magic" (J.Str "upec-farm-cache"));
+      ("negative iter", with_member "iter" (J.Int (-1)));
+      ("ill-typed k", with_member "k" (J.Str "1"));
+      ("ill-typed frame", with_member "frames" (J.List [ J.Int 0 ]));
+      ( "unknown without reason",
+        with_member "unknown" (J.List [ J.Obj [ ("name", J.Str "x") ] ]) );
+      ("missing hash", J.to_string (J.Obj (List.remove_assoc "hash" members)));
+    ]
 
 let test_load_missing_is_error () =
   match Ck.load "/nonexistent/governance.ck" with
@@ -105,7 +140,11 @@ let test_hash_mismatch_refused () =
       ck_unknown = [];
     }
   in
-  match Upec.Alg1.run ~jobs:1 ~resume:ck (spec_of Upec.Spec.Vulnerable) with
+  match
+    Upec.Alg1.run_with ~resume:ck
+      { alg1_fresh with O.jobs = Some 1 }
+      (spec_of Upec.Spec.Vulnerable)
+  with
   | _ -> Alcotest.fail "hash mismatch not refused"
   | exception Invalid_argument _ -> ()
 
@@ -122,7 +161,9 @@ let test_alg_kind_refused () =
       ck_unknown = [];
     }
   in
-  match Upec.Alg2.run ~jobs:1 ~resume:ck spec with
+  match
+    Upec.Alg2.run_with ~resume:ck { alg2_fresh with O.jobs = Some 1 } spec
+  with
   | _ -> Alcotest.fail "Alg2 accepted an Alg1 checkpoint"
   | exception Invalid_argument _ -> ()
 
@@ -141,13 +182,18 @@ let with_ck_file f =
 let stop_after_first_checkpoint path () = Sys.file_exists path
 
 let test_alg1_interrupt_resume ~stop_jobs ~resume_jobs ?(certify = false) () =
-  let baseline =
-    Upec.Alg1.run ~jobs:resume_jobs ~certify (spec_of Upec.Spec.Secure)
-  in
+  let resume_opts = { alg1_fresh with O.jobs = Some resume_jobs; certify } in
+  let baseline = Upec.Alg1.run_with resume_opts (spec_of Upec.Spec.Secure) in
   with_ck_file (fun path ->
       let interrupted =
-        Upec.Alg1.run ~jobs:stop_jobs ~certify ~checkpoint_file:path
-          ~should_stop:(stop_after_first_checkpoint path)
+        Upec.Alg1.run_with
+          {
+            alg1_fresh with
+            O.jobs = Some stop_jobs;
+            certify;
+            checkpoint_file = Some path;
+            should_stop = Some (stop_after_first_checkpoint path);
+          }
           (spec_of Upec.Spec.Secure)
       in
       (match interrupted.Upec.Report.verdict with
@@ -161,8 +207,7 @@ let test_alg1_interrupt_resume ~stop_jobs ~resume_jobs ?(certify = false) () =
         | Error m -> Alcotest.fail ("checkpoint unreadable: " ^ m)
       in
       let resumed =
-        Upec.Alg1.run ~jobs:resume_jobs ~certify ~resume:ck
-          (spec_of Upec.Spec.Secure)
+        Upec.Alg1.run_with ~resume:ck resume_opts (spec_of Upec.Spec.Secure)
       in
       Alcotest.(check string)
         "resumed verdict = uninterrupted verdict" (verdict_str baseline)
@@ -172,11 +217,17 @@ let test_alg1_interrupt_resume ~stop_jobs ~resume_jobs ?(certify = false) () =
         (resumed.Upec.Report.resumed_from <> None))
 
 let test_conclude_interrupt_resume () =
-  let baseline = Upec.Alg2.conclude ~jobs:1 (spec_of Upec.Spec.Secure) in
+  let jobs1 = { alg2_fresh with O.jobs = Some 1 } in
+  let baseline = Upec.Alg2.conclude_with jobs1 (spec_of Upec.Spec.Secure) in
   with_ck_file (fun path ->
       let interrupted =
-        Upec.Alg2.conclude ~jobs:4 ~checkpoint_file:path
-          ~should_stop:(stop_after_first_checkpoint path)
+        Upec.Alg2.conclude_with
+          {
+            alg2_fresh with
+            O.jobs = Some 4;
+            checkpoint_file = Some path;
+            should_stop = Some (stop_after_first_checkpoint path);
+          }
           (spec_of Upec.Spec.Secure)
       in
       (match interrupted.Upec.Report.verdict with
@@ -189,21 +240,31 @@ let test_conclude_interrupt_resume () =
       in
       (* resume on a different job count: the checkpoint is a semantic
          frontier, not a schedule, so the verdict must not change *)
-      let resumed = Upec.Alg2.conclude ~jobs:1 ~resume:ck (spec_of Upec.Spec.Secure) in
+      let resumed =
+        Upec.Alg2.conclude_with ~resume:ck jobs1 (spec_of Upec.Spec.Secure)
+      in
       Alcotest.(check string)
         "resumed verdict = uninterrupted verdict" (verdict_str baseline)
         (verdict_str resumed))
 
 (* ---- budgets: graceful degradation ---- *)
 
+(* per-svar on 2 workers, each SAT call capped at [conflicts] *)
+let budgeted base ~conflicts ~retries =
+  {
+    base with
+    O.jobs = Some 2;
+    budget = Satsolver.Solver.conflict_budget conflicts;
+    budget_retries = retries;
+  }
+
 let test_budget_degrades_not_poisons () =
   (* a starved run on the secure design must end Inconclusive with the
      starved checks accounted for — never Vulnerable (soundness) and
      never Secure (honesty), and it must terminate *)
   let r =
-    Upec.Alg1.run ~jobs:2
-      ~budget:(Satsolver.Solver.conflict_budget 5)
-      ~budget_retries:0
+    Upec.Alg1.run_with
+      (budgeted alg1_fresh ~conflicts:5 ~retries:0)
       (spec_of Upec.Spec.Secure)
   in
   Alcotest.(check bool) "not vulnerable" false (Upec.Report.is_vulnerable r);
@@ -214,9 +275,8 @@ let test_budget_generous_still_secure () =
   (* with escalating retries the same run converges to the unbudgeted
      verdict: budgets bound single calls, not the result *)
   let r =
-    Upec.Alg1.run ~jobs:2
-      ~budget:(Satsolver.Solver.conflict_budget 1_000)
-      ~budget_retries:2
+    Upec.Alg1.run_with
+      (budgeted alg1_fresh ~conflicts:1_000 ~retries:2)
       (spec_of Upec.Spec.Secure)
   in
   Alcotest.(check bool) "secure" true (Upec.Report.is_secure r);
@@ -225,9 +285,8 @@ let test_budget_generous_still_secure () =
 
 let test_budget_vulnerable_never_secure () =
   let r =
-    Upec.Alg1.run ~jobs:2
-      ~budget:(Satsolver.Solver.conflict_budget 50)
-      ~budget_retries:1
+    Upec.Alg1.run_with
+      (budgeted alg1_fresh ~conflicts:50 ~retries:1)
       (spec_of Upec.Spec.Vulnerable)
   in
   Alcotest.(check bool)
@@ -236,9 +295,8 @@ let test_budget_vulnerable_never_secure () =
 
 let test_budget_conclude_terminates () =
   let r =
-    Upec.Alg2.conclude ~jobs:2
-      ~budget:(Satsolver.Solver.conflict_budget 5)
-      ~budget_retries:0
+    Upec.Alg2.conclude_with
+      (budgeted alg2_fresh ~conflicts:5 ~retries:0)
       (spec_of Upec.Spec.Secure)
   in
   Alcotest.(check bool) "not vulnerable" false (Upec.Report.is_vulnerable r);
@@ -253,6 +311,8 @@ let () =
           Alcotest.test_case "save/load roundtrip" `Quick
             test_save_load_roundtrip;
           Alcotest.test_case "rejects truncation" `Quick test_rejects_truncation;
+          Alcotest.test_case "rejects malformed members" `Quick
+            test_rejects_malformed_members;
           Alcotest.test_case "load of missing file is Error" `Quick
             test_load_missing_is_error;
           Alcotest.test_case "config-hash mismatch refused" `Slow

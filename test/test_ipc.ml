@@ -29,6 +29,10 @@ let build_spy () =
 
 let find_count nl = (Netlist.find_reg nl "count").Netlist.rd_signal
 
+(* An [Unknown] verdict never reads as proved: these engines set no
+   budget or interrupt, so one fails the test. *)
+let undecided reason = Alcotest.fail ("undecided: " ^ reason)
+
 (* ---- single-instance checks ---- *)
 
 let test_increment_holds () =
@@ -44,9 +48,10 @@ let test_increment_holds () =
   let c1 = Unroller.reg_vec u Unroller.A ~frame:1 (find_count nl) in
   let inc = Bitblast.Blaster.v_add g c0 (Bitblast.Blaster.const_vec (bv 8 1)) in
   let goal = Bitblast.Blaster.v_eq g c1 inc in
-  (match Ipc.Engine.check eng goal with
-  | Ipc.Engine.Holds -> ()
-  | Ipc.Engine.Cex _ -> Alcotest.fail "increment property should hold")
+  (match Ipc.Engine.decide eng (Ipc.Engine.Goal goal) with
+  | Ipc.Engine.Proved -> ()
+  | Ipc.Engine.Refuted _ -> Alcotest.fail "increment property should hold"
+  | Ipc.Engine.Unknown r -> undecided r)
 
 let test_symbolic_start_cex () =
   (* "count(1) != 5" must fail: the symbolic start state can pick 4. *)
@@ -59,9 +64,11 @@ let test_symbolic_start_cex () =
   Ipc.Engine.assume eng en.(0);
   let c1 = Unroller.reg_vec u Unroller.A ~frame:1 (find_count nl) in
   let goal = Aig.lit_not (Bitblast.Blaster.v_eq g c1 (Bitblast.Blaster.const_vec (bv 8 5))) in
-  match Ipc.Engine.check eng goal with
-  | Ipc.Engine.Holds -> Alcotest.fail "should find a counterexample"
-  | Ipc.Engine.Cex cex ->
+  match Ipc.Engine.decide eng (Ipc.Engine.Goal goal) with
+  | Ipc.Engine.Proved -> Alcotest.fail "should find a counterexample"
+  | Ipc.Engine.Unknown r -> undecided r
+  | Ipc.Engine.Refuted cex ->
+      let cex = Option.get cex in
       let sv = Structural.Sreg (find_count nl) in
       let v0 = Ipc.Cex.svar_value cex Unroller.A ~frame:0 sv in
       let v1 = Ipc.Cex.svar_value cex Unroller.A ~frame:1 sv in
@@ -84,9 +91,11 @@ let test_multi_frame_unroll () =
   let c0 = Unroller.reg_vec u Unroller.A ~frame:0 (find_count nl) in
   let c3 = Unroller.reg_vec u Unroller.A ~frame:3 (find_count nl) in
   let plus3 = Bitblast.Blaster.v_add g c0 (Bitblast.Blaster.const_vec (bv 8 3)) in
-  (match Ipc.Engine.check eng (Bitblast.Blaster.v_eq g c3 plus3) with
-  | Ipc.Engine.Holds -> ()
-  | Ipc.Engine.Cex _ -> Alcotest.fail "k=3 unrolling should hold")
+  let goal = Bitblast.Blaster.v_eq g c3 plus3 in
+  (match Ipc.Engine.decide eng (Ipc.Engine.Goal goal) with
+  | Ipc.Engine.Proved -> ()
+  | Ipc.Engine.Refuted _ -> Alcotest.fail "k=3 unrolling should hold"
+  | Ipc.Engine.Unknown r -> undecided r)
 
 let test_pre_encode_incremental () =
   (* the pre-encoding keeps a high-water mark: re-encoding the same
@@ -125,9 +134,12 @@ let test_two_safety_leak_detected () =
   Ipc.Engine.assume eng (Unroller.inputs_equal_lit u ~frame:0 (armed_sig nl));
   (* prove: spy.value equal at cycle 1 — must FAIL *)
   let spy_sv = Structural.Sreg (Netlist.find_reg nl "spy.value").Netlist.rd_signal in
-  match Ipc.Engine.check eng (Unroller.svar_equal_lit u ~frame:1 spy_sv) with
-  | Ipc.Engine.Holds -> Alcotest.fail "leak must be detected"
-  | Ipc.Engine.Cex cex ->
+  let goal = Unroller.svar_equal_lit u ~frame:1 spy_sv in
+  match Ipc.Engine.decide eng (Ipc.Engine.Goal goal) with
+  | Ipc.Engine.Proved -> Alcotest.fail "leak must be detected"
+  | Ipc.Engine.Unknown r -> undecided r
+  | Ipc.Engine.Refuted cex ->
+      let cex = Option.get cex in
       let diffs = Ipc.Cex.diff_svars cex ~frame:1 in
       Alcotest.(check bool) "spy.value differs" true
         (Structural.Svar_set.mem spy_sv diffs);
@@ -152,9 +164,11 @@ let test_two_safety_noleak_when_disarmed () =
   Ipc.Engine.assume eng (Aig.lit_not armed_a.(0));
   Ipc.Engine.assume eng (Aig.lit_not armed_b.(0));
   let spy_sv = Structural.Sreg (Netlist.find_reg nl "spy.value").Netlist.rd_signal in
-  match Ipc.Engine.check eng (Unroller.svar_equal_lit u ~frame:1 spy_sv) with
-  | Ipc.Engine.Holds -> ()
-  | Ipc.Engine.Cex _ -> Alcotest.fail "disarmed spy cannot leak"
+  let goal = Unroller.svar_equal_lit u ~frame:1 spy_sv in
+  match Ipc.Engine.decide eng (Ipc.Engine.Goal goal) with
+  | Ipc.Engine.Proved -> ()
+  | Ipc.Engine.Refuted _ -> Alcotest.fail "disarmed spy cannot leak"
+  | Ipc.Engine.Unknown r -> undecided r
 
 let test_param_shared_between_instances () =
   (* A design whose register loads a param: both instances must load the
@@ -169,9 +183,11 @@ let test_param_shared_between_instances () =
   Ipc.Engine.ensure_frames eng 1;
   let u = Ipc.Engine.unroller eng in
   let r_sv = Structural.Sreg (Netlist.find_reg nl "r").Netlist.rd_signal in
-  match Ipc.Engine.check eng (Unroller.svar_equal_lit u ~frame:1 r_sv) with
-  | Ipc.Engine.Holds -> ()
-  | Ipc.Engine.Cex _ -> Alcotest.fail "shared param must equalise instances"
+  let goal = Unroller.svar_equal_lit u ~frame:1 r_sv in
+  match Ipc.Engine.decide eng (Ipc.Engine.Goal goal) with
+  | Ipc.Engine.Proved -> ()
+  | Ipc.Engine.Refuted _ -> Alcotest.fail "shared param must equalise instances"
+  | Ipc.Engine.Unknown r -> undecided r
 
 let test_cex_pp_smoke () =
   let nl = build_spy () in
@@ -182,9 +198,12 @@ let test_cex_pp_smoke () =
     (fun sv -> Ipc.Engine.assume eng (Unroller.svar_equal_lit u ~frame:0 sv))
     (Structural.all_svars nl);
   let spy_sv = Structural.Sreg (Netlist.find_reg nl "spy.value").Netlist.rd_signal in
-  match Ipc.Engine.check eng (Unroller.svar_equal_lit u ~frame:1 spy_sv) with
-  | Ipc.Engine.Holds -> Alcotest.fail "expected cex"
-  | Ipc.Engine.Cex cex ->
+  let goal = Unroller.svar_equal_lit u ~frame:1 spy_sv in
+  match Ipc.Engine.decide eng (Ipc.Engine.Goal goal) with
+  | Ipc.Engine.Proved -> Alcotest.fail "expected cex"
+  | Ipc.Engine.Unknown r -> undecided r
+  | Ipc.Engine.Refuted cex ->
+      let cex = Option.get cex in
       let s = Format.asprintf "%a" Ipc.Cex.pp cex in
       Alcotest.(check bool) "mentions spy.value" true
         (let rec contains i =
@@ -229,9 +248,10 @@ let qcheck_unroller_matches_sim =
       let goal =
         Bitblast.Blaster.v_eq g ck (Bitblast.Blaster.const_vec (bv 8 expected))
       in
-      match Ipc.Engine.check eng goal with
-      | Ipc.Engine.Holds -> true
-      | Ipc.Engine.Cex _ -> false)
+      match Ipc.Engine.decide eng (Ipc.Engine.Goal goal) with
+      | Ipc.Engine.Proved -> true
+      | Ipc.Engine.Refuted _ -> false
+      | Ipc.Engine.Unknown r -> undecided r)
 
 (* qcheck: random small netlists — pin the symbolic start state and the
    inputs to concrete values; every register of every frame must then be
@@ -337,9 +357,93 @@ let qcheck_random_netlist_sim_vs_unroll =
           Aig.true_lit
           (List.mapi (fun f row -> (f, row)) trajectory)
       in
-      match Ipc.Engine.check eng goal with
-      | Ipc.Engine.Holds -> true
-      | Ipc.Engine.Cex _ -> false)
+      match Ipc.Engine.decide eng (Ipc.Engine.Goal goal) with
+      | Ipc.Engine.Proved -> true
+      | Ipc.Engine.Refuted _ -> false
+      | Ipc.Engine.Unknown r -> undecided r)
+
+(* ---- decide: budgets, interrupts, witness-free solves ---- *)
+
+(* Factoring as a search problem: two free 8-bit registers whose 16-bit
+   product is pinned to [n]. A composite [n] is reachable; a prime above
+   255 is not. Either answer takes CDCL real search (conflicts). Returns
+   the engine, the query, and the product of a witness's factors. *)
+let factor_query n =
+  let open Netlist.Builder in
+  let b = create "factor" in
+  let x = reg b "x" 8 and y = reg b "y" 8 in
+  set_next b x x;
+  set_next b y y;
+  let nl = finalize b in
+  let eng = Ipc.Engine.create ~two_instance:false nl in
+  Ipc.Engine.ensure_frames eng 1;
+  let u = Ipc.Engine.unroller eng and g = Ipc.Engine.graph eng in
+  let signal name = (Netlist.find_reg nl name).Netlist.rd_signal in
+  let wide name =
+    Array.append
+      (Unroller.reg_vec u Unroller.A ~frame:0 (signal name))
+      (Array.make 8 Aig.false_lit)
+  in
+  let product = Bitblast.Blaster.v_mul g (wide "x") (wide "y") in
+  let query =
+    Ipc.Engine.Violation
+      [ Bitblast.Blaster.v_eq g product (Bitblast.Blaster.const_vec (bv 16 n)) ]
+  in
+  let witness_product cex =
+    let value name =
+      Bitvec.to_int
+        (Ipc.Cex.svar_value cex Unroller.A ~frame:0
+           (Structural.Sreg (signal name)))
+    in
+    value "x" * value "y"
+  in
+  (eng, query, witness_product)
+
+let composite = 251 * 241
+let prime = 60493
+
+let verdict_str = function
+  | Ipc.Engine.Proved -> "Proved"
+  | Ipc.Engine.Refuted (Some _) -> "Refuted (Some _)"
+  | Ipc.Engine.Refuted None -> "Refuted None"
+  | Ipc.Engine.Unknown r -> "Unknown " ^ r
+
+(* the full verdict for [n]: a composite's witness must factor it *)
+let check_decided n witness_product v =
+  match v with
+  | Ipc.Engine.Refuted (Some cex) when n = composite ->
+      Alcotest.(check int) "witness factors n" n (witness_product cex)
+  | Ipc.Engine.Proved when n = prime -> ()
+  | v -> Alcotest.failf "%d: wrong verdict %s" n (verdict_str v)
+
+(* [starve] makes the engine give up; [restore] lifts the limit again,
+   and the same engine must then decide *)
+let test_decide_unknown ~starve ~restore ~reason () =
+  List.iter
+    (fun n ->
+      let eng, q, witness_product = factor_query n in
+      starve eng;
+      Alcotest.(check string)
+        (Printf.sprintf "%d starved" n)
+        ("Unknown " ^ reason)
+        (verdict_str (Ipc.Engine.decide eng q));
+      restore eng;
+      check_decided n witness_product (Ipc.Engine.decide eng q))
+    [ composite; prime ]
+
+let test_decide_witness_free () =
+  (* [~cex:false] answers the same question without the witness *)
+  List.iter
+    (fun n ->
+      let eng, q, _ = factor_query n in
+      let full = verdict_str (Ipc.Engine.decide eng q) in
+      let eng', q', _ = factor_query n in
+      let bare = verdict_str (Ipc.Engine.decide ~cex:false eng' q') in
+      Alcotest.(check string)
+        (Printf.sprintf "%d: same verdict, no witness" n)
+        (if full = "Refuted (Some _)" then "Refuted None" else full)
+        bare)
+    [ composite; prime ]
 
 let () =
   Alcotest.run "ipc"
@@ -360,6 +464,24 @@ let () =
           Alcotest.test_case "params shared" `Quick
             test_param_shared_between_instances;
           Alcotest.test_case "cex printing" `Quick test_cex_pp_smoke;
+        ] );
+      ( "decide",
+        [
+          Alcotest.test_case "budget: Unknown, then decided" `Quick
+            (test_decide_unknown
+               ~starve:(fun e ->
+                 Ipc.Engine.set_budget e (Satsolver.Solver.conflict_budget 10))
+               ~restore:(fun e ->
+                 Ipc.Engine.set_budget e Satsolver.Solver.no_budget)
+               ~reason:"conflict budget exhausted");
+          Alcotest.test_case "interrupt: Unknown, then decided" `Quick
+            (test_decide_unknown
+               ~starve:(fun e ->
+                 Ipc.Engine.set_interrupt e (Some (fun () -> true)))
+               ~restore:(fun e -> Ipc.Engine.set_interrupt e None)
+               ~reason:"interrupted");
+          Alcotest.test_case "~cex:false: Refuted None" `Quick
+            test_decide_witness_free;
         ] );
       ( "property",
         List.map QCheck_alcotest.to_alcotest

@@ -6,6 +6,12 @@ module Pool = Parallel.Pool
 module Portfolio = Parallel.Portfolio
 module S = Satsolver.Solver
 module L = Satsolver.Lit
+module O = Upec.Options
+
+(* the options of a fresh-session Alg. 1 run capped at 64 iterations,
+   monolithic or per-svar on [j] workers *)
+let alg1_fresh = { O.default with O.incremental = false; max_iterations = 64 }
+let jobs j = { alg1_fresh with O.jobs = Some j }
 
 (* ---- pool ---- *)
 
@@ -292,22 +298,22 @@ let check_same_run r1 r4 =
            Upec.Report.pp_verdict v4)
 
 let test_alg1_jobs_deterministic_vulnerable () =
-  let r1 = Upec.Alg1.run ~jobs:1 (spec_of Upec.Spec.Vulnerable) in
-  let r4 = Upec.Alg1.run ~jobs:4 (spec_of Upec.Spec.Vulnerable) in
+  let r1 = Upec.Alg1.run_with (jobs 1) (spec_of Upec.Spec.Vulnerable) in
+  let r4 = Upec.Alg1.run_with (jobs 4) (spec_of Upec.Spec.Vulnerable) in
   Alcotest.(check bool) "vulnerable" true (Upec.Report.is_vulnerable r1);
   check_same_run r1 r4
 
 let test_alg1_jobs_deterministic_secure () =
-  let r1 = Upec.Alg1.run ~jobs:1 (spec_of Upec.Spec.Secure) in
-  let r4 = Upec.Alg1.run ~jobs:4 (spec_of Upec.Spec.Secure) in
+  let r1 = Upec.Alg1.run_with (jobs 1) (spec_of Upec.Spec.Secure) in
+  let r4 = Upec.Alg1.run_with (jobs 4) (spec_of Upec.Spec.Secure) in
   Alcotest.(check bool) "secure" true (Upec.Report.is_secure r1);
   check_same_run r1 r4
 
 let test_alg1_jobs_matches_legacy_verdicts () =
   (* the per-svar strategy must agree with the monolithic iteration on
      the verdict and (for secure runs) the final inductive set *)
-  let legacy = Upec.Alg1.run (spec_of Upec.Spec.Secure) in
-  let per_svar = Upec.Alg1.run ~jobs:2 (spec_of Upec.Spec.Secure) in
+  let legacy = Upec.Alg1.run_with alg1_fresh (spec_of Upec.Spec.Secure) in
+  let per_svar = Upec.Alg1.run_with (jobs 2) (spec_of Upec.Spec.Secure) in
   Alcotest.(check bool) "both secure" true
     (Upec.Report.is_secure legacy && Upec.Report.is_secure per_svar);
   match (legacy.Upec.Report.verdict, per_svar.Upec.Report.verdict) with

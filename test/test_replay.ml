@@ -11,6 +11,12 @@ let spec_of ?(cfg = tiny) ?(pers = Upec.Spec.Full_pers) variant =
   let soc = Soc.Builder.build cfg Soc.Builder.Formal in
   Upec.Spec.make ~pers_model:pers soc variant
 
+module O = Upec.Options
+
+(* a fresh solver session per check; Alg. 1 capped at 64 iterations *)
+let alg1_fresh = { O.default with O.incremental = false; max_iterations = 64 }
+let alg2_fresh = { O.default with O.incremental = false }
+
 let get_cex report =
   match report.Upec.Report.verdict with
   | Upec.Report.Vulnerable { cex; _ } -> cex
@@ -29,18 +35,18 @@ let check_replays spec report =
 
 let test_alg1_cex_replays () =
   let spec = spec_of Upec.Spec.Vulnerable in
-  check_replays spec (Upec.Alg1.run spec)
+  check_replays spec (Upec.Alg1.run_with alg1_fresh spec)
 
 let test_alg2_cex_replays () =
   let cfg = { tiny with Soc.Config.with_dma = false } in
   let spec = spec_of ~cfg ~pers:Upec.Spec.Memory_only Upec.Spec.Vulnerable in
-  let report, _ = Upec.Alg2.run spec in
+  let report, _ = Upec.Alg2.run_with alg2_fresh spec in
   check_replays spec report
 
 let test_fixed_priority_cex_replays () =
   let cfg = { tiny with Soc.Config.arbiter = `Fixed_priority } in
   let spec = spec_of ~cfg Upec.Spec.Vulnerable in
-  check_replays spec (Upec.Alg1.run spec)
+  check_replays spec (Upec.Alg1.run_with alg1_fresh spec)
 
 let test_single_instance_cex_replays () =
   (* a plain (non-relational) IPC counterexample also replays *)
@@ -64,10 +70,12 @@ let test_single_instance_cex_replays () =
       (Bitblast.Blaster.v_eq g c3
          (Bitblast.Blaster.const_vec (Bitvec.of_int ~width:8 77)))
   in
-  match Ipc.Engine.check eng goal with
-  | Ipc.Engine.Holds -> Alcotest.fail "expected cex"
-  | Ipc.Engine.Cex cex ->
-      Alcotest.(check bool) "replays" true (Upec.Replay.check nl cex)
+  match Ipc.Engine.decide eng (Ipc.Engine.Goal goal) with
+  | Ipc.Engine.Proved -> Alcotest.fail "expected cex"
+  | Ipc.Engine.Unknown r -> Alcotest.fail ("undecided: " ^ r)
+  | Ipc.Engine.Refuted cex ->
+      Alcotest.(check bool) "replays" true
+        (Upec.Replay.check nl (Option.get cex))
 
 let () =
   Alcotest.run "replay"

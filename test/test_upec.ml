@@ -10,6 +10,13 @@ let spec_of ?(cfg = tiny) ?(pers = Upec.Spec.Full_pers) variant =
   let soc = Soc.Builder.build cfg Soc.Builder.Formal in
   Upec.Spec.make ~pers_model:pers soc variant
 
+(* These tests pin the fresh-session strategy: a new solver session per
+   check, the paper's own per-iteration re-check. *)
+module O = Upec.Options
+
+let alg1_fresh = { O.default with O.incremental = false; max_iterations = 64 }
+let alg2_fresh = { O.default with O.incremental = false }
+
 (* ---- spec / classification ---- *)
 
 let test_s_neg_victim_covers_all () =
@@ -72,6 +79,15 @@ let test_victim_cell_guard () =
 
 (* ---- macro semantics (Fig. 3) ---- *)
 
+(* Is the conjunction of [lits] reachable? [Unknown] never reads as
+   proved: these engines set no budget or interrupt, so one fails the
+   test. *)
+let reachable eng lits =
+  match Ipc.Engine.decide eng (Ipc.Engine.Violation lits) with
+  | Ipc.Engine.Refuted _ -> true
+  | Ipc.Engine.Proved -> false
+  | Ipc.Engine.Unknown r -> Alcotest.fail ("undecided: " ^ r)
+
 let fresh_engine spec =
   let eng =
     Ipc.Engine.create ~two_instance:true spec.Upec.Spec.soc.Soc.Builder.netlist
@@ -102,10 +118,10 @@ let test_macro_nonprotected_equal () =
   in
   (* satisfiable: differing protected addresses *)
   Alcotest.(check bool) "protected addresses may differ" true
-    (Ipc.Engine.check_sat eng [ addr_neq; prot ] <> None);
+    (reachable eng [ addr_neq; prot ]);
   (* unsatisfiable: differing non-protected addresses *)
   Alcotest.(check bool) "non-protected addresses cannot differ" true
-    (Ipc.Engine.check_sat eng [ addr_neq; Aig.lit_not prot ] = None)
+    (not (reachable eng [ addr_neq; Aig.lit_not prot ]))
 
 let test_macro_req_we_equal () =
   let spec = spec_of Upec.Spec.Vulnerable in
@@ -118,7 +134,7 @@ let test_macro_req_we_equal () =
   in
   let req_neq = Aig.lit_not (Ipc.Unroller.inputs_equal_lit u ~frame:0 req) in
   Alcotest.(check bool) "request presence is not confidential" true
-    (Ipc.Engine.check_sat eng [ req_neq ] = None)
+    (not (reachable eng [ req_neq ]))
 
 let test_macro_threat_model_disjoint () =
   (* the spying IPs' configured ranges cannot overlap the protected
@@ -140,7 +156,7 @@ let test_macro_threat_model_disjoint () =
          <>: zero spec.Upec.Spec.soc.Soc.Builder.soc_cfg.Soc.Config.addr_width)).(0)
   in
   Alcotest.(check bool) "active dma src outside protected range" true
-    (Ipc.Engine.check_sat eng [ src_in_range; len_nonzero ] = None)
+    (not (reachable eng [ src_in_range; len_nonzero ]))
 
 (* ---- invariants ---- *)
 
@@ -166,7 +182,7 @@ let test_secure_has_more_invariants () =
 
 let test_alg1_vulnerable () =
   let spec = spec_of Upec.Spec.Vulnerable in
-  let report = Upec.Alg1.run spec in
+  let report = Upec.Alg1.run_with alg1_fresh spec in
   Alcotest.(check bool) "vulnerable" true (Upec.Report.is_vulnerable report);
   match report.Upec.Report.verdict with
   | Upec.Report.Vulnerable { s_cex; cex } ->
@@ -185,7 +201,7 @@ let test_alg1_vulnerable () =
 
 let test_alg1_secure () =
   let spec = spec_of Upec.Spec.Secure in
-  let report = Upec.Alg1.run spec in
+  let report = Upec.Alg1.run_with alg1_fresh spec in
   Alcotest.(check bool) "secure" true (Upec.Report.is_secure report);
   Alcotest.(check bool) "took multiple iterations" true
     (Upec.Report.iterations report > 1);
@@ -215,32 +231,39 @@ let test_alg1_no_spies_secure_even_without_countermeasure () =
   (* control experiment: with no DMA and no HWPE there is no spying IP,
      and the baseline SoC is already secure w.r.t. the threat model *)
   let cfg = { tiny with Soc.Config.with_dma = false; with_hwpe = false } in
-  let report = Upec.Alg1.run (spec_of ~cfg Upec.Spec.Vulnerable) in
+  let report =
+    Upec.Alg1.run_with alg1_fresh (spec_of ~cfg Upec.Spec.Vulnerable)
+  in
   Alcotest.(check bool) "secure without spying IPs" true
     (Upec.Report.is_secure report)
 
 let test_alg1_fixed_priority_also_vulnerable () =
   let cfg = { tiny with Soc.Config.arbiter = `Fixed_priority } in
-  let report = Upec.Alg1.run (spec_of ~cfg Upec.Spec.Vulnerable) in
+  let report =
+    Upec.Alg1.run_with alg1_fresh (spec_of ~cfg Upec.Spec.Vulnerable)
+  in
   Alcotest.(check bool) "vulnerable under fixed priority" true
     (Upec.Report.is_vulnerable report)
 
 let test_alg1_fixed_priority_secure_proof () =
   let cfg = { tiny with Soc.Config.arbiter = `Fixed_priority } in
-  let report = Upec.Alg1.run (spec_of ~cfg Upec.Spec.Secure) in
+  let report =
+    Upec.Alg1.run_with alg1_fresh (spec_of ~cfg Upec.Spec.Secure)
+  in
   Alcotest.(check bool) "countermeasure holds under fixed priority" true
     (Upec.Report.is_secure report)
 
 let test_incremental_agrees () =
   (* the incremental engine must reach the same verdicts and the same
      fixed point as the per-check engine *)
+  let warm = { alg1_fresh with O.incremental = true } in
   let spec_v = spec_of Upec.Spec.Vulnerable in
-  let rv = Upec.Alg1.run ~incremental:true spec_v in
+  let rv = Upec.Alg1.run_with warm spec_v in
   Alcotest.(check bool) "vulnerable (incremental)" true
     (Upec.Report.is_vulnerable rv);
   let spec_s = spec_of Upec.Spec.Secure in
-  let plain = Upec.Alg1.run spec_s in
-  let inc = Upec.Alg1.run ~incremental:true spec_s in
+  let plain = Upec.Alg1.run_with alg1_fresh spec_s in
+  let inc = Upec.Alg1.run_with warm spec_s in
   (match (plain.Upec.Report.verdict, inc.Upec.Report.verdict) with
   | Upec.Report.Secure { s_final = a }, Upec.Report.Secure { s_final = b } ->
       Alcotest.(check bool) "same fixed point" true
@@ -255,7 +278,7 @@ let test_tdma_contention_free_is_secure () =
   let spec = spec_of ~cfg Upec.Spec.Vulnerable in
   Alcotest.(check bool) "tdma invariants sound" true
     (Upec.Invariant.all_sound spec);
-  let report = Upec.Alg1.run spec in
+  let report = Upec.Alg1.run_with alg1_fresh spec in
   Alcotest.(check bool) "secure without the memory countermeasure" true
     (Upec.Report.is_secure report)
 
@@ -263,7 +286,11 @@ let test_bmc_from_reset_misses () =
   (* E9: with a concrete reset start the same property detects nothing —
      the preparation phase lives in the symbolic starting state *)
   let spec = spec_of Upec.Spec.Vulnerable in
-  let report, outcome = Upec.Alg2.run ~max_k:3 ~reset_start:true spec in
+  let report, outcome =
+    Upec.Alg2.run_with
+      { alg2_fresh with O.max_k = 3; reset_start = true }
+      spec
+  in
   (match outcome with
   | Upec.Alg2.Found_vulnerable ->
       Alcotest.fail "BMC from reset cannot see the attack"
@@ -281,7 +308,7 @@ let test_alg2_hwpe_memory_variant () =
      removed to isolate the HWPE channel *)
   let cfg = { tiny with Soc.Config.with_dma = false } in
   let spec = spec_of ~cfg ~pers:Upec.Spec.Memory_only Upec.Spec.Vulnerable in
-  let report, outcome = Upec.Alg2.run spec in
+  let report, outcome = Upec.Alg2.run_with alg2_fresh spec in
   Alcotest.(check bool) "vulnerable" true (outcome = Upec.Alg2.Found_vulnerable);
   match report.Upec.Report.verdict with
   | Upec.Report.Vulnerable { s_cex; cex } ->
@@ -310,7 +337,7 @@ let test_alg2_reports_hwpe_progress () =
   (* the counterexample should show diverging HWPE progress *)
   let cfg = { tiny with Soc.Config.with_dma = false } in
   let spec = spec_of ~cfg ~pers:Upec.Spec.Memory_only Upec.Spec.Vulnerable in
-  let report, _ = Upec.Alg2.run spec in
+  let report, _ = Upec.Alg2.run_with alg2_fresh spec in
   match report.Upec.Report.verdict with
   | Upec.Report.Vulnerable { cex; _ } ->
       let nl = spec.Upec.Spec.soc.Soc.Builder.netlist in
@@ -333,12 +360,12 @@ let test_alg2_reports_hwpe_progress () =
 
 let test_alg1_memory_only_secure () =
   let spec = spec_of ~pers:Upec.Spec.Memory_only Upec.Spec.Secure in
-  let report = Upec.Alg1.run spec in
+  let report = Upec.Alg1.run_with alg1_fresh spec in
   Alcotest.(check bool) "secure in memory-only model too" true
     (Upec.Report.is_secure report)
 
 let test_report_printing () =
-  let report = Upec.Alg1.run (spec_of Upec.Spec.Vulnerable) in
+  let report = Upec.Alg1.run_with alg1_fresh (spec_of Upec.Spec.Vulnerable) in
   let s = Format.asprintf "%a" Upec.Report.pp report in
   let contains needle =
     let nh = String.length s and nn = String.length needle in
