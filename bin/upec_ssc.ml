@@ -125,7 +125,7 @@ let no_incremental_arg =
     "Give every check a fresh solver session instead of keeping one warm \
      session across iterations (and, for Alg. 2, across unrolling \
      depths). Fresh sessions finish SECURE proofs in fewer conflicts; \
-     warm sessions find vulnerabilities 1.8-3.4x faster."
+     warm sessions find vulnerabilities 1.8-3.8x faster."
   in
   Arg.(value & flag & info [ "no-incremental" ] ~doc)
 

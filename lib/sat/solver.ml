@@ -4,15 +4,23 @@
    - a clause watches its first two literals; it is registered in the
      watch list of the *negation* of each watched literal, so when a
      literal p is enqueued (made true) the clauses in watches.(p) have a
-     watched literal that just became false. *)
+     watched literal that just became false.
 
-type clause = {
-  mutable lits : int array;  (* Lit.to_int encoded *)
-  learnt : bool;
-  mutable activity : float;
-  mutable lbd : int;
-  mutable removed : bool;
-}
+   Clauses live in one flat, growable int array, the arena. A clause
+   reference (cref) is the index of the clause's header word:
+
+     arena.(cr)          header: size lsl 2, lor 1 if learnt, lor 2 if removed
+     arena.(cr + 1)      learnt slot: the clause's index in the learnt side
+                         arrays (learnts, l_act, l_lbd); -1 for problem clauses
+     arena.(cr + 2 ..)   the size literals, Lit.to_int encoded
+
+   Watch lists, reasons (-1 = none) and the problem and learnt clause
+   sets hold crefs. Learnt activity and LBD live in unboxed side arrays
+   indexed by the slot, which keeps the learnts in age order. Database
+   reduction marks the learnts it deletes as removed, then compacts the
+   arena in place: each survivor's new cref is parked in its slot word,
+   every cref (watches, reasons, both clause sets) is rewritten through
+   it, and the survivors slide down in arena order. *)
 
 type options = {
   use_vsids : bool;
@@ -86,32 +94,31 @@ type tracer = {
   trace_barrier : unit -> unit;
 }
 
-(* Growable clause vectors for watch lists. *)
-module Cvec = struct
-  type t = { mutable data : clause array; mutable len : int }
+(* Watch list of one literal. Removal moves the last cref into the hole,
+   so the order of a list is part of the search trajectory. *)
+type watch = { mutable refs : int array; mutable n : int }
 
-  let dummy =
-    { lits = [||]; learnt = false; activity = 0.; lbd = 0; removed = true }
+let watch_push w cr =
+  if w.n = Array.length w.refs then begin
+    let bigger = Array.make (max 4 (2 * w.n)) 0 in
+    Array.blit w.refs 0 bigger 0 w.n;
+    w.refs <- bigger
+  end;
+  w.refs.(w.n) <- cr;
+  w.n <- w.n + 1
 
-  let create () = { data = Array.make 4 dummy; len = 0 }
+let watch_remove w cr =
+  let i = ref 0 in
+  while !i < w.n && w.refs.(!i) <> cr do
+    incr i
+  done;
+  if !i < w.n then begin
+    w.refs.(!i) <- w.refs.(w.n - 1);
+    w.n <- w.n - 1
+  end
 
-  let push v c =
-    if v.len = Array.length v.data then begin
-      let bigger = Array.make (2 * v.len) dummy in
-      Array.blit v.data 0 bigger 0 v.len;
-      v.data <- bigger
-    end;
-    v.data.(v.len) <- c;
-    v.len <- v.len + 1
-
-  let remove v c =
-    let rec find i = if i >= v.len then -1 else if v.data.(i) == c then i else find (i + 1) in
-    let i = find 0 in
-    if i >= 0 then begin
-      v.data.(i) <- v.data.(v.len - 1);
-      v.len <- v.len - 1
-    end
-end
+let learnt_bit = 1
+let removed_bit = 2
 
 type lastres = RSat | RUnsat | RNone
 
@@ -120,11 +127,11 @@ type t = {
   mutable nvars : int;
   mutable assigns : int array;  (* by var *)
   mutable level : int array;  (* by var *)
-  mutable reason : clause option array;  (* by var *)
+  mutable reason : int array;  (* by var: cref, -1 for none *)
   mutable activity : float array;  (* by var *)
   mutable polarity : bool array;  (* saved phase, by var *)
   mutable seen : bool array;  (* by var, scratch *)
-  mutable watches : Cvec.t array;  (* by lit code *)
+  mutable watches : watch array;  (* by lit code *)
   mutable heap : int array;  (* binary max-heap of vars *)
   mutable heap_len : int;
   mutable heap_pos : int array;  (* by var; -1 when absent *)
@@ -133,9 +140,23 @@ type t = {
   mutable trail_lim : int array;
   mutable trail_lim_len : int;
   mutable qhead : int;
-  mutable clauses : clause list;
-  mutable learnts : clause list;
+  mutable arena : int array;  (* clause store, layout above *)
+  mutable arena_len : int;
+  mutable clauses : int array;  (* problem crefs, in addition order *)
+  mutable n_clauses : int;
+  mutable learnts : int array;  (* learnt crefs by slot, oldest first *)
+  mutable l_act : float array;  (* learnt activity, by slot *)
+  mutable l_lbd : int array;  (* learnt LBD, by slot *)
   mutable nlearnts : int;
+  (* conflict-analysis scratch *)
+  mutable out : int array;  (* the learnt clause being built, UIP first *)
+  mutable out_len : int;
+  mutable stack : int array;  (* minimisation DFS stack *)
+  mutable clear : int array;  (* vars marked seen during analysis *)
+  mutable clear_len : int;
+  mutable lbd_stamp : int array;  (* by decision level *)
+  mutable lbd_epoch : int;
+  mutable assumptions : int array;  (* of the solve in flight *)
   mutable var_inc : float;
   mutable clause_inc : float;
   mutable ok : bool;  (* false once trivially unsat *)
@@ -179,9 +200,22 @@ let create ?(options = default_options) () =
     trail_lim = [||];
     trail_lim_len = 0;
     qhead = 0;
-    clauses = [];
-    learnts = [];
+    arena = [||];
+    arena_len = 0;
+    clauses = [||];
+    n_clauses = 0;
+    learnts = [||];
+    l_act = [||];
+    l_lbd = [||];
     nlearnts = 0;
+    out = Array.make 16 0;
+    out_len = 0;
+    stack = Array.make 16 0;
+    clear = Array.make 16 0;
+    clear_len = 0;
+    lbd_stamp = [||];
+    lbd_epoch = 0;
+    assumptions = [||];
     var_inc = 1.0;
     clause_inc = 1.0;
     ok = true;
@@ -219,6 +253,32 @@ let lit_value t l =
   (* 1 true, -1 false, 0 undef *)
   let a = t.assigns.(l lsr 1) in
   if l land 1 = 0 then a else -a
+
+(* ---- clause arena ---- *)
+
+let clause_size t cr = t.arena.(cr) lsr 2
+
+(* Append a clause holding [src.(0 .. len-1)]; returns its cref. The
+   arena grows by half its size, close to MiniSat's region allocator;
+   doubling measured a 6% higher peak RSS on the ledger's crosscheck
+   workload. *)
+let alloc_clause t ~learnt src len =
+  let need = t.arena_len + 2 + len in
+  if need > Array.length t.arena then begin
+    let cap = Array.length t.arena in
+    let bigger = Array.make (max need (max 1024 (cap + (cap / 2)))) 0 in
+    Array.blit t.arena 0 bigger 0 t.arena_len;
+    t.arena <- bigger
+  end;
+  let cr = t.arena_len in
+  t.arena.(cr) <- (len lsl 2) lor if learnt then learnt_bit else 0;
+  t.arena.(cr + 1) <- -1;
+  Array.blit src 0 t.arena (cr + 2) len;
+  t.arena_len <- need;
+  cr
+
+let clause_lits t cr =
+  Array.init (clause_size t cr) (fun i -> Lit.of_int t.arena.(cr + 2 + i))
 
 (* ---- VSIDS heap (max-heap on activity) ---- *)
 
@@ -273,7 +333,7 @@ let new_var t =
   t.nvars <- v + 1;
   t.assigns <- grow_array t.assigns t.nvars 0;
   t.level <- grow_array t.level t.nvars 0;
-  t.reason <- grow_array t.reason t.nvars None;
+  t.reason <- grow_array t.reason t.nvars (-1);
   t.activity <- grow_array t.activity t.nvars 0.0;
   t.polarity <- grow_array t.polarity t.nvars false;
   t.seen <- grow_array t.seen t.nvars false;
@@ -283,13 +343,13 @@ let new_var t =
     let old = Array.length t.watches in
     let bigger =
       Array.init (max (2 * t.nvars) (2 * old)) (fun i ->
-          if i < old then t.watches.(i) else Cvec.create ())
+          if i < old then t.watches.(i) else { refs = [||]; n = 0 })
     in
     t.watches <- bigger
   end;
   t.assigns.(v) <- 0;
   t.level.(v) <- 0;
-  t.reason.(v) <- None;
+  t.reason.(v) <- -1;
   t.activity.(v) <- 0.0;
   t.polarity.(v) <- t.opts.init_polarity;
   t.seen.(v) <- false;
@@ -309,25 +369,40 @@ let var_bump t v =
 
 let var_decay t = t.var_inc <- t.var_inc /. t.opts.var_decay
 
-let clause_bump t (c : clause) =
-  c.activity <- c.activity +. t.clause_inc;
-  if c.activity > 1e20 then begin
-    List.iter (fun (c : clause) -> c.activity <- c.activity *. 1e-20) t.learnts;
+let clause_bump t slot =
+  t.l_act.(slot) <- t.l_act.(slot) +. t.clause_inc;
+  if t.l_act.(slot) > 1e20 then begin
+    for i = 0 to t.nlearnts - 1 do
+      t.l_act.(i) <- t.l_act.(i) *. 1e-20
+    done;
     t.clause_inc <- t.clause_inc *. 1e-20
   end
 
 let clause_decay t = t.clause_inc <- t.clause_inc /. t.opts.clause_decay
 
+(* Register a learnt cref in the next slot, with zero activity. *)
+let add_learnt t cr lbd =
+  let s = t.nlearnts in
+  t.learnts <- grow_array t.learnts (s + 1) 0;
+  t.l_act <- grow_array t.l_act (s + 1) 0.0;
+  t.l_lbd <- grow_array t.l_lbd (s + 1) 0;
+  t.learnts.(s) <- cr;
+  t.l_act.(s) <- 0.0;
+  t.l_lbd.(s) <- lbd;
+  t.arena.(cr + 1) <- s;
+  t.nlearnts <- s + 1;
+  s
+
 (* ---- trail ---- *)
 
 let decision_level t = t.trail_lim_len
 
+(* the trail has room for every variable (see [new_var]) *)
 let enqueue t l reason =
   let v = l lsr 1 in
   t.assigns.(v) <- (if l land 1 = 0 then 1 else -1);
   t.level.(v) <- decision_level t;
   t.reason.(v) <- reason;
-  t.trail <- grow_array t.trail (t.trail_len + 1) 0;
   t.trail.(t.trail_len) <- l;
   t.trail_len <- t.trail_len + 1
 
@@ -344,7 +419,7 @@ let cancel_until t lvl =
       let v = l lsr 1 in
       if t.opts.use_phase_saving then t.polarity.(v) <- l land 1 = 0;
       t.assigns.(v) <- 0;
-      t.reason.(v) <- None;
+      t.reason.(v) <- -1;
       heap_insert t v
     done;
     t.trail_len <- bound;
@@ -354,83 +429,82 @@ let cancel_until t lvl =
 
 (* ---- watches ---- *)
 
-let attach t c =
-  Cvec.push t.watches.(c.lits.(0) lxor 1) c;
-  Cvec.push t.watches.(c.lits.(1) lxor 1) c
+let attach t cr =
+  watch_push t.watches.(t.arena.(cr + 2) lxor 1) cr;
+  watch_push t.watches.(t.arena.(cr + 3) lxor 1) cr
 
-let detach t c =
-  Cvec.remove t.watches.(c.lits.(0) lxor 1) c;
-  Cvec.remove t.watches.(c.lits.(1) lxor 1) c
+let detach t cr =
+  watch_remove t.watches.(t.arena.(cr + 2) lxor 1) cr;
+  watch_remove t.watches.(t.arena.(cr + 3) lxor 1) cr
 
 (* ---- propagation ---- *)
 
-exception Conflict of clause
+(* Index of the first literal in [a.(k .. stop-1)] that is not false, or
+   -1: the search for a replacement watch. *)
+let rec find_watch t a k stop =
+  if k >= stop then -1
+  else if lit_value t a.(k) <> -1 then k
+  else find_watch t a (k + 1) stop
 
+(* Returns the cref of a conflicting clause, or -1. *)
 let propagate t =
-  try
-    while t.qhead < t.trail_len do
-      let p = t.trail.(t.qhead) in
-      t.qhead <- t.qhead + 1;
-      t.n_propagations <- t.n_propagations + 1;
-      let ws = t.watches.(p) in
-      let i = ref 0 in
-      while !i < ws.Cvec.len do
-        let c = ws.Cvec.data.(!i) in
-        if c.removed then begin
-          (* lazy removal *)
-          ws.Cvec.data.(!i) <- ws.Cvec.data.(ws.Cvec.len - 1);
-          ws.Cvec.len <- ws.Cvec.len - 1
+  let confl = ref (-1) in
+  while !confl < 0 && t.qhead < t.trail_len do
+    let p = t.trail.(t.qhead) in
+    t.qhead <- t.qhead + 1;
+    t.n_propagations <- t.n_propagations + 1;
+    let false_lit = p lxor 1 in
+    let ws = t.watches.(p) in
+    let a = t.arena in
+    let i = ref 0 in
+    while !i < ws.n do
+      let cr = ws.refs.(!i) in
+      let c0 = cr + 2 in
+      (* Ensure the false literal is at position 1. *)
+      if a.(c0) = false_lit then begin
+        a.(c0) <- a.(c0 + 1);
+        a.(c0 + 1) <- false_lit
+      end;
+      let first = a.(c0) in
+      if lit_value t first = 1 then incr i (* satisfied *)
+      else begin
+        let k = find_watch t a (c0 + 2) (c0 + (a.(cr) lsr 2)) in
+        if k >= 0 then begin
+          a.(c0 + 1) <- a.(k);
+          a.(k) <- false_lit;
+          watch_push t.watches.(a.(c0 + 1) lxor 1) cr;
+          ws.refs.(!i) <- ws.refs.(ws.n - 1);
+          ws.n <- ws.n - 1
+        end
+        else if lit_value t first = -1 then begin
+          (* conflict *)
+          t.qhead <- t.trail_len;
+          confl := cr;
+          i := ws.n
         end
         else begin
-          let false_lit = p lxor 1 in
-          (* Ensure the false literal is at position 1. *)
-          if c.lits.(0) = false_lit then begin
-            c.lits.(0) <- c.lits.(1);
-            c.lits.(1) <- false_lit
-          end;
-          if lit_value t c.lits.(0) = 1 then incr i (* satisfied *)
-          else begin
-            (* Find a new literal to watch. *)
-            let n = Array.length c.lits in
-            let rec find k = if k >= n then -1 else if lit_value t c.lits.(k) <> -1 then k else find (k + 1) in
-            let k = find 2 in
-            if k >= 0 then begin
-              c.lits.(1) <- c.lits.(k);
-              c.lits.(k) <- false_lit;
-              Cvec.push t.watches.(c.lits.(1) lxor 1) c;
-              ws.Cvec.data.(!i) <- ws.Cvec.data.(ws.Cvec.len - 1);
-              ws.Cvec.len <- ws.Cvec.len - 1
-            end
-            else if lit_value t c.lits.(0) = -1 then begin
-              (* conflict *)
-              t.qhead <- t.trail_len;
-              raise (Conflict c)
-            end
-            else begin
-              (* unit *)
-              enqueue t c.lits.(0) (Some c);
-              incr i
-            end
-          end
+          (* unit *)
+          enqueue t first cr;
+          incr i
         end
-      done
-    done;
-    None
-  with Conflict c -> Some c
+      end
+    done
+  done;
+  !confl
 
 (* ---- proof tracing ---- *)
 
-(* The callbacks receive fresh arrays: clause literal arrays are mutated
-   later by watch reordering, so aliasing would corrupt the certificate. *)
+(* The callbacks receive fresh arrays: arena literals are reordered later
+   by watch swaps, so aliasing would corrupt the certificate. *)
 let trace_add t lits =
   match t.tracer with
   | None -> ()
   | Some tr -> tr.trace_add (Array.map Lit.of_int lits)
 
-let trace_delete t lits =
+let trace_delete t cr =
   match t.tracer with
   | None -> ()
-  | Some tr -> tr.trace_delete (Array.map Lit.of_int lits)
+  | Some tr -> tr.trace_delete (clause_lits t cr)
 
 let trace_barrier t =
   match t.tracer with None -> () | Some tr -> tr.trace_barrier ()
@@ -466,105 +540,125 @@ let add_clause t lits =
         | [] ->
             trace_add t [||];
             t.ok <- false
-        | [ l ] -> (
+        | [ l ] ->
             if simplified then trace_add t [| l |];
-            enqueue t l None;
-            match propagate t with
-            | None -> ()
-            | Some _ ->
-                trace_add t [||];
-                t.ok <- false)
+            enqueue t l (-1);
+            if propagate t >= 0 then begin
+              trace_add t [||];
+              t.ok <- false
+            end
         | _ ->
-            if simplified then trace_add t (Array.of_list lits);
-            let c =
-              {
-                lits = Array.of_list lits;
-                learnt = false;
-                activity = 0.0;
-                lbd = 0;
-                removed = false;
-              }
-            in
-            t.clauses <- c :: t.clauses;
-            attach t c
+            let lits = Array.of_list lits in
+            if simplified then trace_add t lits;
+            let cr = alloc_clause t ~learnt:false lits (Array.length lits) in
+            t.clauses <- grow_array t.clauses (t.n_clauses + 1) 0;
+            t.clauses.(t.n_clauses) <- cr;
+            t.n_clauses <- t.n_clauses + 1;
+            attach t cr
     end
   end
 
 (* ---- conflict analysis ---- *)
 
-let compute_lbd t lits =
-  let levels = Hashtbl.create 8 in
-  Array.iter (fun l -> Hashtbl.replace levels t.level.(l lsr 1) ()) lits;
-  Hashtbl.length levels
+let push_out t q =
+  t.out <- grow_array t.out (t.out_len + 1) 0;
+  t.out.(t.out_len) <- q;
+  t.out_len <- t.out_len + 1
+
+let mark_seen t v =
+  t.seen.(v) <- true;
+  t.clear <- grow_array t.clear (t.clear_len + 1) 0;
+  t.clear.(t.clear_len) <- v;
+  t.clear_len <- t.clear_len + 1
+
+(* Number of distinct decision levels among the learnt clause's
+   literals, counted with a per-level stamp. *)
+let compute_lbd t =
+  (* satisfied assumptions open levels of their own, so levels can
+     outnumber variables *)
+  t.lbd_stamp <- grow_array t.lbd_stamp (decision_level t + 1) 0;
+  t.lbd_epoch <- t.lbd_epoch + 1;
+  let n = ref 0 in
+  for i = 0 to t.out_len - 1 do
+    let lv = t.level.(t.out.(i) lsr 1) in
+    if t.lbd_stamp.(lv) <> t.lbd_epoch then begin
+      t.lbd_stamp.(lv) <- t.lbd_epoch;
+      incr n
+    end
+  done;
+  !n
 
 (* Is l redundant w.r.t. the current learnt clause (all its reason
    antecedents eventually hit seen literals)? On failure, the marks
    added during this check are undone to keep later checks sound. *)
-let lit_redundant t l abstract_levels to_clear =
-  let stack = ref [ l ] in
-  let local_marks = ref [] in
+let lit_redundant t l abstract_levels =
+  let a = t.arena in
+  let marks = t.clear_len in
+  t.stack.(0) <- l;
+  let top = ref 1 in
   let ok = ref true in
-  (try
-     while !stack <> [] do
-       let p =
-         match !stack with x :: rest -> stack := rest; x | [] -> assert false
-       in
-       match t.reason.(p lsr 1) with
-       | None ->
-           ok := false;
-           raise Exit
-       | Some c ->
-           Array.iter
-             (fun q ->
-               let v = q lsr 1 in
-               if (not t.seen.(v)) && t.level.(v) > 0 then begin
-                 if
-                   t.reason.(v) <> None
-                   && abstract_levels land (1 lsl (t.level.(v) land 31)) <> 0
-                 then begin
-                   t.seen.(v) <- true;
-                   local_marks := v :: !local_marks;
-                   stack := q :: !stack
-                 end
-                 else begin
-                   ok := false;
-                   raise Exit
-                 end
-               end)
-             c.lits
-     done
-   with Exit -> ());
-  if !ok then to_clear := !local_marks @ !to_clear
-  else List.iter (fun v -> t.seen.(v) <- false) !local_marks;
+  while !ok && !top > 0 do
+    decr top;
+    let cr = t.reason.(t.stack.(!top) lsr 1) in
+    if cr < 0 then ok := false
+    else begin
+      let k = ref (cr + 2) in
+      let stop = cr + 2 + (a.(cr) lsr 2) in
+      while !ok && !k < stop do
+        let q = a.(!k) in
+        let v = q lsr 1 in
+        if (not t.seen.(v)) && t.level.(v) > 0 then begin
+          if
+            t.reason.(v) >= 0
+            && abstract_levels land (1 lsl (t.level.(v) land 31)) <> 0
+          then begin
+            mark_seen t v;
+            t.stack <- grow_array t.stack (!top + 1) 0;
+            t.stack.(!top) <- q;
+            incr top
+          end
+          else ok := false
+        end;
+        incr k
+      done
+    end
+  done;
+  if not !ok then begin
+    for i = marks to t.clear_len - 1 do
+      t.seen.(t.clear.(i)) <- false
+    done;
+    t.clear_len <- marks
+  end;
   !ok
 
+(* Leaves the learnt clause in [t.out] (UIP first, then the literal of
+   the backtrack level) and returns the backtrack level. The lower-level
+   literals are kept in reverse discovery order, which minimisation
+   walks front to back. *)
 let analyze t confl =
-  (* returns (learnt lits array with UIP first, backtrack level, lbd) *)
-  let learnt = ref [] in
+  let a = t.arena in
+  let dl = decision_level t in
+  t.out_len <- 1;
+  t.clear_len <- 0;
   let path_c = ref 0 in
   let p = ref (-1) in
   let index = ref (t.trail_len - 1) in
-  let confl = ref (Some confl) in
-  let to_clear = ref [] in
+  let cr = ref confl in
   let continue_loop = ref true in
   while !continue_loop do
-    (match !confl with
-    | None -> assert false
-    | Some c ->
-        if c.learnt then clause_bump t c;
-        Array.iter
-          (fun q ->
-            if q <> !p then begin
-              let v = q lsr 1 in
-              if (not t.seen.(v)) && t.level.(v) > 0 then begin
-                var_bump t v;
-                t.seen.(v) <- true;
-                to_clear := v :: !to_clear;
-                if t.level.(v) >= decision_level t then incr path_c
-                else learnt := q :: !learnt
-              end
-            end)
-          c.lits);
+    let c = !cr in
+    if a.(c) land learnt_bit <> 0 then clause_bump t a.(c + 1);
+    for k = c + 2 to c + 1 + (a.(c) lsr 2) do
+      let q = a.(k) in
+      if q <> !p then begin
+        let v = q lsr 1 in
+        if (not t.seen.(v)) && t.level.(v) > 0 then begin
+          var_bump t v;
+          mark_seen t v;
+          if t.level.(v) >= dl then incr path_c else push_out t q
+        end
+      end
+    done;
     (* next literal to expand *)
     while not t.seen.(t.trail.(!index) lsr 1) do
       decr index
@@ -573,46 +667,55 @@ let analyze t confl =
     decr index;
     let v = !p lsr 1 in
     t.seen.(v) <- false;
-    confl := t.reason.(v);
+    cr := t.reason.(v);
     decr path_c;
     if !path_c <= 0 then continue_loop := false
   done;
-  let uip = !p lxor 1 in
+  let out = t.out in
+  out.(0) <- !p lxor 1;
+  (* reverse discovery order *)
+  let i = ref 1 and j = ref (t.out_len - 1) in
+  while !i < !j do
+    let tmp = out.(!i) in
+    out.(!i) <- out.(!j);
+    out.(!j) <- tmp;
+    incr i;
+    decr j
+  done;
   (* minimisation *)
-  let tail =
-    if t.opts.use_minimization then begin
-      let abstract_levels =
-        List.fold_left
-          (fun acc q -> acc lor (1 lsl (t.level.(q lsr 1) land 31)))
-          0 !learnt
-      in
-      List.filter
-        (fun q ->
-          t.reason.(q lsr 1) = None
-          || not (lit_redundant t q abstract_levels to_clear))
-        !learnt
-    end
-    else !learnt
-  in
-  List.iter (fun v -> t.seen.(v) <- false) !to_clear;
-  let lits = Array.of_list (uip :: tail) in
-  (* backtrack level: highest level among tail; move that literal to
-     position 1 so it is watched. *)
-  let bt =
-    if Array.length lits = 1 then 0
-    else begin
-      let max_i = ref 1 in
-      for i = 2 to Array.length lits - 1 do
-        if t.level.(lits.(i) lsr 1) > t.level.(lits.(!max_i) lsr 1) then
-          max_i := i
-      done;
-      let tmp = lits.(1) in
-      lits.(1) <- lits.(!max_i);
-      lits.(!max_i) <- tmp;
-      t.level.(lits.(1) lsr 1)
-    end
-  in
-  (lits, bt, compute_lbd t lits)
+  if t.opts.use_minimization then begin
+    let abstract_levels = ref 0 in
+    for i = 1 to t.out_len - 1 do
+      abstract_levels :=
+        !abstract_levels lor (1 lsl (t.level.(out.(i) lsr 1) land 31))
+    done;
+    let kept = ref 1 in
+    for i = 1 to t.out_len - 1 do
+      let q = out.(i) in
+      if t.reason.(q lsr 1) < 0 || not (lit_redundant t q !abstract_levels)
+      then begin
+        out.(!kept) <- q;
+        incr kept
+      end
+    done;
+    t.out_len <- !kept
+  end;
+  for i = 0 to t.clear_len - 1 do
+    t.seen.(t.clear.(i)) <- false
+  done;
+  (* backtrack level: highest level among the tail; move that literal
+     to position 1 so it is watched. *)
+  if t.out_len = 1 then 0
+  else begin
+    let max_i = ref 1 in
+    for i = 2 to t.out_len - 1 do
+      if t.level.(out.(i) lsr 1) > t.level.(out.(!max_i) lsr 1) then max_i := i
+    done;
+    let tmp = out.(1) in
+    out.(1) <- out.(!max_i);
+    out.(!max_i) <- tmp;
+    t.level.(out.(1) lsr 1)
+  end
 
 (* Final conflict analysis: [failed] is an assumption literal found
    false. Returns the subset of assumption literals responsible (the
@@ -627,13 +730,17 @@ let analyze_final t failed =
       let q = t.trail.(i) in
       let v = q lsr 1 in
       if seen.(v) then begin
-        (match t.reason.(v) with
-        | None ->
-            (* a decision at level >= 1 under assumptions is an
-               assumption; it was enqueued with its own polarity *)
-            if t.level.(v) > 0 && q <> failed then core := q :: !core
-        | Some c ->
-            Array.iter (fun r -> if r <> q then seen.(r lsr 1) <- true) c.lits);
+        let cr = t.reason.(v) in
+        if cr < 0 then begin
+          (* a decision at level >= 1 under assumptions is an
+             assumption; it was enqueued with its own polarity *)
+          if t.level.(v) > 0 && q <> failed then core := q :: !core
+        end
+        else
+          for k = cr + 2 to cr + 1 + clause_size t cr do
+            let r = t.arena.(k) in
+            if r <> q then seen.(r lsr 1) <- true
+          done;
         seen.(v) <- false
       end
     done
@@ -642,36 +749,97 @@ let analyze_final t failed =
 
 (* ---- learnt DB reduction ---- *)
 
+let m_arena_compactions = Obs.Metrics.counter "sat.arena_compactions"
+
+(* Reclaim removed clauses. First pass: park each survivor's new cref in
+   its slot word. Then rewrite every cref through it, and slide the
+   survivors down in arena order, restoring slot words as they go
+   (learnts occupy the arena in slot order). *)
+let compact t =
+  let a = t.arena in
+  let dst = ref 0 and cr = ref 0 in
+  while !cr < t.arena_len do
+    let len = 2 + (a.(!cr) lsr 2) in
+    if a.(!cr) land removed_bit = 0 then begin
+      a.(!cr + 1) <- !dst;
+      dst := !dst + len
+    end;
+    cr := !cr + len
+  done;
+  Array.iter
+    (fun w ->
+      for j = 0 to w.n - 1 do
+        w.refs.(j) <- a.(w.refs.(j) + 1)
+      done)
+    t.watches;
+  for v = 0 to t.nvars - 1 do
+    if t.reason.(v) >= 0 then t.reason.(v) <- a.(t.reason.(v) + 1)
+  done;
+  for i = 0 to t.n_clauses - 1 do
+    t.clauses.(i) <- a.(t.clauses.(i) + 1)
+  done;
+  for i = 0 to t.nlearnts - 1 do
+    t.learnts.(i) <- a.(t.learnts.(i) + 1)
+  done;
+  let slot = ref 0 in
+  cr := 0;
+  while !cr < t.arena_len do
+    let hdr = a.(!cr) in
+    let len = 2 + (hdr lsr 2) in
+    if hdr land removed_bit = 0 then begin
+      let d = a.(!cr + 1) in
+      Array.blit a !cr a d len;
+      if hdr land learnt_bit <> 0 then begin
+        a.(d + 1) <- !slot;
+        incr slot
+      end
+      else a.(d + 1) <- -1
+    end;
+    cr := !cr + len
+  done;
+  t.arena_len <- !dst;
+  Obs.Metrics.incr m_arena_compactions
+
 let reduce_db t =
-  let cmp a b =
-    (* worse first: higher lbd, then lower activity *)
-    if a.lbd <> b.lbd then Stdlib.compare b.lbd a.lbd
-    else Stdlib.compare a.activity b.activity
-  in
-  let arr = Array.of_list t.learnts in
-  Array.sort cmp arr;
-  let n = Array.length arr in
-  let locked c =
-    Array.length c.lits > 0
-    &&
-    let l = c.lits.(0) in
-    lit_value t l = 1
-    && (match t.reason.(l lsr 1) with Some r -> r == c | None -> false)
+  let n = t.nlearnts in
+  (* worse first: higher lbd, then lower activity; the sort is not
+     stable, so it is fed the learnts most recent first *)
+  let order = Array.init n (fun i -> n - 1 - i) in
+  Array.sort
+    (fun x y ->
+      if t.l_lbd.(x) <> t.l_lbd.(y) then Int.compare t.l_lbd.(y) t.l_lbd.(x)
+      else Float.compare t.l_act.(x) t.l_act.(y))
+    order;
+  let a = t.arena in
+  let locked cr =
+    let l = a.(cr + 2) in
+    lit_value t l = 1 && t.reason.(l lsr 1) = cr
   in
   let removed = ref 0 in
   Array.iteri
-    (fun i c ->
-      if i < n / 2 && c.lbd > 2 && not (locked c) then begin
-        trace_delete t c.lits;
-        c.removed <- true;
-        (* watches cleaned lazily; detach eagerly to keep lists short *)
-        detach t c;
+    (fun i s ->
+      let cr = t.learnts.(s) in
+      if i < n / 2 && t.l_lbd.(s) > 2 && not (locked cr) then begin
+        trace_delete t cr;
+        a.(cr) <- a.(cr) lor removed_bit;
+        detach t cr;
         incr removed
       end)
-    arr;
-  t.learnts <- List.filter (fun c -> not c.removed) t.learnts;
-  t.nlearnts <- t.nlearnts - !removed;
-  t.n_deleted <- t.n_deleted + !removed
+    order;
+  (* close the slot gaps, keeping age order *)
+  let kept = ref 0 in
+  for s = 0 to n - 1 do
+    let cr = t.learnts.(s) in
+    if a.(cr) land removed_bit = 0 then begin
+      t.learnts.(!kept) <- cr;
+      t.l_act.(!kept) <- t.l_act.(s);
+      t.l_lbd.(!kept) <- t.l_lbd.(s);
+      incr kept
+    end
+  done;
+  t.nlearnts <- !kept;
+  t.n_deleted <- t.n_deleted + !removed;
+  if !removed > 0 then compact t
 
 (* ---- decisions ---- *)
 
@@ -711,7 +879,7 @@ let luby y x =
 
 type result = Sat | Unsat
 
-exception Found_unsat
+exception Found of result
 exception Interrupted
 exception Budget_exhausted of string
 
@@ -734,96 +902,100 @@ let check_terminate t =
     end
   end
 
-let search t ~assumptions ~conflict_budget =
-  (* returns Some result, or None if budget exhausted (restart) *)
+(* Learn from the conflict at [confl] and backjump. *)
+let learn t confl =
+  let bt = analyze t confl in
+  let lbd = compute_lbd t in
+  (match t.tracer with
+  | None -> ()
+  | Some tr ->
+      tr.trace_add (Array.init t.out_len (fun i -> Lit.of_int t.out.(i))));
+  cancel_until t bt;
+  if t.out_len = 1 then enqueue t t.out.(0) (-1)
+  else begin
+    let cr = alloc_clause t ~learnt:true t.out t.out_len in
+    let slot = add_learnt t cr lbd in
+    t.n_learnt_total <- t.n_learnt_total + 1;
+    clause_bump t slot;
+    attach t cr;
+    enqueue t t.out.(0) cr
+  end;
+  var_decay t;
+  clause_decay t
+
+(* The next literal to decide: the first open assumption, else a branch
+   variable in its saved phase. Raises [Found] when an assumption is
+   false (Unsat) or every variable is assigned (Sat). *)
+let rec next_decision t =
+  let dl = decision_level t in
+  if dl < Array.length t.assumptions then begin
+    let p = t.assumptions.(dl) in
+    let pv = lit_value t p in
+    if pv = 1 then begin
+      (* already satisfied *)
+      new_decision_level t;
+      next_decision t
+    end
+    else if pv = -1 then begin
+      t.conflict_core <- analyze_final t p;
+      raise (Found Unsat)
+    end
+    else p
+  end
+  else begin
+    let v = pick_branch_var t in
+    if v < 0 then raise (Found Sat)
+    else (2 * v) + if t.polarity.(v) then 0 else 1
+  end
+
+(* Returns Some result, or None once [conflict_budget] conflicts call
+   for a restart. *)
+let search t ~conflict_budget =
   let max_learnts =
     max 1000
       (int_of_float
-         (t.opts.max_learnts_factor *. float_of_int (List.length t.clauses)))
+         (t.opts.max_learnts_factor *. float_of_int t.n_clauses))
   in
   let conflicts_here = ref 0 in
-  let result = ref None in
-  (try
-     while !result = None do
-       check_terminate t;
-       match propagate t with
-       | Some confl ->
-           t.n_conflicts <- t.n_conflicts + 1;
-           incr conflicts_here;
-           if decision_level t = 0 then begin
-             trace_add t [||];
-             t.ok <- false;
-             t.conflict_core <- [];
-             result := Some Unsat
-           end
-           else begin
-             let lits, bt, lbd = analyze t confl in
-             trace_add t lits;
-             cancel_until t bt;
-             (if Array.length lits = 1 then enqueue t lits.(0) None
-              else begin
-                let c =
-                  { lits; learnt = true; activity = 0.0; lbd; removed = false }
-                in
-                t.learnts <- c :: t.learnts;
-                t.nlearnts <- t.nlearnts + 1;
-                t.n_learnt_total <- t.n_learnt_total + 1;
-                clause_bump t c;
-                attach t c;
-                enqueue t lits.(0) (Some c)
-              end);
-             var_decay t;
-             clause_decay t
-           end
-       | None ->
-           if
-             t.opts.use_restarts
-             && conflict_budget >= 0
-             && !conflicts_here >= conflict_budget
-           then begin
-             (* restart *)
-             cancel_until t 0;
-             t.n_restarts <- t.n_restarts + 1;
-             trace_barrier t;
-             raise Exit
-           end
-           else begin
-             if t.nlearnts >= max_learnts then begin
-               reduce_db t;
-               trace_barrier t
-             end;
-             (* assumption handling / decision *)
-             let next = ref (-2) in
-             while !next = -2 do
-               if decision_level t < List.length assumptions then begin
-                 let p = List.nth assumptions (decision_level t) in
-                 let pv = lit_value t (Lit.to_int p) in
-                 if pv = 1 then new_decision_level t (* already satisfied *)
-                 else if pv = -1 then begin
-                   t.conflict_core <- analyze_final t (Lit.to_int p);
-                   result := Some Unsat;
-                   raise Found_unsat
-                 end
-                 else next := Lit.to_int p
-               end
-               else begin
-                 let v = pick_branch_var t in
-                 if v < 0 then begin
-                   result := Some Sat;
-                   raise Found_unsat (* exit loops; result already set *)
-                 end
-                 else next := (2 * v) + if t.polarity.(v) then 0 else 1
-               end
-             done;
-             t.n_decisions <- t.n_decisions + 1;
-             new_decision_level t;
-             enqueue t !next None
-           end
-     done;
-     !result
-   with
-  | Exit -> None
-  | Found_unsat -> !result)
+  let restart = ref false in
+  try
+    while not !restart do
+      check_terminate t;
+      let confl = propagate t in
+      if confl >= 0 then begin
+        t.n_conflicts <- t.n_conflicts + 1;
+        incr conflicts_here;
+        if decision_level t = 0 then begin
+          trace_add t [||];
+          t.ok <- false;
+          t.conflict_core <- [];
+          raise (Found Unsat)
+        end;
+        learn t confl
+      end
+      else if
+        t.opts.use_restarts
+        && conflict_budget >= 0
+        && !conflicts_here >= conflict_budget
+      then begin
+        cancel_until t 0;
+        t.n_restarts <- t.n_restarts + 1;
+        trace_barrier t;
+        restart := true
+      end
+      else begin
+        if t.nlearnts >= max_learnts then begin
+          reduce_db t;
+          trace_barrier t
+        end;
+        let next = next_decision t in
+        t.n_decisions <- t.n_decisions + 1;
+        new_decision_level t;
+        enqueue t next (-1)
+      end
+    done;
+    None
+  with Found r -> Some r
 
 type outcome = Solved of result | Unknown of string
 
@@ -853,6 +1025,7 @@ let solve_bounded_core ?(assumptions = []) ?(budget = no_budget) t =
   else begin
     cancel_until t 0;
     t.conflict_core <- [];
+    t.assumptions <- Array.of_list (List.map Lit.to_int assumptions);
     set_limits t budget;
     let rec loop restarts =
       let budget =
@@ -860,7 +1033,7 @@ let solve_bounded_core ?(assumptions = []) ?(budget = no_budget) t =
           int_of_float (luby 2.0 restarts *. float_of_int t.opts.restart_base)
         else -1
       in
-      match search t ~assumptions ~conflict_budget:budget with
+      match search t ~conflict_budget:budget with
       | Some r -> r
       | None -> loop (restarts + 1)
     in
@@ -959,18 +1132,18 @@ let export t =
     List.init t.trail_len (fun i -> [ Lit.of_int t.trail.(i) ])
   in
   let clauses =
-    List.rev_map
-      (fun c -> Array.to_list (Array.map Lit.of_int c.lits))
-      t.clauses
+    if t.ok then
+      List.init t.n_clauses (fun i ->
+          Array.to_list (clause_lits t t.clauses.(i)))
+    else [ [] ]
   in
-  let clauses = if t.ok then clauses else [ [] ] in
   (t.nvars, List.rev_append (List.rev units) clauses)
 
 let nclauses t =
   (* same view of the problem as [export]: original clauses plus the
      root-level trail as units, learnt clauses excluded *)
   if decision_level t > 0 then cancel_until t 0;
-  List.length t.clauses + t.trail_len
+  t.n_clauses + t.trail_len
 
 let value t l =
   if t.last_result <> RSat then invalid_arg "Solver.value: last result not Sat";

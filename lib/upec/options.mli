@@ -16,7 +16,7 @@ type t = {
           clauses and branching heuristics warm (default [true]).
           [false] gives every check a fresh session, the paper's own
           per-iteration re-check. Neither side wins everywhere (bench
-          A5): warm sessions find counterexamples 1.8–3.4× faster, while
+          A5): warm sessions find counterexamples 1.8–3.8× faster, while
           fresh sessions finish SECURE proofs, whose cost is the final
           inductive UNSAT check, in fewer conflicts. Monolithic
           strategies only; the per-svar strategy is already incremental

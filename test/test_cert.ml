@@ -105,6 +105,55 @@ let test_rup_rejects_corruptions () =
   | Ok _ -> ()
   | Error msg -> Alcotest.fail ("control check failed: " ^ msg)
 
+(* Deletions name clauses by their literals as stored, so a proof that
+   spans database reductions checks the solver's arena relocation:
+   after a compaction, every deleted learnt must still be read from
+   where it now lives. *)
+let test_certificate_across_compaction () =
+  let compactions = Obs.Metrics.counter "sat.arena_compactions" in
+  let deleted (p, h) =
+    let nvars, clauses = pigeonhole p h in
+    let _, _, s = solve_traced nvars clauses in
+    (S.stats s).S.deleted_clauses
+  in
+  (* php(8,7) is the smallest pigeonhole instance that reduces *)
+  Alcotest.(check int) "php(7,6) deletes nothing" 0 (deleted (7, 6));
+  let nvars, clauses = pigeonhole 8 7 in
+  let s = S.create () in
+  for _ = 1 to nvars do
+    ignore (S.new_var s)
+  done;
+  let p = Proof.create () in
+  let pl = Cert.Pipeline.create ~nvars ~clauses () in
+  let rec_tr = Proof.tracer p and pl_tr = Cert.Pipeline.tracer pl in
+  S.set_tracer s
+    (Some
+       {
+         S.trace_add = (fun c -> rec_tr.S.trace_add c; pl_tr.S.trace_add c);
+         trace_delete =
+           (fun c -> rec_tr.S.trace_delete c; pl_tr.S.trace_delete c);
+         trace_barrier =
+           (fun () -> rec_tr.S.trace_barrier (); pl_tr.S.trace_barrier ());
+       });
+  let c0 = Obs.Metrics.counter_value compactions in
+  List.iter (S.add_clause s) clauses;
+  Alcotest.(check bool) "unsat" true (S.solve s = S.Unsat);
+  Alcotest.(check bool) "learnts deleted" true
+    ((S.stats s).S.deleted_clauses > 0);
+  Alcotest.(check bool) "arena compacted" true
+    (Obs.Metrics.counter_value compactions > c0);
+  Alcotest.(check bool) "deletions in the proof" true
+    (List.exists (function Proof.Delete _ -> true | _ -> false)
+       (Proof.steps p));
+  (match Rup.check ~nvars ~clauses ~proof:(Proof.steps p) () with
+  | Ok summary ->
+      Alcotest.(check int) "every deletion checked"
+        (S.stats s).S.deleted_clauses summary.Rup.deletes
+  | Error msg -> Alcotest.fail ("sequential checker rejected: " ^ msg));
+  match Cert.Pipeline.finish pl with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.fail ("pipelined checker rejected: " ^ msg)
+
 let test_rup_under_assumptions () =
   (* x0 -> x1 -> ... -> x9 with assumptions x0, ~x9: UNSAT purely by
      propagation, so the certificate has no learnt clauses at all and
@@ -670,6 +719,8 @@ let () =
             test_rup_rejects_corruptions;
           Alcotest.test_case "unsat under assumptions" `Quick
             test_rup_under_assumptions;
+          Alcotest.test_case "certificate across arena compaction" `Quick
+            test_certificate_across_compaction;
           Alcotest.test_case "drup text roundtrip" `Quick test_drup_roundtrip;
           Alcotest.test_case "streaming drup reader" `Quick
             test_streaming_parse_drup;

@@ -442,6 +442,188 @@ let test_scale_budget () =
   Alcotest.(check (float 1e-9))
     "unset time stays unset" 0.0 b.Solver.max_seconds
 
+(* ---- search trajectory ---- *)
+
+(* The search is deterministic: for a fixed instance and option set,
+   every counter, the unsat core, the model, the [export] snapshot and
+   the DRUP stream (emission order and literal order included) repeat
+   exactly. These fingerprints pin that trajectory, so a change to the
+   solver's data layout that must leave the search alone has to
+   reproduce every one of them. *)
+
+let digest s = String.sub (Digest.to_hex (Digest.string s)) 0 16
+
+let recording_tracer buf =
+  let step tag c =
+    Buffer.add_string buf tag;
+    Array.iter
+      (fun l ->
+        Buffer.add_char buf ' ';
+        Buffer.add_string buf (string_of_int (Lit.to_dimacs l)))
+      c;
+    Buffer.add_char buf '\n'
+  in
+  {
+    Solver.trace_add = step "a";
+    trace_delete = step "d";
+    trace_barrier = (fun () -> Buffer.add_string buf "b\n");
+  }
+
+(* verdict, core or model digest, and all six counters after one call *)
+let fingerprint_call s outcome =
+  let verdict =
+    match outcome with
+    | Solver.Solved Solver.Sat ->
+        "sat model="
+        ^ digest
+            (String.init (Solver.nvars s) (fun v ->
+                 if Solver.value_var s v then '1' else '0'))
+    | Solver.Solved Solver.Unsat ->
+        Printf.sprintf "unsat core=[%s]"
+          (String.concat ","
+             (List.map
+                (fun l -> string_of_int (Lit.to_dimacs l))
+                (Solver.unsat_assumptions s)))
+    | Solver.Unknown reason -> "unknown " ^ reason
+  in
+  Format.asprintf "%s %a" verdict Solver.pp_stats (Solver.stats s)
+
+let fingerprint_session s buf =
+  let nv, clauses = Solver.export s in
+  let b = Buffer.create 4096 in
+  Printf.bprintf b "%d\n" nv;
+  List.iter
+    (fun c ->
+      List.iter (fun l -> Printf.bprintf b "%d " (Lit.to_dimacs l)) c;
+      Buffer.add_string b "0\n")
+    clauses;
+  Printf.sprintf "export=%s drup=%s"
+    (digest (Buffer.contents b))
+    (digest (Buffer.contents buf))
+
+let traced_solver ?options nv =
+  let buf = Buffer.create 65536 in
+  let s = mk_solver ?options nv in
+  Solver.set_tracer s (Some (recording_tracer buf));
+  (s, buf)
+
+let one_shot ?options nv load =
+  let s, buf = traced_solver ?options nv in
+  load s;
+  let outcome = Solver.solve_bounded s in
+  fingerprint_call s outcome ^ " " ^ fingerprint_session s buf
+
+let php_trajectories () =
+  List.map
+    (fun (name, options) ->
+      ( "php(8,7) " ^ name,
+        one_shot ~options (8 * 7) (fun s -> pigeonhole s 8 7) ))
+    all_option_variants
+
+let random_3sat_trajectory nv =
+  let nc = int_of_float (Float.round (4.26 *. float_of_int nv)) in
+  let clauses = random_cnf (Random.State.make [| nv |]) ~nv ~nc ~len:3 in
+  ( Printf.sprintf "random 3-sat n=%d m=%d" nv nc,
+    one_shot nv (fun s -> List.iter (Solver.add_clause s) clauses) )
+
+(* One incremental session: a solve under assumptions, a clause added
+   between calls, an unsat core, a budgeted call that gives up, and the
+   resumed solve that finishes from the kept learnt clauses. *)
+let incremental_trajectory () =
+  let nv = 100 in
+  let s, buf = traced_solver nv in
+  List.iter (Solver.add_clause s)
+    (random_cnf (Random.State.make [| 42 |]) ~nv ~nc:300 ~len:3);
+  let a = lit 0 true and b = lit 1 false and c = lit 2 true in
+  let calls = ref [] in
+  let call name outcome =
+    calls := ("session " ^ name, fingerprint_call s outcome) :: !calls
+  in
+  call "assumptions" (Solver.solve_bounded ~assumptions:[ a; b; c ] s);
+  Solver.add_clause s [ Lit.negate a; Lit.negate c ];
+  call "after add_clause" (Solver.solve_bounded ~assumptions:[ a; b; c ] s);
+  (* php(8,7) over fresh variables, switched on by an activation literal *)
+  let act = lit (Solver.new_var s) true in
+  let first = Solver.nvars s in
+  for _ = 1 to 8 * 7 do
+    ignore (Solver.new_var s)
+  done;
+  let v p h = lit (first + (p * 7) + h) true in
+  for p = 0 to 7 do
+    Solver.add_clause s (Lit.negate act :: List.init 7 (fun h -> v p h))
+  done;
+  for h = 0 to 6 do
+    for p1 = 0 to 7 do
+      for p2 = p1 + 1 to 7 do
+        Solver.add_clause s
+          [ Lit.negate act; Lit.negate (v p1 h); Lit.negate (v p2 h) ]
+      done
+    done
+  done;
+  call "bounded"
+    (Solver.solve_bounded ~assumptions:[ act ]
+       ~budget:(Solver.conflict_budget 10) s);
+  call "resumed" (Solver.solve_bounded ~assumptions:[ act ] s);
+  call "released" (Solver.solve_bounded s);
+  List.rev (("session end", fingerprint_session s buf) :: !calls)
+
+(* Regenerate these only in a change meant to alter the search, and say
+   so in that change. *)
+let trajectory_expected =
+  [
+    ( "php(8,7) default",
+      "unsat core=[] conflicts=7377 decisions=8755 propagations=97651 restarts=30 learnt=7371 deleted=6458"
+      ^ " export=b477eb0375e2af3f drup=59703faa9ec9b80a" );
+    ( "php(8,7) no_vsids",
+      "unsat core=[] conflicts=322 decisions=895 propagations=7127 restarts=2 learnt=310 deleted=0"
+      ^ " export=eda6bd73eca04ac9 drup=d56b673ee107e34f" );
+    ( "php(8,7) no_restarts",
+      "unsat core=[] conflicts=3061 decisions=3486 propagations=37117 restarts=0 learnt=3053 deleted=2490"
+      ^ " export=2ce7b4e48122b32d drup=2fe162c328acba41" );
+    ( "php(8,7) no_phase",
+      "unsat core=[] conflicts=4701 decisions=5922 propagations=67666 restarts=24 learnt=4697 deleted=3994"
+      ^ " export=c57e149b1404e218 drup=a9ce6019f3484611" );
+    ( "php(8,7) no_minimize",
+      "unsat core=[] conflicts=8824 decisions=10628 propagations=124990 restarts=37 learnt=8818 deleted=7961"
+      ^ " export=00d16536f435bc6f drup=422a3ceb28235203" );
+    ( "php(8,7) bare",
+      "unsat core=[] conflicts=322 decisions=672 propagations=6775 restarts=0 learnt=310 deleted=0"
+      ^ " export=932af81663befa5e drup=e25bc127633ab06c" );
+    ( "random 3-sat n=150 m=639",
+      "unsat core=[] conflicts=2278 decisions=2668 propagations=69878 restarts=13 learnt=2270 deleted=1500"
+      ^ " export=aaaad0c694cb5b28 drup=6dc084bcc28131ac" );
+    ( "random 3-sat n=200 m=852",
+      "sat model=58cd6c28d181a1ff conflicts=13849 decisions=16595 propagations=519841 restarts=60 learnt=13849 deleted=12907"
+      ^ " export=2dbcfeb60c1df903 drup=e4b027a32c96009f" );
+    ( "session assumptions",
+      "sat model=42d4815219b8610e conflicts=0 decisions=33 propagations=100 restarts=0 learnt=0 deleted=0" );
+    ( "session after add_clause",
+      "unsat core=[1,3] conflicts=0 decisions=35 propagations=105 restarts=0 learnt=0 deleted=0" );
+    ( "session bounded",
+      "unknown conflict budget exhausted conflicts=10 decisions=75 propagations=247 restarts=0 learnt=10 deleted=0" );
+    ( "session resumed",
+      "unsat core=[101] conflicts=5598 decisions=6933 propagations=83541 restarts=28 learnt=5597 deleted=4976" );
+    ( "session released",
+      "sat model=1d9efc2d584c0839 conflicts=5598 decisions=7031 propagations=83697 restarts=28 learnt=5597 deleted=4976" );
+    ( "session end",
+      "export=efd4ad5ddedcf3fd drup=cc26a26846067691" );
+  ]
+
+let trajectory_cases () =
+  let actual =
+    lazy
+      (php_trajectories ()
+      @ [ random_3sat_trajectory 150; random_3sat_trajectory 200 ]
+      @ incremental_trajectory ())
+  in
+  List.map
+    (fun (name, expected) ->
+      Alcotest.test_case name `Quick (fun () ->
+          match List.assoc_opt name (Lazy.force actual) with
+          | Some got -> Alcotest.(check string) name expected got
+          | None -> Alcotest.fail ("no trajectory named " ^ name)))
+    trajectory_expected
+
 let () =
   Alcotest.run "sat"
     [
@@ -483,6 +665,9 @@ let () =
             test_budget_escalation_converges;
           Alcotest.test_case "scale_budget" `Quick test_scale_budget;
         ] );
+      (* a suite name longer than "property" widens Alcotest's name
+         column and truncates the printed names of the other tests *)
+      ("search", trajectory_cases ());
       ( "property",
         List.map QCheck_alcotest.to_alcotest
           [
