@@ -147,9 +147,9 @@ let json_arg =
 
 let jobs_arg =
   let doc =
-    "Run the per-svar strategy on N worker domains (0 = auto: \\$(b,UPEC_JOBS) \
-     or the recommended domain count). Verdicts and reports are identical \
-     for every N."
+    "Run the per-svar strategy on N worker domains (0 or negative = auto: \
+     \\$(b,UPEC_JOBS) or the recommended domain count). Verdicts and \
+     reports are identical for every N."
   in
   Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~doc ~docv:"N")
 

@@ -38,10 +38,7 @@ let config_hash ~alg spec =
   let b = Buffer.create 4096 in
   Buffer.add_string b (alg_tag alg);
   Buffer.add_char b '\n';
-  Buffer.add_string b
-    (match spec.Spec.variant with
-    | Spec.Vulnerable -> "vulnerable"
-    | Spec.Secure -> "secure");
+  Buffer.add_string b (Spec.variant_tag spec.Spec.variant);
   Buffer.add_char b '\n';
   Buffer.add_string b
     (match spec.Spec.pers_model with

@@ -61,7 +61,7 @@ let spec_of d =
   Spec.make ~pers_model soc variant
 
 let resolve_jobs = function
-  | Some 0 -> Some (Parallel.Pool.default_jobs ())
+  | Some n when n <= 0 -> Some (Parallel.Pool.default_jobs ())
   | j -> j
 
 let budget_of ~conflicts ~props ~seconds =

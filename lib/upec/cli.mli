@@ -43,7 +43,10 @@ val spec_of : design -> Spec.t
     historical flag behaviour). *)
 
 val resolve_jobs : int option -> int option
-(** [Some 0] (auto) becomes [Some (Parallel.Pool.default_jobs ())]. *)
+(** [Some n] with [n <= 0] (auto) becomes
+    [Some (Parallel.Pool.default_jobs ())], so a report echoes the job
+    count that actually ran; [Some n] with [n > 0] and [None] (the
+    monolithic strategy) are kept. *)
 
 val budget_of :
   conflicts:int -> props:int -> seconds:float -> Satsolver.Solver.budget

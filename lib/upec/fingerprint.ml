@@ -150,10 +150,6 @@ type t = {
   fp_guard : (string, string) Hashtbl.t;  (* svar name -> guard digest *)
 }
 
-let variant_tag = function
-  | Spec.Vulnerable -> "vulnerable"
-  | Spec.Secure -> "secure"
-
 let pers_tag = function
   | Spec.Full_pers -> "full-pers"
   | Spec.Memory_only -> "memory-only"
@@ -253,7 +249,7 @@ let make spec =
       (String.concat ":"
          ([
             "env";
-            variant_tag spec.Spec.variant;
+            Spec.variant_tag spec.Spec.variant;
             pers_tag spec.Spec.pers_model;
             edig ctx env_expr;
           ]

@@ -68,6 +68,13 @@ let victim_task_executing eng spec ~frame =
   Ipc.Engine.assume eng (Aig.mk_implies g (Aig.lit_not prot_a) addr_eq);
   Ipc.Engine.assume eng (Aig.mk_implies g (Aig.lit_not prot_a) wdata_eq)
 
+(* Fig. 4: Victim_Task_Executing during t..t+1 only; beyond that the
+   victim port carries equal traffic in both instances *)
+let frame_constraints eng spec ~frame =
+  primary_input_constraints eng spec ~frame;
+  if frame <= 1 then victim_task_executing eng spec ~frame
+  else victim_port_equal eng spec ~frame
+
 let assume_reset_state eng (spec : Spec.t) =
   let nl = spec.Spec.soc.Soc.Builder.netlist in
   let u = Ipc.Engine.unroller eng in

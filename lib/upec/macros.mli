@@ -26,6 +26,11 @@ val victim_port_equal : Ipc.Engine.t -> Spec.t -> frame:int -> unit
 (** Victim port fully equal (used beyond cycle t+1 in the unrolled
     property, Fig. 4). *)
 
+val frame_constraints : Ipc.Engine.t -> Spec.t -> frame:int -> unit
+(** Every per-frame assumption of the Fig. 3 and Fig. 4 properties:
+    {!primary_input_constraints}, then {!victim_task_executing} during
+    t..t+1 (frames 0 and 1) and {!victim_port_equal} beyond. *)
+
 val assume_reset_state : Ipc.Engine.t -> Spec.t -> unit
 (** Pin cycle 0 of both instances to the reset state (registers to
     their reset values, memories to zero). This turns the IPC check

@@ -267,11 +267,7 @@ let to_json r =
     [
       ("schema", Json.Int schema_version);
       ("procedure", Json.Str r.procedure);
-      ( "variant",
-        Json.Str
-          (match r.variant with
-          | Spec.Vulnerable -> "vulnerable"
-          | Spec.Secure -> "secure") );
+      ("variant", Json.Str (Spec.variant_tag r.variant));
       ("verdict", verdict_json r.verdict);
       ("iterations", Json.Int (iterations r));
       ("final_k", Json.Int (final_k r));

@@ -53,7 +53,16 @@ type cache_info = {
     standalone runs carry [None]. *)
 
 type run = {
-  procedure : string;  (** "UPEC-SSC" or "UPEC-SSC-unrolled" *)
+  procedure : string;
+      (** the procedure and strategy that produced the run, one of ten
+          strings built by {!Refine}, with [S] one of [""] (fresh
+          monolithic sessions), [", incremental"] or [", per-svar"]:
+          - ["UPEC-SSC (Alg. 1S)"] — {!Alg1.run_with};
+          - ["UPEC-SSC-unrolled (Alg. 2S)"] — {!Alg2.run_with};
+          - ["BMC-from-reset (Alg. 2 propertyS)"] — {!Alg2.run_with}
+            under [Options.reset_start];
+          - ["UPEC-SSC-unrolled + induction"] — {!Alg2.conclude_with}
+            when the induction ran. *)
   variant : Spec.variant;
   verdict : verdict;
   steps : step list;  (** chronological *)

@@ -2,6 +2,8 @@ open Rtl
 
 type variant = Vulnerable | Secure
 
+let variant_tag = function Vulnerable -> "vulnerable" | Secure -> "secure"
+
 type pers_model = Full_pers | Memory_only
 
 type t = {

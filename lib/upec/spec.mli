@@ -15,6 +15,10 @@ open Rtl
 
 type variant = Vulnerable | Secure
 
+val variant_tag : variant -> string
+(** ["vulnerable"] or ["secure"]: the spelling of reports, checkpoints
+    and cache keys. *)
+
 (** What counts as persistent retrievable state. [Full_pers] is the
     paper's S_pers (all IP configuration/status/progress registers and
     attacker-accessible memory cells). [Memory_only] restricts S_pers to

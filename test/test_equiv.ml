@@ -11,7 +11,8 @@
    model; examples/busted_hwpe_memory.ml: the Sec. 4.1 HWPE + memory
    variant = DMA disabled, memory-only persistence), including
    certified and interrupted-then-resumed runs. Also the shape and
-   round-trip checks of the schema-3 JSON report. *)
+   round-trip checks of the schema-3 JSON report, and golden traces
+   pinning every strategy of both procedures bit for bit. *)
 
 open Rtl
 module O = Upec.Options
@@ -231,6 +232,226 @@ let test_schema_versions () =
   | _ -> Alcotest.fail "missing schema member accepted"
   | exception Upec.Json.Parse_error _ -> ()
 
+(* ---- golden traces: every strategy pinned bit for bit ----
+
+   CNF variable numbering and assumption order steer the search, so a
+   refactor of the refinement drivers must reproduce each run exactly:
+   the procedure, the verdict with its full waveform, every step's sets,
+   the degraded checks, the certificate counts, the resume point and
+   the last checkpoint written. Sequential runs also pin each step's
+   conflicts and propagations; on two workers the solver work depends
+   on the schedule, so only the trace is pinned there. Re-record a
+   digest only for a change meant to alter that run; a mismatch prints
+   the run's full trace. *)
+
+(* the smallest secure SoC with a real inductive UNSAT proof (as in
+   test_cert) *)
+let micro_secure () =
+  spec_of
+    ~cfg:
+      {
+        Soc.Config.formal_tiny with
+        Soc.Config.pub_depth = 2;
+        priv_depth = 2;
+        pub_banks = 1;
+        priv_banks = 1;
+        with_dma = false;
+        with_hwpe = false;
+      }
+    Upec.Spec.Secure
+
+let golden_repr ?(stats = true) ?checkpoint (r : Upec.Report.run) =
+  let step_stats (s : Upec.Report.step) =
+    match s.Upec.Report.st_stats with
+    | Some st ->
+        Printf.sprintf "iter=%d conflicts=%d propagations=%d"
+          s.Upec.Report.st_iter st.Satsolver.Solver.conflicts
+          st.Satsolver.Solver.propagations
+    | None -> Printf.sprintf "iter=%d no stats" s.Upec.Report.st_iter
+  in
+  let cert =
+    match r.Upec.Report.cert with
+    | None -> "cert none"
+    | Some c ->
+        let t = c.Upec.Report.ct_totals in
+        Printf.sprintf
+          "cert unsat=%d sat=%d unknown=%d steps=%d lits=%d epochs=%d \
+           validated=%s"
+          t.Cert.Proof.unsat_checked t.Cert.Proof.sat_checked
+          t.Cert.Proof.unknown_skipped t.Cert.Proof.proof_steps
+          t.Cert.Proof.proof_lits t.Cert.Proof.epochs
+          (match c.Upec.Report.ct_cex_validated with
+          | None -> "-"
+          | Some b -> string_of_bool b)
+  in
+  let checkpoint =
+    match checkpoint with
+    | None -> []
+    | Some path when Sys.file_exists path ->
+        [ In_channel.with_open_bin path In_channel.input_all ]
+    | Some _ -> [ "no checkpoint written" ]
+  in
+  String.concat "\n"
+    ((repr_run r
+     :: (if stats then List.map step_stats r.Upec.Report.steps else []))
+    @ [
+        cert;
+        (match r.Upec.Report.resumed_from with
+        | None -> "fresh start"
+        | Some i -> Printf.sprintf "resumed from %d" i);
+      ]
+    @ checkpoint)
+
+let with_checkpoint_path f =
+  let path = Filename.temp_file "golden" ".ck" in
+  Sys.remove path;
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () -> f path)
+
+let starved o =
+  {
+    o with
+    O.budget = Satsolver.Solver.conflict_budget 5;
+    budget_retries = 0;
+  }
+
+let alg1 ?(stats = true) ?svar_cache o spec =
+  golden_repr ~stats (Upec.Alg1.run_with ?svar_cache o spec)
+
+let alg2 ?(stats = true) o spec =
+  let r, outcome = Upec.Alg2.run_with o spec in
+  golden_repr ~stats r ^ "\n" ^ repr_outcome outcome
+
+let conclude o spec = golden_repr (Upec.Alg2.conclude_with o spec)
+let fresh = { O.default with O.incremental = false }
+let bmc_k2 = { O.default with O.reset_start = true; max_k = 2 }
+let j1 = { O.default with O.jobs = Some 1 }
+let j2 = { O.default with O.jobs = Some 2 }
+
+(* a checkpointed run, then a resume from the last checkpoint it wrote *)
+let checkpointed_then_resumed run o spec =
+  with_checkpoint_path (fun path ->
+      let first =
+        golden_repr ~checkpoint:path
+          (run ?resume:None { o with O.checkpoint_file = Some path } spec)
+      in
+      let ck =
+        match Upec.Checkpoint.load path with
+        | Ok ck -> ck
+        | Error m -> Alcotest.fail ("checkpoint unreadable: " ^ m)
+      in
+      first ^ "\n---\n" ^ golden_repr (run ?resume:(Some ck) o spec))
+
+let run_alg1 ?resume o spec = Upec.Alg1.run_with ?resume o spec
+let run_alg2 ?resume o spec = fst (Upec.Alg2.run_with ?resume o spec)
+
+(* per-svar run answering every check it can from an in-memory lemma
+   table filled by a first, uncached run *)
+let cached_rerun o spec =
+  let tbl = Hashtbl.create 64 in
+  let key sv s = (Structural.svar_name sv, names s) in
+  let cache =
+    {
+      Upec.Alg1.sc_lookup = (fun sv ~s -> Hashtbl.find_opt tbl (key sv s));
+      sc_store = (fun sv ~s ~holds -> Hashtbl.replace tbl (key sv s) holds);
+    }
+  in
+  let first = alg1 ~svar_cache:cache o spec in
+  first ^ "\n---\n" ^ alg1 ~svar_cache:cache o spec
+
+let golden_cases =
+  [
+    (* HWPE + memory variant (vulnerable) *)
+    ( "hwpe alg1 incremental",
+      "02888f658a3522df080158fa50e2d196",
+      fun () -> alg1 O.default (hwpe_memory ()) );
+    ( "hwpe alg1 fresh",
+      "c1bbe0cc13aa50293e1ce8790f6bdf34",
+      fun () -> alg1 fresh (hwpe_memory ()) );
+    ( "hwpe alg1 per-svar j1",
+      "5cfd08563f3cf16e7b257047dd9d22e1",
+      fun () -> alg1 j1 (hwpe_memory ()) );
+    ( "hwpe alg1 per-svar j2",
+      "da8b2a1bbd974dc20e0e0bc1c4dcfbe9",
+      fun () -> alg1 ~stats:false j2 (hwpe_memory ()) );
+    ( "hwpe alg1 certified",
+      "510eecbbe46d6e50801cd13c0a9e2f9b",
+      fun () -> alg1 { O.default with O.certify = true } (hwpe_memory ()) );
+    ( "hwpe alg2 incremental",
+      "f424dcc880f741a5a46a4635388af510",
+      fun () -> alg2 O.default (hwpe_memory ()) );
+    ( "hwpe alg2 fresh",
+      "bfd3b8c11169ba471ec4548dabb4ea02",
+      fun () -> alg2 fresh (hwpe_memory ()) );
+    ( "hwpe alg2 per-svar j1",
+      "540371746484fd8a2b5584b420c6f874",
+      fun () -> alg2 j1 (hwpe_memory ()) );
+    ( "hwpe alg2 per-svar j2",
+      "6e8d060c30be09871035f768f5bd1f73",
+      fun () -> alg2 ~stats:false j2 (hwpe_memory ()) );
+    ( "hwpe alg2 reset-start k2",
+      "8234de76f60f5b101bc717365ed88f71",
+      fun () -> alg2 bmc_k2 (hwpe_memory ()) );
+    ( "hwpe conclude per-svar j1",
+      "da3a2c9b6d1f60b9ab00df5810e278c9",
+      fun () -> conclude j1 (hwpe_memory ()) );
+    ( "hwpe alg2 checkpoint+resume",
+      "2c3ba88e1ebea3b86f80338efc491289",
+      fun () -> checkpointed_then_resumed run_alg2 O.default (hwpe_memory ()) );
+    ( "hwpe alg2 per-svar starved checkpoint+resume",
+      "583e3d124dbb652299385288d2f01615",
+      fun () ->
+        checkpointed_then_resumed run_alg2 (starved j1) (hwpe_memory ()) );
+    (* micro design (secure) *)
+    ( "micro alg1 incremental",
+      "daf4b250a1985d98bdec3a0a9febe94a",
+      fun () -> alg1 O.default (micro_secure ()) );
+    ( "micro alg1 fresh",
+      "b55fab71f25fbc81066f1297fbe4c328",
+      fun () -> alg1 fresh (micro_secure ()) );
+    ( "micro alg1 per-svar j1",
+      "fe36a95a1a51ff870c693ca251eb2580",
+      fun () -> alg1 j1 (micro_secure ()) );
+    ( "micro alg1 per-svar cached",
+      "43dd53574d9e95b5cd2dc203f0454ee2",
+      fun () -> cached_rerun j1 (micro_secure ()) );
+    ( "micro alg1 checkpoint+resume",
+      "1cf36535671d467c9044ce1ac30925eb",
+      fun () ->
+        checkpointed_then_resumed run_alg1 O.default (micro_secure ()) );
+    ( "micro alg1 per-svar starved checkpoint+resume",
+      "9ed001fa4bc693448e32e7d30fcab1e7",
+      fun () ->
+        checkpointed_then_resumed run_alg1 (starved j1) (micro_secure ()) );
+    ( "micro alg1 per-svar starved",
+      "b88625719d8a806e125107a8f4f6ce95",
+      fun () -> alg1 (starved j1) (micro_secure ()) );
+    ( "micro alg1 monolithic starved",
+      "b2cdbf207ad10b2348e96619a394b129",
+      fun () -> alg1 (starved O.default) (micro_secure ()) );
+    ( "micro conclude incremental",
+      "5ee908c08ea534699e50940962b8598b",
+      fun () -> conclude O.default (micro_secure ()) );
+    ( "micro conclude fresh",
+      "f74daca4150d393805fa392e691def0b",
+      fun () -> conclude fresh (micro_secure ()) );
+    ( "micro conclude per-svar j1",
+      "d11d7ae62d61cf6a4d9bfebaef7019fd",
+      fun () -> conclude j1 (micro_secure ()) );
+    ( "micro conclude per-svar starved",
+      "5b7008b64f339c07fdc2651e220effed",
+      fun () -> conclude (starved j1) (micro_secure ()) );
+  ]
+
+let golden_test (name, expected, run) =
+  Alcotest.test_case name `Quick (fun () ->
+      let text = run () in
+      let digest = Digest.to_hex (Digest.string text) in
+      if digest <> expected then
+        Printf.eprintf "golden trace of %S (md5 %s):\n%s\n" name digest text;
+      Alcotest.(check string) (name ^ " trace digest") expected digest)
+
 let () =
   Alcotest.run "equiv"
     [
@@ -258,4 +479,5 @@ let () =
           Alcotest.test_case "schema versions accepted/rejected" `Quick
             test_schema_versions;
         ] );
+      ("golden", List.map golden_test golden_cases);
     ]

@@ -352,6 +352,17 @@ let test_crosscheck_smoke () =
       Alcotest.(check bool) (name ^ ": stat block") true
         (Json.member "stat" j <> Json.Null))
     [ ("busted_timer_d3", true); ("no_spies_d3", false) ]
+(* `upec_ssc --jobs` and a farm job's "jobs" both resolve through
+   [Upec.Cli.resolve_jobs]: any non-positive count means "auto", so the
+   report echoes the job count that actually ran *)
+let test_resolve_jobs () =
+  let auto = Some (Parallel.Pool.default_jobs ()) in
+  let resolved = Upec.Cli.resolve_jobs in
+  Alcotest.(check (option int)) "negative = auto" auto (resolved (Some (-3)));
+  Alcotest.(check (option int)) "zero = auto" auto (resolved (Some 0));
+  Alcotest.(check (option int)) "explicit count kept" (Some 2)
+    (resolved (Some 2));
+  Alcotest.(check (option int)) "monolithic kept" None (resolved None)
 
 let () =
   Alcotest.run "scenarios"
@@ -384,6 +395,8 @@ let () =
             test_shim_spec_identical_cache;
           Alcotest.test_case "scenario jobs on the wire" `Quick
             test_scenario_job_wire;
+          Alcotest.test_case "non-positive job counts resolve to auto" `Quick
+            test_resolve_jobs;
         ] );
       ( "crosscheck",
         [ Alcotest.test_case "smoke" `Quick test_crosscheck_smoke ] );
