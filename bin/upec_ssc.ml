@@ -122,10 +122,12 @@ let full_cex_arg =
 
 let no_incremental_arg =
   let doc =
-    "Give every check a fresh solver session instead of keeping one warm \
-     session across iterations (and, for Alg. 2, across unrolling \
-     depths). Fresh sessions finish SECURE proofs in fewer conflicts; \
-     warm sessions find vulnerabilities 1.8-3.8x faster."
+    "Give every monolithic check a fresh solver session instead of \
+     keeping one warm session across iterations (and, for Alg. 2, across \
+     unrolling depths). A proof's final check hands over to the per-svar \
+     strategy in either mode (see $(b,--jobs)); a warm session lends it \
+     its engine. Warm sessions find vulnerabilities 2-4x faster \
+     and finish proofs in fewer conflicts. Ignored with $(b,--jobs)."
   in
   Arg.(value & flag & info [ "no-incremental" ] ~doc)
 
@@ -147,9 +149,16 @@ let json_arg =
 
 let jobs_arg =
   let doc =
-    "Run the per-svar strategy on N worker domains (0 or negative = auto: \
-     \\$(b,UPEC_JOBS) or the recommended domain count). Verdicts and \
-     reports are identical for every N."
+    "Run the per-svar strategy on N worker domains from the first \
+     iteration (0 or negative = auto: $(b,UPEC_JOBS) or the recommended \
+     domain count). Verdicts and reports are identical for every N. \
+     Without it, each iteration runs one monolithic check until a check \
+     spends more than max(4096, twice the costliest earlier check's) \
+     conflicts; that iteration and every later one then run per-svar on \
+     one worker, and the report's procedure names the iteration. A \
+     $(b,--conflict-budget) at or below that cap turns it off for the \
+     check: exhaustion under the budget retries and ends the run \
+     inconclusive."
   in
   Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~doc ~docv:"N")
 

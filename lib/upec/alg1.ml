@@ -37,17 +37,20 @@ let equalities cond s = Svars.fold (fun sv acc -> fst (cond sv) :: acc) s []
 (* Incremental variant: one engine for the whole fixed-point loop. The
    State_Equivalence(S) assumption travels through solver assumptions
    and each iteration's obligation is armed by an activation literal,
-   so learnt clauses survive across iterations. *)
+   so learnt clauses survive across iterations. A hand-over's per-svar
+   worker runs on the same engine: a second one would hold a second
+   copy of the encoding. *)
 let make_incremental_checker ctx spec s0 =
   let eng = Refine.engine ctx ~k:1 in
   let g = Ipc.Engine.graph eng in
   let cond = conditions eng spec s0 in
-  fun s ->
-    let act = Aig.fresh_var g in
-    let diffs = Svars.fold (fun sv acc -> snd (cond sv) :: acc) s [] in
-    Ipc.Engine.assume_implication eng act (Aig.mk_or_list g diffs);
-    Refine.decide ctx eng ~goals:[ (1, s) ]
-      (Ipc.Engine.Violation (act :: equalities cond s))
+  ( (fun s ->
+      let act = Aig.fresh_var g in
+      let diffs = Svars.fold (fun sv acc -> snd (cond sv) :: acc) s [] in
+      Ipc.Engine.assume_implication eng act (Aig.mk_or_list g diffs);
+      Refine.decide ctx eng ~goals:[ (1, s) ]
+        (Ipc.Engine.Violation (act :: equalities cond s))),
+    fun ~k:_ -> (eng, conditions ~armed:true eng spec s0) )
 
 (* --- lemma cache hook -----------------------------------------------
 
@@ -85,6 +88,7 @@ let run_with ?initial_s ?resume ?svar_cache (o : Options.t) spec =
     | None, Some s -> s
     | None, None -> Spec.s_neg_victim spec
   in
+  let worker ~k:_ = make_worker ctx spec s0 in
   Refine.run ctx
     {
       Refine.frontier = (fun s -> { Refine.k = 1; s0 = s; goals = [ (1, s) ] });
@@ -96,8 +100,8 @@ let run_with ?initial_s ?resume ?svar_cache (o : Options.t) spec =
       monolithic =
         (fun () ->
           if o.Options.incremental then make_incremental_checker ctx spec s0
-          else check_once ctx spec);
-      worker = (fun ~k:_ -> make_worker ctx spec s0);
+          else (check_once ctx spec, worker));
+      worker;
       query;
       lemmas =
         (fun s ->

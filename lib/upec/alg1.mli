@@ -26,9 +26,10 @@ type svar_cache = {
     ({!Farm.Exec}) with {!Fingerprint.check_key}-addressed lemmas. A
     sound cache must only answer when the design content the check
     depends on is unchanged; the hook itself is trusted. Only the
-    per-svar strategy ([Options.jobs = Some _]) consults it — the
-    monolithic strategies solve one formula for all of S, which no
-    per-svar lemma answers. *)
+    per-svar round consults it: from the first iteration under
+    [Options.jobs = Some _], from the hand-over on under the default
+    strategy. A monolithic check solves one formula for all of S,
+    which no per-svar lemma answers. *)
 
 val run_with :
   ?initial_s:Structural.Svar_set.t ->
@@ -51,7 +52,10 @@ val run_with :
     (verdicts are semantic facts, so the refinement trace and verdict
     are identical for every job count); [None] runs one monolithic
     check per iteration, reusing a single warm solver session across
-    iterations when [Options.incremental] is set.
+    iterations when [Options.incremental] is set, until a check
+    reaches the hand-over cap (see {!Options.t.jobs}). That iteration
+    and every later one then run per-svar on one worker, on the warm
+    session's own engine when there is one.
 
     {b Resource governance.} Every SAT call runs under
     [Options.budget] with escalating retries; a svar still undecided

@@ -30,22 +30,48 @@ let check_once ctx spec ((k, sf) as st) =
   Macros.state_equivalence_assume eng spec ~frame:0 sf.(0);
   decide_unrolled ctx eng spec st
 
+(* Per-(cycle, svar) worker state: one activation literal per pair
+   (j, sv) arming diff_sv@j, for every sv of [s0] and j = 1..k, on an
+   engine whose frames 0..k are constrained and whose frame-0
+   equivalence over [s0] is asserted. Pairs already in [acts] keep
+   their literal. *)
+let arm ?(acts = Hashtbl.create 1024) eng spec s0 k =
+  let g = Ipc.Engine.graph eng in
+  for j = 1 to k do
+    Svars.iter
+      (fun sv ->
+        let key = (j, Structural.svar_name sv) in
+        if not (Hashtbl.mem acts key) then begin
+          let diff =
+            Aig.lit_not (Macros.sv_condition eng spec ~frame:j sv)
+          in
+          let act = Aig.fresh_var g in
+          Ipc.Engine.assume_implication eng act diff;
+          Hashtbl.replace acts key act
+        end)
+      s0
+  done;
+  (eng, acts)
+
 (* Incremental monolithic session: one engine across iterations AND
    unroll-depth growth. Frame-0 equivalence is asserted once (sound —
    the cycle-0 set never shrinks); when k grows, only the new frame's
    environment and input constraints are appended. Learnt clauses and
-   branching heuristics stay warm across the whole refinement. *)
+   branching heuristics stay warm across the whole refinement. A
+   hand-over's per-(cycle, svar) worker arms its pairs on the same
+   engine: a second one would hold a second copy of the encoding. *)
 type session = { i_eng : Ipc.Engine.t; mutable i_frames : int }
 
-let make_incremental_checker ctx spec =
+let make_incremental_checker ctx spec s0 =
   let session = ref None in
-  fun ((k, sf) as st) ->
+  (* the session's engine, constrained over frames 0..k *)
+  let at_depth k =
     let sess =
       match !session with
       | Some s -> s
       | None ->
           let eng = Refine.engine ctx ~k:1 in
-          Macros.state_equivalence_assume eng spec ~frame:0 sf.(0);
+          Macros.state_equivalence_assume eng spec ~frame:0 s0;
           let s = { i_eng = eng; i_frames = 1 } in
           session := Some s;
           s
@@ -58,7 +84,11 @@ let make_incremental_checker ctx spec =
       done;
       sess.i_frames <- k
     end;
-    decide_unrolled ctx sess.i_eng spec st
+    sess.i_eng
+  in
+  let acts = Hashtbl.create 1024 in
+  ( (fun ((k, _) as st) -> decide_unrolled ctx (at_depth k) spec st),
+    fun ~k -> arm ~acts (at_depth k) spec s0 k )
 
 (* Per-(cycle, svar) worker for the parallel strategy. The unrolled
    property assumes equivalence only at cycle 0 — and that set never
@@ -70,18 +100,7 @@ let make_incremental_checker ctx spec =
 let make_worker ctx spec s0 k =
   let eng = Refine.engine ctx ~k in
   Macros.state_equivalence_assume eng spec ~frame:0 s0;
-  let g = Ipc.Engine.graph eng in
-  let acts = Hashtbl.create 1024 in
-  for j = 1 to k do
-    Svars.iter
-      (fun sv ->
-        let diff = Aig.lit_not (Macros.sv_condition eng spec ~frame:j sv) in
-        let act = Aig.fresh_var g in
-        Ipc.Engine.assume_implication eng act diff;
-        Hashtbl.replace acts (j, Structural.svar_name sv) act)
-      s0
-  done;
-  (eng, acts)
+  arm eng spec s0 k
 
 let run_with ?resume (o : Options.t) spec =
   let ctx = Refine.create Checkpoint.Alg2 ?resume o spec in
@@ -107,6 +126,7 @@ let run_with ?resume (o : Options.t) spec =
       Refine.Stop (Report.Inconclusive "max unrolling reached")
     else Refine.Next (k + 1, Array.append sf [| sf.(k) |])
   in
+  let worker ~k = make_worker ctx spec s0 k in
   let report =
     Refine.run ctx
       {
@@ -121,9 +141,9 @@ let run_with ?resume (o : Options.t) spec =
         save = Fun.id;
         monolithic =
           (fun () ->
-            if o.Options.incremental then make_incremental_checker ctx spec
-            else check_once ctx spec);
-        worker = (fun ~k -> make_worker ctx spec s0 k);
+            if o.Options.incremental then make_incremental_checker ctx spec s0
+            else (check_once ctx spec, worker));
+        worker;
         query =
           (fun _ (eng, acts) (j, sv) ->
             (eng, [ Hashtbl.find acts (j, Structural.svar_name sv) ]));

@@ -34,7 +34,10 @@ val run_with :
     unroll-depth growth — when the depth grows only the new frame's
     constraints are appended, and the shrinking per-cycle goal travels
     on solver assumptions, so learnt clauses survive the whole
-    refinement.
+    refinement. A check that reaches the hand-over cap (see
+    {!Options.t.jobs}) hands that iteration and every later one to the
+    per-svar round on one worker, on the warm session's own engine
+    when there is one.
 
     {b Problem reduction.} [Options.simp] (on by default) restricts
     witness-free solves to the cone of influence of the property; it

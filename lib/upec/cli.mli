@@ -46,7 +46,7 @@ val resolve_jobs : int option -> int option
 (** [Some n] with [n <= 0] (auto) becomes
     [Some (Parallel.Pool.default_jobs ())], so a report echoes the job
     count that actually ran; [Some n] with [n > 0] and [None] (the
-    monolithic strategy) are kept. *)
+    default strategy) are kept. *)
 
 val budget_of :
   conflicts:int -> props:int -> seconds:float -> Satsolver.Solver.budget

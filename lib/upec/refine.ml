@@ -24,6 +24,12 @@ type t = {
   undecided : (int * string, unit) Hashtbl.t;
   mutable steps : Report.step list;  (* reverse order *)
   mutable cex_validated : bool option;
+  (* conflicts of the costliest monolithic decision so far; [None]
+     until the first one, which runs uncapped (see [decide]) *)
+  mutable costliest : int option;
+  (* the iteration at which the default strategy handed over to the
+     per-svar round *)
+  mutable handover : int option;
 }
 
 let netlist ctx = ctx.spec.Spec.soc.Soc.Builder.netlist
@@ -34,19 +40,24 @@ let caller = function
   | Checkpoint.Alg1 -> "Alg1.run_with"
   | Checkpoint.Alg2 -> "Alg2.run_with"
 
-let procedure alg (o : Options.t) =
+let procedure ctx =
+  let o = ctx.o in
   let base =
-    match alg with
+    match ctx.alg with
     | Checkpoint.Alg1 -> "UPEC-SSC (Alg. 1"
     | Checkpoint.Alg2 when o.Options.reset_start ->
         "BMC-from-reset (Alg. 2 property"
     | Checkpoint.Alg2 -> "UPEC-SSC-unrolled (Alg. 2"
   in
-  base
-  ^
-  if o.Options.jobs <> None then ", per-svar)"
-  else if o.Options.incremental then ", incremental)"
-  else ")"
+  let strategy =
+    match (o.Options.jobs, ctx.handover) with
+    | Some _, _ -> [ "per-svar" ]
+    | None, handover ->
+        (if o.Options.incremental then [ "incremental" ] else [])
+        @ List.map (Printf.sprintf "per-svar from iteration %d")
+            (Option.to_list handover)
+  in
+  String.concat ", " (base :: strategy) ^ ")"
 
 (* Undecided Alg. 2 pairs are recorded in checkpoints and reports as
    "name@j"; the reason string stays plain. *)
@@ -137,6 +148,8 @@ let create alg ?resume (o : Options.t) spec =
     undecided;
     steps = [];
     cex_validated = None;
+    costliest = None;
+    handover = None;
   }
 
 let resumed ctx = ctx.resumed
@@ -186,52 +199,107 @@ let solved eng result =
     losers = Ipc.Engine.last_losers_stats eng;
   }
 
+(* [d] with [w]'s work added before it: stats and losers sum, the later
+   portfolio winner stands *)
+let add_work w d =
+  {
+    d with
+    stats = S.add_stats w.stats d.stats;
+    winner = (match d.winner with Some _ -> d.winner | None -> w.winner);
+    losers = S.add_stats w.losers d.losers;
+  }
+
+let no_work =
+  { result = (); stats = S.zero_stats; winner = None; losers = S.zero_stats }
+
 (* Escalating-budget retry around one engine decision: attempt 0 runs
    under [budget]; every budget-exhausted Unknown is retried with the
    limits scaled by [budget_escalation], at most [budget_retries] extra
    times. An interrupt is a control transfer, not exhaustion — never
-   retried. *)
-let with_retries (o : Options.t) eng (solve : unit -> Ipc.Engine.verdict) =
-  let rec attempt n b =
-    Ipc.Engine.set_budget eng b;
-    match solve () with
+   retried. The work reported is that of every attempt. A [cap] below
+   the budget's conflict limit at attempt 0 replaces that limit in
+   every attempt, and the bool next to the verdict says the cap stopped
+   the solve, which is then not retried; a cap at or above the budget's
+   limit is ignored, so the budget keeps its retries. *)
+let with_retries ?cap (o : Options.t) eng (solve : unit -> Ipc.Engine.verdict)
+    =
+  let budget = o.Options.budget in
+  let cap =
+    match cap with
+    | Some c when budget.S.max_conflicts < 0 || c < budget.S.max_conflicts ->
+        Some c
+    | _ -> None
+  in
+  let rec attempt n b work =
+    Ipc.Engine.set_budget eng
+      (match cap with Some c -> { b with S.max_conflicts = c } | None -> b);
+    let v = solve () in
+    let work = add_work work (solved eng ()) in
+    match v with
+    | Ipc.Engine.Unknown "conflict budget exhausted" when cap <> None ->
+        ({ work with result = v }, true)
     | Ipc.Engine.Unknown reason
       when reason <> "interrupted" && n < o.Options.budget_retries ->
-        attempt (n + 1) (S.scale_budget b o.Options.budget_escalation)
-    | r -> r
+        attempt (n + 1) (S.scale_budget b o.Options.budget_escalation) work
+    | _ -> ({ work with result = v }, false)
   in
-  attempt 0 o.Options.budget
+  attempt 0 budget no_work
 
 type check =
   | Holds
   | Cex of Ipc.Cex.t * (int * Svars.t) list
       (* a model, with the svars it shows diverging per cycle *)
+  | Capped  (* stopped by the hand-over cap: the per-svar round takes over *)
   | Unknown of string
 
 type decision = check solved
 
-let decide ctx eng ~goals query =
-  solved eng
-    (match with_retries ctx.o eng (fun () -> Ipc.Engine.decide eng query) with
-    | Ipc.Engine.Proved -> Holds
-    | Ipc.Engine.Refuted c ->
-        let cex = Option.get c in
-        Cex
-          ( cex,
-            List.map
-              (fun (j, s) -> (j, Macros.violations eng ctx.spec cex ~frame:j s))
-              goals )
-    | Ipc.Engine.Unknown reason -> Unknown reason)
+(* The hand-over cap of the default strategy. A run's first monolithic
+   decision is uncapped; every later one is capped at [handover_factor]
+   times the conflicts of the costliest decision so far, at least
+   [handover_floor]. Monolithic refinement finds a witness in a few
+   thousand conflicts, while a proof's last, inductive UNSAT check can
+   take a hundred thousand, which the per-svar round decides in about
+   half. A run that never reaches the cap is the plain monolithic run:
+   a conflict limit changes the search only once it is exhausted. *)
+let handover_floor = 4096
+let handover_factor = 2
 
-(* summed work of several decisions; the last portfolio winner *)
-let sum results =
-  List.fold_left
-    (fun (st, w, lo) r ->
-      ( S.add_stats st r.stats,
-        (match r.winner with Some _ -> r.winner | None -> w),
-        S.add_stats lo r.losers ))
-    (S.zero_stats, None, S.zero_stats)
-    results
+let decide ctx eng ~goals query =
+  let cap =
+    Option.map
+      (fun c -> max handover_floor (handover_factor * c))
+      ctx.costliest
+  in
+  let d, capped =
+    with_retries ?cap ctx.o eng (fun () -> Ipc.Engine.decide eng query)
+  in
+  ctx.costliest <-
+    Some (max d.stats.S.conflicts (Option.value ctx.costliest ~default:0));
+  {
+    d with
+    result =
+      (match d.result with
+      | _ when capped -> Capped
+      | Ipc.Engine.Proved -> Holds
+      | Ipc.Engine.Refuted c ->
+          let cex = Option.get c in
+          Cex
+            ( cex,
+              List.map
+                (fun (j, s) ->
+                  (j, Macros.violations eng ctx.spec cex ~frame:j s))
+                goals )
+      | Ipc.Engine.Unknown reason -> Unknown reason);
+  }
+
+(* summed work of several decisions, on top of [init]; the last
+   portfolio winner *)
+let sum ?(init = no_work) results =
+  let w =
+    List.fold_left (fun w r -> add_work w { r with result = () }) init results
+  in
+  (w.stats, w.winner, w.losers)
 
 (* ---- witnesses ---- *)
 
@@ -362,7 +430,7 @@ let finish ctx verdict =
   in
   let o = ctx.o in
   {
-    Report.procedure = procedure ctx.alg o;
+    Report.procedure = procedure ctx;
     variant = ctx.spec.Spec.variant;
     verdict;
     steps = List.rev ctx.steps;
@@ -443,7 +511,7 @@ type ('st, 'w) property = {
   holds : 'st -> 'st step;
   refine : 'st -> (int * Svars.t) list -> 'st;
   save : 'st -> int * Svars.t array;
-  monolithic : unit -> 'st -> decision;
+  monolithic : unit -> ('st -> decision) * (k:int -> 'w);
   worker : k:int -> 'w;
   query : 'st -> 'w -> obligation -> Ipc.Engine.t * Aig.lit list;
   lemmas : 'st -> lemmas option;
@@ -455,12 +523,14 @@ let union per_frame =
 let interrupted = Stop (Report.Inconclusive "interrupted")
 
 (* One check of the whole frontier. A monolithic check cannot attribute
-   exhaustion to one svar: Unknown ends the run inconclusive. *)
-let monolithic_round ctx p check ~iter st =
+   exhaustion to one svar: Unknown ends the run inconclusive. A check
+   the hand-over cap stopped goes to [handover] with its start time. *)
+let monolithic_round ctx p check ~handover ~iter st =
   let it0 = Unix.gettimeofday () in
   let fr = p.frontier st in
   let d = check st in
   match d.result with
+  | Capped -> handover (it0, d)
   | Unknown reason ->
       Stop
         (Report.Inconclusive
@@ -495,9 +565,15 @@ let monolithic_round ctx p check ~iter st =
    refinement trace — is identical for every job count and schedule.
 
    Persistent svars are checked first: any satisfiable one proves the
-   design vulnerable and ends the run without touching the rest. *)
-let per_svar_round ctx p decide_batch ~iter st =
-  let it0 = Unix.gettimeofday () in
+   design vulnerable and ends the run without touching the rest. A
+   hand-over round starts at the capped monolithic [probe] it takes
+   over from, whose time and work it reports. *)
+let per_svar_round ctx p decide_batch ?probe ~iter st =
+  let it0, init =
+    match probe with
+    | Some (it0, d) -> (it0, { d with result = () })
+    | None -> (Unix.gettimeofday (), no_work)
+  in
   let fr = p.frontier st in
   let is_pers = Spec.is_pers ctx.spec in
   let obligations wanted =
@@ -531,7 +607,8 @@ let per_svar_round ctx p decide_batch ~iter st =
            svar's Unknown cannot retract a concrete SAT. *)
         let pers_hit = svars pers_sat in
         let unknown = note_unknowns ctx pers in
-        record ctx ~iter fr ~it0 ~s_cex:pers_hit ~pers_hit ~unknown (sum pers);
+        record ctx ~iter fr ~it0 ~s_cex:pers_hit ~pers_hit ~unknown
+          (sum ~init pers);
         (* deterministic witness: smallest cycle, then svar order *)
         let witness =
           List.fold_left
@@ -576,26 +653,26 @@ let per_svar_round ctx p decide_batch ~iter st =
               | Checkpoint.Alg2 -> rest @ pers)
           in
           record ctx ~iter fr ~it0 ~s_cex ~pers_hit:Svars.empty ~unknown
-            (sum (pers @ rest));
+            (sum ~init (pers @ rest));
           (* every goal still being decided held: a fixed point, whose
              Secure claim [finish] degrades if anything stayed undecided *)
           if Svars.is_empty s_cex then p.holds st
           else Next (p.refine st per_frame)
         end
 
-(* Obligations go to a pool with one lazily built worker per domain,
+(* Obligations go to a pool with one lazily built [worker] per domain,
    rebuilt when the unroll depth grows. Cached obligations are answered
    before the pool sees them and fresh results are offered back; the
    merged batch keeps the obligation order, so the rest of the round
    cannot tell the difference (a cached SAT carries no model — witness
    extraction always re-solves on a fresh engine). *)
-let per_svar_batches ctx p pool =
+let per_svar_batches ctx p ~worker pool =
   let workers = Array.make (Parallel.Pool.jobs pool) None in
   let worker k wid =
     match workers.(wid) with
     | Some (k', w) when k' = k -> w
     | _ ->
-        let w = p.worker ~k in
+        let w = worker ~k in
         workers.(wid) <- Some (k, w);
         w
   in
@@ -614,17 +691,13 @@ let per_svar_batches ctx p pool =
             ]
         @@ fun () ->
         let eng, assumptions = p.query st w ob in
-        (* The work is read before the solve: an obligation reports the
-           stats of its worker's previous decision. A known defect, kept
-           because test_equiv's golden traces pin it; the fix reads them
-           after the solve and re-records the per-svar digests. *)
-        let before = solved eng () in
-        let verdict =
+        (* no cap here: the bool is always false *)
+        let d, _ =
           with_retries ctx.o eng (fun () ->
               Ipc.Engine.decide ~cex:false eng
                 (Ipc.Engine.Violation assumptions))
         in
-        { before with result = (ob, verdict) })
+        { d with result = (ob, d.result) })
       obs
   in
   fun st fr obs ->
@@ -681,7 +754,23 @@ let run ctx p st0 =
       st0
   in
   match ctx.o.Options.jobs with
-  | None -> iterate (monolithic_round ctx p (p.monolithic ()))
   | Some j ->
       Parallel.Pool.with_pool ~jobs:(max 1 j) (fun pool ->
-          iterate (per_svar_round ctx p (per_svar_batches ctx p pool)))
+          let batches = per_svar_batches ctx p ~worker:p.worker pool in
+          iterate (fun ~iter st -> per_svar_round ctx p batches ~iter st))
+  | None ->
+      (* monolithic until the hand-over cap stops a check (see
+         [handover_floor]), then per-svar on one worker for that
+         iteration and every later one *)
+      Parallel.Pool.with_pool ~jobs:1 (fun pool ->
+          let check, worker = p.monolithic () in
+          let per_svar =
+            per_svar_round ctx p (per_svar_batches ctx p ~worker pool)
+          in
+          iterate (fun ~iter st ->
+              match ctx.handover with
+              | Some _ -> per_svar ~iter st
+              | None ->
+                  monolithic_round ctx p check ~iter st ~handover:(fun probe ->
+                      ctx.handover <- Some iter;
+                      per_svar ~probe ~iter st)))

@@ -7,7 +7,8 @@ open Rtl
     Fig. 4 property unrolled to depth k over one set per cycle.
     Everything around the SAT calls is one procedure and lives here:
     engine setup, budget retries, the iteration loop and its cap, the
-    classification of monolithic results, the per-svar round
+    classification of monolithic results, the hand-over from
+    monolithic checks to the per-svar round, the per-svar round
     (persistent obligations first, deterministic witness re-derived on
     a fresh engine and validated by simulation), degraded obligations,
     checkpoints and the report. An algorithm supplies a {!property}:
@@ -42,7 +43,8 @@ val engine : t -> k:int -> Ipc.Engine.t
 
 type decision
 (** A monolithic check's outcome — holds, a model with its per-cycle
-    divergences, or undecided — and the solver work it took. *)
+    divergences, stopped by the hand-over cap, or undecided — and the
+    solver work it took. *)
 
 val decide :
   t ->
@@ -51,8 +53,14 @@ val decide :
   Ipc.Engine.query ->
   decision
 (** One monolithic decision under [Options.budget] with escalating
-    retries (an interrupt is never retried). A model's divergences are
-    read against [goals]: per cycle, the set that must stay equal. *)
+    retries (an interrupt is never retried); its work counts every
+    attempt. The run's first decision is otherwise unlimited; every
+    later one is capped at
+    [max 4096 (2 × the costliest decision's conflicts so far)] when
+    that is below the budget's conflict limit, and a decision the cap
+    stops hands the run over to the per-svar round (see {!run}). A model's divergences
+    are read against [goals]: per cycle, the set that must stay
+    equal. *)
 
 type obligation = int * Structural.svar
 (** [(j, sv)]: can [sv] differ at cycle [j]? Alg. 1 asks at cycle 1
@@ -84,9 +92,11 @@ type ('st, 'w) property = {
       (** remove the per-cycle S_cex of a non-persistent divergence *)
   save : 'st -> int * Structural.Svar_set.t array;
       (** the checkpointed unroll depth and candidate sets *)
-  monolithic : unit -> 'st -> decision;
-      (** monolithic strategy: called once, before the first iteration,
-          to build the checker of the whole run *)
+  monolithic : unit -> ('st -> decision) * (k:int -> 'w);
+      (** default strategy: called once, before the first iteration,
+          to build the monolithic checker of the whole run and the
+          worker a hand-over runs on, which may reuse the checker's
+          session *)
   worker : k:int -> 'w;
       (** per-svar strategy: one per pool domain and unroll depth *)
   query : 'st -> 'w -> obligation -> Ipc.Engine.t * Aig.lit list;
@@ -101,10 +111,14 @@ val run : t -> ('st, 'w) property -> 'st -> Report.run
 (** Iterate from the given state (from the checkpoint's iteration when
     resuming) until a verdict. [Options.jobs = Some j] decides every
     obligation separately on a pool of [max 1 j] workers, persistent
-    svars first; [None] decides one monolithic check per iteration.
-    After every refinement the new state is checkpointed when
-    [Options.checkpoint_file] is set. Any degraded obligation turns a
-    Secure verdict into [Inconclusive]. *)
+    svars first. [None] decides one monolithic check per iteration
+    until the hand-over cap stops one (see {!decide}); that iteration
+    and every later one then run the per-svar round on one worker, the
+    capped check's work counts towards the iteration's step, and the
+    report's procedure names the iteration. After every refinement the
+    new state is checkpointed when [Options.checkpoint_file] is set.
+    Any degraded obligation turns a Secure verdict into
+    [Inconclusive]. *)
 
 val concluded : ?unrolled:Report.run -> Report.run -> Report.run
 (** The report of an unrolled run followed by its Alg. 1 induction

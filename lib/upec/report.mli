@@ -54,9 +54,11 @@ type cache_info = {
 
 type run = {
   procedure : string;
-      (** the procedure and strategy that produced the run, one of ten
-          strings built by {!Refine}, with [S] one of [""] (fresh
-          monolithic sessions), [", incremental"] or [", per-svar"]:
+      (** the procedure and strategy that produced the run, built by
+          {!Refine}, with [S] one of [""] (fresh monolithic sessions),
+          [", incremental"] or [", per-svar"], the first two followed
+          by [", per-svar from iteration N"] when the default strategy
+          handed over at iteration N:
           - ["UPEC-SSC (Alg. 1S)"] — {!Alg1.run_with};
           - ["UPEC-SSC-unrolled (Alg. 2S)"] — {!Alg2.run_with};
           - ["BMC-from-reset (Alg. 2 propertyS)"] — {!Alg2.run_with}

@@ -11,8 +11,9 @@
    model; examples/busted_hwpe_memory.ml: the Sec. 4.1 HWPE + memory
    variant = DMA disabled, memory-only persistence), including
    certified and interrupted-then-resumed runs. Also the shape and
-   round-trip checks of the schema-3 JSON report, and golden traces
-   pinning every strategy of both procedures bit for bit. *)
+   round-trip checks of the schema-3 JSON report, golden traces
+   pinning every strategy of both procedures bit for bit, and the step
+   accounting and fixed point of the default strategy's hand-over. *)
 
 open Rtl
 module O = Upec.Options
@@ -346,6 +347,28 @@ let checkpointed_then_resumed run o spec =
 let run_alg1 ?resume o spec = Upec.Alg1.run_with ?resume o spec
 let run_alg2 ?resume o spec = fst (Upec.Alg2.run_with ?resume o spec)
 
+(* the solver conflicts a run causes, from the process-wide metrics *)
+let metered run =
+  let conflicts () =
+    Obs.Metrics.counter_value (Obs.Metrics.counter "sat.conflicts")
+  in
+  let c0 = conflicts () in
+  let r = run () in
+  (r, conflicts () - c0)
+
+(* the Sec. 4.2 countermeasure at depth 3: the last check of its
+   monolithic proof reaches the hand-over cap *)
+let countermeasure () =
+  match Scenarios.Scenario.find "countermeasure_d3" with
+  | Some s -> Upec.Cli.spec_of s.Scenarios.Scenario.sp_design
+  | None -> Alcotest.fail "countermeasure_d3 is not in the catalog"
+
+let countermeasure_default =
+  lazy (metered (fun () -> Upec.Alg1.run_with O.default (countermeasure ())))
+
+let countermeasure_alg2 =
+  lazy (metered (fun () -> run_alg2 O.default (countermeasure ())))
+
 (* per-svar run answering every check it can from an in-memory lemma
    table filled by a first, uncached run *)
 let cached_rerun o spec =
@@ -370,7 +393,7 @@ let golden_cases =
       "c1bbe0cc13aa50293e1ce8790f6bdf34",
       fun () -> alg1 fresh (hwpe_memory ()) );
     ( "hwpe alg1 per-svar j1",
-      "5cfd08563f3cf16e7b257047dd9d22e1",
+      "ce9999e715d2162ca5f53322e5dfd43c",
       fun () -> alg1 j1 (hwpe_memory ()) );
     ( "hwpe alg1 per-svar j2",
       "da8b2a1bbd974dc20e0e0bc1c4dcfbe9",
@@ -385,7 +408,7 @@ let golden_cases =
       "bfd3b8c11169ba471ec4548dabb4ea02",
       fun () -> alg2 fresh (hwpe_memory ()) );
     ( "hwpe alg2 per-svar j1",
-      "540371746484fd8a2b5584b420c6f874",
+      "ab769062975d26f6e0424e89e48176e9",
       fun () -> alg2 j1 (hwpe_memory ()) );
     ( "hwpe alg2 per-svar j2",
       "6e8d060c30be09871035f768f5bd1f73",
@@ -394,13 +417,13 @@ let golden_cases =
       "8234de76f60f5b101bc717365ed88f71",
       fun () -> alg2 bmc_k2 (hwpe_memory ()) );
     ( "hwpe conclude per-svar j1",
-      "da3a2c9b6d1f60b9ab00df5810e278c9",
+      "d4acaecfb124e2004f9ccb55a781bde3",
       fun () -> conclude j1 (hwpe_memory ()) );
     ( "hwpe alg2 checkpoint+resume",
       "2c3ba88e1ebea3b86f80338efc491289",
       fun () -> checkpointed_then_resumed run_alg2 O.default (hwpe_memory ()) );
     ( "hwpe alg2 per-svar starved checkpoint+resume",
-      "583e3d124dbb652299385288d2f01615",
+      "12ebfc63c9cddf4b1197c601433655d1",
       fun () ->
         checkpointed_then_resumed run_alg2 (starved j1) (hwpe_memory ()) );
     (* micro design (secure) *)
@@ -411,21 +434,21 @@ let golden_cases =
       "b55fab71f25fbc81066f1297fbe4c328",
       fun () -> alg1 fresh (micro_secure ()) );
     ( "micro alg1 per-svar j1",
-      "fe36a95a1a51ff870c693ca251eb2580",
+      "57738ec143c13987a39460c0899de367",
       fun () -> alg1 j1 (micro_secure ()) );
     ( "micro alg1 per-svar cached",
-      "43dd53574d9e95b5cd2dc203f0454ee2",
+      "075bd70bb5acb6ccf0569a0c773e43a9",
       fun () -> cached_rerun j1 (micro_secure ()) );
     ( "micro alg1 checkpoint+resume",
       "1cf36535671d467c9044ce1ac30925eb",
       fun () ->
         checkpointed_then_resumed run_alg1 O.default (micro_secure ()) );
     ( "micro alg1 per-svar starved checkpoint+resume",
-      "9ed001fa4bc693448e32e7d30fcab1e7",
+      "9fb34dca55b548cf64d433c2996c3d6c",
       fun () ->
         checkpointed_then_resumed run_alg1 (starved j1) (micro_secure ()) );
     ( "micro alg1 per-svar starved",
-      "b88625719d8a806e125107a8f4f6ce95",
+      "a3f48e868fd2d50c2b2c960ec674a14f",
       fun () -> alg1 (starved j1) (micro_secure ()) );
     ( "micro alg1 monolithic starved",
       "b2cdbf207ad10b2348e96619a394b129",
@@ -437,12 +460,91 @@ let golden_cases =
       "f74daca4150d393805fa392e691def0b",
       fun () -> conclude fresh (micro_secure ()) );
     ( "micro conclude per-svar j1",
-      "d11d7ae62d61cf6a4d9bfebaef7019fd",
+      "981c24c2f9899c1e310d83743ea11a0a",
       fun () -> conclude j1 (micro_secure ()) );
     ( "micro conclude per-svar starved",
-      "5b7008b64f339c07fdc2651e220effed",
+      "514de6187435c08adbeac693e46d641a",
       fun () -> conclude (starved j1) (micro_secure ()) );
+    (* countermeasure (secure): the default strategy hands over *)
+    ( "countermeasure alg1 hand-over",
+      "af40dea35074aa836d6855c6398f8448",
+      fun () -> golden_repr (fst (Lazy.force countermeasure_default)) );
   ]
+
+(* ---- step accounting and the hand-over ---- *)
+
+let step_conflicts (r : Upec.Report.run) =
+  List.fold_left
+    (fun acc (s : Upec.Report.step) ->
+      match s.Upec.Report.st_stats with
+      | Some st -> acc + st.Satsolver.Solver.conflicts
+      | None -> acc)
+    0 r.Upec.Report.steps
+
+let s_final (r : Upec.Report.run) =
+  match r.Upec.Report.verdict with
+  | Upec.Report.Secure { s_final } -> names s_final
+  | _ -> Alcotest.fail "expected a secure verdict"
+
+(* Every solve of a sequential secure run belongs to one step, so the
+   steps' conflicts add up to the solver's: the per-svar workers' own
+   solves (the unrolled phase rebuilds its worker at every depth), and
+   a hand-over step that carries its capped check. *)
+let test_step_conflicts () =
+  let check what (r, spent) =
+    Alcotest.(check int) (what ^ ": step conflicts") spent (step_conflicts r)
+  in
+  check "conclude per-svar j1"
+    (metered (fun () -> Upec.Alg2.conclude_with j1 (micro_secure ())));
+  check "hand-over" (Lazy.force countermeasure_default)
+
+(* The hand-over proves the per-svar strategy's fixed point. *)
+let test_handover_s_final () =
+  let r, _ = Lazy.force countermeasure_default in
+  Alcotest.(check string)
+    "procedure" "UPEC-SSC (Alg. 1, incremental, per-svar from iteration 7)"
+    r.Upec.Report.procedure;
+  Alcotest.(check string)
+    "s_final of the per-svar strategy"
+    (s_final (Upec.Alg1.run_with j1 (countermeasure ())))
+    (s_final r)
+
+(* Alg. 2's warm session hands over as well: its (cycle, svar) pairs are
+   armed on the session's own engine, and the run reaches the per-svar
+   strategy's fixed point. *)
+let test_alg2_handover () =
+  let r, spent = Lazy.force countermeasure_alg2 in
+  Alcotest.(check string)
+    "procedure"
+    "UPEC-SSC-unrolled (Alg. 2, incremental, per-svar from iteration 7)"
+    r.Upec.Report.procedure;
+  Alcotest.(check int) "step conflicts" spent (step_conflicts r);
+  Alcotest.(check string)
+    "s_final of the per-svar strategy"
+    (s_final (run_alg2 j1 (countermeasure ())))
+    (s_final r)
+
+(* A conflict budget at or below the hand-over cap keeps the cap off:
+   the final check runs its three escalating attempts (1024, 4096 and
+   16384 conflicts) and ends the run Inconclusive, as without the cap.
+   Iterations 2 and 4 need a retry too; their steps count both
+   attempts, so the steps and the undecided check add up to the
+   solver's work. *)
+let test_budget_below_cap () =
+  let o =
+    { O.default with O.budget = Satsolver.Solver.conflict_budget 1024 }
+  in
+  let r, spent =
+    metered (fun () -> Upec.Alg1.run_with o (countermeasure ()))
+  in
+  Alcotest.(check string)
+    "procedure" "UPEC-SSC (Alg. 1, incremental)" r.Upec.Report.procedure;
+  Alcotest.(check string)
+    "verdict" "inconclusive undecided within budget: conflict budget exhausted"
+    (repr_verdict r);
+  Alcotest.(check int)
+    "steps + undecided check" spent
+    (step_conflicts r + 1024 + 4096 + 16384)
 
 let golden_test (name, expected, run) =
   Alcotest.test_case name `Quick (fun () ->
@@ -480,4 +582,15 @@ let () =
             test_schema_versions;
         ] );
       ("golden", List.map golden_test golden_cases);
+      ( "handover",
+        [
+          Alcotest.test_case "step conflicts sum to the solver's" `Quick
+            test_step_conflicts;
+          Alcotest.test_case "s_final equals per-svar's" `Quick
+            test_handover_s_final;
+          Alcotest.test_case "alg2 hands over on its session" `Slow
+            test_alg2_handover;
+          Alcotest.test_case "budget below the cap keeps retries" `Quick
+            test_budget_below_cap;
+        ] );
     ]
