@@ -107,3 +107,46 @@ val pp : Format.formatter -> t -> unit
 (** Prints as [width'hHEX], e.g. [8'h3a]. *)
 
 val to_string : t -> string
+
+(** {1 Unboxed kernels}
+
+    The integer bodies of the operations above, over plain [int]s that
+    hold a [width]-bit unsigned pattern, as {!to_int} returns it. The
+    boxed operations and the simulator's compiled step both call these,
+    so each operator is defined once. Nothing is checked: operands must
+    lie in [0, 2^width), with [width] in [1, {!max_width}]. Comparisons
+    and reductions return 0 or 1. *)
+module Raw : sig
+  val mask : int -> int
+  (** [mask w] is [2^w - 1]. *)
+
+  val add : width:int -> int -> int -> int
+  val sub : width:int -> int -> int -> int
+  val mul : width:int -> int -> int -> int
+  val neg : width:int -> int -> int
+  val logand : int -> int -> int
+  val logor : int -> int -> int
+  val logxor : int -> int -> int
+  val lognot : width:int -> int -> int
+
+  val shl : width:int -> int -> int -> int
+  (** [shl ~width a n] shifts [a] by the unsigned amount [n]; so do
+      [lshr] and [ashr]. *)
+
+  val lshr : width:int -> int -> int -> int
+  val ashr : width:int -> int -> int -> int
+  val eq : int -> int -> int
+  val ne : int -> int -> int
+  val ult : int -> int -> int
+  val ule : int -> int -> int
+  val slt : width:int -> int -> int -> int
+  val sle : width:int -> int -> int -> int
+  val redand : width:int -> int -> int
+  val redor : int -> int
+  val redxor : int -> int
+
+  val concat : lo_width:int -> int -> int -> int
+  (** [concat ~lo_width hi lo], [lo] being [lo_width] bits wide. *)
+
+  val slice : hi:int -> lo:int -> int -> int
+end

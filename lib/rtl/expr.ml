@@ -149,26 +149,23 @@ let memread m addr =
 
 let as_const e = match e.node with Const b -> Some b | _ -> None
 
+let unop_eval = function
+  | Not -> Bitvec.lognot
+  | Neg -> Bitvec.neg
+  | Redand -> Bitvec.redand
+  | Redor -> Bitvec.redor
+  | Redxor -> Bitvec.redxor
+
 let unop op a =
   let w = match op with Not | Neg -> a.width | Redand | Redor | Redxor -> 1 in
   match as_const a with
-  | Some b ->
-      let f =
-        match op with
-        | Not -> Bitvec.lognot
-        | Neg -> Bitvec.neg
-        | Redand -> Bitvec.redand
-        | Redor -> Bitvec.redor
-        | Redxor -> Bitvec.redxor
-      in
-      const (f b)
+  | Some b -> const (unop_eval op b)
   | None -> (
       match (op, a.node) with
       | Not, Unop (Not, x) -> x
       | _ -> mk w (Unop (op, a)))
 
-let binop_eval op =
-  match op with
+let binop_eval = function
   | Add -> Bitvec.add
   | Sub -> Bitvec.sub
   | Mul -> Bitvec.mul
@@ -241,6 +238,10 @@ let mux sel a b =
   | None -> if a.tag = b.tag then a else mk a.width (Mux (sel, a, b))
 
 let concat hi lo =
+  if hi.width + lo.width > Bitvec.max_width then
+    invalid_arg
+      (Printf.sprintf "Expr.concat: width %d exceeds %d" (hi.width + lo.width)
+         Bitvec.max_width);
   match (as_const hi, as_const lo) with
   | Some x, Some y -> const (Bitvec.concat x y)
   | _ -> mk (hi.width + lo.width) (Concat (hi, lo))

@@ -84,6 +84,14 @@ val binop : binop -> t -> t -> t
 val mux : t -> t -> t -> t
 val concat : t -> t -> t
 val slice : t -> hi:int -> lo:int -> t
+(** Slice and concatenation check their ranges here: a slice must lie
+    inside its operand and a concatenation may be at most
+    {!Bitvec.max_width} bits wide, else [Invalid_argument]. *)
+
+val unop_eval : unop -> Bitvec.t -> Bitvec.t
+(** The {!Bitvec} operation an operator denotes; {!binop_eval} likewise. *)
+
+val binop_eval : binop -> Bitvec.t -> Bitvec.t -> Bitvec.t
 
 (** {1 Convenience} *)
 

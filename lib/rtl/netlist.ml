@@ -109,6 +109,8 @@ module Builder = struct
     (match init with
     | Some a when Array.length a <> depth ->
         invalid_arg (Printf.sprintf "Netlist.Builder.mem %s: init length" name)
+    | Some a when Array.exists (fun v -> Bitvec.width v <> data_width) a ->
+        invalid_arg (Printf.sprintf "Netlist.Builder.mem %s: init width" name)
     | _ -> ());
     let m = Expr.memory name ~addr_width ~data_width ~depth in
     b.b_mems <- { pm_mem = m; pm_init = init; pm_ports = [] } :: b.b_mems;

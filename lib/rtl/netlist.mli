@@ -64,7 +64,8 @@ module Builder : sig
     data_width:int ->
     depth:int ->
     Expr.mem
-  (** Declare a memory. *)
+  (** Declare a memory. Raises [Invalid_argument] unless [init], when
+      given, has [depth] words of [data_width] bits. *)
 
   val write_port : builder -> Expr.mem -> enable:Expr.t -> addr:Expr.t -> data:Expr.t -> unit
 

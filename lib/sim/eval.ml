@@ -7,31 +7,7 @@ type env = {
   lookup_mem : Expr.mem -> int -> Bitvec.t;
 }
 
-let unop_fn = function
-  | Expr.Not -> Bitvec.lognot
-  | Expr.Neg -> Bitvec.neg
-  | Expr.Redand -> Bitvec.redand
-  | Expr.Redor -> Bitvec.redor
-  | Expr.Redxor -> Bitvec.redxor
-
-let binop_fn = function
-  | Expr.Add -> Bitvec.add
-  | Expr.Sub -> Bitvec.sub
-  | Expr.Mul -> Bitvec.mul
-  | Expr.And -> Bitvec.logand
-  | Expr.Or -> Bitvec.logor
-  | Expr.Xor -> Bitvec.logxor
-  | Expr.Eq -> Bitvec.eq
-  | Expr.Ne -> Bitvec.ne
-  | Expr.Ult -> Bitvec.ult
-  | Expr.Ule -> Bitvec.ule
-  | Expr.Slt -> Bitvec.slt
-  | Expr.Sle -> Bitvec.sle
-  | Expr.Shl -> Bitvec.shl
-  | Expr.Lshr -> Bitvec.lshr
-  | Expr.Ashr -> Bitvec.ashr
-
-let evaluator env =
+let eval env e =
   let memo : (int, Bitvec.t) Hashtbl.t = Hashtbl.create 256 in
   let rec go e =
     match Hashtbl.find_opt memo (Expr.tag e) with
@@ -47,8 +23,8 @@ let evaluator env =
               let addr = Bitvec.to_int (go a) in
               if addr < m.Expr.m_depth then env.lookup_mem m addr
               else Bitvec.zero m.Expr.m_data_width
-          | Expr.Unop (op, a) -> unop_fn op (go a)
-          | Expr.Binop (op, a, b) -> binop_fn op (go a) (go b)
+          | Expr.Unop (op, a) -> Expr.unop_eval op (go a)
+          | Expr.Binop (op, a, b) -> Expr.binop_eval op (go a) (go b)
           | Expr.Mux (s, a, b) -> if Bitvec.is_zero (go s) then go b else go a
           | Expr.Concat (a, b) -> Bitvec.concat (go a) (go b)
           | Expr.Slice (a, hi, lo) -> Bitvec.slice (go a) ~hi ~lo
@@ -56,6 +32,4 @@ let evaluator env =
         Hashtbl.add memo (Expr.tag e) v;
         v
   in
-  go
-
-let eval env e = evaluator env e
+  go e

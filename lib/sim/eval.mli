@@ -3,8 +3,10 @@ open Rtl
 (** Concrete evaluation of expressions against an environment.
 
     Evaluation is memoised per call on hash-cons tags, so shared
-    sub-expressions are computed once. Out-of-range memory reads
-    (address [>= depth]) evaluate to zero. *)
+    sub-expressions are computed once, and only the taken arm of a mux
+    is evaluated. Out-of-range memory reads (address [>= depth])
+    evaluate to zero. {!Engine.peek} evaluates arbitrary expressions
+    this way; {!Engine.step} runs the netlist compiled instead. *)
 
 type env = {
   lookup_input : Expr.signal -> Bitvec.t;
@@ -15,9 +17,3 @@ type env = {
 
 val eval : env -> Expr.t -> Bitvec.t
 (** Evaluate one expression (fresh memo table). *)
-
-val evaluator : env -> Expr.t -> Bitvec.t
-(** [evaluator env] returns an evaluation function sharing one memo
-    table across calls; use for evaluating many expressions against the
-    same environment. The memo table is never invalidated: discard the
-    evaluator when the environment changes. *)

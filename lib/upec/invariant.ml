@@ -30,19 +30,21 @@ let check_inductive ?solver_options spec =
 let check_base spec =
   let nl = spec.Spec.soc.Soc.Builder.netlist in
   let aw = spec.Spec.soc.Soc.Builder.soc_cfg.Soc.Config.addr_width in
-  let samples = [ (0, 0); (0, (1 lsl aw) - 1); (3, 7); (64, 71) ] in
+  let engines =
+    List.map
+      (fun (b, l) ->
+        let eng = Sim.Engine.create nl in
+        Sim.Engine.set_param eng "victim_base" (Bitvec.of_int ~width:aw b);
+        Sim.Engine.set_param eng "victim_limit" (Bitvec.of_int ~width:aw l);
+        eng)
+      [ (0, 0); (0, (1 lsl aw) - 1); (3, 7); (64, 71) ]
+  in
   List.map
     (fun (name, inv) ->
-      let ok =
+      ( name,
         List.for_all
-          (fun (b, l) ->
-            let eng = Sim.Engine.create nl in
-            Sim.Engine.set_param eng "victim_base" (Bitvec.of_int ~width:aw b);
-            Sim.Engine.set_param eng "victim_limit" (Bitvec.of_int ~width:aw l);
-            Bitvec.to_int (Sim.Engine.peek eng inv) = 1)
-          samples
-      in
-      (name, ok))
+          (fun eng -> Bitvec.to_int (Sim.Engine.peek eng inv) = 1)
+          engines ))
     (Spec.invariants spec)
 
 let all_sound ?solver_options spec =

@@ -103,7 +103,13 @@ let test_expr_width_check () =
   let x = input (signal "wx" 8) and y = input (signal "wy" 4) in
   Alcotest.check_raises "width mismatch"
     (Invalid_argument "Expr.binop: width mismatch 8 vs 4") (fun () ->
-      ignore (x +: y))
+      ignore (x +: y));
+  (* the simulator computes both arms of a mux, so an over-wide
+     concatenation must be rejected here, not when it is evaluated *)
+  let w = input (signal "ww" 40) in
+  Alcotest.check_raises "concatenation wider than max_width"
+    (Invalid_argument "Expr.concat: width 80 exceeds 62") (fun () ->
+      ignore (concat w w))
 
 let test_expr_slices () =
   let open Expr in
@@ -185,7 +191,12 @@ let test_builder_mem () =
   let nl = finalize b in
   Alcotest.(check int) "mem state bits" 64 (Netlist.state_bits nl);
   let md = Netlist.find_mem nl "m" in
-  Alcotest.(check int) "one port" 1 (List.length md.Netlist.md_ports)
+  Alcotest.(check int) "one port" 1 (List.length md.Netlist.md_ports);
+  Alcotest.check_raises "init word of the wrong width"
+    (Invalid_argument "Netlist.Builder.mem m2: init width") (fun () ->
+      ignore
+        (mem (create "badinit") "m2" ~addr_width:1 ~data_width:8 ~depth:2
+           ~init:[| Bitvec.zero 8; Bitvec.zero 16 |]))
 
 (* ---- Structural ---- *)
 

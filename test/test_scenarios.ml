@@ -352,6 +352,25 @@ let test_crosscheck_smoke () =
       Alcotest.(check bool) (name ^ ": stat block") true
         (Json.member "stat" j <> Json.Null))
     [ ("busted_timer_d3", true); ("no_spies_d3", false) ]
+(* The simulated timing samples themselves, not only the verdicts drawn
+   from them: every catalog scenario at seeds 0-11, digested. Any change
+   to the simulator's cycle-exact behaviour moves the digest. *)
+let test_sample_digest () =
+  let b = Buffer.create 16384 in
+  List.iter
+    (fun s ->
+      for seed = 0 to 11 do
+        let secret, public = Scenario.sample_pair s ~seed in
+        Buffer.add_string b
+          (Printf.sprintf "%s %d %d %d\n" s.Scenario.sp_name seed
+             (int_of_float secret) (int_of_float public))
+      done)
+    Scenario.catalog;
+  Alcotest.(check int) "27 scenarios" 27 (List.length Scenario.catalog);
+  Alcotest.(check string)
+    "sample digest" "e66477bb11957b143c73258cbdd56de4"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 (* `upec_ssc --jobs` and a farm job's "jobs" both resolve through
    [Upec.Cli.resolve_jobs]: any non-positive count means "auto", so the
    report echoes the job count that actually ran *)
@@ -399,5 +418,8 @@ let () =
             test_resolve_jobs;
         ] );
       ( "crosscheck",
-        [ Alcotest.test_case "smoke" `Quick test_crosscheck_smoke ] );
+        [
+          Alcotest.test_case "smoke" `Quick test_crosscheck_smoke;
+          Alcotest.test_case "sample digest" `Quick test_sample_digest;
+        ] );
     ]

@@ -120,7 +120,23 @@ let test_poke () =
   Sim.Engine.set_input_int eng "enable" 1;
   Sim.Engine.step eng;
   Alcotest.(check int) "poked then stepped" 101
-    (Bitvec.to_int (Sim.Engine.reg_value eng "count"))
+    (Bitvec.to_int (Sim.Engine.reg_value eng "count"));
+  Alcotest.check_raises "poke_reg of the wrong width"
+    (Invalid_argument "Engine.poke_reg count: width mismatch") (fun () ->
+      Sim.Engine.poke_reg eng "count" (bv 16 1));
+  let eng = Sim.Engine.create (build_memory_device ()) in
+  Alcotest.check_raises "poke_mem of the wrong width"
+    (Invalid_argument "Engine.poke_mem m: width mismatch") (fun () ->
+      Sim.Engine.poke_mem eng "m" 3 (bv 16 0x1234));
+  Alcotest.(check int) "rejected word not stored" 0
+    (Bitvec.to_int (Sim.Engine.mem_value eng "m" 3));
+  Sim.Engine.poke_mem eng "m" 3 (bv 8 0x5a);
+  Sim.Engine.set_input_int eng "raddr" 3;
+  Alcotest.(check int) "poked word read back" 0x5a
+    (Bitvec.to_int (Sim.Engine.peek_output eng "rdata"));
+  Sim.Engine.step eng;
+  Alcotest.(check int) "and kept across a step" 0x5a
+    (Bitvec.to_int (Sim.Engine.mem_value eng "m" 3))
 
 let test_trace () =
   let nl = build_counter () in
@@ -328,6 +344,330 @@ let qcheck_counter_model =
         enables;
       Bitvec.to_int (Sim.Engine.reg_value eng "count") = !expected)
 
+(* ---- differential test: the compiled step against a reference ---- *)
+
+(* The reference simulator: every value a [Bitvec.t] in a table, every
+   expression evaluated by [Eval] against the pre-edge state, then one
+   commit in which later write ports go first so earlier ports win. *)
+module Ref = struct
+  type t = {
+    nl : Netlist.t;
+    vals : (string, Bitvec.t) Hashtbl.t;  (** inputs, params, registers *)
+    mems : (string, Bitvec.t array) Hashtbl.t;
+  }
+
+  let create (nl : Netlist.t) =
+    let vals = Hashtbl.create 16 and mems = Hashtbl.create 4 in
+    List.iter
+      (fun (s : Expr.signal) ->
+        Hashtbl.replace vals s.Expr.s_name (Bitvec.zero s.Expr.s_width))
+      (nl.Netlist.inputs @ nl.Netlist.params);
+    List.iter
+      (fun rd ->
+        let s = rd.Netlist.rd_signal in
+        Hashtbl.replace vals s.Expr.s_name
+          (Option.value rd.Netlist.rd_init ~default:(Bitvec.zero s.Expr.s_width)))
+      nl.Netlist.regs;
+    List.iter
+      (fun md ->
+        let m = md.Netlist.md_mem in
+        Hashtbl.replace mems m.Expr.m_name
+          (match md.Netlist.md_init with
+          | Some a -> Array.copy a
+          | None -> Array.make m.Expr.m_depth (Bitvec.zero m.Expr.m_data_width)))
+      nl.Netlist.mems;
+    { nl; vals; mems }
+
+  let eval t e =
+    let lookup (s : Expr.signal) = Hashtbl.find t.vals s.Expr.s_name in
+    Sim.Eval.eval
+      {
+        Sim.Eval.lookup_input = lookup;
+        lookup_param = lookup;
+        lookup_reg = lookup;
+        lookup_mem = (fun m i -> (Hashtbl.find t.mems m.Expr.m_name).(i));
+      }
+      e
+
+  let step t =
+    let reg_next =
+      List.map
+        (fun rd -> (rd.Netlist.rd_signal, eval t rd.Netlist.rd_next))
+        t.nl.Netlist.regs
+    in
+    let mem_writes =
+      List.map
+        (fun md ->
+          ( md.Netlist.md_mem,
+            List.filter_map
+              (fun wp ->
+                if Bitvec.is_zero (eval t wp.Netlist.wp_enable) then None
+                else
+                  Some
+                    ( Bitvec.to_int (eval t wp.Netlist.wp_addr),
+                      eval t wp.Netlist.wp_data ))
+              md.Netlist.md_ports ))
+        t.nl.Netlist.mems
+    in
+    List.iter
+      (fun ((s : Expr.signal), v) -> Hashtbl.replace t.vals s.Expr.s_name v)
+      reg_next;
+    List.iter
+      (fun ((m : Expr.mem), writes) ->
+        let arr = Hashtbl.find t.mems m.Expr.m_name in
+        List.iter
+          (fun (addr, data) -> if addr < m.Expr.m_depth then arr.(addr) <- data)
+          (List.rev writes))
+      mem_writes
+end
+
+type poke = Poke_reg of string * Bitvec.t | Poke_mem of string * int * Bitvec.t
+
+type cycle = {
+  c_inputs : (string * Bitvec.t) list;
+  c_poke : poke option;
+  c_peek : Expr.t;  (** a random node of the netlist *)
+}
+
+type case = {
+  nl : Netlist.t;
+  params : (string * Bitvec.t) list;
+  cycles : cycle list;
+}
+
+(* Widths are drawn half from the edges (1, around 31/32 where [mul]
+   splits, 61/62) and half uniformly. *)
+let edge_widths = [| 1; 2; 3; 7; 8; 16; 30; 31; 32; 33; 47; 61; 62 |]
+let pick rs a = a.(Random.State.int rs (Array.length a))
+
+let gen_width rs =
+  if Random.State.bool rs then pick rs edge_widths
+  else 1 + Random.State.int rs Bitvec.max_width
+
+(* Values: all zeros, all ones, small (shift amounts below the width,
+   in-range addresses) or any 62-bit pattern. *)
+let gen_value rs w =
+  match Random.State.int rs 4 with
+  | 0 -> Bitvec.zero w
+  | 1 -> Bitvec.ones w
+  | 2 -> Bitvec.of_int ~width:w (Random.State.int rs 8)
+  | _ ->
+      let bits () = Random.State.bits rs in
+      Bitvec.of_int ~width:w (bits () lor (bits () lsl 30) lor (bits () lsl 60))
+
+(* [fit rs e w]: [e] as a [w]-bit expression, by a random slice,
+   zero-extension or sign-extension. *)
+let fit rs e w =
+  let ew = Expr.width e in
+  if ew = w then e
+  else if ew > w then
+    let lo = Random.State.int rs (ew - w + 1) in
+    Expr.slice e ~hi:(lo + w - 1) ~lo
+  else if Random.State.bool rs then Expr.zero_extend e w
+  else Expr.sign_extend e w
+
+let unops = [| Expr.Not; Expr.Neg; Expr.Redand; Expr.Redor; Expr.Redxor |]
+
+let binops =
+  Expr.
+    [|
+      Add; Sub; Mul; And; Or; Xor; Eq; Ne; Ult; Ule; Slt; Sle; Shl; Lshr; Ashr;
+    |]
+
+let gen_case rs =
+  let open Netlist.Builder in
+  let b = create "diff" in
+  let some n f = List.init n (fun i -> f (string_of_int i)) in
+  let inputs =
+    some (2 + Random.State.int rs 3) (fun i -> input b ("i" ^ i) (gen_width rs))
+  in
+  let params =
+    some (1 + Random.State.int rs 2) (fun i -> param b ("p" ^ i) (gen_width rs))
+  in
+  let regs =
+    some (2 + Random.State.int rs 4) (fun i ->
+        let w = gen_width rs in
+        let init = if Random.State.bool rs then Some (gen_value rs w) else None in
+        reg b ?init ("r" ^ i) w)
+  in
+  (* depth < 2^addr_width, so some addresses are out of range *)
+  let mems =
+    some (1 + Random.State.int rs 2) (fun i ->
+        let addr_width = 1 + Random.State.int rs 4 in
+        let depth =
+          (1 lsl addr_width) - 1 - Random.State.int rs (1 lsl (addr_width - 1))
+        in
+        let data_width = gen_width rs in
+        let init =
+          if Random.State.bool rs then
+            Some (Array.init depth (fun _ -> gen_value rs data_width))
+          else None
+        in
+        mem b ?init ("m" ^ i) ~addr_width ~data_width ~depth)
+  in
+  let pool = ref (Array.of_list (inputs @ params @ regs)) in
+  let any () =
+    (* favour recent, deeper nodes *)
+    let n = Array.length !pool in
+    if Random.State.bool rs then !pool.(n - 1 - Random.State.int rs (min n 8))
+    else pick rs !pool
+  in
+  let add e = pool := Array.append !pool [| e |] in
+  for _ = 1 to 2 do
+    let w = gen_width rs in
+    add (Expr.const (gen_value rs w))
+  done;
+  List.iter
+    (fun (m : Expr.mem) -> add (Expr.memread m (fit rs (any ()) m.Expr.m_addr_width)))
+    mems;
+  for _ = 1 to 12 + Random.State.int rs 24 do
+    let a = any () in
+    let wa = Expr.width a in
+    add
+      (match Random.State.int rs 7 with
+      | 0 -> Expr.unop (pick rs unops) a
+      | 1 | 2 -> (
+          match pick rs binops with
+          | (Expr.Shl | Expr.Lshr | Expr.Ashr) as op ->
+              (* 1-8 bit amounts reach 255, past every width *)
+              Expr.binop op a (fit rs (any ()) (1 + Random.State.int rs 8))
+          | op -> Expr.binop op a (fit rs (any ()) wa))
+      | 3 -> Expr.mux (fit rs (any ()) 1) a (fit rs (any ()) wa)
+      | 4 ->
+          let room = Bitvec.max_width - wa in
+          if room = 0 then Expr.slice a ~hi:(wa - 2) ~lo:0
+          else
+            let c = any () in
+            Expr.concat a (fit rs c (min (Expr.width c) room))
+      | 5 ->
+          let lo = Random.State.int rs wa in
+          Expr.slice a ~hi:(lo + Random.State.int rs (wa - lo)) ~lo
+      | _ ->
+          let m = pick rs (Array.of_list mems) in
+          Expr.memread m (fit rs a m.Expr.m_addr_width))
+  done;
+  List.iter (fun r -> set_next b r (fit rs (any ()) (Expr.width r))) regs;
+  (* 2-3 ports per memory, some on one shared address, some always on *)
+  List.iter
+    (fun (m : Expr.mem) ->
+      let clash = fit rs (any ()) m.Expr.m_addr_width in
+      for _ = 1 to 2 + Random.State.int rs 2 do
+        let enable =
+          if Random.State.int rs 3 = 0 then Expr.vdd else fit rs (any ()) 1
+        in
+        let addr =
+          if Random.State.bool rs then clash
+          else fit rs (any ()) m.Expr.m_addr_width
+        in
+        write_port b m ~enable ~addr
+          ~data:(fit rs (any ()) m.Expr.m_data_width)
+      done)
+    mems;
+  List.iteri
+    (fun i e -> output b (Printf.sprintf "o%d" i) e)
+    (List.init (2 + Random.State.int rs 3) (fun _ -> any ()));
+  let nl = finalize b in
+  let value_of e = gen_value rs (Expr.width e) in
+  let name e =
+    match Expr.node e with
+    | Expr.Input s | Expr.Param s | Expr.Reg s -> s.Expr.s_name
+    | _ -> assert false
+  in
+  let poke () =
+    match Random.State.int rs 6 with
+    | 0 ->
+        let r = pick rs (Array.of_list regs) in
+        Some (Poke_reg (name r, value_of r))
+    | 1 ->
+        let m = pick rs (Array.of_list mems) in
+        Some
+          (Poke_mem
+             ( m.Expr.m_name,
+               Random.State.int rs m.Expr.m_depth,
+               gen_value rs m.Expr.m_data_width ))
+    | _ -> None
+  in
+  {
+    nl;
+    params = List.map (fun p -> (name p, value_of p)) params;
+    cycles =
+      List.init (16 + Random.State.int rs 9) (fun _ ->
+          {
+            c_inputs = List.map (fun i -> (name i, value_of i)) inputs;
+            c_poke = poke ();
+            c_peek = pick rs !pool;
+          });
+  }
+
+let print_case c =
+  Format.asprintf "%a@.params: %s@.%d cycles" Pp.pp_netlist c.nl
+    (String.concat ", "
+       (List.map (fun (n, v) -> n ^ " = " ^ Bitvec.to_string v) c.params))
+    (List.length c.cycles)
+
+(* Every register, memory word and output, plus one random node, must
+   agree between the two simulators. *)
+let compare_states ~cycle (c : case) eng r (peek : Expr.t) =
+  let same what got want =
+    if not (Bitvec.equal got want) then
+      QCheck.Test.fail_reportf "cycle %d, %s: engine %s, reference %s" cycle
+        what (Bitvec.to_string got) (Bitvec.to_string want)
+  in
+  List.iter
+    (fun rd ->
+      let n = rd.Netlist.rd_signal.Expr.s_name in
+      same n (Sim.Engine.reg_value eng n) (Hashtbl.find r.Ref.vals n))
+    c.nl.Netlist.regs;
+  List.iter
+    (fun md ->
+      let m = md.Netlist.md_mem in
+      Array.iteri
+        (fun i v ->
+          same
+            (Printf.sprintf "%s[%d]" m.Expr.m_name i)
+            (Sim.Engine.mem_value eng m.Expr.m_name i)
+            v)
+        (Hashtbl.find r.Ref.mems m.Expr.m_name))
+    c.nl.Netlist.mems;
+  List.iter
+    (fun (n, e) -> same n (Sim.Engine.peek_output eng n) (Ref.eval r e))
+    c.nl.Netlist.outputs;
+  same
+    ("peek " ^ Pp.expr_to_string peek)
+    (Sim.Engine.peek eng peek) (Ref.eval r peek)
+
+let qcheck_compiled_step =
+  QCheck.Test.make ~count:300 ~name:"compiled step = Eval reference"
+    (QCheck.make ~print:print_case gen_case)
+    (fun c ->
+      let eng = Sim.Engine.create c.nl and r = Ref.create c.nl in
+      List.iter
+        (fun (n, v) ->
+          Sim.Engine.set_param eng n v;
+          Hashtbl.replace r.Ref.vals n v)
+        c.params;
+      List.iteri
+        (fun cycle cy ->
+          List.iter
+            (fun (n, v) ->
+              Sim.Engine.set_input eng n v;
+              Hashtbl.replace r.Ref.vals n v)
+            cy.c_inputs;
+          compare_states ~cycle c eng r cy.c_peek;
+          (match cy.c_poke with
+          | Some (Poke_reg (n, v)) ->
+              Sim.Engine.poke_reg eng n v;
+              Hashtbl.replace r.Ref.vals n v
+          | Some (Poke_mem (n, i, v)) ->
+              Sim.Engine.poke_mem eng n i v;
+              (Hashtbl.find r.Ref.mems n).(i) <- v
+          | None -> ());
+          Sim.Engine.step eng;
+          Ref.step r;
+          compare_states ~cycle c eng r cy.c_peek)
+        c.cycles;
+      true)
+
 let () =
   Alcotest.run "sim"
     [
@@ -359,5 +699,7 @@ let () =
           Alcotest.test_case "vcd hierarchical names" `Quick
             test_vcd_hierarchical_names;
         ] );
-      ("property", [ QCheck_alcotest.to_alcotest qcheck_counter_model ]);
+      ( "property",
+        List.map QCheck_alcotest.to_alcotest
+          [ qcheck_counter_model; qcheck_compiled_step ] );
     ]
