@@ -1,6 +1,6 @@
 (* Benchmark harness: regenerates every quantitative artefact of the
    paper's evaluation (experiments E1..E9 of DESIGN.md), the ablations
-   (A1..A5), and a set of Bechamel micro-benchmarks for the substrate
+   (A1..A4), and a set of Bechamel micro-benchmarks for the substrate
    kernels.
 
    Run everything:        dune exec bench/main.exe
@@ -40,20 +40,11 @@ let formal_soc ?(cfg = Soc.Config.formal_default) () =
 let spec ?cfg ?(pers = Upec.Spec.Full_pers) variant =
   Upec.Spec.make ~pers_model:pers (formal_soc ?cfg ()) variant
 
-(* The experiments pin fresh sessions, a new solver session per
-   monolithic check (the paper's per-iteration re-check) until the
-   default strategy's hand-over, with Alg. 1 capped at 64 iterations;
-   [ctx.jobs] selects the per-svar strategy. *)
-let alg1_fresh =
-  {
-    Upec.Options.default with
-    Upec.Options.incremental = false;
-    max_iterations = 64;
-  }
-
-let alg2_fresh = { Upec.Options.default with Upec.Options.incremental = false }
-let alg1_opts ctx = { alg1_fresh with Upec.Options.jobs = ctx.jobs }
-let alg2_opts ctx = { alg2_fresh with Upec.Options.jobs = ctx.jobs }
+(* The experiments run the default strategy with Alg. 1 capped at 64
+   iterations; [ctx.jobs] selects the per-svar strategy. *)
+let alg1_base = { Upec.Options.default with Upec.Options.max_iterations = 64 }
+let alg1_opts ctx = { alg1_base with Upec.Options.jobs = ctx.jobs }
+let alg2_opts ctx = { Upec.Options.default with Upec.Options.jobs = ctx.jobs }
 
 let write_json path j =
   let oc = open_out path in
@@ -192,7 +183,7 @@ let e3 ~full ctx =
   end
   else
     Format.fprintf ctx.fmt
-      "@.(run with 'full' to include the k=2 unrolled secure proof, ~40 s)@."
+      "@.(run with 'full' to include the k=2 unrolled secure proof, ~20 s)@."
 
 (* ---------------------------------------------------------------- *)
 (* E4: Fig. 2 — property time-window reduction                       *)
@@ -579,7 +570,7 @@ let a4 ctx =
       let r, dt =
         time (fun () ->
             Upec.Alg1.run_with
-              { alg1_fresh with Upec.Options.solver_options = Some options }
+              { alg1_base with Upec.Options.solver_options = Some options }
               (spec Upec.Spec.Vulnerable))
       in
       Format.fprintf ctx.fmt "%-13s | %5.2fs | %s@." label dt
@@ -612,71 +603,6 @@ let a4 ctx =
         (Satsolver.Solver.stats s).Satsolver.Solver.conflicts)
     (heavy_variants
     @ [ ("no VSIDS", { d with Satsolver.Solver.use_vsids = false }) ])
-
-(* ---------------------------------------------------------------- *)
-(* A5: incremental vs from-scratch solving across Alg. 1 iterations  *)
-(* ---------------------------------------------------------------- *)
-
-let a5 ctx =
-  section ctx "A5 (ablation): incremental vs per-iteration solver sessions";
-  Format.fprintf ctx.fmt
-    "The paper re-runs the property checker per iteration; an engineering@.";
-  Format.fprintf ctx.fmt
-    "alternative keeps one session and passes State_Equivalence(S) as@.";
-  Format.fprintf ctx.fmt
-    "solver assumptions (learnt clauses survive). Designs: formal_tiny.@.@.";
-  Format.fprintf ctx.fmt
-    "design              | mode        | verdict | iterations | conflicts | \
-     time@.";
-  let tiny = Soc.Config.formal_tiny in
-  let arbiter a = { tiny with Soc.Config.arbiter = a } in
-  let conflicts r =
-    List.fold_left
-      (fun acc st ->
-        match st.Upec.Report.st_stats with
-        | Some s -> acc + s.Satsolver.Solver.conflicts
-        | None -> acc)
-      0 r.Upec.Report.steps
-  in
-  List.iter
-    (fun (label, alg, s) ->
-      List.iter
-        (fun (mode, incremental) ->
-          let r, dt =
-            time (fun () ->
-                if alg = 2 then
-                  Upec.Alg2.conclude_with
-                    { alg2_fresh with Upec.Options.incremental }
-                    s
-                else
-                  Upec.Alg1.run_with
-                    { alg1_fresh with Upec.Options.incremental }
-                    s)
-          in
-          Format.fprintf ctx.fmt "%-19s | %-11s | %-7s | %10d | %9d | %5.2fs@."
-            label mode
-            (if Upec.Report.is_vulnerable r then "VULN"
-             else if Upec.Report.is_secure r then "SECURE"
-             else "??")
-            (Upec.Report.iterations r) (conflicts r) dt)
-        [ ("per-check", false); ("incremental", true) ])
-    [
-      ("secure", 1, spec ~cfg:tiny Upec.Spec.Secure);
-      ( "fixed-prio secure",
-        1,
-        spec ~cfg:(arbiter `Fixed_priority) Upec.Spec.Secure );
-      ("TDMA secure", 1, spec ~cfg:(arbiter `Tdma) Upec.Spec.Vulnerable);
-      ("vulnerable", 1, spec ~cfg:tiny Upec.Spec.Vulnerable);
-      ( "HWPE (Alg. 2)",
-        2,
-        spec
-          ~cfg:{ tiny with Soc.Config.with_dma = false }
-          ~pers:Upec.Spec.Memory_only Upec.Spec.Vulnerable );
-    ];
-  Format.fprintf ctx.fmt
-    "=> incremental sessions detect vulnerabilities faster; both modes \
-     hand a SECURE proof's final check to the per-svar round, and the \
-     incremental proofs take fewer conflicts@."
 
 (* ---------------------------------------------------------------- *)
 (* Certification overhead: proof logging + independent checking      *)
@@ -858,7 +784,7 @@ let budget_experiment ctx =
               time (fun () ->
                   Upec.Alg1.run_with
                     {
-                      alg1_fresh with
+                      alg1_base with
                       Upec.Options.jobs = Some jobs;
                       budget;
                       budget_retries = retries;
@@ -1223,7 +1149,6 @@ let all_experiments ~full =
     ("A2", a2);
     ("A3", a3);
     ("A4", a4);
-    ("A5", a5);
     ("certify", certify_experiment);
     ("budget", budget_experiment);
     ("farm", farm_experiment);
@@ -1246,7 +1171,7 @@ let measure_trace_overhead () =
     }
   in
   let proof () =
-    ignore (Upec.Alg1.run_with alg1_fresh (spec ~cfg Upec.Spec.Vulnerable))
+    ignore (Upec.Alg1.run_with alg1_base (spec ~cfg Upec.Spec.Vulnerable))
   in
   proof () (* warm-up: first run pays one-off allocation costs *);
   let best f =
@@ -1320,7 +1245,7 @@ let write_smoke_json ~jobs ~total ~overhead_pct results =
 
 let usage () =
   Format.printf
-    "usage: main.exe [E1..E9 A1..A5 kernels]* [smoke] [full] [-j N] [--trace \
+    "usage: main.exe [E1..E9 A1..A4 kernels]* [smoke] [full] [-j N] [--trace \
      FILE] [--metrics FILE]@."
 
 let () =

@@ -120,17 +120,6 @@ let full_cex_arg =
   let doc = "Print the full counterexample waveform." in
   Arg.(value & flag & info [ "full-cex" ] ~doc)
 
-let no_incremental_arg =
-  let doc =
-    "Give every monolithic check a fresh solver session instead of \
-     keeping one warm session across iterations (and, for Alg. 2, across \
-     unrolling depths). A proof's final check hands over to the per-svar \
-     strategy in either mode (see $(b,--jobs)); a warm session lends it \
-     its engine. Warm sessions find vulnerabilities 2-4x faster \
-     and finish proofs in fewer conflicts. Ignored with $(b,--jobs)."
-  in
-  Arg.(value & flag & info [ "no-incremental" ] ~doc)
-
 let no_simp_arg =
   let doc =
     "Escape hatch: disable problem reduction (cone-of-influence \
@@ -152,10 +141,12 @@ let jobs_arg =
     "Run the per-svar strategy on N worker domains from the first \
      iteration (0 or negative = auto: $(b,UPEC_JOBS) or the recommended \
      domain count). Verdicts and reports are identical for every N. \
-     Without it, each iteration runs one monolithic check until a check \
-     spends more than max(4096, twice the costliest earlier check's) \
-     conflicts; that iteration and every later one then run per-svar on \
-     one worker, and the report's procedure names the iteration. A \
+     Without it, each iteration runs one monolithic check on one warm \
+     solver session until a check spends more than max(4096, twice the \
+     costliest earlier check's) conflicts; that iteration and every later \
+     one then run per-svar on one worker, and the report's procedure names \
+     the iteration. With $(b,--alg 2), the induction's first check counts \
+     the unrolled phase's checks as earlier ones. A \
      $(b,--conflict-budget) at or below that cap turns it off for the \
      check: exhaustion under the budget retries and ends the run \
      inconclusive."
@@ -253,7 +244,7 @@ let metrics_arg =
   Arg.(value & opt (some string) None & info [ "metrics" ] ~doc ~docv:"FILE")
 
 let check_cmd =
-  let run design alg scenario max_k full_cex no_incremental no_simp json_file
+  let run design alg scenario max_k full_cex no_simp json_file
       jobs portfolio stats certify cert_jobs cex_vcd conflict_budget
       prop_budget timeout budget_retries budget_escalation checkpoint_file
       resume_file trace_file metrics_file =
@@ -305,7 +296,6 @@ let check_cmd =
       {
         Upec.Options.default with
         Upec.Options.max_k;
-        incremental = not no_incremental;
         simp = not no_simp;
         jobs;
         portfolio;
@@ -367,7 +357,7 @@ let check_cmd =
     (Cmd.info "check" ~doc)
     Term.(
       const run $ design_term $ alg_arg $ scenario_arg $ max_k_arg
-      $ full_cex_arg $ no_incremental_arg $ no_simp_arg $ json_arg $ jobs_arg
+      $ full_cex_arg $ no_simp_arg $ json_arg $ jobs_arg
       $ portfolio_arg $ stats_flag_arg $ certify_arg $ cert_jobs_arg
       $ cex_vcd_arg $ conflict_budget_arg $ prop_budget_arg $ timeout_arg
       $ budget_retries_arg $ budget_escalation_arg $ checkpoint_arg

@@ -54,11 +54,7 @@ let () =
       let ift_verdict, secs = Ift.Formal.analyze ~max_k:2 spec in
       let upec =
         Upec.Alg1.run_with
-          {
-            Upec.Options.default with
-            Upec.Options.incremental = false;
-            max_iterations = 64;
-          }
+          { Upec.Options.default with Upec.Options.max_iterations = 64 }
           spec
       in
       let ift_str =

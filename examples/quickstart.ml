@@ -23,14 +23,9 @@ let () =
      memory accesses modulate a spying IP's progress, which survives
      the context switch in persistent state. *)
   let vuln_spec = Upec.Spec.make soc Upec.Spec.Vulnerable in
-  (* every knob lives in one record; here: a fresh solver session per
-     check, the paper's own per-iteration re-check *)
+  (* every knob lives in one record; here: a tighter iteration cap *)
   let options =
-    {
-      Upec.Options.default with
-      Upec.Options.incremental = false;
-      max_iterations = 64;
-    }
+    { Upec.Options.default with Upec.Options.max_iterations = 64 }
   in
   let vuln_report = Upec.Alg1.run_with options vuln_spec in
   Format.printf "%a@.@." Upec.Report.pp vuln_report;

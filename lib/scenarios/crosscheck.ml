@@ -64,7 +64,9 @@ let run ?options ?stat_init_n ?stat_max_n (s : Scenario.spec) =
         (* replay the formal witness as one empirical sample: the
            counterexample trajectory must reproduce on the concrete
            simulator of the same netlist *)
-        Some (Upec.Replay.check spec.Upec.Spec.soc.Soc.Builder.netlist cex)
+        Some
+          (Certval.validate spec.Upec.Spec.soc.Soc.Builder.netlist cex)
+            .Certval.v_ok
     | _ -> None
   in
   let t0 = Unix.gettimeofday () in

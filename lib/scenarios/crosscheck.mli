@@ -5,7 +5,7 @@
     simulation-scale trials. Agreement is asserted in both directions
     — a formal VULNERABLE must come with a statistically significant
     timing delta {e and} a counterexample that replays on the concrete
-    simulator ({!Upec.Replay.check}); a formal SECURE must come with
+    simulator ({!Certval.validate}); a formal SECURE must come with
     no significant delta. The matrix run treats any disagreement (or a
     formal Inconclusive) as a failure. *)
 

@@ -1,14 +1,6 @@
 open Rtl
 module Svars = Structural.Svar_set
 
-(* The Fig. 3 property on a fresh session: State_Equivalence(S) at
-   cycle 0 implies State_Equivalence(S) at cycle 1. *)
-let check_once ctx spec s =
-  let eng = Refine.engine ctx ~k:1 in
-  Macros.state_equivalence_assume eng spec ~frame:0 s;
-  let goal = Macros.state_equivalence_goal eng spec ~frame:1 s in
-  Refine.decide ctx eng ~goals:[ (1, s) ] (Ipc.Engine.Goal goal)
-
 (* Per-svar condition literals over [s0], computed once per engine:
    eq_sv@0, and diff_sv@1 — or, [armed], an activation literal implying
    diff_sv@1. *)
@@ -34,13 +26,14 @@ let conditions ?(armed = false) eng spec s0 =
 (* eq_sv@0 for every sv of S, in the order every strategy assumes them *)
 let equalities cond s = Svars.fold (fun sv acc -> fst (cond sv) :: acc) s []
 
-(* Incremental variant: one engine for the whole fixed-point loop. The
-   State_Equivalence(S) assumption travels through solver assumptions
-   and each iteration's obligation is armed by an activation literal,
-   so learnt clauses survive across iterations. A hand-over's per-svar
-   worker runs on the same engine: a second one would hold a second
-   copy of the encoding. *)
-let make_incremental_checker ctx spec s0 =
+(* The monolithic checker of the Fig. 3 property, State_Equivalence(S)
+   at cycle 0 implies State_Equivalence(S) at cycle 1: one engine for
+   the whole fixed-point loop. The State_Equivalence(S) assumption
+   travels through solver assumptions and each iteration's obligation
+   is armed by an activation literal, so learnt clauses survive across
+   iterations. A hand-over's per-svar worker runs on the same engine: a
+   second one would hold a second copy of the encoding. *)
+let make_checker ctx spec s0 =
   let eng = Refine.engine ctx ~k:1 in
   let g = Ipc.Engine.graph eng in
   let cond = conditions eng spec s0 in
@@ -80,15 +73,18 @@ let make_worker ctx spec s0 =
 
 let query s (eng, cond) (_, sv) = (eng, snd (cond sv) :: equalities cond s)
 
-let run_with ?initial_s ?resume ?svar_cache (o : Options.t) spec =
-  let ctx = Refine.create Checkpoint.Alg1 ?resume o spec in
+let run_with ?initial ?resume ?svar_cache (o : Options.t) spec =
+  let ctx =
+    Refine.create Checkpoint.Alg1 ?resume
+      ?costliest:(Option.bind initial snd)
+      o spec
+  in
   let s0 =
-    match (Refine.resumed ctx, initial_s) with
+    match (Refine.resumed ctx, initial) with
     | Some (_, frames), _ -> frames.(0)
-    | None, Some s -> s
+    | None, Some (s, _) -> s
     | None, None -> Spec.s_neg_victim spec
   in
-  let worker ~k:_ = make_worker ctx spec s0 in
   Refine.run ctx
     {
       Refine.frontier = (fun s -> { Refine.k = 1; s0 = s; goals = [ (1, s) ] });
@@ -97,11 +93,8 @@ let run_with ?initial_s ?resume ?svar_cache (o : Options.t) spec =
         (fun s per_frame ->
           List.fold_left (fun s (_, s_cex) -> Svars.diff s s_cex) s per_frame);
       save = (fun s -> (1, [| s |]));
-      monolithic =
-        (fun () ->
-          if o.Options.incremental then make_incremental_checker ctx spec s0
-          else (check_once ctx spec, worker));
-      worker;
+      monolithic = (fun () -> make_checker ctx spec s0);
+      worker = (fun ~k:_ -> make_worker ctx spec s0);
       query;
       lemmas =
         (fun s ->

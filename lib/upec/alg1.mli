@@ -32,7 +32,7 @@ type svar_cache = {
     which no per-svar lemma answers. *)
 
 val run_with :
-  ?initial_s:Structural.Svar_set.t ->
+  ?initial:Structural.Svar_set.t * int option ->
   ?resume:Checkpoint.t ->
   ?svar_cache:svar_cache ->
   Options.t ->
@@ -40,8 +40,11 @@ val run_with :
   Report.run
 (** Every knob lives in {!Options.t}
     (strategy, problem reduction, certification, budgets, checkpoints
-    — see there). [initial_s] overrides the starting set (used by
-    {!Alg2.conclude_with} for the final induction); [resume] restarts
+    — see there). [initial = (s, costliest)] starts from [s] instead
+    of S_not_victim and seeds the hand-over cap with [costliest], the
+    conflicts of an earlier phase's costliest monolithic check ([None]:
+    it made none, and the first check runs uncapped); it is how
+    {!Alg2.conclude_with} runs the final induction. [resume] restarts
     from a checkpoint, verifying its config hash ([Invalid_argument]
     on mismatch) — the final verdict is identical to an uninterrupted
     run's. [Options.max_k] and [Options.reset_start] are Alg2-only and
@@ -52,10 +55,9 @@ val run_with :
     (verdicts are semantic facts, so the refinement trace and verdict
     are identical for every job count); [None] runs one monolithic
     check per iteration, reusing a single warm solver session across
-    iterations when [Options.incremental] is set, until a check
-    reaches the hand-over cap (see {!Options.t.jobs}). That iteration
-    and every later one then run per-svar on one worker, on the warm
-    session's own engine when there is one.
+    iterations, until a check reaches the hand-over cap (see
+    {!Options.t.jobs}). That iteration and every later one then run
+    per-svar on one worker, on the warm session's own engine.
 
     {b Resource governance.} Every SAT call runs under
     [Options.budget] with escalating retries; a svar still undecided

@@ -25,11 +25,6 @@ let decide_unrolled ctx eng spec ((k, sf) as st) =
   done;
   Refine.decide ctx eng ~goals:(goals st) (Ipc.Engine.Goal !goal)
 
-let check_once ctx spec ((k, sf) as st) =
-  let eng = Refine.engine ctx ~k in
-  Macros.state_equivalence_assume eng spec ~frame:0 sf.(0);
-  decide_unrolled ctx eng spec st
-
 (* Per-(cycle, svar) worker state: one activation literal per pair
    (j, sv) arming diff_sv@j, for every sv of [s0] and j = 1..k, on an
    engine whose frames 0..k are constrained and whose frame-0
@@ -53,7 +48,7 @@ let arm ?(acts = Hashtbl.create 1024) eng spec s0 k =
   done;
   (eng, acts)
 
-(* Incremental monolithic session: one engine across iterations AND
+(* The monolithic checker: one engine across iterations AND
    unroll-depth growth. Frame-0 equivalence is asserted once (sound —
    the cycle-0 set never shrinks); when k grows, only the new frame's
    environment and input constraints are appended. Learnt clauses and
@@ -62,7 +57,7 @@ let arm ?(acts = Hashtbl.create 1024) eng spec s0 k =
    engine: a second one would hold a second copy of the encoding. *)
 type session = { i_eng : Ipc.Engine.t; mutable i_frames : int }
 
-let make_incremental_checker ctx spec s0 =
+let make_checker ctx spec s0 =
   let session = ref None in
   (* the session's engine, constrained over frames 0..k *)
   let at_depth k =
@@ -102,7 +97,8 @@ let make_worker ctx spec s0 k =
   Macros.state_equivalence_assume eng spec ~frame:0 s0;
   arm eng spec s0 k
 
-let run_with ?resume (o : Options.t) spec =
+(* the run, with its hand-over cap state at the end *)
+let run ?resume (o : Options.t) spec =
   let ctx = Refine.create Checkpoint.Alg2 ?resume o spec in
   let s0 = Spec.s_neg_victim spec in
   let outcome = ref Gave_up in
@@ -126,7 +122,6 @@ let run_with ?resume (o : Options.t) spec =
       Refine.Stop (Report.Inconclusive "max unrolling reached")
     else Refine.Next (k + 1, Array.append sf [| sf.(k) |])
   in
-  let worker ~k = make_worker ctx spec s0 k in
   let report =
     Refine.run ctx
       {
@@ -139,11 +134,8 @@ let run_with ?resume (o : Options.t) spec =
             List.iter (fun (j, v) -> sf.(j) <- Svars.diff sf.(j) v) per_frame;
             (k, sf));
         save = Fun.id;
-        monolithic =
-          (fun () ->
-            if o.Options.incremental then make_incremental_checker ctx spec s0
-            else (check_once ctx spec, worker));
-        worker;
+        monolithic = (fun () -> make_checker ctx spec s0);
+        worker = (fun ~k -> make_worker ctx spec s0 k);
         query =
           (fun _ (eng, acts) (j, sv) ->
             (eng, [ Hashtbl.find acts (j, Structural.svar_name sv) ]));
@@ -152,14 +144,22 @@ let run_with ?resume (o : Options.t) spec =
       (match Refine.resumed ctx with Some st -> st | None -> (1, [| s0; s0 |]))
   in
   ( report,
-    match report.Report.verdict with
+    (match report.Report.verdict with
     | Report.Vulnerable _ -> Found_vulnerable
-    | _ -> !outcome )
+    | _ -> !outcome),
+    Refine.costliest ctx )
+
+let run_with ?resume o spec =
+  let report, outcome, _ = run ?resume o spec in
+  (report, outcome)
 
 (* [svar_cache] feeds only the induction phase: its obligations are
    exactly Alg. 1's 2-cycle per-svar checks, so farm lemmas apply
    verbatim. The unrolled phase's (frame, svar) obligations live in a
-   k-deep formula no 2-cycle lemma answers — they always solve. *)
+   k-deep formula no 2-cycle lemma answers — they always solve. The
+   induction inherits the unrolled phase's hand-over cap state, so its
+   first check is capped like any later check of one run; a per-svar
+   unrolled phase makes no monolithic check and seeds nothing. *)
 let conclude_with ?resume ?svar_cache (o : Options.t) spec =
   match resume with
   | Some ck when ck.Checkpoint.ck_alg = Checkpoint.Alg1 ->
@@ -167,8 +167,8 @@ let conclude_with ?resume ?svar_cache (o : Options.t) spec =
          checkpoint was written: resume the induction directly *)
       Refine.concluded (Alg1.run_with ~resume:ck ?svar_cache o spec)
   | _ -> (
-      match run_with ?resume o spec with
-      | report, (Found_vulnerable | Gave_up) -> report
-      | report, Hold { s_final; k = _ } ->
+      match run ?resume o spec with
+      | report, (Found_vulnerable | Gave_up), _ -> report
+      | report, Hold { s_final; k = _ }, costliest ->
           Refine.concluded ~unrolled:report
-            (Alg1.run_with ~initial_s:s_final ?svar_cache o spec))
+            (Alg1.run_with ~initial:(s_final, costliest) ?svar_cache o spec))

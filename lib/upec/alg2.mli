@@ -29,15 +29,14 @@ val run_with :
     property only assumes equivalence at cycle 0 — a set that never
     shrinks — so pair verdicts are semantic and the trace is identical
     for every job count. [Options.jobs = None] runs one monolithic
-    check per iteration; with [Options.incremental] set, a single warm
-    solver session is reused across iterations {e and} across
-    unroll-depth growth — when the depth grows only the new frame's
-    constraints are appended, and the shrinking per-cycle goal travels
-    on solver assumptions, so learnt clauses survive the whole
-    refinement. A check that reaches the hand-over cap (see
-    {!Options.t.jobs}) hands that iteration and every later one to the
-    per-svar round on one worker, on the warm session's own engine
-    when there is one.
+    check per iteration on a single warm solver session, reused across
+    iterations {e and} across unroll-depth growth — when the depth
+    grows only the new frame's constraints are appended, and the
+    shrinking per-cycle goal travels on solver assumptions, so learnt
+    clauses survive the whole refinement. A check that reaches the
+    hand-over cap (see {!Options.t.jobs}) hands that iteration and
+    every later one to the per-svar round on one worker, on the warm
+    session's own engine.
 
     {b Problem reduction.} [Options.simp] (on by default) restricts
     witness-free solves to the cone of influence of the property; it
@@ -76,11 +75,18 @@ val conclude_with :
     (certification and reduction accounting from both phases is
     summed).
 
+    The induction inherits the unrolled phase's hand-over cap state
+    (see {!Options.t.jobs}): its first monolithic check is capped at
+    [max 4096 (2 × the conflicts of the unrolled phase's costliest
+    monolithic check)] and, when the cap stops it, hands over to the
+    per-svar round like any later check of one run. A per-svar
+    unrolled phase makes no monolithic check and seeds nothing.
+
     With [Options.checkpoint_file], the unrolled phase writes Alg2
     checkpoints and the induction phase overwrites them with Alg1
     checkpoints; a [resume] checkpoint of either kind is routed to the
     right phase (an Alg1 checkpoint skips the unrolled phase
-    entirely).
+    entirely, so the resumed induction's first check is uncapped).
 
     [svar_cache] memoises the induction phase's per-svar checks (see
     {!Alg1.svar_cache}); the unrolled phase never consults it — its

@@ -154,7 +154,6 @@ let options_to_json ~alg (o : Options.t) =
       ("alg", Json.Int alg);
       ("max_iterations", Json.Int o.Options.max_iterations);
       ("max_k", Json.Int o.Options.max_k);
-      ("incremental", Json.Bool o.Options.incremental);
       ("simp", Json.Bool o.Options.simp);
       ( "jobs",
         match o.Options.jobs with Some n -> Json.Int n | None -> Json.Null );
@@ -185,7 +184,6 @@ let options_of_json j =
       d with
       Options.max_iterations = get_int j "max_iterations" d.Options.max_iterations;
       max_k = get_int j "max_k" d.Options.max_k;
-      incremental = get_bool j "incremental" d.Options.incremental;
       simp = get_bool j "simp" d.Options.simp;
       jobs;
       portfolio = get_int j "portfolio" d.Options.portfolio;

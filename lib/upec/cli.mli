@@ -77,4 +77,6 @@ val options_of_json : Json.t -> int * Options.t
     process-local fields ([should_stop], [checkpoint_file], [cex_vcd],
     [solver_options]) are not part of the wire format and come back as
     the {!Options.default} values. [jobs] is kept literal — apply
-    {!resolve_jobs} at the execution site. *)
+    {!resolve_jobs} at the execution site. Members it does not read are
+    ignored, so a job that still carries a dropped member (such as
+    [incremental]) parses, and keys, as the same job without it. *)

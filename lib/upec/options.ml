@@ -4,7 +4,6 @@ type t = {
   max_iterations : int;
   max_k : int;
   solver_options : S.options option;
-  incremental : bool;
   simp : bool;
   jobs : int option;
   portfolio : int;
@@ -24,7 +23,6 @@ let default =
     max_iterations = 128;
     max_k = 8;
     solver_options = None;
-    incremental = true;
     simp = true;
     jobs = None;
     portfolio = 1;
@@ -38,11 +36,3 @@ let default =
     should_stop = None;
     reset_start = false;
   }
-
-let pp fmt o =
-  Format.fprintf fmt
-    "@[<h>incremental=%b simp=%b jobs=%s portfolio=%d certify=%b \
-     cert_jobs=%d reset_start=%b max_k=%d max_iterations=%d@]"
-    o.incremental o.simp
-    (match o.jobs with Some j -> string_of_int j | None -> "none")
-    o.portfolio o.certify o.cert_jobs o.reset_start o.max_k o.max_iterations

@@ -10,21 +10,6 @@ type t = {
   max_iterations : int;  (** refinement-iteration cap (default 128) *)
   max_k : int;  (** Alg2 unrolling-depth cap (default 8) *)
   solver_options : Satsolver.Solver.options option;
-  incremental : bool;
-      (** reuse one solver session across the default strategy's
-          monolithic checks — assumptions and activation literals
-          instead of fresh engines — keeping learnt clauses and
-          branching heuristics warm (default [true]). [false] gives
-          every check a fresh session, the paper's own per-iteration
-          re-check. A SECURE proof's final inductive check reaches the
-          hand-over cap in either mode (see [jobs]); a warm session
-          then lends its engine to the per-svar worker, a fresh run
-          builds one. Warm sessions win every row of bench A5: they
-          find counterexamples 2–4× faster and finish proofs in fewer
-          conflicts. Ignored under [jobs = Some _]: the per-svar
-          strategy is already incremental within each worker. Verdict
-          classes are unaffected; the reported witness set of a
-          monolithic run may differ (both are correct). *)
   simp : bool;
       (** cone-of-influence problem reduction for witness-free solves
           (default [true]); never changes verdicts or counterexamples —
@@ -32,20 +17,24 @@ type t = {
   jobs : int option;
       (** [Some j] selects the per-svar strategy on [j] workers from the
           first iteration. [None] (default) selects the default
-          strategy: one monolithic check per iteration until a check
-          reaches the hand-over cap, then per-svar on one worker for
-          that iteration and every later one. A run's first check is
-          uncapped; each later one is capped at
-          [max 4096 (2 × the costliest earlier check's conflicts)],
-          counting every retry of a check. The cap applies to a check
-          only when it is below [budget]'s conflict limit; otherwise the
-          check runs under [budget] alone, takes the retry path and,
-          still undecided, ends the run Inconclusive as before. The report's procedure names the
-          hand-over iteration, e.g. [UPEC-SSC (Alg. 1, incremental,
-          per-svar from iteration 7)]. Detection runs stay monolithic,
-          where they find witnesses in a few thousand conflicts; proofs
-          hand their final inductive check to per-svar, which needs
-          about half the conflicts. *)
+          strategy: one monolithic check per iteration, all on one warm
+          solver session (assumptions and activation literals keep
+          learnt clauses and branching heuristics across iterations),
+          until a check reaches the hand-over cap; then per-svar on one
+          worker, on that session's engine, for that iteration and every
+          later one. A run's first check is uncapped; each later one is
+          capped at [max 4096 (2 × the costliest earlier check's
+          conflicts)], counting every retry of a check. The induction of
+          {!Alg2.conclude_with} inherits the unrolled phase's costliest
+          check, so its first check is capped too. The cap applies to a
+          check only when it is below [budget]'s conflict limit;
+          otherwise the check runs under [budget] alone, takes the retry
+          path and, still undecided, ends the run Inconclusive as
+          before. The report's procedure names the hand-over iteration,
+          e.g. [UPEC-SSC (Alg. 1, incremental, per-svar from iteration
+          7)]. Detection runs stay monolithic, where they find witnesses
+          in a few thousand conflicts; proofs hand their final inductive
+          check to per-svar, which needs about half the conflicts. *)
   portfolio : int;  (** solver configurations raced per SAT call *)
   certify : bool;  (** self-checking verdicts (DRUP / model / replay) *)
   cert_jobs : int;
@@ -63,6 +52,3 @@ type t = {
 }
 
 val default : t
-
-val pp : Format.formatter -> t -> unit
-(** One-line summary of the strategy-determining fields. *)

@@ -25,7 +25,8 @@ type t = {
   mutable steps : Report.step list;  (* reverse order *)
   mutable cex_validated : bool option;
   (* conflicts of the costliest monolithic decision so far; [None]
-     until the first one, which runs uncapped (see [decide]) *)
+     until the first one, which runs uncapped (see [decide]), unless
+     the run inherits an unrolled phase's *)
   mutable costliest : int option;
   (* the iteration at which the default strategy handed over to the
      per-svar round *)
@@ -53,9 +54,9 @@ let procedure ctx =
     match (o.Options.jobs, ctx.handover) with
     | Some _, _ -> [ "per-svar" ]
     | None, handover ->
-        (if o.Options.incremental then [ "incremental" ] else [])
-        @ List.map (Printf.sprintf "per-svar from iteration %d")
-            (Option.to_list handover)
+        "incremental"
+        :: List.map (Printf.sprintf "per-svar from iteration %d")
+             (Option.to_list handover)
   in
   String.concat ", " (base :: strategy) ^ ")"
 
@@ -95,7 +96,7 @@ let resolve_names tbl names ~what =
             (Printf.sprintf "%s: checkpoint names unknown state var %s" what n))
     Svars.empty names
 
-let create alg ?resume (o : Options.t) spec =
+let create alg ?resume ?costliest (o : Options.t) spec =
   let t0 = Unix.gettimeofday () in
   let config_hash = lazy (Checkpoint.config_hash ~alg spec) in
   let undecided = Hashtbl.create 64 in
@@ -148,11 +149,12 @@ let create alg ?resume (o : Options.t) spec =
     undecided;
     steps = [];
     cex_validated = None;
-    costliest = None;
+    costliest;
     handover = None;
   }
 
 let resumed ctx = ctx.resumed
+let costliest ctx = ctx.costliest
 
 let stopped ctx =
   match ctx.o.Options.should_stop with Some f -> f () | None -> false
@@ -255,7 +257,8 @@ type check =
 type decision = check solved
 
 (* The hand-over cap of the default strategy. A run's first monolithic
-   decision is uncapped; every later one is capped at [handover_factor]
+   decision is uncapped, unless the run inherits the costliest decision
+   of an unrolled phase; every later one is capped at [handover_factor]
    times the conflicts of the costliest decision so far, at least
    [handover_floor]. Monolithic refinement finds a witness in a few
    thousand conflicts, while a proof's last, inductive UNSAT check can

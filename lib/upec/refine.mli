@@ -23,14 +23,26 @@ type t
 (** One run of one algorithm: options, spec, resume state, engine
     registry, degraded obligations and the steps recorded so far. *)
 
-val create : Checkpoint.alg -> ?resume:Checkpoint.t -> Options.t -> Spec.t -> t
+val create :
+  Checkpoint.alg ->
+  ?resume:Checkpoint.t ->
+  ?costliest:int ->
+  Options.t ->
+  Spec.t ->
+  t
 (** Start a run. With [resume], the checkpoint must have been written
     by the same algorithm under the same config hash, and every svar
-    it names must exist; [Invalid_argument] otherwise. *)
+    it names must exist; [Invalid_argument] otherwise. [costliest]
+    seeds the hand-over cap state (see {!decide}) with the conflicts
+    of an earlier phase's costliest monolithic decision. *)
 
 val resumed : t -> (int * Structural.Svar_set.t array) option
 (** The resumed checkpoint's unroll depth and candidate sets (Alg. 1
     has one set; Alg. 2 one per cycle [0..k]). *)
+
+val costliest : t -> int option
+(** The hand-over cap state: the conflicts of the costliest monolithic
+    decision so far, the seed included; [None] before the first. *)
 
 val engine : t -> k:int -> Ipc.Engine.t
 (** A registered two-instance session for the property unrolled to
@@ -54,13 +66,13 @@ val decide :
   decision
 (** One monolithic decision under [Options.budget] with escalating
     retries (an interrupt is never retried); its work counts every
-    attempt. The run's first decision is otherwise unlimited; every
-    later one is capped at
+    attempt. The run's first decision is otherwise unlimited unless
+    {!create} seeded the cap state; every later one is capped at
     [max 4096 (2 × the costliest decision's conflicts so far)] when
     that is below the budget's conflict limit, and a decision the cap
-    stops hands the run over to the per-svar round (see {!run}). A model's divergences
-    are read against [goals]: per cycle, the set that must stay
-    equal. *)
+    stops hands the run over to the per-svar round (see {!run}). A
+    model's divergences are read against [goals]: per cycle, the set
+    that must stay equal. *)
 
 type obligation = int * Structural.svar
 (** [(j, sv)]: can [sv] differ at cycle [j]? Alg. 1 asks at cycle 1
@@ -94,9 +106,8 @@ type ('st, 'w) property = {
       (** the checkpointed unroll depth and candidate sets *)
   monolithic : unit -> ('st -> decision) * (k:int -> 'w);
       (** default strategy: called once, before the first iteration,
-          to build the monolithic checker of the whole run and the
-          worker a hand-over runs on, which may reuse the checker's
-          session *)
+          to build the monolithic checker of the whole run, one warm
+          session, and the worker a hand-over runs on that session *)
   worker : k:int -> 'w;
       (** per-svar strategy: one per pool domain and unroll depth *)
   query : 'st -> 'w -> obligation -> Ipc.Engine.t * Aig.lit list;

@@ -1,71 +1,1 @@
-open Rtl
-
-type mismatch = {
-  mm_instance : Ipc.Unroller.instance;
-  mm_frame : int;
-  mm_svar : Structural.svar;
-  mm_expected : Bitvec.t;
-  mm_simulated : Bitvec.t;
-}
-
-let load_state nl eng cex inst =
-  List.iter
-    (fun (s : Expr.signal) ->
-      Sim.Engine.set_param eng s.Expr.s_name (Ipc.Cex.param_value cex s))
-    nl.Netlist.params;
-  Structural.Svar_set.iter
-    (fun sv ->
-      let v = Ipc.Cex.svar_value cex inst ~frame:0 sv in
-      match sv with
-      | Structural.Sreg s -> Sim.Engine.poke_reg eng s.Expr.s_name v
-      | Structural.Smem (m, i) -> Sim.Engine.poke_mem eng m.Expr.m_name i v)
-    (Structural.all_svars nl)
-
-let replay nl cex =
-  let k = Ipc.Cex.frames cex in
-  let instances =
-    if Ipc.Cex.two_instance cex then [ Ipc.Unroller.A; Ipc.Unroller.B ]
-    else [ Ipc.Unroller.A ]
-  in
-  let mismatches = ref [] in
-  List.iter
-    (fun inst ->
-      let eng = Sim.Engine.create nl in
-      load_state nl eng cex inst;
-      for frame = 1 to k do
-        List.iter
-          (fun (s : Expr.signal) ->
-            Sim.Engine.set_input eng s.Expr.s_name
-              (Ipc.Cex.input_value cex inst ~frame:(frame - 1) s))
-          nl.Netlist.inputs;
-        Sim.Engine.step eng;
-        Structural.Svar_set.iter
-          (fun sv ->
-            let expected = Ipc.Cex.svar_value cex inst ~frame sv in
-            let simulated =
-              match sv with
-              | Structural.Sreg s -> Sim.Engine.reg_value eng s.Expr.s_name
-              | Structural.Smem (m, i) ->
-                  Sim.Engine.mem_value eng m.Expr.m_name i
-            in
-            if not (Bitvec.equal expected simulated) then
-              mismatches :=
-                {
-                  mm_instance = inst;
-                  mm_frame = frame;
-                  mm_svar = sv;
-                  mm_expected = expected;
-                  mm_simulated = simulated;
-                }
-                :: !mismatches)
-          (Structural.all_svars nl)
-      done)
-    instances;
-  List.rev !mismatches
-
-let check nl cex = replay nl cex = []
-
-let pp_mismatch fmt mm =
-  Format.fprintf fmt "instance %a, cycle %d, %a: cex=%a sim=%a"
-    Ipc.Unroller.pp_instance mm.mm_instance mm.mm_frame Structural.pp_svar
-    mm.mm_svar Bitvec.pp mm.mm_expected Bitvec.pp mm.mm_simulated
+let check nl cex = (Certval.validate nl cex).Certval.v_ok

@@ -1,27 +1,10 @@
 open Rtl
 
-(** Replaying formal counterexamples on the concrete simulator.
-
-    A two-instance counterexample is only as trustworthy as the
-    bit-blasting and unrolling that produced it. This module closes the
-    loop: it loads the counterexample's cycle-0 state and parameters
-    into two ordinary simulator instances, drives the recorded inputs,
-    and checks that the simulated state trajectory matches the
-    counterexample frame by frame. A mismatch would indicate a bug in
-    the formal stack (or a non-deterministic netlist). *)
-
-type mismatch = {
-  mm_instance : Ipc.Unroller.instance;
-  mm_frame : int;
-  mm_svar : Structural.svar;
-  mm_expected : Bitvec.t;  (** value in the counterexample *)
-  mm_simulated : Bitvec.t;
-}
-
-val replay : Netlist.t -> Ipc.Cex.t -> mismatch list
-(** Empty when the simulator reproduces the counterexample exactly. *)
+(** Replaying a formal counterexample on the concrete simulator. *)
 
 val check : Netlist.t -> Ipc.Cex.t -> bool
-(** [check nl cex] is [replay nl cex = []]. *)
-
-val pp_mismatch : Format.formatter -> mismatch -> unit
+(** [check nl cex] is [(Certval.validate nl cex).v_ok]: the simulator
+    reproduces the counterexample's state trajectory frame by frame.
+    Kept only because the layer ledger's [detect] workload
+    (bench/ledger/ledger.ml) calls it; everything else calls
+    {!Certval.validate}, which also reports the mismatches. *)

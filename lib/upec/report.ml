@@ -195,7 +195,6 @@ let options_json (o : Options.t) =
           (match o.Options.solver_options with
           | Some _ -> "custom"
           | None -> "default") );
-      ("incremental", Json.Bool o.Options.incremental);
       ("simp", Json.Bool o.Options.simp);
       ("jobs", opt (fun j -> Json.Int j) o.Options.jobs);
       ("portfolio", Json.Int o.Options.portfolio);

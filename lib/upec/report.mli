@@ -55,8 +55,8 @@ type cache_info = {
 type run = {
   procedure : string;
       (** the procedure and strategy that produced the run, built by
-          {!Refine}, with [S] one of [""] (fresh monolithic sessions),
-          [", incremental"] or [", per-svar"], the first two followed
+          {!Refine}, with [S] one of [", incremental"] (the default
+          strategy's warm session) or [", per-svar"], the first followed
           by [", per-svar from iteration N"] when the default strategy
           handed over at iteration N:
           - ["UPEC-SSC (Alg. 1S)"] — {!Alg1.run_with};

@@ -11,9 +11,8 @@ module Proof = Cert.Proof
 module Rup = Cert.Rup
 module O = Upec.Options
 
-(* a fresh solver session per check; Alg. 1 capped at 64 iterations *)
-let alg1_fresh = { O.default with O.incremental = false; max_iterations = 64 }
-let alg2_fresh = { O.default with O.incremental = false }
+(* Alg. 1 capped at 64 iterations *)
+let alg1_opts = { O.default with O.max_iterations = 64 }
 
 let lit v s = L.make v s
 
@@ -506,7 +505,7 @@ let vulnerable_cex =
   let fresh () =
     let soc = Soc.Builder.build Soc.Config.formal_tiny Soc.Builder.Formal in
     let spec = Upec.Spec.make soc Upec.Spec.Vulnerable in
-    let r = Upec.Alg1.run_with alg1_fresh spec in
+    let r = Upec.Alg1.run_with alg1_opts spec in
     match r.Upec.Report.verdict with
     | Upec.Report.Vulnerable { s_cex; cex } ->
         (soc.Soc.Builder.netlist, s_cex, cex)
@@ -621,7 +620,7 @@ let cert_of r =
 let test_certified_alg1_vulnerable () =
   let r =
     Upec.Alg1.run_with
-      { alg1_fresh with O.certify = true }
+      { alg1_opts with O.certify = true }
       (tiny_spec Upec.Spec.Vulnerable)
   in
   Alcotest.(check bool) "vulnerable" true (Upec.Report.is_vulnerable r);
@@ -634,7 +633,7 @@ let test_certified_alg1_vulnerable () =
 let test_certified_alg1_secure () =
   let r =
     Upec.Alg1.run_with
-      { alg1_fresh with O.certify = true }
+      { alg1_opts with O.certify = true }
       (micro_spec Upec.Spec.Secure)
   in
   Alcotest.(check bool) "secure" true (Upec.Report.is_secure r);
@@ -654,7 +653,7 @@ let test_certified_alg1_jobs_and_portfolio () =
     (fun (label, jobs, portfolio) ->
       let r =
         Upec.Alg1.run_with
-          { alg1_fresh with O.certify = true; jobs; portfolio }
+          { alg1_opts with O.certify = true; jobs; portfolio }
           (micro_spec Upec.Spec.Secure)
       in
       Alcotest.(check bool) (label ^ ": secure") true (Upec.Report.is_secure r);
@@ -694,7 +693,7 @@ let test_certified_alg1_pipelined () =
   Alcotest.(check bool) "sequential has no epochs" true (ts.Proof.epochs = 0)
 
 let test_certified_alg2 () =
-  let certified = { alg2_fresh with O.certify = true } in
+  let certified = { O.default with O.certify = true } in
   let r = Upec.Alg2.conclude_with certified (tiny_spec Upec.Spec.Vulnerable) in
   Alcotest.(check bool) "vulnerable" true (Upec.Report.is_vulnerable r);
   let c = cert_of r in

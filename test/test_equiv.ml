@@ -1,19 +1,18 @@
 (* Equivalence suite for the problem-reduction pipeline.
 
    The reduction layer (cone-of-influence + obligation dropping for
-   witness-free solves) and the incremental solver sessions are pure
-   accelerations: with [simp] off the verdict — including the
-   counterexample waveform — must be bit-identical, and with
-   [incremental] off the verdict class must agree (witness sets of
-   monolithic refinement may differ; both are correct). Exercised on
-   the two example SoCs (examples/busted_dma_timer.ml: the Fig. 1
-   DMA + timer platform = formal netlist with the full persistence
-   model; examples/busted_hwpe_memory.ml: the Sec. 4.1 HWPE + memory
-   variant = DMA disabled, memory-only persistence), including
-   certified and interrupted-then-resumed runs. Also the shape and
-   round-trip checks of the schema-3 JSON report, golden traces
-   pinning every strategy of both procedures bit for bit, and the step
-   accounting and fixed point of the default strategy's hand-over. *)
+   witness-free solves) is a pure acceleration: with [simp] off the
+   verdict — including the counterexample waveform — must be
+   bit-identical. Exercised on the two example SoCs
+   (examples/busted_dma_timer.ml: the Fig. 1 DMA + timer platform =
+   formal netlist with the full persistence model;
+   examples/busted_hwpe_memory.ml: the Sec. 4.1 HWPE + memory variant =
+   DMA disabled, memory-only persistence), including certified and
+   interrupted-then-resumed runs. Also the shape and round-trip checks
+   of the schema-3 JSON report, golden traces pinning every strategy of
+   both procedures bit for bit, and the step accounting and fixed point
+   of the default strategy's hand-over, within one run and from Alg. 2's
+   unrolled phase to its induction. *)
 
 open Rtl
 module O = Upec.Options
@@ -153,24 +152,6 @@ let test_resume_simp_equiv () =
       Alcotest.(check string)
         "resumed verdict = uninterrupted verdict" (repr_verdict baseline)
         (repr_verdict resumed))
-
-(* ---- incremental sessions vs fresh solvers: same verdict class ---- *)
-
-let test_incremental_vs_fresh () =
-  let alg1 incremental =
-    Upec.Alg1.run_with
-      { O.default with O.incremental }
-      (dma_timer Upec.Spec.Vulnerable)
-  in
-  Alcotest.(check bool) "alg1 both vulnerable" true
-    (Upec.Report.is_vulnerable (alg1 true)
-    && Upec.Report.is_vulnerable (alg1 false));
-  let alg2 incremental =
-    fst (Upec.Alg2.run_with { O.default with O.incremental } (hwpe_memory ()))
-  in
-  Alcotest.(check bool) "alg2 both vulnerable" true
-    (Upec.Report.is_vulnerable (alg2 true)
-    && Upec.Report.is_vulnerable (alg2 false))
 
 (* ---- schema-3 JSON report ---- *)
 
@@ -325,7 +306,6 @@ let alg2 ?(stats = true) o spec =
   golden_repr ~stats r ^ "\n" ^ repr_outcome outcome
 
 let conclude o spec = golden_repr (Upec.Alg2.conclude_with o spec)
-let fresh = { O.default with O.incremental = false }
 let bmc_k2 = { O.default with O.reset_start = true; max_k = 2 }
 let j1 = { O.default with O.jobs = Some 1 }
 let j2 = { O.default with O.jobs = Some 2 }
@@ -369,6 +349,12 @@ let countermeasure_default =
 let countermeasure_alg2 =
   lazy (metered (fun () -> run_alg2 O.default (countermeasure ())))
 
+(* Alg. 2 and its induction: the unrolled phase hands over at iteration
+   7, and the induction inherits its cap state *)
+let countermeasure_conclude =
+  lazy
+    (metered (fun () -> Upec.Alg2.conclude_with O.default (countermeasure ())))
+
 (* per-svar run answering every check it can from an in-memory lemma
    table filled by a first, uncached run *)
 let cached_rerun o spec =
@@ -389,9 +375,6 @@ let golden_cases =
     ( "hwpe alg1 incremental",
       "02888f658a3522df080158fa50e2d196",
       fun () -> alg1 O.default (hwpe_memory ()) );
-    ( "hwpe alg1 fresh",
-      "c1bbe0cc13aa50293e1ce8790f6bdf34",
-      fun () -> alg1 fresh (hwpe_memory ()) );
     ( "hwpe alg1 per-svar j1",
       "ce9999e715d2162ca5f53322e5dfd43c",
       fun () -> alg1 j1 (hwpe_memory ()) );
@@ -404,9 +387,6 @@ let golden_cases =
     ( "hwpe alg2 incremental",
       "f424dcc880f741a5a46a4635388af510",
       fun () -> alg2 O.default (hwpe_memory ()) );
-    ( "hwpe alg2 fresh",
-      "bfd3b8c11169ba471ec4548dabb4ea02",
-      fun () -> alg2 fresh (hwpe_memory ()) );
     ( "hwpe alg2 per-svar j1",
       "ab769062975d26f6e0424e89e48176e9",
       fun () -> alg2 j1 (hwpe_memory ()) );
@@ -430,9 +410,6 @@ let golden_cases =
     ( "micro alg1 incremental",
       "daf4b250a1985d98bdec3a0a9febe94a",
       fun () -> alg1 O.default (micro_secure ()) );
-    ( "micro alg1 fresh",
-      "b55fab71f25fbc81066f1297fbe4c328",
-      fun () -> alg1 fresh (micro_secure ()) );
     ( "micro alg1 per-svar j1",
       "57738ec143c13987a39460c0899de367",
       fun () -> alg1 j1 (micro_secure ()) );
@@ -456,9 +433,6 @@ let golden_cases =
     ( "micro conclude incremental",
       "5ee908c08ea534699e50940962b8598b",
       fun () -> conclude O.default (micro_secure ()) );
-    ( "micro conclude fresh",
-      "f74daca4150d393805fa392e691def0b",
-      fun () -> conclude fresh (micro_secure ()) );
     ( "micro conclude per-svar j1",
       "981c24c2f9899c1e310d83743ea11a0a",
       fun () -> conclude j1 (micro_secure ()) );
@@ -490,13 +464,12 @@ let s_final (r : Upec.Report.run) =
    steps' conflicts add up to the solver's: the per-svar workers' own
    solves (the unrolled phase rebuilds its worker at every depth), and
    a hand-over step that carries its capped check. *)
-let test_step_conflicts () =
-  let check what (r, spent) =
-    Alcotest.(check int) (what ^ ": step conflicts") spent (step_conflicts r)
-  in
-  check "conclude per-svar j1"
-    (metered (fun () -> Upec.Alg2.conclude_with j1 (micro_secure ())));
-  check "hand-over" (Lazy.force countermeasure_default)
+let test_step_conflicts runs () =
+  List.iter
+    (fun (what, run) ->
+      let r, spent = Lazy.force run in
+      Alcotest.(check int) (what ^ ": step conflicts") spent (step_conflicts r))
+    runs
 
 (* The hand-over proves the per-svar strategy's fixed point. *)
 let test_handover_s_final () =
@@ -546,8 +519,17 @@ let test_budget_below_cap () =
     "steps + undecided check" spent
     (step_conflicts r + 1024 + 4096 + 16384)
 
-let golden_test (name, expected, run) =
-  Alcotest.test_case name `Quick (fun () ->
+(* The induction of a default-strategy conclude reaches the fixed point
+   of the per-svar conclude. *)
+let test_conclude_s_final () =
+  let r, _ = Lazy.force countermeasure_conclude in
+  Alcotest.(check string)
+    "s_final of the per-svar conclude"
+    (s_final (Upec.Alg2.conclude_with j1 (countermeasure ())))
+    (s_final r)
+
+let golden_test ?(speed = `Quick) (name, expected, run) =
+  Alcotest.test_case name speed (fun () ->
       let text = run () in
       let digest = Digest.to_hex (Digest.string text) in
       if digest <> expected then
@@ -570,11 +552,6 @@ let () =
           Alcotest.test_case "interrupt+resume verdict preserved" `Slow
             test_resume_simp_equiv;
         ] );
-      ( "incremental",
-        [
-          Alcotest.test_case "incremental vs fresh verdict class" `Quick
-            test_incremental_vs_fresh;
-        ] );
       ( "json",
         [ Alcotest.test_case "schema-3 round-trip and shape" `Quick
             test_json_roundtrip;
@@ -585,12 +562,31 @@ let () =
       ( "handover",
         [
           Alcotest.test_case "step conflicts sum to the solver's" `Quick
-            test_step_conflicts;
+            (test_step_conflicts
+               [
+                 ( "conclude per-svar j1",
+                   lazy
+                     (metered (fun () ->
+                          Upec.Alg2.conclude_with j1 (micro_secure ()))) );
+                 ("hand-over", countermeasure_default);
+               ]);
           Alcotest.test_case "s_final equals per-svar's" `Quick
             test_handover_s_final;
           Alcotest.test_case "alg2 hands over on its session" `Slow
             test_alg2_handover;
           Alcotest.test_case "budget below the cap keeps retries" `Quick
             test_budget_below_cap;
+        ] );
+      ( "inherit-cap",
+        [
+          Alcotest.test_case "step conflicts sum to the solver's" `Slow
+            (test_step_conflicts [ ("conclude", countermeasure_conclude) ]);
+          Alcotest.test_case "s_final equals per-svar conclude's" `Slow
+            test_conclude_s_final;
+          golden_test ~speed:`Slow
+            ( "countermeasure conclude",
+              "ddd8a6b7d97da8f831c17da9f32639d2",
+              fun () -> golden_repr (fst (Lazy.force countermeasure_conclude))
+            );
         ] );
     ]

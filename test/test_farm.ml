@@ -578,7 +578,16 @@ let test_options_key () =
   Alcotest.(check bool) "job count is part of the key" true
     (Farm.Job.options_key j1 <> Farm.Job.options_key j4);
   Alcotest.(check bool) "report keys differ across designs" true
-    (Farm.Exec.report_key j1 <> Farm.Exec.report_key j2)
+    (Farm.Exec.report_key j1 <> Farm.Exec.report_key j2);
+  (* a member the codec no longer reads keys nothing: a job that still
+     carries the retired [incremental] flag shares its entry *)
+  let parsed text = Farm.Job.of_json (Json.of_string text) in
+  let plain = parsed {|{"options":{"jobs":1}}|}
+  and legacy = parsed {|{"options":{"jobs":1,"incremental":false}}|} in
+  Alcotest.(check string) "retired member: same options key"
+    (Farm.Job.options_key plain) (Farm.Job.options_key legacy);
+  Alcotest.(check string) "retired member: same report key"
+    (Farm.Exec.report_key plain) (Farm.Exec.report_key legacy)
 
 
 (* ---- graceful degradation (in process) ---- *)

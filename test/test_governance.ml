@@ -6,9 +6,8 @@
 module Ck = Upec.Checkpoint
 module O = Upec.Options
 
-(* a fresh solver session per check; Alg. 1 capped at 64 iterations *)
-let alg1_fresh = { O.default with O.incremental = false; max_iterations = 64 }
-let alg2_fresh = { O.default with O.incremental = false }
+(* Alg. 1 capped at 64 iterations *)
+let alg1_opts = { O.default with O.max_iterations = 64 }
 
 let spec_of variant =
   let soc = Soc.Builder.build Soc.Config.formal_tiny Soc.Builder.Formal in
@@ -142,7 +141,7 @@ let test_hash_mismatch_refused () =
   in
   match
     Upec.Alg1.run_with ~resume:ck
-      { alg1_fresh with O.jobs = Some 1 }
+      { alg1_opts with O.jobs = Some 1 }
       (spec_of Upec.Spec.Vulnerable)
   with
   | _ -> Alcotest.fail "hash mismatch not refused"
@@ -162,7 +161,7 @@ let test_alg_kind_refused () =
     }
   in
   match
-    Upec.Alg2.run_with ~resume:ck { alg2_fresh with O.jobs = Some 1 } spec
+    Upec.Alg2.run_with ~resume:ck { O.default with O.jobs = Some 1 } spec
   with
   | _ -> Alcotest.fail "Alg2 accepted an Alg1 checkpoint"
   | exception Invalid_argument _ -> ()
@@ -182,13 +181,13 @@ let with_ck_file f =
 let stop_after_first_checkpoint path () = Sys.file_exists path
 
 let test_alg1_interrupt_resume ~stop_jobs ~resume_jobs ?(certify = false) () =
-  let resume_opts = { alg1_fresh with O.jobs = Some resume_jobs; certify } in
+  let resume_opts = { alg1_opts with O.jobs = Some resume_jobs; certify } in
   let baseline = Upec.Alg1.run_with resume_opts (spec_of Upec.Spec.Secure) in
   with_ck_file (fun path ->
       let interrupted =
         Upec.Alg1.run_with
           {
-            alg1_fresh with
+            alg1_opts with
             O.jobs = Some stop_jobs;
             certify;
             checkpoint_file = Some path;
@@ -217,13 +216,13 @@ let test_alg1_interrupt_resume ~stop_jobs ~resume_jobs ?(certify = false) () =
         (resumed.Upec.Report.resumed_from <> None))
 
 let test_conclude_interrupt_resume () =
-  let jobs1 = { alg2_fresh with O.jobs = Some 1 } in
+  let jobs1 = { O.default with O.jobs = Some 1 } in
   let baseline = Upec.Alg2.conclude_with jobs1 (spec_of Upec.Spec.Secure) in
   with_ck_file (fun path ->
       let interrupted =
         Upec.Alg2.conclude_with
           {
-            alg2_fresh with
+            O.default with
             O.jobs = Some 4;
             checkpoint_file = Some path;
             should_stop = Some (stop_after_first_checkpoint path);
@@ -264,7 +263,7 @@ let test_budget_degrades_not_poisons () =
      never Secure (honesty), and it must terminate *)
   let r =
     Upec.Alg1.run_with
-      (budgeted alg1_fresh ~conflicts:5 ~retries:0)
+      (budgeted alg1_opts ~conflicts:5 ~retries:0)
       (spec_of Upec.Spec.Secure)
   in
   Alcotest.(check bool) "not vulnerable" false (Upec.Report.is_vulnerable r);
@@ -276,7 +275,7 @@ let test_budget_generous_still_secure () =
      verdict: budgets bound single calls, not the result *)
   let r =
     Upec.Alg1.run_with
-      (budgeted alg1_fresh ~conflicts:1_000 ~retries:2)
+      (budgeted alg1_opts ~conflicts:1_000 ~retries:2)
       (spec_of Upec.Spec.Secure)
   in
   Alcotest.(check bool) "secure" true (Upec.Report.is_secure r);
@@ -286,7 +285,7 @@ let test_budget_generous_still_secure () =
 let test_budget_vulnerable_never_secure () =
   let r =
     Upec.Alg1.run_with
-      (budgeted alg1_fresh ~conflicts:50 ~retries:1)
+      (budgeted alg1_opts ~conflicts:50 ~retries:1)
       (spec_of Upec.Spec.Vulnerable)
   in
   Alcotest.(check bool)
@@ -296,7 +295,7 @@ let test_budget_vulnerable_never_secure () =
 let test_budget_conclude_terminates () =
   let r =
     Upec.Alg2.conclude_with
-      (budgeted alg2_fresh ~conflicts:5 ~retries:0)
+      (budgeted O.default ~conflicts:5 ~retries:0)
       (spec_of Upec.Spec.Secure)
   in
   Alcotest.(check bool) "not vulnerable" false (Upec.Report.is_vulnerable r);

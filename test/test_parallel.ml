@@ -8,10 +8,10 @@ module S = Satsolver.Solver
 module L = Satsolver.Lit
 module O = Upec.Options
 
-(* the options of a fresh-session Alg. 1 run capped at 64 iterations,
-   monolithic or per-svar on [j] workers *)
-let alg1_fresh = { O.default with O.incremental = false; max_iterations = 64 }
-let jobs j = { alg1_fresh with O.jobs = Some j }
+(* the options of an Alg. 1 run capped at 64 iterations, default
+   strategy or per-svar on [j] workers *)
+let alg1_opts = { O.default with O.max_iterations = 64 }
+let jobs j = { alg1_opts with O.jobs = Some j }
 
 (* ---- pool ---- *)
 
@@ -312,7 +312,7 @@ let test_alg1_jobs_deterministic_secure () =
 let test_alg1_jobs_matches_legacy_verdicts () =
   (* the per-svar strategy must agree with the monolithic iteration on
      the verdict and (for secure runs) the final inductive set *)
-  let legacy = Upec.Alg1.run_with alg1_fresh (spec_of Upec.Spec.Secure) in
+  let legacy = Upec.Alg1.run_with alg1_opts (spec_of Upec.Spec.Secure) in
   let per_svar = Upec.Alg1.run_with (jobs 2) (spec_of Upec.Spec.Secure) in
   Alcotest.(check bool) "both secure" true
     (Upec.Report.is_secure legacy && Upec.Report.is_secure per_svar);

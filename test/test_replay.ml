@@ -13,9 +13,8 @@ let spec_of ?(cfg = tiny) ?(pers = Upec.Spec.Full_pers) variant =
 
 module O = Upec.Options
 
-(* a fresh solver session per check; Alg. 1 capped at 64 iterations *)
-let alg1_fresh = { O.default with O.incremental = false; max_iterations = 64 }
-let alg2_fresh = { O.default with O.incremental = false }
+(* Alg. 1 capped at 64 iterations *)
+let alg1_opts = { O.default with O.max_iterations = 64 }
 
 let get_cex report =
   match report.Upec.Report.verdict with
@@ -26,27 +25,26 @@ let get_cex report =
 let check_replays spec report =
   let nl = spec.Upec.Spec.soc.Soc.Builder.netlist in
   let cex = get_cex report in
-  let mismatches = Upec.Replay.replay nl cex in
+  let mismatches = (Certval.validate nl cex).Certval.v_mismatches in
   List.iter
-    (fun mm ->
-      Format.eprintf "mismatch: %a@." Upec.Replay.pp_mismatch mm)
+    (fun mm -> Format.eprintf "mismatch: %a@." Certval.pp_mismatch mm)
     mismatches;
   Alcotest.(check int) "no simulator mismatches" 0 (List.length mismatches)
 
 let test_alg1_cex_replays () =
   let spec = spec_of Upec.Spec.Vulnerable in
-  check_replays spec (Upec.Alg1.run_with alg1_fresh spec)
+  check_replays spec (Upec.Alg1.run_with alg1_opts spec)
 
 let test_alg2_cex_replays () =
   let cfg = { tiny with Soc.Config.with_dma = false } in
   let spec = spec_of ~cfg ~pers:Upec.Spec.Memory_only Upec.Spec.Vulnerable in
-  let report, _ = Upec.Alg2.run_with alg2_fresh spec in
+  let report, _ = Upec.Alg2.run_with O.default spec in
   check_replays spec report
 
 let test_fixed_priority_cex_replays () =
   let cfg = { tiny with Soc.Config.arbiter = `Fixed_priority } in
   let spec = spec_of ~cfg Upec.Spec.Vulnerable in
-  check_replays spec (Upec.Alg1.run_with alg1_fresh spec)
+  check_replays spec (Upec.Alg1.run_with alg1_opts spec)
 
 let test_single_instance_cex_replays () =
   (* a plain (non-relational) IPC counterexample also replays *)
@@ -75,7 +73,7 @@ let test_single_instance_cex_replays () =
   | Ipc.Engine.Unknown r -> Alcotest.fail ("undecided: " ^ r)
   | Ipc.Engine.Refuted cex ->
       Alcotest.(check bool) "replays" true
-        (Upec.Replay.check nl (Option.get cex))
+        (Certval.validate nl (Option.get cex)).Certval.v_ok
 
 let () =
   Alcotest.run "replay"

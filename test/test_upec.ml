@@ -10,12 +10,10 @@ let spec_of ?(cfg = tiny) ?(pers = Upec.Spec.Full_pers) variant =
   let soc = Soc.Builder.build cfg Soc.Builder.Formal in
   Upec.Spec.make ~pers_model:pers soc variant
 
-(* These tests pin the fresh-session strategy: a new solver session per
-   check, the paper's own per-iteration re-check. *)
 module O = Upec.Options
 
-let alg1_fresh = { O.default with O.incremental = false; max_iterations = 64 }
-let alg2_fresh = { O.default with O.incremental = false }
+(* Alg. 1 capped at 64 iterations *)
+let alg1_opts = { O.default with O.max_iterations = 64 }
 
 (* ---- spec / classification ---- *)
 
@@ -182,7 +180,7 @@ let test_secure_has_more_invariants () =
 
 let test_alg1_vulnerable () =
   let spec = spec_of Upec.Spec.Vulnerable in
-  let report = Upec.Alg1.run_with alg1_fresh spec in
+  let report = Upec.Alg1.run_with alg1_opts spec in
   Alcotest.(check bool) "vulnerable" true (Upec.Report.is_vulnerable report);
   match report.Upec.Report.verdict with
   | Upec.Report.Vulnerable { s_cex; cex } ->
@@ -201,7 +199,7 @@ let test_alg1_vulnerable () =
 
 let test_alg1_secure () =
   let spec = spec_of Upec.Spec.Secure in
-  let report = Upec.Alg1.run_with alg1_fresh spec in
+  let report = Upec.Alg1.run_with alg1_opts spec in
   Alcotest.(check bool) "secure" true (Upec.Report.is_secure report);
   Alcotest.(check bool) "took multiple iterations" true
     (Upec.Report.iterations report > 1);
@@ -232,7 +230,7 @@ let test_alg1_no_spies_secure_even_without_countermeasure () =
      and the baseline SoC is already secure w.r.t. the threat model *)
   let cfg = { tiny with Soc.Config.with_dma = false; with_hwpe = false } in
   let report =
-    Upec.Alg1.run_with alg1_fresh (spec_of ~cfg Upec.Spec.Vulnerable)
+    Upec.Alg1.run_with alg1_opts (spec_of ~cfg Upec.Spec.Vulnerable)
   in
   Alcotest.(check bool) "secure without spying IPs" true
     (Upec.Report.is_secure report)
@@ -240,7 +238,7 @@ let test_alg1_no_spies_secure_even_without_countermeasure () =
 let test_alg1_fixed_priority_also_vulnerable () =
   let cfg = { tiny with Soc.Config.arbiter = `Fixed_priority } in
   let report =
-    Upec.Alg1.run_with alg1_fresh (spec_of ~cfg Upec.Spec.Vulnerable)
+    Upec.Alg1.run_with alg1_opts (spec_of ~cfg Upec.Spec.Vulnerable)
   in
   Alcotest.(check bool) "vulnerable under fixed priority" true
     (Upec.Report.is_vulnerable report)
@@ -248,27 +246,10 @@ let test_alg1_fixed_priority_also_vulnerable () =
 let test_alg1_fixed_priority_secure_proof () =
   let cfg = { tiny with Soc.Config.arbiter = `Fixed_priority } in
   let report =
-    Upec.Alg1.run_with alg1_fresh (spec_of ~cfg Upec.Spec.Secure)
+    Upec.Alg1.run_with alg1_opts (spec_of ~cfg Upec.Spec.Secure)
   in
   Alcotest.(check bool) "countermeasure holds under fixed priority" true
     (Upec.Report.is_secure report)
-
-let test_incremental_agrees () =
-  (* the incremental engine must reach the same verdicts and the same
-     fixed point as the per-check engine *)
-  let warm = { alg1_fresh with O.incremental = true } in
-  let spec_v = spec_of Upec.Spec.Vulnerable in
-  let rv = Upec.Alg1.run_with warm spec_v in
-  Alcotest.(check bool) "vulnerable (incremental)" true
-    (Upec.Report.is_vulnerable rv);
-  let spec_s = spec_of Upec.Spec.Secure in
-  let plain = Upec.Alg1.run_with alg1_fresh spec_s in
-  let inc = Upec.Alg1.run_with warm spec_s in
-  (match (plain.Upec.Report.verdict, inc.Upec.Report.verdict) with
-  | Upec.Report.Secure { s_final = a }, Upec.Report.Secure { s_final = b } ->
-      Alcotest.(check bool) "same fixed point" true
-        (Structural.Svar_set.equal a b)
-  | _ -> Alcotest.fail "both engines must prove the secured SoC")
 
 let test_tdma_contention_free_is_secure () =
   (* the Sec. 6 future-work direction: a contention-free TDMA
@@ -278,7 +259,7 @@ let test_tdma_contention_free_is_secure () =
   let spec = spec_of ~cfg Upec.Spec.Vulnerable in
   Alcotest.(check bool) "tdma invariants sound" true
     (Upec.Invariant.all_sound spec);
-  let report = Upec.Alg1.run_with alg1_fresh spec in
+  let report = Upec.Alg1.run_with alg1_opts spec in
   Alcotest.(check bool) "secure without the memory countermeasure" true
     (Upec.Report.is_secure report)
 
@@ -288,7 +269,7 @@ let test_bmc_from_reset_misses () =
   let spec = spec_of Upec.Spec.Vulnerable in
   let report, outcome =
     Upec.Alg2.run_with
-      { alg2_fresh with O.max_k = 3; reset_start = true }
+      { O.default with O.max_k = 3; reset_start = true }
       spec
   in
   (match outcome with
@@ -308,7 +289,7 @@ let test_alg2_hwpe_memory_variant () =
      removed to isolate the HWPE channel *)
   let cfg = { tiny with Soc.Config.with_dma = false } in
   let spec = spec_of ~cfg ~pers:Upec.Spec.Memory_only Upec.Spec.Vulnerable in
-  let report, outcome = Upec.Alg2.run_with alg2_fresh spec in
+  let report, outcome = Upec.Alg2.run_with O.default spec in
   Alcotest.(check bool) "vulnerable" true (outcome = Upec.Alg2.Found_vulnerable);
   match report.Upec.Report.verdict with
   | Upec.Report.Vulnerable { s_cex; cex } ->
@@ -337,7 +318,7 @@ let test_alg2_reports_hwpe_progress () =
   (* the counterexample should show diverging HWPE progress *)
   let cfg = { tiny with Soc.Config.with_dma = false } in
   let spec = spec_of ~cfg ~pers:Upec.Spec.Memory_only Upec.Spec.Vulnerable in
-  let report, _ = Upec.Alg2.run_with alg2_fresh spec in
+  let report, _ = Upec.Alg2.run_with O.default spec in
   match report.Upec.Report.verdict with
   | Upec.Report.Vulnerable { cex; _ } ->
       let nl = spec.Upec.Spec.soc.Soc.Builder.netlist in
@@ -360,12 +341,12 @@ let test_alg2_reports_hwpe_progress () =
 
 let test_alg1_memory_only_secure () =
   let spec = spec_of ~pers:Upec.Spec.Memory_only Upec.Spec.Secure in
-  let report = Upec.Alg1.run_with alg1_fresh spec in
+  let report = Upec.Alg1.run_with alg1_opts spec in
   Alcotest.(check bool) "secure in memory-only model too" true
     (Upec.Report.is_secure report)
 
 let test_report_printing () =
-  let report = Upec.Alg1.run_with alg1_fresh (spec_of Upec.Spec.Vulnerable) in
+  let report = Upec.Alg1.run_with alg1_opts (spec_of Upec.Spec.Vulnerable) in
   let s = Format.asprintf "%a" Upec.Report.pp report in
   let contains needle =
     let nh = String.length s and nn = String.length needle in
@@ -418,8 +399,6 @@ let () =
             test_alg1_fixed_priority_secure_proof;
           Alcotest.test_case "memory-only secure proof" `Slow
             test_alg1_memory_only_secure;
-          Alcotest.test_case "incremental engine agrees" `Slow
-            test_incremental_agrees;
           Alcotest.test_case "tdma interconnect secure" `Slow
             test_tdma_contention_free_is_secure;
         ] );
