@@ -49,23 +49,29 @@ let mark_report_hit json =
            kvs)
   | v -> v
 
+let cached ~store job =
+  let rkey = report_key job in
+  ( rkey,
+    Option.map
+      (fun json ->
+        {
+          oc_id = job.Job.jb_id;
+          oc_report = mark_report_hit json;
+          oc_report_key = rkey;
+          oc_report_hit = true;
+          oc_lemma_hits = 0;
+          oc_lemma_misses = 0;
+          oc_invalidated = 0;
+          oc_new_lemmas = [];
+          oc_seconds = 0.0;
+        })
+      (Store.report store ~key:rkey) )
+
 let run ~store job =
   let t0 = Unix.gettimeofday () in
-  let rkey = report_key job in
-  match Store.report store ~key:rkey with
-  | Some cached ->
-      {
-        oc_id = job.Job.jb_id;
-        oc_report = mark_report_hit cached;
-        oc_report_key = rkey;
-        oc_report_hit = true;
-        oc_lemma_hits = 0;
-        oc_lemma_misses = 0;
-        oc_invalidated = 0;
-        oc_new_lemmas = [];
-        oc_seconds = Unix.gettimeofday () -. t0;
-      }
-  | None ->
+  match cached ~store job with
+  | _, Some hit -> { hit with oc_seconds = Unix.gettimeofday () -. t0 }
+  | rkey, None ->
       let spec = Upec.Cli.spec_of job.Job.jb_design in
       let fp = Upec.Fingerprint.make spec in
       let fingerprint = Upec.Fingerprint.design fp in

@@ -38,11 +38,15 @@ val report_key : Job.t -> string
 (** Digest of the canonical design spec and the options wire encoding;
     O(1) — no SoC build, no solving. *)
 
-val mark_report_hit : Upec.Json.t -> Upec.Json.t
-(** Re-mark a cached artefact's [cache] block as a report hit,
-    leaving every other byte as the cold run wrote it. *)
+val cached : store:Store.t -> Job.t -> string * outcome option
+(** The job's {!report_key} and, when the store holds its report, the
+    hit: the stored artefact with its [cache] block re-marked
+    [report_hit] (every other byte as the cold run wrote it), no
+    lemmas, [oc_seconds = 0.0]. The daemon answers unchanged jobs
+    with it in-line; {!run} starts with it. *)
 
 val run : store:Store.t -> Job.t -> outcome
+(** {!cached}, timed; on a miss, the solve. *)
 
 val outcome_to_json : outcome -> Upec.Json.t
 val outcome_of_json : Upec.Json.t -> outcome

@@ -280,24 +280,8 @@ let handle_submit t j reply =
       (* report-level fast path: an unchanged job never reaches a
          worker — the daemon answers from the cache in-line. This
          path survives every degraded mode. *)
-      match
-        let rkey = Exec.report_key job in
-        (rkey, Store.report t.t_store ~key:rkey)
-      with
-      | rkey, Some cached ->
-          let outcome =
-            {
-              Exec.oc_id = job.Job.jb_id;
-              oc_report = Exec.mark_report_hit cached;
-              oc_report_key = rkey;
-              oc_report_hit = true;
-              oc_lemma_hits = 0;
-              oc_lemma_misses = 0;
-              oc_invalidated = 0;
-              oc_new_lemmas = [];
-              oc_seconds = 0.0;
-            }
-          in
+      match Exec.cached ~store:t.t_store job with
+      | _, Some outcome ->
           account outcome;
           reply (submit_reply outcome)
       | _, None ->

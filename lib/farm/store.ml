@@ -33,7 +33,14 @@ let decode s =
   Buffer.contents b
 
 type lemma_entry = { le_holds : bool; mutable le_stamp : int }
-type report_entry = { mutable re_stamp : int }
+
+type report_entry = {
+  mutable re_stamp : int;
+  mutable re_kept : ((int * int * int * float) * Json.t) option;
+      (* the tree last read and validated, and the identity of the file
+         it came from (device, inode, size, mtime): an atomic re-publish
+         changes the inode, an in-place write the size or the mtime *)
+}
 
 type t = {
   st_dir : string;
@@ -95,7 +102,8 @@ let parse_index t text =
               if stamp > t.st_stamp then t.st_stamp <- stamp
           | [ "R"; key; stamp ] ->
               let stamp = int_of_string stamp in
-              Hashtbl.replace t.st_reports key { re_stamp = stamp };
+              Hashtbl.replace t.st_reports key
+                { re_stamp = stamp; re_kept = None };
               if stamp > t.st_stamp then t.st_stamp <- stamp
           | [ "" ] | [] -> ()
           | _ -> failwith "Store: malformed index line")
@@ -166,41 +174,65 @@ let atomic_write ~dir ~path text =
   in
   Upec.Atomic_file.write ~dir ~path text
 
+let m_report_reads = Obs.Metrics.counter "farm.report_reads"
+
+let identity (st : Unix.stats) =
+  (st.Unix.st_dev, st.Unix.st_ino, st.Unix.st_size, st.Unix.st_mtime)
+
+(* Read, parse and validate one report file; [None] if it is damaged.
+   The identity comes from the open descriptor before the read, so it
+   names the file whose bytes were parsed, and a write that races the
+   read changes it. *)
+let read_report path =
+  Obs.Metrics.incr m_report_reads;
+  match
+    let ic = open_in_bin path in
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () ->
+        let id = identity (Unix.fstat (Unix.descr_of_in_channel ic)) in
+        let text = really_input_string ic (in_channel_length ic) in
+        let j = Json.of_string text in
+        (* strict parsing: a cached artefact under an unsupported
+           schema version is as untrustworthy as a torn one *)
+        ignore (Json.schema_version ~supported:[ 2; 3 ] j);
+        (id, j))
+  with
+  | kept -> Some kept
+  | exception
+      (Sys_error _ | End_of_file | Unix.Unix_error _ | Json.Parse_error _) ->
+      None
+
 let report t ~key =
   match Hashtbl.find_opt t.st_reports key with
   | None -> None
-  | Some e -> (
-      let damaged () =
-        (* an unreadable or unparseable artefact is never trusted and
-           never retried: drop the index entry and set the file aside
-           so the key re-solves cleanly *)
-        Hashtbl.remove t.st_reports key;
-        quarantine t (report_path t key);
-        None
+  | Some e ->
+      let path = report_path t key in
+      let unchanged id =
+        match Unix.stat path with
+        | st -> identity st = id
+        | exception Unix.Unix_error _ -> false
       in
-      match
-        let ic = open_in_bin (report_path t key) in
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      with
-      | text -> (
-          match
-            let j = Json.of_string text in
-            (* strict parsing: a cached artefact under an unsupported
-               schema version is as untrustworthy as a torn one *)
-            ignore (Json.schema_version ~supported:[ 2; 3 ] j);
-            j
-          with
-          | j ->
-              e.re_stamp <- tick t;
-              Some j
-          | exception Json.Parse_error _ -> damaged ())
-      | exception Sys_error _ -> damaged ())
+      let served =
+        match e.re_kept with
+        | Some (id, j) when unchanged id -> Some j
+        | _ ->
+            e.re_kept <- read_report path;
+            Option.map snd e.re_kept
+      in
+      (match served with
+      | Some _ -> e.re_stamp <- tick t
+      | None ->
+          (* an unreadable or unparseable artefact is never trusted and
+             never retried: drop the index entry and set the file aside
+             so the key re-solves cleanly *)
+          Hashtbl.remove t.st_reports key;
+          quarantine t path);
+      served
 
 let add_report t ~key json =
   atomic_write ~dir:t.st_dir ~path:(report_path t key) (Json.to_string json);
-  Hashtbl.replace t.st_reports key { re_stamp = tick t }
+  Hashtbl.replace t.st_reports key { re_stamp = tick t; re_kept = None }
 
 let save t =
   let b = Buffer.create 4096 in

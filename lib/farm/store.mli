@@ -4,7 +4,8 @@
     - [index] — versioned text file listing every entry with an LRU
       stamp: lemma lines carry (svar, key, verdict) inline, report
       lines point at [reports/<key>.json];
-    - [reports/<key>.json] — cached schema-2 report artefacts.
+    - [reports/<key>.json] — cached report artefacts (schema 3;
+      schema 2 is still read).
 
     Durability follows [Upec.Checkpoint]: every publish is
     temp-file + write + fsync + rename, so a crash can lose at most
@@ -46,11 +47,26 @@ val has_svar : t -> svar:string -> bool
 val report : t -> key:string -> Upec.Json.t option
 (** Cached report, bumping its stamp. An unreadable or unparseable
     report file is a miss {e and} a quarantine: the entry is dropped
-    and (on a writer handle) the file moved aside. *)
+    and (on a writer handle) the file moved aside.
+
+    The handle keeps the tree of every report it has read and
+    validated, with the file's identity ([Unix.stat]'s device, inode,
+    size and mtime). A lookup stats the file and serves the kept tree
+    while the identity is unchanged; otherwise it reads, parses and
+    validates the file again, counting the read in the
+    [farm.report_reads] metric. Any change [stat] can see (an atomic
+    re-publish, a new size or mtime, a vanished file) therefore
+    re-reads, and damage is quarantined on that lookup. An in-place
+    overwrite of the same size within one mtime tick is not seen: the
+    tree validated before it keeps being served, never the damaged
+    bytes. Only validated trees are kept; {!add_report}, {!gc}
+    eviction and quarantine drop a key's tree, and {!load} starts
+    with none, so the kept trees are bounded by the report entries. *)
 
 val add_report : t -> key:string -> Upec.Json.t -> unit
 (** Publishes the report file atomically right away; the index entry
-    lands at the next {!save}. *)
+    lands at the next {!save}. The next {!report} of the key reads the
+    published file. *)
 
 val save : t -> unit
 (** Publish the index atomically. *)

@@ -406,6 +406,95 @@ let test_store_corrupt_index_quarantined () =
   Alcotest.(check bool) "broken index set aside" true
     (Sys.file_exists (Filename.concat dir "quarantine/index"))
 
+(* The store keeps every report it has read and validated, and
+   re-validates it with one [stat] per lookup: an unchanged artefact
+   is read and parsed once per handle; any change [stat] can see
+   re-reads it, so damage is still quarantined on the lookup after
+   it. *)
+let report_reads () =
+  Obs.Metrics.counter_value (Obs.Metrics.counter "farm.report_reads")
+
+let overwrite path text =
+  let oc = open_out_bin path in
+  output_string oc text;
+  close_out oc
+
+let report_v v = Json.Obj [ ("schema", Json.Int 3); ("verdict", Json.Str v) ]
+
+let test_store_memo () =
+  let dir = fresh_dir "farm-store-memo" in
+  let s = loadw dir in
+  Farm.Store.add_report s ~key:"r" (report_v "ok");
+  Farm.Store.save s;
+  let reads0 = report_reads () in
+  for _ = 1 to 1000 do
+    Alcotest.(check bool)
+      "served" true
+      (Farm.Store.report s ~key:"r" = Some (report_v "ok"))
+  done;
+  Alcotest.(check int) "1000 lookups, one read" 1 (report_reads () - reads0);
+  let reads0 = report_reads () in
+  let rd = load dir in
+  for _ = 1 to 10 do
+    ignore (Farm.Store.report rd ~key:"r")
+  done;
+  Alcotest.(check int) "a reader keeps its own tree" 1
+    (report_reads () - reads0);
+  Farm.Store.add_report s ~key:"r" (report_v "new");
+  Alcotest.(check bool)
+    "add_report drops the kept tree" true
+    (Farm.Store.report s ~key:"r" = Some (report_v "new"));
+  ignore (Farm.Store.gc s ~max_lemmas:0 ~max_reports:0);
+  Alcotest.(check bool)
+    "evicted key misses" true
+    (Farm.Store.report s ~key:"r" = None)
+
+let test_store_memo_damage () =
+  let dir = fresh_dir "farm-store-memo-damage" in
+  let s = loadw dir in
+  Farm.Store.add_report s ~key:"r" (report_v "ok");
+  Farm.Store.add_report s ~key:"q" (report_v "ok");
+  Farm.Store.save s;
+  let path key = Filename.concat dir ("reports/" ^ key ^ ".json") in
+  Alcotest.(check bool)
+    "served" true
+    (Farm.Store.report s ~key:"r" = Some (report_v "ok"));
+  overwrite (path "r") "{\"verdict\":";
+  Alcotest.(check bool)
+    "overwritten after serve: a miss" true
+    (Farm.Store.report s ~key:"r" = None);
+  Alcotest.(check int) "quarantined" 1 (Farm.Store.quarantined s);
+  Alcotest.(check bool)
+    "moved aside" true
+    (Sys.file_exists (Filename.concat dir "quarantine/r.json"));
+  Alcotest.(check int) "index entry dropped" 1 (snd (Farm.Store.counts s));
+  (* pin the mtime, so a same-size overwrite can keep it or move it *)
+  let q = path "q" in
+  Unix.utimes q 1e9 1e9;
+  Alcotest.(check bool)
+    "served at a pinned mtime" true
+    (Farm.Store.report s ~key:"q" = Some (report_v "ok"));
+  let damaged = String.map (fun _ -> '#') (Json.to_string (report_v "ok")) in
+  overwrite q damaged;
+  (* same size and the same mtime: [stat] cannot see the write, and
+     the tree validated before it is what keeps being served *)
+  Unix.utimes q 1e9 1e9;
+  Alcotest.(check bool)
+    "unseen write serves the validated tree" true
+    (Farm.Store.report s ~key:"q" = Some (report_v "ok"));
+  Unix.utimes q 2e9 2e9;
+  Alcotest.(check bool)
+    "same size, new mtime: a miss" true
+    (Farm.Store.report s ~key:"q" = None);
+  Alcotest.(check int) "quarantined too" 2 (Farm.Store.quarantined s);
+  (* a vanished file is a miss even with a kept tree *)
+  Farm.Store.add_report s ~key:"v" (report_v "ok");
+  ignore (Farm.Store.report s ~key:"v");
+  Sys.remove (path "v");
+  Alcotest.(check bool)
+    "vanished file: a miss" true
+    (Farm.Store.report s ~key:"v" = None)
+
 (* ---- cache invalidation soundness (in process) ---- *)
 
 let job ?(id = "t") ?(certify = false) d =
@@ -589,6 +678,76 @@ let test_options_key () =
   Alcotest.(check string) "retired member: same report key"
     (Farm.Exec.report_key plain) (Farm.Exec.report_key legacy)
 
+
+(* ---- untrusted bytes: what the store reads back ---- *)
+
+(* A real schema-3 report, as a cold run publishes it. *)
+let real_report =
+  lazy
+    (let oc =
+       Farm.Exec.run ~store:(load (fresh_dir "farm-fuzz-solve")) (job small)
+     in
+     Json.to_string oc.Farm.Exec.oc_report)
+
+(* Random bytes, truncations and single-byte flips of the real
+   report. *)
+let gen_damage st =
+  let real = Lazy.force real_report in
+  let n = String.length real in
+  QCheck.Gen.(
+    oneof
+      [
+        string_size ~gen:char (int_range 0 300);
+        map (fun k -> String.sub real 0 k) (int_range 0 (n - 1));
+        (let* i = int_range 0 (n - 1) and* x = int_range 1 255 in
+         return
+           (String.mapi
+              (fun j c -> if j = i then Char.chr (Char.code c lxor x) else c)
+              real));
+      ])
+    st
+
+let arb_damage = QCheck.make ~print:String.escaped gen_damage
+
+let qcheck_json_typed_errors =
+  QCheck.Test.make ~count:300 ~name:"json reader raises only Parse_error"
+    arb_damage (fun bytes ->
+      match Json.of_string bytes with
+      | _ -> true
+      | exception Json.Parse_error _ -> true)
+
+(* The bytes become the artefact of an indexed key. The store serves
+   nothing but their parse, refuses them whenever they do not parse,
+   and never raises; a refusal is counted, and only the writer moves
+   the file aside. *)
+let qcheck_store_refuses_damage =
+  let dir = "farm-fuzz-store" in
+  let path = Filename.concat dir "reports/k.json" in
+  let indexed =
+    lazy
+      (let s = loadw (fresh_dir dir) in
+       Farm.Store.add_report s ~key:"k" (Json.of_string (Lazy.force real_report));
+       Farm.Store.save s)
+  in
+  QCheck.Test.make ~count:300 ~name:"store refuses damaged artefacts"
+    arb_damage (fun bytes ->
+      Lazy.force indexed;
+      let parses =
+        match Json.of_string bytes with
+        | j -> Some j
+        | exception Json.Parse_error _ -> None
+      in
+      let lookup writer =
+        overwrite path bytes;
+        let s = Farm.Store.load ~writer ~dir () in
+        match Farm.Store.report s ~key:"k" with
+        | Some j -> Some j = parses
+        | None ->
+            Farm.Store.quarantined s = 1
+            && Sys.file_exists path = not writer
+            && snd (Farm.Store.counts s) = 0
+      in
+      lookup false && lookup true)
 
 (* ---- graceful degradation (in process) ---- *)
 
@@ -991,6 +1150,11 @@ let () =
             test_store_quarantine;
           Alcotest.test_case "corrupt index quarantined" `Quick
             test_store_corrupt_index_quarantined;
+          Alcotest.test_case "report read once" `Quick test_store_memo;
+          Alcotest.test_case "damage after serve" `Quick
+            test_store_memo_damage;
+          QCheck_alcotest.to_alcotest qcheck_json_typed_errors;
+          QCheck_alcotest.to_alcotest qcheck_store_refuses_damage;
         ] );
       ( "invalidation",
         [
