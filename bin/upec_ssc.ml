@@ -167,16 +167,18 @@ let certify_arg =
   let doc =
     "Certify every verdict: UNSAT results are revalidated by an independent \
      RUP proof checker, SAT models by clause evaluation, and vulnerable \
-     counterexamples are replayed through the standalone simulator."
+     counterexamples are replayed through the standalone simulator. The \
+     checker mirrors the solver's warm session, so a certified run searches \
+     exactly like an uncertified one."
   in
   Arg.(value & flag & info [ "certify" ] ~doc)
 
 let cert_jobs_arg =
   let doc =
-    "With \\$(b,--certify): stream each UNSAT proof into \\$(docv) parallel \
-     checker domains while the solver searches, instead of re-checking it \
-     sequentially afterwards (0 = post-hoc sequential check). Accept/reject \
-     decisions are identical; only the certification overhead shrinks."
+    "With \\$(b,--certify): check the proof steps on \\$(docv) parallel \
+     checker domains while the solver searches, instead of on the solver's \
+     thread when an UNSAT answer needs them (0). Accept/reject decisions \
+     are identical; only the certification overhead shrinks."
   in
   Arg.(value & opt int 0 & info [ "cert-jobs" ] ~doc ~docv:"N")
 

@@ -18,9 +18,16 @@
     deletion keeps level-0 consequences), so each shard accepts exactly
     the steps the sequential checker would.
 
-    Threading contract: {!tracer}, {!finish} and {!cancel} must be
-    called from the thread driving the solver (they mutate the
-    coordinator). A pipeline is finished or cancelled exactly once. *)
+    The coordinator also serves one warm incremental solver across
+    many solves ({!session}): input clauses enter the stream as trusted
+    axioms ({!axiom}, wired to the solver's input hook), and each answer
+    is checked in place ({!check_sat}, {!check_unsat}) while the session
+    stays open.
+
+    Threading contract: {!tracer}, {!axiom}, {!finish}, {!check_unsat},
+    {!check_sat}, {!settle} and {!cancel} must be called from the
+    thread driving the solver (they mutate the coordinator). A one-shot
+    pipeline ({!create}) is finished or cancelled exactly once. *)
 
 type t
 
@@ -76,6 +83,66 @@ val finish : t -> (summary, string) result
     and spill files. [Error] reasons name the failing epoch and global
     step (including which epoch's spill file was truncated). Call after
     the solver returned UNSAT. *)
+
+(** {1 Sessions: one checker for one incremental solver} *)
+
+val session :
+  ?dispatch:dispatch ->
+  ?epoch_target:int ->
+  ?max_pending:int ->
+  ?spill_dir:string ->
+  unit ->
+  t
+(** An empty checker that mirrors one incremental solver for as long
+    as that solver lives. Install {!axiom} with
+    [Solver.set_input_hook] and {!tracer} with [Solver.set_tracer]
+    before the solver's first clause. The checker never reads the
+    solver's clause database: it keeps its own arena. Axioms and proof
+    steps form one stream in arrival order, and every step is
+    validated against exactly the axioms and steps before it.
+
+    With [dispatch], closed epochs are validated on the dispatch's
+    workers while the solver searches, as in {!create}. Without it the
+    session has no epochs: the stream waits, and the next
+    {!check_unsat} replays it in order on the calling thread.
+    Accept/reject decisions are the same either way. *)
+
+val axiom : t -> Satsolver.Lit.t list -> unit
+(** Take one input clause, exactly as the solver received it, as a
+    trusted axiom at this point of the stream. Axioms are never
+    deleted: a deletion step naming one is rejected like the deletion
+    of a clause the checker never held. *)
+
+val check_unsat :
+  t -> assumptions:Satsolver.Lit.t list -> (summary, string) result
+(** Vouch for an UNSAT answer under [assumptions]. Every step traced
+    so far is validated first (closing the current epoch and waiting
+    for every earlier one, spilled ones included); then asserting the
+    assumptions must make unit propagation fail on the checker's
+    database. The summary counts what this answer added to the session
+    since the previous accepted UNSAT answer ([drain_seconds]: the time
+    this call took). A failed step stays failed: every later call
+    returns the same [Error]. Validating steps only when an UNSAT answer
+    needs them is sound because axioms are never retracted and RUP is
+    monotone: a step implied by the axioms before it is implied by the
+    axioms of every later answer. *)
+
+val check_sat :
+  t ->
+  assumptions:Satsolver.Lit.t list ->
+  value:(int -> bool) ->
+  (unit, string) result
+(** Vouch for a SAT answer: the model [value : var -> bool] must
+    satisfy every axiom and every assumption ({!Model.check_held}). A
+    model does not rest on learnt clauses, so no step failure can
+    reject it; the epochs in flight are {!settle}d first all the same. *)
+
+val settle : t -> unit
+(** Wait for the epochs in flight, re-check the spilled ones and
+    release the checker workers and spill files, so nothing outlives
+    the answer at hand; {!check_unsat} and {!check_sat} do this
+    themselves, an answer without a verdict calls it. A failure is kept
+    for the next {!check_unsat}. A no-op without a dispatch. *)
 
 val cancel : t -> unit
 (** Cooperative teardown for losers and non-UNSAT outcomes: stop

@@ -285,6 +285,13 @@ let insert st lits =
   activate st cid;
   cid
 
+(* An axiom is never deleted, so it skips the deletion index (whose
+   list keys cost an allocation and a hash per clause). *)
+let insert_axiom st lits =
+  let cid = arena_add st lits in
+  activate st cid;
+  cid
+
 (* Is asserting the negation of [lits] refuted by unit propagation?
    Temporary assignments are undone before returning. *)
 let rup_implied st lits =
@@ -435,6 +442,28 @@ let no_conflict_reason =
   "certificate does not derive a conflict: no empty clause was added and \
    unit propagation under the assumptions succeeds"
 
+let not_rup_reason = "added clause is not implied by unit propagation"
+
+let step_lits lits = normalize (Array.to_list (Array.map L.to_int lits))
+
+let validate_step st = function
+  | Proof.Add lits -> (
+      match step_lits lits with
+      | None -> Ok () (* a tautology is trivially implied *)
+      | Some arr ->
+          if rup_implied st arr then begin
+            ignore (insert st arr);
+            Ok ()
+          end
+          else Error not_rup_reason)
+  | Proof.Delete lits -> (
+      match step_lits lits with
+      | None -> Error "deletion of a tautology"
+      | Some arr ->
+          if delete st arr = None then
+            Error "deleted clause is not in the database"
+          else Ok ())
+
 let check ?(assumptions = []) ~nvars ~clauses ~proof () =
   let st = create nvars in
   let adds = ref 0 and deletes = ref 0 in
@@ -442,33 +471,12 @@ let check ?(assumptions = []) ~nvars ~clauses ~proof () =
     load_cnf st clauses;
     List.iteri
       (fun i step ->
-        match step with
-        | Proof.Add lits -> (
-            incr adds;
-            match normalize (Array.to_list (Array.map L.to_int lits)) with
-            | None -> () (* a tautology is trivially implied *)
-            | Some arr ->
-                if rup_implied st arr then ignore (insert st arr)
-                else
-                  raise
-                    (Check_failed
-                       (Printf.sprintf
-                          "step %d: added clause is not implied by unit \
-                           propagation"
-                          i)))
-        | Proof.Delete lits -> (
-            incr deletes;
-            match normalize (Array.to_list (Array.map L.to_int lits)) with
-            | None ->
-                raise
-                  (Check_failed
-                     (Printf.sprintf "step %d: deletion of a tautology" i))
-            | Some arr ->
-                if delete st arr = None then
-                  raise
-                    (Check_failed
-                       (Printf.sprintf
-                          "step %d: deleted clause is not in the database" i))))
+        (match step with
+        | Proof.Add _ -> incr adds
+        | Proof.Delete _ -> incr deletes);
+        match validate_step st step with
+        | Ok () -> ()
+        | Error msg -> raise (Check_failed (Printf.sprintf "step %d: %s" i msg)))
       proof;
     if final_conflict st assumptions then
       Ok { adds = !adds; deletes = !deletes; propagations = st.props }

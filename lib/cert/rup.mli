@@ -89,6 +89,11 @@ val insert : t -> int array -> int
     the clause is trusted (CNF, coordinator replay) or must pass
     {!rup_implied} first (checking). *)
 
+val insert_axiom : t -> int array -> int
+(** {!insert} for a clause that is never deleted (an incremental
+    checker's input clauses): no deletion-index entry, so a deletion
+    step naming it finds nothing. *)
+
 val delete : t -> int array -> int option
 (** Deactivate the most recent active clause with these literals
     (lazy detach; level-0 consequences are kept, matching drat-trim's
@@ -137,6 +142,16 @@ val fork :
 
 val load_cnf : t -> L.t list list -> unit
 (** Insert the original formula (trusted) and propagate to fixpoint. *)
+
+val validate_step : t -> Proof.step -> (unit, string) result
+(** Check one certificate step against the active database and apply
+    it: an addition must be RUP (then it is inserted), a deletion must
+    name a clause the deletion index holds (then it is deactivated).
+    [Error] carries the reason; the step index is the caller's to add.
+    {!check} is this step over the whole stream. *)
+
+val not_rup_reason : string
+(** The reason for an addition that unit propagation does not imply. *)
 
 val final_conflict : t -> L.t list -> bool
 (** The acceptance condition on the final database: a derived

@@ -10,9 +10,9 @@ type t = {
   cnf : Aig.Cnf.ctx;
   portfolio : int;  (* configs raced per solve; <= 1 means sequential *)
   configs : S.options list option;
-  seq_options : S.options option;  (* for certified sequential re-solves *)
   certify : bool;
   cert_jobs : int;  (* > 0: pipelined streaming checker on that many domains *)
+  session : Cert.Pipeline.t option;  (* certified sequential: mirrors [solver] *)
   simp : bool;  (* problem reduction for witness-free solves *)
   mutable assumed : Aig.lit list;  (* permanent assumptions, reversed *)
   mutable implications : (Aig.lit * Aig.lit) list;  (* reversed *)
@@ -34,6 +34,23 @@ let create ?solver_options ?(portfolio = 1) ?portfolio_configs
   let g = Aig.create () in
   let u = Unroller.create g nl ~two_instance in
   let solver = S.create ?options:solver_options () in
+  let cert_jobs = max 0 cert_jobs in
+  (* A certified sequential engine's checker sees every clause the
+     solver does, from the constant-true unit [Aig.Cnf.create] adds on *)
+  let session =
+    if certify && portfolio <= 1 then begin
+      let dispatch =
+        if cert_jobs > 0 then
+          Some (Parallel.Portfolio.pool_dispatch ~jobs:cert_jobs)
+        else None
+      in
+      let c = Cert.Pipeline.session ?dispatch () in
+      S.set_input_hook solver (Some (Cert.Pipeline.axiom c));
+      S.set_tracer solver (Some (Cert.Pipeline.tracer c));
+      Some c
+    end
+    else None
+  in
   let cnf = Aig.Cnf.create g solver in
   {
     g;
@@ -42,9 +59,9 @@ let create ?solver_options ?(portfolio = 1) ?portfolio_configs
     cnf;
     portfolio;
     configs = portfolio_configs;
-    seq_options = solver_options;
     certify;
-    cert_jobs = max 0 cert_jobs;
+    cert_jobs;
+    session;
     simp;
     assumed = [];
     implications = [];
@@ -134,31 +151,83 @@ let model_fn_of t sat_value =
   let g = t.g in
   fun l -> Aig.eval g (fun var_lit -> sat_value var_lit) l
 
-(* Certified solves always go through the export/portfolio path (with
-   jobs possibly 1): the engine's incremental solver keeps activation
-   clauses from every past obligation, while a certificate must be
-   checked against one self-contained CNF snapshot. *)
-let solve_certified t ~configs ~nvars ~clauses ~assumptions =
+let account t tot = t.cert_tot <- Cert.Proof.add_totals t.cert_tot tot
+
+(* Nothing to certify — but the gap in coverage is accounted, so a
+   certification summary cannot silently overstate what it vouches for. *)
+let account_unknown t ~solve_s =
+  account t
+    {
+      Cert.Proof.zero_totals with
+      Cert.Proof.unknown_skipped = 1;
+      solve_seconds = solve_s;
+    }
+
+let account_sat t ~solve_s ~t1 = function
+  | Ok () ->
+      account t
+        {
+          Cert.Proof.zero_totals with
+          Cert.Proof.sat_checked = 1;
+          solve_seconds = solve_s;
+          check_seconds = Unix.gettimeofday () -. t1;
+        }
+  | Error msg -> raise (Certification_failed ("model rejected: " ^ msg))
+
+let unsat_rejected msg =
+  Certification_failed ("UNSAT certificate rejected: " ^ msg)
+
+(* A certified sequential solve runs on the warm session exactly like
+   an uncertified one; the session's checker then vouches for the
+   answer. With [cert_jobs > 0] the epochs were checked while the
+   solver searched, and the answer's wait for the rest counts as check
+   time. *)
+let certify_answer t session ~assumptions ~solve_s = function
+  | S.Unknown _ ->
+      Cert.Pipeline.settle session;
+      account_unknown t ~solve_s
+  | S.Solved S.Unsat -> (
+      match
+        Obs.Trace.with_span "cert.check"
+          ~attrs:[ ("answer", Obs.Trace.Str "unsat") ]
+          (fun () -> Cert.Pipeline.check_unsat session ~assumptions)
+      with
+      | Ok s ->
+          account t
+            {
+              Cert.Proof.zero_totals with
+              Cert.Proof.unsat_checked = 1;
+              proof_steps = s.Cert.Pipeline.steps;
+              proof_lits = s.Cert.Pipeline.lits;
+              epochs = s.Cert.Pipeline.epochs;
+              spilled_epochs = s.Cert.Pipeline.spilled_epochs;
+              solve_seconds = solve_s;
+              check_seconds = s.Cert.Pipeline.drain_seconds;
+            }
+      | Error msg -> raise (unsat_rejected msg))
+  | S.Solved S.Sat ->
+      let t1 = Unix.gettimeofday () in
+      Obs.Trace.with_span "cert.check"
+        ~attrs:[ ("answer", Obs.Trace.Str "sat") ]
+        (fun () ->
+          Cert.Pipeline.check_sat session ~assumptions
+            ~value:(S.value_var t.solver))
+      |> account_sat t ~solve_s ~t1
+
+(* Portfolio racing ([portfolio > 1]) certifies on the export path:
+   every racer solves one self-contained CNF snapshot cold, and the
+   winner's certificate is checked against that snapshot. *)
+let solve_certified t ~nvars ~clauses ~assumptions =
   let t0 = Unix.gettimeofday () in
   let o =
-    Parallel.Portfolio.solve ?configs ~certify:true ~cert_jobs:t.cert_jobs
-      ~budget:t.budget ?interrupt:t.interrupt ~jobs:(max 1 t.portfolio) ~nvars
+    Parallel.Portfolio.solve ?configs:t.configs ~certify:true ~cert_jobs:t.cert_jobs
+      ~budget:t.budget ?interrupt:t.interrupt ~jobs:t.portfolio ~nvars
       ~clauses ~assumptions ()
   in
   let solve_s = Unix.gettimeofday () -. t0 in
   let t1 = Unix.gettimeofday () in
   (match o.Parallel.Portfolio.verdict with
-  | Parallel.Portfolio.Unknown _ ->
-      (* nothing to certify — but the gap in coverage is accounted, so a
-         certification summary cannot silently overstate what it vouches
-         for *)
-      t.cert_tot <-
-        Cert.Proof.add_totals t.cert_tot
-          {
-            Cert.Proof.zero_totals with
-            Cert.Proof.unknown_skipped = 1;
-            solve_seconds = solve_s;
-          }
+  | Parallel.Portfolio.Unknown _ -> account_unknown t ~solve_s
   | Parallel.Portfolio.Unsat ->
       if t.cert_jobs > 0 then begin
         (* pipelined mode: the stream was checked while the solver ran;
@@ -179,8 +248,7 @@ let solve_certified t ~configs ~nvars ~clauses ~assumptions =
                   solve_seconds = solve_s -. drain;
                   check_seconds = drain;
                 }
-        | Some (Error msg) ->
-            raise (Certification_failed ("UNSAT certificate rejected: " ^ msg))
+        | Some (Error msg) -> raise (unsat_rejected msg)
         | None ->
             (* an Unsat winner always settles its pipeline *)
             raise
@@ -208,22 +276,12 @@ let solve_certified t ~configs ~nvars ~clauses ~assumptions =
                   solve_seconds = solve_s;
                   check_seconds = Unix.gettimeofday () -. t1;
                 }
-        | Error msg ->
-            raise (Certification_failed ("UNSAT certificate rejected: " ^ msg))
+        | Error msg -> raise (unsat_rejected msg)
       end
-  | Parallel.Portfolio.Sat model -> (
+  | Parallel.Portfolio.Sat model ->
       let value v = v < Array.length model && model.(v) in
-      match Cert.Model.check ~clauses ~value with
-      | Ok () ->
-          t.cert_tot <-
-            Cert.Proof.add_totals t.cert_tot
-              {
-                Cert.Proof.zero_totals with
-                Cert.Proof.sat_checked = 1;
-                solve_seconds = solve_s;
-                check_seconds = Unix.gettimeofday () -. t1;
-              }
-      | Error msg -> raise (Certification_failed ("model rejected: " ^ msg))));
+      account_sat t ~solve_s ~t1
+        (Cert.Model.check ~clauses ~assumptions ~value));
   o
 
 let m_checks = Obs.Metrics.counter "ipc.checks"
@@ -237,7 +295,7 @@ let m_clauses_saved = Obs.Metrics.counter "simp.clauses_saved"
    it into a throwaway solver, and export {e that}. Dropped Tseitin
    definitions only name otherwise-unconstrained fresh variables, so the
    reduced CNF is equisatisfiable with the full snapshot; certified
-   solves check their DRUP proof against exactly this reduced CNF. *)
+   races check their DRUP proof against exactly this reduced CNF. *)
 let reduced_snapshot t extra =
   Obs.Trace.with_span "simp.snapshot"
     ~attrs:[ ("assumptions", Obs.Trace.Int (List.length extra)) ]
@@ -288,7 +346,7 @@ let solve_raw_core t ~want_cex extra =
      simp on or off. *)
   let reduce = t.simp && not want_cex in
   if not reduce then pre_encode t;
-  if (not t.certify) && t.portfolio <= 1 then begin
+  if t.portfolio <= 1 then begin
     if reduce then begin
       t.red_solves <- t.red_solves + 1;
       Obs.Metrics.incr m_reduced
@@ -298,15 +356,21 @@ let solve_raw_core t ~want_cex extra =
     S.set_terminate t.solver t.interrupt;
     t.last_winner_ <- None;
     t.last_losers_ <- S.zero_stats;
-    match
-      let r = S.solve_bounded ~assumptions ~budget:t.budget t.solver in
-      t.last_stats <- S.diff_stats (S.stats t.solver) before;
-      r
-    with
+    let t0 = Unix.gettimeofday () in
+    let outcome =
+      match S.solve_bounded ~assumptions ~budget:t.budget t.solver with
+      | r -> r
+      | exception S.Interrupted -> S.Unknown "interrupted"
+    in
+    t.last_stats <- S.diff_stats (S.stats t.solver) before;
+    Option.iter
+      (fun c ->
+        certify_answer t c ~assumptions
+          ~solve_s:(Unix.gettimeofday () -. t0)
+          outcome)
+      t.session;
+    match outcome with
     | S.Unknown reason -> `Unknown reason
-    | exception S.Interrupted ->
-        t.last_stats <- S.diff_stats (S.stats t.solver) before;
-        `Unknown "interrupted"
     | S.Solved S.Unsat -> `Unsat
     | S.Solved S.Sat ->
         let sat_value lit =
@@ -331,22 +395,16 @@ let solve_raw_core t ~want_cex extra =
         (nvars, clauses, assumptions)
       end
     in
-    let configs =
-      match (t.configs, t.seq_options) with
-      | (Some _ as cs), _ -> cs
-      | None, Some o when t.portfolio <= 1 -> Some [ o ]
-      | None, _ -> None
-    in
     let o =
-      if t.certify then solve_certified t ~configs ~nvars ~clauses ~assumptions
+      if t.certify then solve_certified t ~nvars ~clauses ~assumptions
       else
-        Parallel.Portfolio.solve ?configs ~budget:t.budget
+        Parallel.Portfolio.solve ?configs:t.configs ~budget:t.budget
           ?interrupt:t.interrupt ~jobs:t.portfolio ~nvars ~clauses ~assumptions
           ()
     in
     t.last_stats <- o.Parallel.Portfolio.stats;
     t.last_winner_ <-
-      (if t.portfolio > 1 && o.Parallel.Portfolio.winner >= 0 then
+      (if o.Parallel.Portfolio.winner >= 0 then
          Some o.Parallel.Portfolio.winner
        else None);
     t.last_losers_ <- o.Parallel.Portfolio.losers_stats;

@@ -10,20 +10,27 @@
     {!Parallel.Portfolio}); the verdict is identical to the sequential
     one, but learnt clauses are not carried between checks.
 
-    With [certify], every solve is self-checking: the CNF snapshot is
-    solved with DRUP tracing on, UNSAT verdicts are revalidated by the
-    independent forward checker {!Cert.Rup} and SAT models by
-    {!Cert.Model}; a rejected certificate raises
-    {!Certification_failed} rather than returning an unvouched verdict.
-    Certified solves always take the snapshot path, so the incremental
-    clause reuse of sequential mode is traded for checkability.
+    With [certify], every solve is self-checking; a rejected
+    certificate raises {!Certification_failed} rather than returning an
+    unvouched verdict. A sequential engine keeps searching on its warm
+    solver, exactly as without [certify], and one incremental checker
+    ({!Cert.Pipeline.session}) lives as long as that solver and mirrors
+    it: it takes every input clause as the solver receives it and every
+    learnt and deleted clause from the DRUP tracer, in its own arena. A
+    SAT answer is accepted when the model satisfies every input clause
+    and assumption ({!Cert.Model}); an UNSAT answer when every step
+    traced before it is RUP-valid ({!Cert.Rup}) and the solve's
+    assumptions propagate to a conflict. A certified run therefore makes
+    the same decisions, conflicts and verdicts as an uncertified one.
+    With [portfolio > 1], each race runs on one exported CNF snapshot,
+    and the winner's certificate is checked against that snapshot.
 
     With [simp] (the default), witness-free solves — {!decide} with
     [~cex:false] — are answered on a {e reduced} problem: only the cone
     of influence of the permanent constraints and the obligation is
     encoded ({!Simp}). Witness-producing solves always encode the full
     extraction set, so counterexamples are bit-identical with [simp] on
-    or off; certified reduced solves have their DRUP proof checked
+    or off; certified reduced races have their DRUP proof checked
     against the reduced CNF they actually solved. *)
 
 type t
@@ -46,13 +53,15 @@ val create :
 (** [simp] (default [true]) enables cone-of-influence reduction for
     witness-free solves; it never changes verdicts or counterexamples.
 
-    [cert_jobs] (default [0]) only matters with [certify]: when positive,
-    UNSAT certificates are checked by the pipelined streaming checker
-    ({!Cert.Pipeline}) on that many checker domains {e while the solver
-    searches}, instead of by a post-hoc sequential {!Cert.Rup.check}
-    pass. Verdicts and accept/reject decisions are identical; only the
-    wall-clock attribution changes — [check_seconds] in {!cert_totals}
-    then counts only the residual drain after the solver finished. *)
+    [cert_jobs] (default [0]) only matters with [certify]. With [0], a
+    sequential engine's checker validates the pending proof steps on
+    the solver's thread when an UNSAT answer needs them, and a race's
+    certificate is checked after the race. When positive, closed proof
+    epochs are checked on that many checker domains {e while the solver
+    searches} ({!Cert.Pipeline}), and every UNSAT answer waits for the
+    epochs before it. Verdicts and accept/reject decisions are
+    identical; only the wall-clock attribution changes —
+    [check_seconds] in {!cert_totals} then counts only that wait. *)
 
 val unroller : t -> Unroller.t
 val graph : t -> Aig.t

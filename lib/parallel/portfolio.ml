@@ -36,10 +36,10 @@ let default_configs k =
           var_decay = if i mod 3 = 0 then 0.93 else 0.97;
         })
 
-(* Checker domains for one racer's pipeline, created lazily: a solve
-   whose certificate never fills an epoch (the common tiny proof) pays
-   for zero domains — its single epoch is checked inline at [finish].
-   All hooks run on the racer's own thread, so the lazy cell is safe. *)
+(* Checker domains for one pipeline, created lazily: a solve whose
+   certificate never fills an epoch (the common tiny proof) pays for
+   zero domains until its last epoch closes. All hooks run on the
+   pipeline's own thread, so the lazy cell is safe. *)
 let pool_dispatch ~jobs =
   let pool = ref None in
   let get () =

@@ -41,6 +41,12 @@ val default_configs : int -> Satsolver.Solver.options list
     minimisation. VSIDS is never disabled: index-order branching is
     hopeless at proof-obligation sizes. *)
 
+val pool_dispatch : jobs:int -> Cert.Pipeline.dispatch
+(** Checker domains for one pipeline: a pool of [jobs] domains created
+    at the first dispatched epoch and shut down by [d_shutdown], after
+    which the next epoch creates a fresh one. Every hook must be called
+    from the one thread that drives the pipeline. *)
+
 val solve :
   ?configs:Satsolver.Solver.options list ->
   ?certify:bool ->

@@ -165,6 +165,7 @@ type t = {
   mutable conflict_core : int list;  (* assumption lits of final conflict *)
   mutable terminate : (unit -> bool) option;  (* polled during search *)
   mutable tracer : tracer option;  (* DRUP certificate sink *)
+  mutable input_hook : (Lit.t list -> unit) option;  (* sees add_clause input *)
   (* resource limits of the in-flight [solve_bounded] call, as absolute
      thresholds against the cumulative counters; -1 / nonpositive
      deadline mean unlimited *)
@@ -224,6 +225,7 @@ let create ?(options = default_options) () =
     conflict_core = [];
     terminate = None;
     tracer = None;
+    input_hook = None;
     lim_conflicts = -1;
     lim_propagations = -1;
     lim_deadline = 0.0;
@@ -510,10 +512,12 @@ let trace_barrier t =
   match t.tracer with None -> () | Some tr -> tr.trace_barrier ()
 
 let set_tracer t tr = t.tracer <- tr
+let set_input_hook t h = t.input_hook <- h
 
 (* ---- clause addition ---- *)
 
 let add_clause t lits =
+  (match t.input_hook with Some f -> f lits | None -> ());
   if t.ok then begin
     t.last_result <- RNone;
     if decision_level t > 0 then cancel_until t 0;

@@ -117,6 +117,14 @@ val set_tracer : t -> tracer option -> unit
 (** Install (or clear) the certificate sink. Install it before the
     first {!add_clause} so level-0 strengthenings are captured. *)
 
+val set_input_hook : t -> (Lit.t list -> unit) option -> unit
+(** Install (or clear) a sink that receives every clause given to
+    {!add_clause}, exactly as given and before any simplification — the
+    axioms a certificate traced by the {!tracer} rests on. An
+    incremental checker installs both before the first {!add_clause}
+    and mirrors the solver's clause database without reading it
+    ([Cert.Pipeline.session]). *)
+
 val export : t -> int * Lit.t list list
 (** [(nvars, clauses)]: a snapshot of the problem — every original
     clause plus the root-level trail as unit clauses (learnt clauses

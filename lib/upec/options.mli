@@ -36,12 +36,16 @@ type t = {
           in a few thousand conflicts; proofs hand their final inductive
           check to per-svar, which needs about half the conflicts. *)
   portfolio : int;  (** solver configurations raced per SAT call *)
-  certify : bool;  (** self-checking verdicts (DRUP / model / replay) *)
+  certify : bool;
+      (** self-checking verdicts (DRUP / model / replay). A sequential
+          run certifies on its warm solver session, so it searches
+          exactly like the uncertified run; see {!Ipc.Engine.create} *)
   cert_jobs : int;
-      (** with [certify], [> 0] streams each UNSAT certificate into the
-          pipelined parallel checker on that many domains while the
-          solver searches ({!Cert.Pipeline}); [0] (default) keeps the
-          post-hoc sequential check. Accept/reject is identical. *)
+      (** with [certify], [> 0] checks the proof steps in epochs on that
+          many checker domains while the solver searches
+          ({!Cert.Pipeline}); [0] (default) checks them on the solver's
+          thread when an UNSAT answer needs them. Accept/reject is
+          identical. *)
   cex_vcd : string option;  (** waveform-pair prefix for counterexamples *)
   budget : Satsolver.Solver.budget;  (** per-solve resource budget *)
   budget_retries : int;

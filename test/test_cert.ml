@@ -488,13 +488,235 @@ let test_model_check () =
   let verdict, _, s = solve_traced 2 clauses in
   Alcotest.(check bool) "sat" true (verdict = S.Sat);
   let value v = S.value s (lit v true) in
-  (match Cert.Model.check ~clauses ~value with
+  (match Cert.Model.check ~clauses ~assumptions:[] ~value with
   | Ok () -> ()
   | Error msg -> Alcotest.fail ("genuine model rejected: " ^ msg));
   (* mutate the model: flip the forced variable *)
   let mutated v = if v = 0 then not (value v) else value v in
-  match Cert.Model.check ~clauses ~value:mutated with
+  match Cert.Model.check ~clauses ~assumptions:[] ~value:mutated with
   | Ok () -> Alcotest.fail "mutated model accepted"
+  | Error _ -> ()
+
+let test_model_check_assumptions () =
+  (* x2 occurs in no clause: flipping it keeps every clause satisfied
+     but answers a different obligation than the solve's *)
+  let clauses = [ [ lit 0 true ]; [ lit 0 false; lit 1 true ] ] in
+  let assumptions = [ lit 2 true ] in
+  let verdict, _, s = solve_traced ~assumptions 3 clauses in
+  Alcotest.(check bool) "sat" true (verdict = S.Sat);
+  let value v = S.value s (lit v true) in
+  (match Cert.Model.check ~clauses ~assumptions ~value with
+  | Ok () -> ()
+  | Error msg -> Alcotest.fail ("genuine model rejected: " ^ msg));
+  let flipped v = if v = 2 then not (value v) else value v in
+  (match Cert.Model.check ~clauses ~assumptions:[] ~value:flipped with
+  | Ok () -> ()
+  | Error msg -> Alcotest.fail ("flip breaks a clause: " ^ msg));
+  match Cert.Model.check ~clauses ~assumptions ~value:flipped with
+  | Ok () -> Alcotest.fail "model falsifying an assumption accepted"
+  | Error _ -> ()
+
+(* ---- the incremental session: one checker mirrors one solver ---- *)
+
+(* A solver mirrored by a session, wired the way a certified sequential
+   engine wires its own, before the first clause. [cert_jobs > 0]
+   checks epochs of 16 steps on that many domains ([max_pending:0]
+   spills every one to disk first). [axiom] filters what the checker is
+   told, to build a checker that misses a clause. *)
+let mirrored ?(axiom = fun c -> Some c) ?max_pending ~cert_jobs nvars =
+  let s = S.create () in
+  let dispatch =
+    if cert_jobs > 0 then Some (pool_dispatch cert_jobs) else None
+  in
+  let c = Pipeline.session ?dispatch ~epoch_target:16 ?max_pending () in
+  S.set_input_hook s
+    (Some (fun cl -> Option.iter (Pipeline.axiom c) (axiom cl)));
+  S.set_tracer s (Some (Pipeline.tracer c));
+  for _ = 1 to nvars do
+    ignore (S.new_var s)
+  done;
+  (s, c)
+
+(* php(p, h) over variables [base, base + p*h), each clause guarded by
+   the activation literal [act]: UNSAT exactly when [act] is assumed *)
+let guarded_pigeonhole ~base ~act p h =
+  let _, clauses = pigeonhole p h in
+  List.map
+    (fun c -> L.negate act :: List.map (fun l -> L.make (base + L.var l) (L.sign l)) c)
+    clauses
+
+let solve_under s assumptions =
+  match S.solve_bounded ~assumptions s with
+  | S.Solved r -> r
+  | S.Unknown why -> Alcotest.fail ("solve undecided: " ^ why)
+
+let sat_ok s c ~assumptions =
+  Alcotest.(check bool) "sat answer" true (solve_under s assumptions = S.Sat);
+  Pipeline.check_sat c ~assumptions ~value:(S.value_var s)
+
+let unsat_ok s c ~assumptions =
+  Alcotest.(check bool) "unsat answer" true
+    (solve_under s assumptions = S.Unsat);
+  Pipeline.check_unsat c ~assumptions
+
+(* the checker configurations every session test runs under *)
+let session_configs =
+  [
+    ("cert_jobs 0", 0, None);
+    ("cert_jobs 2", 2, None);
+    ("cert_jobs 2, every epoch spilled", 2, Some 0);
+  ]
+
+(* Two guarded pigeonhole cores on one warm solver: SAT, UNSAT, more
+   clauses, UNSAT, SAT — every answer vouched for, the session open.
+   The clauses added between the answers land inside an epoch. *)
+let test_session_accepts () =
+  List.iter
+    (fun (label, cert_jobs, max_pending) ->
+      let label = label ^ ": " in
+      let act1 = lit 0 true and act2 = lit 1 true in
+      let s, c = mirrored ?max_pending ~cert_jobs 42 in
+      let php1 = guarded_pigeonhole ~base:2 ~act:act1 5 4 in
+      List.iter (S.add_clause s) php1;
+      (match sat_ok s c ~assumptions:[] with
+      | Ok () -> ()
+      | Error m -> Alcotest.fail (label ^ "genuine model rejected: " ^ m));
+      let steps1 =
+        match unsat_ok s c ~assumptions:[ act1 ] with
+        | Ok sum -> sum.Pipeline.steps
+        | Error m -> Alcotest.fail (label ^ "genuine UNSAT rejected: " ^ m)
+      in
+      Alcotest.(check bool) (label ^ "steps validated") true (steps1 > 0);
+      (* a redundant step (a copy of an input clause), so that the next
+         clauses arrive behind a pending step, inside one epoch *)
+      (Pipeline.tracer c).S.trace_add (Array.of_list (List.hd php1));
+      List.iter (S.add_clause s) (guarded_pigeonhole ~base:22 ~act:act2 5 4);
+      (match unsat_ok s c ~assumptions:[ L.negate act1; act2 ] with
+      | Ok sum ->
+          Alcotest.(check bool)
+            (label ^ "epochs only when pipelined")
+            (cert_jobs > 0) (sum.Pipeline.epochs > 0);
+          Alcotest.(check bool)
+            (label ^ "spilled when asked")
+            (max_pending = Some 0)
+            (sum.Pipeline.spilled_epochs > 0)
+      | Error m -> Alcotest.fail (label ^ "second UNSAT rejected: " ^ m));
+      match sat_ok s c ~assumptions:[ L.negate act2 ] with
+      | Ok () -> ()
+      | Error m -> Alcotest.fail (label ^ "last model rejected: " ^ m))
+    session_configs
+
+(* The mutant of a checker that is not told one activation clause
+   [¬act ∨ C]: php(5,4) is minimally unsatisfiable, so without C the
+   checker's formula is satisfiable under [act] and no sound check may
+   vouch for the solver's UNSAT answer. *)
+let test_session_withheld_activation_clause () =
+  let act = lit 0 true in
+  let clauses = guarded_pigeonhole ~base:1 ~act 5 4 in
+  let withheld = List.nth clauses 3 in
+  List.iter
+    (fun (label, cert_jobs, max_pending) ->
+      let s, c =
+        mirrored ?max_pending ~cert_jobs
+          ~axiom:(fun cl -> if cl == withheld then None else Some cl)
+          21
+      in
+      List.iter (S.add_clause s) clauses;
+      match unsat_ok s c ~assumptions:[ act ] with
+      | Ok _ ->
+          Alcotest.failf "%s: UNSAT vouched for without an activation clause"
+            label
+      | Error _ -> ())
+    session_configs
+
+(* A corrupted step traced into a live session: SAT answers still stand
+   (a model rests on no learnt clause), the next UNSAT answer is
+   rejected at that step, and the rejection is the same, at the same
+   global step, with and without checker domains. [bad] gets the solver
+   and the session's tracer. *)
+let session_rejects_step what bad =
+  let act = lit 0 true in
+  let reject (label, cert_jobs, max_pending) =
+    let s, c = mirrored ?max_pending ~cert_jobs 21 in
+    List.iter (S.add_clause s) (guarded_pigeonhole ~base:1 ~act 5 4);
+    bad s (Pipeline.tracer c);
+    (match sat_ok s c ~assumptions:[] with
+    | Ok () -> ()
+    | Error m -> Alcotest.failf "%s, %s: model rejected: %s" what label m);
+    match unsat_ok s c ~assumptions:[ act ] with
+    | Ok _ -> Alcotest.failf "%s accepted at %s" what label
+    | Error m ->
+        (* the failure is sticky *)
+        (match Pipeline.check_unsat c ~assumptions:[ act ] with
+        | Ok _ -> Alcotest.failf "%s forgotten at %s" what label
+        | Error m' -> Alcotest.(check string) "sticky" m m');
+        (label, m)
+  in
+  let ends_with s suffix =
+    let n = String.length s and k = String.length suffix in
+    n >= k && String.sub s (n - k) k = suffix
+  in
+  match List.map reject session_configs with
+  | (label0, sequential) :: rest ->
+      List.iter
+        (fun (label, m) ->
+          if not (ends_with m sequential) then
+            Alcotest.failf "%s: %s says %S, %s says %S" what label0 sequential
+              label m)
+        rest
+  | [] -> ()
+
+let test_session_rejects_non_rup () =
+  session_rejects_step "a non-RUP step" (fun _ tr ->
+      tr.S.trace_add [| lit 1 false |])
+
+(* a step is judged against the axioms before it: one that only a later
+   input clause implies is rejected, whatever validates it when *)
+let test_session_rejects_premature_step () =
+  session_rejects_step "a step ahead of its axiom" (fun s tr ->
+      tr.S.trace_add [| lit 1 true |];
+      S.add_clause s [ lit 1 true ])
+
+let test_session_rejects_unknown_delete () =
+  session_rejects_step "deleting a clause never held" (fun _ tr ->
+      tr.S.trace_delete [| lit 1 true; lit 2 true |])
+
+let test_session_rejects_axiom_delete () =
+  session_rejects_step "deleting an axiom" (fun _ tr ->
+      tr.S.trace_delete [| lit 0 false; lit 1 false; lit 5 false |])
+
+(* An UNSAT answer the checker's clauses do not refute by propagation:
+   the formula is satisfiable without [act], and with it php(5,4) needs
+   the proof steps a solve would trace *)
+let test_session_rejects_unrefuted () =
+  let act = lit 0 true in
+  List.iter
+    (fun (label, cert_jobs, max_pending) ->
+      let s, c = mirrored ?max_pending ~cert_jobs 21 in
+      List.iter (S.add_clause s) (guarded_pigeonhole ~base:1 ~act 5 4);
+      List.iter
+        (fun assumptions ->
+          match Pipeline.check_unsat c ~assumptions with
+          | Ok _ -> Alcotest.failf "%s: unrefuted UNSAT answer accepted" label
+          | Error _ -> ())
+        [ []; [ act ] ])
+    session_configs
+
+let test_session_rejects_models () =
+  let s, c = mirrored ~cert_jobs:0 4 in
+  (* x0 and x1 forced; x3 free: the solve assumes it *)
+  List.iter (S.add_clause s) [ [ lit 0 true ]; [ lit 0 false; lit 1 true ] ];
+  let assumptions = [ lit 3 true ] in
+  (match sat_ok s c ~assumptions with
+  | Ok () -> ()
+  | Error m -> Alcotest.fail ("genuine model rejected: " ^ m));
+  let value = S.value_var s in
+  let flip x v = if v = x then not (value v) else value v in
+  (match Pipeline.check_sat c ~assumptions ~value:(flip 1) with
+  | Ok () -> Alcotest.fail "model falsifying an axiom accepted"
+  | Error _ -> ());
+  match Pipeline.check_sat c ~assumptions ~value:(flip 3) with
+  | Ok () -> Alcotest.fail "model falsifying an assumption accepted"
   | Error _ -> ()
 
 (* ---- counterexample validation against the simulator ---- *)
@@ -738,7 +960,31 @@ let () =
           Alcotest.test_case "portfolio integration" `Quick
             test_pipeline_portfolio_integration;
         ] );
-      ("model", [ Alcotest.test_case "model check" `Quick test_model_check ]);
+      ( "model",
+        [
+          Alcotest.test_case "model check" `Quick test_model_check;
+          Alcotest.test_case "model check covers assumptions" `Quick
+            test_model_check_assumptions;
+        ] );
+      ( "session",
+        [
+          Alcotest.test_case "vouches for a warm solver's answers" `Quick
+            test_session_accepts;
+          Alcotest.test_case "rejects a withheld activation clause" `Quick
+            test_session_withheld_activation_clause;
+          Alcotest.test_case "rejects a non-RUP step" `Quick
+            test_session_rejects_non_rup;
+          Alcotest.test_case "rejects a step ahead of its axiom" `Quick
+            test_session_rejects_premature_step;
+          Alcotest.test_case "rejects deleting a clause never held" `Quick
+            test_session_rejects_unknown_delete;
+          Alcotest.test_case "rejects deleting an axiom" `Quick
+            test_session_rejects_axiom_delete;
+          Alcotest.test_case "rejects an unrefuted UNSAT answer" `Quick
+            test_session_rejects_unrefuted;
+          Alcotest.test_case "rejects false models" `Quick
+            test_session_rejects_models;
+        ] );
       ( "certval",
         [
           Alcotest.test_case "accepts genuine counterexample" `Quick

@@ -80,9 +80,10 @@ let test_alg2_simp_equiv () =
   check_identical "alg2 per-svar" (run ~jobs:2 true) (run ~jobs:2 false)
 
 let test_certified_simp_equiv () =
-  (* certification routes witness-free solves through the reduced
-     snapshot: the DRUP proof is checked against the reduced CNF, so a
-     reduction bug fails this test twice over (verdict or certificate) *)
+  (* a certified witness-free solve runs on its worker's lazily encoded
+     cone, and the worker's checker vouches for it against exactly the
+     clauses that solver received, so a reduction bug fails this test
+     twice over (verdict or certificate) *)
   let run simp =
     Upec.Alg1.run_with
       { O.default with O.simp; jobs = Some 2; certify = true }
@@ -242,7 +243,8 @@ let micro_secure () =
       }
     Upec.Spec.Secure
 
-let golden_repr ?(stats = true) ?checkpoint (r : Upec.Report.run) =
+let golden_repr ?(stats = true) ?(cert = true) ?checkpoint
+    (r : Upec.Report.run) =
   let step_stats (s : Upec.Report.step) =
     match s.Upec.Report.st_stats with
     | Some st ->
@@ -251,7 +253,7 @@ let golden_repr ?(stats = true) ?checkpoint (r : Upec.Report.run) =
           st.Satsolver.Solver.propagations
     | None -> Printf.sprintf "iter=%d no stats" s.Upec.Report.st_iter
   in
-  let cert =
+  let cert_line =
     match r.Upec.Report.cert with
     | None -> "cert none"
     | Some c ->
@@ -276,8 +278,8 @@ let golden_repr ?(stats = true) ?checkpoint (r : Upec.Report.run) =
   String.concat "\n"
     ((repr_run r
      :: (if stats then List.map step_stats r.Upec.Report.steps else []))
+    @ (if cert then [ cert_line ] else [])
     @ [
-        cert;
         (match r.Upec.Report.resumed_from with
         | None -> "fresh start"
         | Some i -> Printf.sprintf "resumed from %d" i);
@@ -382,7 +384,7 @@ let golden_cases =
       "da8b2a1bbd974dc20e0e0bc1c4dcfbe9",
       fun () -> alg1 ~stats:false j2 (hwpe_memory ()) );
     ( "hwpe alg1 certified",
-      "510eecbbe46d6e50801cd13c0a9e2f9b",
+      "8dd7afe09f53029009964750607ab89a",
       fun () -> alg1 { O.default with O.certify = true } (hwpe_memory ()) );
     ( "hwpe alg2 incremental",
       "f424dcc880f741a5a46a4635388af510",
@@ -444,6 +446,28 @@ let golden_cases =
       "af40dea35074aa836d6855c6398f8448",
       fun () -> golden_repr (fst (Lazy.force countermeasure_default)) );
   ]
+
+(* ---- certified search = uncertified search ----
+
+   A certified sequential run searches on the same warm session as an
+   uncertified one; its checker only watches the clauses go by. So the
+   two runs agree on everything but the cert line — the trace, every
+   step's conflicts and propagations — and spend the same conflicts. *)
+
+let alg1_trace spec o = golden_repr ~cert:false (Upec.Alg1.run_with o (spec ()))
+
+let alg2_trace spec o =
+  let r, outcome = Upec.Alg2.run_with o (spec ()) in
+  golden_repr ~cert:false r ^ "\n" ^ repr_outcome outcome
+
+let test_certified_search ?uncertified trace o () =
+  let run certify = metered (fun () -> trace { o with O.certify }) in
+  let plain, plain_conflicts =
+    match uncertified with Some u -> Lazy.force u | None -> run false
+  in
+  let certified, certified_conflicts = run true in
+  Alcotest.(check string) "trace without the cert line" plain certified;
+  Alcotest.(check int) "sat.conflicts" plain_conflicts certified_conflicts
 
 (* ---- step accounting and the hand-over ---- *)
 
@@ -559,6 +583,25 @@ let () =
             test_schema_versions;
         ] );
       ("golden", List.map golden_test golden_cases);
+      ( "certified-search",
+        [
+          Alcotest.test_case "hwpe alg1" `Quick
+            (test_certified_search (alg1_trace hwpe_memory) O.default);
+          Alcotest.test_case "hwpe alg1 per-svar j1" `Quick
+            (test_certified_search (alg1_trace hwpe_memory) j1);
+          Alcotest.test_case "hwpe alg2" `Quick
+            (test_certified_search (alg2_trace hwpe_memory) O.default);
+          Alcotest.test_case "micro alg1" `Quick
+            (test_certified_search (alg1_trace micro_secure) O.default);
+          Alcotest.test_case "countermeasure alg1 hand-over" `Slow
+            (test_certified_search
+               ~uncertified:
+                 (lazy
+                   (let r, spent = Lazy.force countermeasure_default in
+                    (golden_repr ~cert:false r, spent)))
+               (alg1_trace countermeasure)
+               O.default);
+        ] );
       ( "handover",
         [
           Alcotest.test_case "step conflicts sum to the solver's" `Quick
