@@ -303,7 +303,7 @@ let check_spilled t ep path =
     let g = !gstep in
     match step with
     | Proof.Add c -> (
-        match Rup.normalize (Array.to_list (Array.map L.to_int c)) with
+        match Rup.step_lits c with
         | None -> incr gstep
         | Some arr ->
             if
@@ -334,7 +334,7 @@ let check_spilled t ep path =
             else raise (Epoch_failed (g, Rup.not_rup_reason)))
     | Proof.Delete c -> (
         incr gstep;
-        match Rup.normalize (Array.to_list (Array.map L.to_int c)) with
+        match Rup.step_lits c with
         | None -> raise (Epoch_failed (g, "deletion of a tautology"))
         | Some arr ->
             if Rup.delete sh arr = None then
@@ -427,11 +427,11 @@ let write_spill t ep_idx events n =
 let compile t = function
   | Axiom arr -> E_axiom (insert_axiom t arr)
   | Step (Proof.Add c) -> (
-      match Rup.normalize (Array.to_list (Array.map L.to_int c)) with
+      match Rup.step_lits c with
       | None -> E_skip
       | Some arr -> E_add (Rup.insert t.st arr))
   | Step (Proof.Delete c) -> (
-      match Rup.normalize (Array.to_list (Array.map L.to_int c)) with
+      match Rup.step_lits c with
       | None -> E_bad "deletion of a tautology"
       | Some arr -> (
           match Rup.delete t.st arr with

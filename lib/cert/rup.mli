@@ -82,6 +82,9 @@ val normalize : int list -> int array option
 (** Sort, deduplicate; [None] for tautologies. Every clause entering
     the arena is normalized. *)
 
+val step_lits : L.t array -> int array option
+(** {!normalize} of a certificate step's literals. *)
+
 val insert : t -> int array -> int
 (** Append a normalized clause to the arena, register it for deletion
     lookup, activate it (watches / level-0 consequence / contradiction).
