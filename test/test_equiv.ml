@@ -583,7 +583,10 @@ let () =
             test_schema_versions;
         ] );
       ("golden", List.map golden_test golden_cases);
-      ( "certified-search",
+      (* Group names stay within the width of "inherit-cap": a wider one
+         widens alcotest's group column and truncates the test names
+         after it differently. *)
+      ( "cert-search",
         [
           Alcotest.test_case "hwpe alg1" `Quick
             (test_certified_search (alg1_trace hwpe_memory) O.default);
