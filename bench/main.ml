@@ -717,7 +717,6 @@ let certify_experiment ctx =
             ("proof_steps", Json.Int t.Cert.Proof.proof_steps);
             ("proof_lits", Json.Int t.Cert.Proof.proof_lits);
             ("epochs", Json.Int t.Cert.Proof.epochs);
-            ("spilled_epochs", Json.Int t.Cert.Proof.spilled_epochs);
             ("unsat_checked", Json.Int t.Cert.Proof.unsat_checked);
             ("sat_checked", Json.Int t.Cert.Proof.sat_checked);
             ("sat_conflicts", Json.Int spent);

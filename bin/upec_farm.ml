@@ -28,8 +28,8 @@ let socket_arg =
 
 let listen_arg =
   let doc =
-    "Additionally listen on TCP \\$(docv) (length-framed LDJSON with an \
-     HMAC handshake; requires \\$(b,--auth-token-file))."
+    "Additionally listen on TCP $(docv) (length-framed LDJSON with an \
+     HMAC handshake; requires $(b,--auth-token-file))."
   in
   Arg.(
     value & opt (some string) None & info [ "listen" ] ~doc ~docv:"HOST:PORT")
@@ -63,7 +63,7 @@ let job_timeout_arg =
   let doc =
     "Per-job wall-clock limit in seconds; an expired worker is \
      SIGKILLed, the job is retried with an escalated limit up to \
-     \\$(b,--job-retries) times (0 = no limit)."
+     $(b,--job-retries) times (0 = no limit)."
   in
   Arg.(value & opt float 0.0 & info [ "job-timeout" ] ~doc ~docv:"SECS")
 
@@ -75,7 +75,7 @@ let job_retries_arg =
   Arg.(value & opt int 1 & info [ "job-retries" ] ~doc ~docv:"N")
 
 let retry_escalation_arg =
-  let doc = "Multiply the per-attempt timeout by \\$(docv) on each retry." in
+  let doc = "Multiply the per-attempt timeout by $(docv) on each retry." in
   Arg.(value & opt float 2.0 & info [ "retry-escalation" ] ~doc ~docv:"X")
 
 let max_queue_arg =
@@ -87,9 +87,9 @@ let max_queue_arg =
 
 let batch_arg =
   let doc =
-    "One-shot mode: read jobs (one JSON object per line) from \\$(docv), \
+    "One-shot mode: read jobs (one JSON object per line) from $(docv), \
      run them through the same queue/lease/pool/cache machinery without \
-     binding a socket, write replies to \\$(b,--results) and exit."
+     binding a socket, write replies to $(b,--results) and exit."
   in
   Arg.(value & opt (some string) None & info [ "batch" ] ~doc ~docv:"FILE")
 
@@ -99,16 +99,16 @@ let results_arg =
 
 let log_arg =
   let doc =
-    "Append every request, reply and lease event line to \\$(docv) (JSONL)."
+    "Append every request, reply and lease event line to $(docv) (JSONL)."
   in
   Arg.(value & opt (some string) None & info [ "log" ] ~doc ~docv:"FILE")
 
 let trace_arg =
-  let doc = "Stream observability spans to \\$(docv) as JSONL." in
+  let doc = "Stream observability spans to $(docv) as JSONL." in
   Arg.(value & opt (some string) None & info [ "trace" ] ~doc ~docv:"FILE")
 
 let metrics_arg =
-  let doc = "Write the final metrics registry to \\$(docv) as JSON on exit." in
+  let doc = "Write the final metrics registry to $(docv) as JSON on exit." in
   Arg.(value & opt (some string) None & info [ "metrics" ] ~doc ~docv:"FILE")
 
 let obs_setup trace_file metrics_file =
@@ -249,8 +249,8 @@ let worker_cmd =
 
 let connect_arg =
   let doc =
-    "Daemon address: HOST:PORT (TCP, needs \\$(b,--auth-token-file)) or a \
-     socket path. Overrides \\$(b,--socket)."
+    "Daemon address: HOST:PORT (TCP, needs $(b,--auth-token-file)) or a \
+     socket path. Overrides $(b,--socket)."
   in
   Arg.(
     value & opt (some string) None & info [ "connect" ] ~doc ~docv:"ADDR")
@@ -285,7 +285,7 @@ let job_arg =
   Arg.(value & opt string "{}" & info [ "job" ] ~doc ~docv:"JSON")
 
 let file_arg =
-  let doc = "Submit every job in \\$(docv) (one JSON object per line)." in
+  let doc = "Submit every job in $(docv) (one JSON object per line)." in
   Arg.(value & opt (some string) None & info [ "file" ] ~doc ~docv:"FILE")
 
 let submit_cmd =

@@ -132,7 +132,7 @@ let json_arg =
   let doc =
     "Write the machine-readable report (schema 3: verdict, iteration \
      table, options echo, reduction statistics and, with --scenario, the \
-     scenario block) to \\$(docv)."
+     scenario block) to $(docv)."
   in
   Arg.(value & opt (some string) None & info [ "json" ] ~doc ~docv:"FILE")
 
@@ -175,7 +175,7 @@ let certify_arg =
 
 let cert_jobs_arg =
   let doc =
-    "With \\$(b,--certify): check the proof steps on \\$(docv) parallel \
+    "With $(b,--certify): check the proof steps on $(docv) parallel \
      checker domains while the solver searches, instead of on the solver's \
      thread when an UNSAT answer needs them (0). Accept/reject decisions \
      are identical; only the certification overhead shrinks."
@@ -184,14 +184,14 @@ let cert_jobs_arg =
 
 let cex_vcd_arg =
   let doc =
-    "Dump the counterexample as paired VCD waveforms \\$(docv).A.vcd / \
-     \\$(docv).B.vcd (one file per instance)."
+    "Dump the counterexample as paired VCD waveforms $(docv).A.vcd / \
+     $(docv).B.vcd (one file per instance)."
   in
   Arg.(value & opt (some string) None & info [ "cex-vcd" ] ~doc ~docv:"PREFIX")
 
 let conflict_budget_arg =
   let doc =
-    "Give up on any single SAT call after \\$(docv) conflicts (0 = \
+    "Give up on any single SAT call after $(docv) conflicts (0 = \
      unlimited). Exhausted calls are retried with escalating budgets; a \
      state variable still undecided afterwards is excluded conservatively \
      and reported, it never aborts the run."
@@ -216,14 +216,14 @@ let budget_escalation_arg =
 
 let checkpoint_arg =
   let doc =
-    "Persist the iteration state to \\$(docv) (atomic rename) after every \
-     completed iteration, and on SIGINT/SIGTERM. Resume with \\$(b,--resume)."
+    "Persist the iteration state to $(docv) (atomic rename) after every \
+     completed iteration, and on SIGINT/SIGTERM. Resume with $(b,--resume)."
   in
   Arg.(value & opt (some string) None & info [ "checkpoint" ] ~doc ~docv:"FILE")
 
 let resume_arg =
   let doc =
-    "Resume from a checkpoint written by \\$(b,--checkpoint). The stored \
+    "Resume from a checkpoint written by $(b,--checkpoint). The stored \
      config hash must match the current design/variant/persistence options; \
      a mismatch is refused."
   in
@@ -232,7 +232,7 @@ let resume_arg =
 let trace_arg =
   let doc =
     "Stream observability spans (solver, unroller, pool, per-iteration \
-     phases) to \\$(docv) as JSONL. The sink is buffered with whole lines \
+     phases) to $(docv) as JSONL. The sink is buffered with whole lines \
      and flushed on exit — also on interrupt — so the file is always \
      parseable."
   in
@@ -241,7 +241,7 @@ let trace_arg =
 let metrics_arg =
   let doc =
     "Write the final metrics registry (counters, gauges, log-scale \
-     histograms) to \\$(docv) as JSON on exit."
+     histograms) to $(docv) as JSON on exit."
   in
   Arg.(value & opt (some string) None & info [ "metrics" ] ~doc ~docv:"FILE")
 
@@ -501,18 +501,18 @@ let matrix_cmd =
     Arg.(value & pos_all string [] & info [] ~doc ~docv:"NAME")
   in
   let out_arg =
-    let doc = "Write one schema-3 report per scenario into \\$(docv)." in
+    let doc = "Write one schema-3 report per scenario into $(docv)." in
     Arg.(value & opt (some string) None & info [ "out" ] ~doc ~docv:"DIR")
   in
   let matrix_json_arg =
     let doc =
       "Write the matrix artefact (per-scenario verdicts, statistics and \
-       agreement flags) to \\$(docv)."
+       agreement flags) to $(docv)."
     in
     Arg.(value & opt (some string) None & info [ "json" ] ~doc ~docv:"FILE")
   in
   let stat_max_arg =
-    let doc = "Cap the statistical sample escalation at \\$(docv) pairs." in
+    let doc = "Cap the statistical sample escalation at $(docv) pairs." in
     Arg.(value & opt (some int) None & info [ "stat-max" ] ~doc ~docv:"N")
   in
   let doc =

@@ -1,24 +1,37 @@
-(* Pipelined parallel DRUP certification.
+(* Incremental DRUP certification: one checker mirrors one solver.
 
-   The sequential story — record the whole certificate, then replay it
-   through {!Rup.check} after the verdict — makes certification a
-   post-hoc tax of the same order as the solve itself. This module
-   turns it into a streaming coordinator + checker-shard engine:
+   The session lives as long as its solver. It never reads the solver's
+   clause database; it keeps its own arena ({!Rup}). Input clauses
+   arrive through the solver's input hook as trusted axioms, learnt and
+   deleted clauses through its tracer, and both join one stream in
+   arrival order. Each answer is checked in place while the session
+   stays open: a model against every axiom and the solve's assumptions,
+   an UNSAT answer by validating every step traced before it and then
+   finding a propagation conflict under its assumptions. A step is
+   validated against exactly the axioms and steps that precede it in
+   the stream, whether an epoch shard or the coordinator validates it,
+   so accept/reject decisions do not depend on the dispatch. Steps need
+   validating only before an UNSAT answer relies on them: axioms are
+   never retracted and RUP is monotone, so a step validated long after
+   it was traced is still implied by the axioms of the answer that
+   needs it.
 
-   - The solver's tracer feeds steps straight into a {e coordinator}
-     living on the solver's own domain. The coordinator maintains the
-     checker clause database by {e trusted replay} (insert / delete /
-     propagate, but no RUP validation — validation is the expensive
-     part) and buffers the raw steps of the current epoch.
+   Without a dispatch the session has no epochs: pending axioms and
+   steps wait, and the next UNSAT answer replays them in order on the
+   coordinator's own database, on the solver's thread. With one, the
+   stream is checked while the solver searches:
+
+   - The coordinator, on the solver's thread, maintains the checker
+     database by {e trusted replay} (insert / delete / propagate, but
+     no RUP validation — validation is the expensive part) and buffers
+     the raw events of the current epoch.
 
    - At barrier hints (restarts, database reductions) once enough steps
      accumulated, the epoch is {e closed}: the coordinator snapshots the
      database state as of epoch start (arena bounds + a copy of the
      active-flag prefix + the root-trail length — the payload arrays are
      shared, append-only), replays the epoch into its own database, and
-     hands the compiled epoch to a checker shard via the injected
-     [dispatch] hook (inline by default; a domain pool when driven by
-     [Parallel.Portfolio]).
+     hands the compiled epoch to a checker shard via the [dispatch].
 
    - A shard {!Rup.fork}s a state from the snapshot and re-validates
      every addition of its epoch with full RUP checking. Soundness of
@@ -27,33 +40,7 @@
      is confluent, and deletion keeps level-0 consequences — drat-trim
      forward semantics — so the trusted trail replant loses nothing),
      hence a shard accepts its epoch iff the sequential checker accepts
-     those same steps. All epochs accepted + final conflict derived =
-     sequential accept; any shard rejecting = sequential reject (the
-     sequential run fails at or before the same step).
-
-   - Backpressure: when more than [max_pending] epochs are in flight,
-     newly closed epochs {e spill} to disk in DRUP text form (stamped
-     with the {!Proof.complete_marker} / {!Proof.truncated_marker}
-     discipline) instead of stalling the solver or growing the queue;
-     they are re-read and checked during the final drain.
-
-   The same coordinator also serves as an incremental {e session} that
-   mirrors one warm solver across many solves ({!session}). Input
-   clauses arrive through the solver's input hook as trusted axioms,
-   learnt and deleted clauses through the tracer, and both join one
-   stream in arrival order; each answer is checked in place: a model
-   against every axiom and the solve's assumptions, an UNSAT answer by
-   validating every step traced before it and then finding a
-   propagation conflict under its assumptions. A step is validated
-   against exactly the axioms and steps that precede it in the stream,
-   whether an epoch shard or the coordinator validates it, so
-   accept/reject decisions do not depend on the dispatch. Steps need
-   validating only before an UNSAT answer relies on them: axioms are
-   never retracted and RUP is monotone, so a step validated long after
-   it was traced is still implied by the axioms of the answer that
-   needs it. Without a dispatch the session has no epochs: pending
-   axioms and steps wait, and the next UNSAT answer replays them in
-   order on the coordinator's own database, on the solver's thread. *)
+     those same steps. *)
 
 module S = Satsolver.Solver
 module L = Satsolver.Lit
@@ -65,10 +52,7 @@ type summary = {
   deletes : int;
   propagations : int;  (** coordinator + all shards *)
   epochs : int;
-  spilled_epochs : int;
-  drain_seconds : float;
-      (** wall time {!finish} spent draining after the solver was done —
-          the residual, non-overlapped cost of certification *)
+  drain_seconds : float;  (** wall time the answer's check took *)
 }
 
 type dispatch = {
@@ -90,8 +74,8 @@ type estep =
   | E_skip  (* tautology addition: trivially implied, no clause id *)
   | E_bad of string  (* rejected at compile time (malformed deletion) *)
 
-(* What the coordinator buffers: proof steps, and a session's axioms in
-   their place among them (normalized, tautologies dropped) *)
+(* What the coordinator buffers: proof steps, and axioms in their place
+   among them (normalized, tautologies dropped) *)
 type event = Step of Proof.step | Axiom of int array
 
 let no_event = Axiom [||]
@@ -101,10 +85,6 @@ type epoch = {
   e_step0 : int;  (* global index of the epoch's first step *)
   (* snapshot of the database at epoch start *)
   e_first_cid : int;
-  e_axioms : int array;
-      (* session axiom cids, ascending, the first [e_n_axioms] of them
-         in the arena once the epoch was replayed *)
-  e_n_axioms : int;
   e_trail_len : int;
   e_contradiction : bool;
   e_nv : int;
@@ -118,21 +98,16 @@ type epoch = {
   e_visible : int;
   e_trail : int array;
   e_steps : (int * estep) array;
-      (* (global step, op), an axiom taking the index of the next step;
-         [||] if spilled *)
+      (* (global step, op), an axiom taking the index of the next step *)
   e_n_steps : int;  (* proof steps among [e_steps] *)
-  e_spill : string option;
 }
 
 type t = {
   st : Rup.t;  (* coordinator database: trusted replay *)
-  assumptions : int list;
   epoch_target : int;
-  max_pending : int;
-  spill_dir : string;
   dispatch : dispatch option;
-      (* [None]: a session without epochs, validating pending steps on
-         [st] itself when an UNSAT answer needs them *)
+      (* [None]: no epochs; pending steps are validated on [st] itself
+         when an UNSAT answer needs them *)
   cancelled : bool Atomic.t;
   (* coordinator-side accounting (solver thread only) *)
   mutable raw : event array;  (* since the last epoch close / replay *)
@@ -144,19 +119,15 @@ type t = {
   mutable n_adds : int;
   mutable n_deletes : int;
   mutable epochs : int;
-  mutable n_spilled : int;
-  mutable spilled : epoch list;  (* not yet re-checked, newest first *)
   mutable axioms : int array;  (* arena cids of the replayed axioms *)
   mutable n_axioms : int;
   mutable mark : summary;  (* the counters at the last UNSAT answer *)
-  mutable finished : bool;
   (* shared with shards *)
   mu : Mutex.t;
   cv : Condition.t;
   mutable pending : int;
   mutable errors : (int * int * string) list;  (* epoch, global step, msg *)
   mutable shard_props : int;
-  mutable busy_seconds : float;
 }
 
 let m_clauses_checked = Obs.Metrics.counter "cert.clauses_checked"
@@ -173,21 +144,13 @@ let zero_summary =
     deletes = 0;
     propagations = 0;
     epochs = 0;
-    spilled_epochs = 0;
     drain_seconds = 0.0;
   }
 
-let make ?dispatch ?(epoch_target = default_epoch_target) ?(max_pending = 4)
-    ?spill_dir ?(assumptions = []) st =
+let session ?dispatch ?(epoch_target = default_epoch_target) () =
   {
-    st;
-    assumptions = List.map L.to_int assumptions;
+    st = Rup.create 0;
     epoch_target = max 1 epoch_target;
-    max_pending = max 0 max_pending;
-    spill_dir =
-      (match spill_dir with
-      | Some d -> d
-      | None -> Filename.get_temp_dir_name ());
     dispatch;
     cancelled = Atomic.make false;
     raw = Array.make 64 no_event;
@@ -199,35 +162,21 @@ let make ?dispatch ?(epoch_target = default_epoch_target) ?(max_pending = 4)
     n_adds = 0;
     n_deletes = 0;
     epochs = 0;
-    n_spilled = 0;
-    spilled = [];
     axioms = [||];
     n_axioms = 0;
     mark = zero_summary;
-    finished = false;
     mu = Mutex.create ();
     cv = Condition.create ();
     pending = 0;
     errors = [];
     shard_props = 0;
-    busy_seconds = 0.0;
   }
-
-let create ?(dispatch = inline_dispatch) ?epoch_target ?max_pending ?spill_dir
-    ?assumptions ~nvars ~clauses () =
-  let st = Rup.create nvars in
-  Rup.load_cnf st clauses;
-  make ~dispatch ?epoch_target ?max_pending ?spill_dir ?assumptions st
-
-let session ?dispatch ?epoch_target ?max_pending ?spill_dir () =
-  make ?dispatch ?epoch_target ?max_pending ?spill_dir (Rup.create 0)
 
 (* Replay one axiom into the coordinator's arena (trusted, unindexed)
    and remember its clause id. *)
 let insert_axiom t arr =
   let cid = Rup.insert_axiom t.st arr in
   if t.n_axioms = Array.length t.axioms then begin
-    (* grow by copy: a captured prefix stays immutable *)
     let a = Array.make (max 256 (2 * t.n_axioms)) 0 in
     Array.blit t.axioms 0 a 0 t.n_axioms;
     t.axioms <- a
@@ -235,6 +184,14 @@ let insert_axiom t arr =
   t.axioms.(t.n_axioms) <- cid;
   t.n_axioms <- t.n_axioms + 1;
   cid
+
+(* One validation batch's accepted additions, into the metrics *)
+let count_checked checked dt =
+  if checked > 0 then begin
+    Obs.Metrics.add m_clauses_checked checked;
+    if dt > 0.0 then
+      Obs.Metrics.observe h_clauses_per_sec (float_of_int checked /. dt)
+  end
 
 (* ---- checker shards ---- *)
 
@@ -250,7 +207,7 @@ let fork_of_epoch ep =
 let poll_cancel t i =
   if i land 63 = 0 && Atomic.get t.cancelled then raise Cancelled
 
-(* Re-validate one in-memory epoch on a fork of its snapshot. *)
+(* Re-validate one epoch on a fork of its snapshot. *)
 let check_epoch t ep =
   let sh = fork_of_epoch ep in
   let checked = ref 0 in
@@ -258,7 +215,7 @@ let check_epoch t ep =
     (fun i (gstep, op) ->
       poll_cancel t i;
       match op with
-      | E_skip -> ()
+      | E_skip -> incr checked
       | E_axiom cid -> Rup.activate sh cid
       | E_del cid -> Rup.deactivate sh cid
       | E_add cid ->
@@ -272,94 +229,10 @@ let check_epoch t ep =
     ep.e_steps;
   (!checked, sh.Rup.props)
 
-(* Re-validate one spilled epoch from its DRUP file. The clause ids of
-   its additions are consecutive from [e_first_cid] (the coordinator
-   replayed the same steps), which lets the re-read be verified against
-   the arena — a corrupted or mismatching file is rejected. A session's
-   axioms are written as additions in their place; the addition that
-   lands on an axiom's clause id is that axiom, activated unchecked. *)
-let check_spilled t ep path =
-  let sh = fork_of_epoch ep in
-  (* deletions inside a spilled epoch are resolved by literals: rebuild
-     the index over the active snapshot (ascending, so the head of each
-     bucket is the newest clause, matching the coordinator's order),
-     leaving out the axioms, which the coordinator never indexes *)
-  let next_axiom = ref 0 in
-  for cid = 0 to ep.e_first_cid - 1 do
-    if !next_axiom < ep.e_n_axioms && ep.e_axioms.(!next_axiom) = cid then
-      incr next_axiom
-    else if Bytes.get ep.e_prefix_active cid <> '\000' then begin
-      let key = Array.to_list (Rup.clause_lits sh cid) in
-      match Hashtbl.find_opt sh.Rup.index key with
-      | Some r -> r := cid :: !r
-      | None -> Hashtbl.add sh.Rup.index key (ref [ cid ])
-    end
-  done;
-  let next_cid = ref ep.e_first_cid in
-  let gstep = ref ep.e_step0 in
-  let checked = ref 0 in
-  let emit step =
-    poll_cancel t (!gstep - ep.e_step0);
-    let g = !gstep in
-    match step with
-    | Proof.Add c -> (
-        match Rup.step_lits c with
-        | None -> incr gstep
-        | Some arr ->
-            if
-              !next_cid >= ep.e_visible
-              || arr <> Rup.clause_lits sh !next_cid
-            then
-              raise
-                (Epoch_failed
-                   (g, "spill file does not match the recorded certificate"))
-            else if
-              !next_axiom < ep.e_n_axioms
-              && ep.e_axioms.(!next_axiom) = !next_cid
-            then begin
-              Rup.activate sh !next_cid;
-              incr next_axiom;
-              incr next_cid
-            end
-            else if Rup.rup_implied sh arr then begin
-              incr gstep;
-              Rup.activate sh !next_cid;
-              (let key = Array.to_list arr in
-               match Hashtbl.find_opt sh.Rup.index key with
-               | Some r -> r := !next_cid :: !r
-               | None -> Hashtbl.add sh.Rup.index key (ref [ !next_cid ]));
-              incr next_cid;
-              incr checked
-            end
-            else raise (Epoch_failed (g, Rup.not_rup_reason)))
-    | Proof.Delete c -> (
-        incr gstep;
-        match Rup.step_lits c with
-        | None -> raise (Epoch_failed (g, "deletion of a tautology"))
-        | Some arr ->
-            if Rup.delete sh arr = None then
-              raise
-                (Epoch_failed (g, "deleted clause is not in the database")))
-  in
-  let ending =
-    In_channel.with_open_text path (fun ic -> Proof.read_drup_channel ic ~emit)
-  in
-  (match ending with
-  | Proof.Complete -> ()
-  | Proof.Truncated | Proof.Unterminated ->
-      raise
-        (Epoch_failed
-           ( ep.e_step0,
-             Printf.sprintf
-               "spilled epoch %d is truncated (file %s does not end with \
-                the completion marker)"
-               ep.e_idx (Filename.basename path) )));
-  (!checked, sh.Rup.props)
-
 (* Run one shard task and record its outcome; never raises (tasks may
    execute on pool domains whose exceptions would be swallowed, or
    inline inside the solver's tracer callback). *)
-let run_shard t ep check =
+let run_shard t ep =
   let t0 = Unix.gettimeofday () in
   let result =
     try
@@ -369,7 +242,7 @@ let run_shard t ep check =
             ("epoch", Obs.Trace.Int ep.e_idx);
             ("steps", Obs.Trace.Int ep.e_n_steps);
           ]
-        (fun () -> Ok (check ()))
+        (fun () -> Ok (check_epoch t ep))
     with
     | Epoch_failed (gstep, msg) -> Error (gstep, msg)
     | Cancelled -> Ok (0, 0)
@@ -381,46 +254,12 @@ let run_shard t ep check =
   (match result with
   | Ok (checked, props) ->
       t.shard_props <- t.shard_props + props;
-      t.busy_seconds <- t.busy_seconds +. dt;
-      if checked > 0 then begin
-        Obs.Metrics.add m_clauses_checked checked;
-        if dt > 0.0 then
-          Obs.Metrics.observe h_clauses_per_sec (float_of_int checked /. dt)
-      end
+      count_checked checked dt
   | Error (gstep, msg) -> t.errors <- (ep.e_idx, gstep, msg) :: t.errors);
   Condition.broadcast t.cv;
   Mutex.unlock t.mu
 
 (* ---- coordinator (solver thread) ---- *)
-
-let write_spill t ep_idx events n =
-  let path =
-    Filename.temp_file ~temp_dir:t.spill_dir
-      (Printf.sprintf "upec-epoch-%d-" ep_idx)
-      ".drup"
-  in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      let tr = Proof.file_tracer oc in
-      match
-        for i = 0 to n - 1 do
-          match events.(i) with
-          | Step (Proof.Add c) -> tr.S.trace_add c
-          | Step (Proof.Delete c) -> tr.S.trace_delete c
-          | Axiom a -> tr.S.trace_add (Array.map L.of_int a)
-        done
-      with
-      | () -> output_string oc (Proof.complete_marker ^ "\n")
-      | exception e ->
-          (* stamp before the [finally] close so even a failed writer
-             leaves a truncation-detectable file, never a silently
-             short one *)
-          (try output_string oc (Proof.truncated_marker ^ "\n")
-           with _ -> ());
-          raise e);
-  path
 
 (* Trusted replay of one buffered event into the coordinator database:
    compile it to a clause id (no RUP validation here). *)
@@ -466,10 +305,9 @@ let close_epoch t =
       let e_prefix_active = Bytes.sub st.Rup.active 0 e_first_cid in
       (* trusted replay: compile each event to a clause id while
          advancing the coordinator database *)
-      let n = t.raw_n in
       let gstep = ref t.raw_step0 in
       let esteps =
-        Array.init n (fun i ->
+        Array.init t.raw_n (fun i ->
             let ev = t.raw.(i) in
             let op = (!gstep, compile t ev) in
             (match ev with Step _ -> incr gstep | Axiom _ -> ());
@@ -480,8 +318,6 @@ let close_epoch t =
           e_idx;
           e_step0 = t.raw_step0;
           e_first_cid;
-          e_axioms = t.axioms;
-          e_n_axioms = t.n_axioms;
           e_trail_len;
           e_contradiction;
           e_nv;
@@ -493,23 +329,13 @@ let close_epoch t =
           e_trail = st.Rup.trail;
           e_steps = esteps;
           e_n_steps = t.raw_steps;
-          e_spill = None;
         }
       in
       Mutex.lock t.mu;
-      let backlogged = t.pending >= t.max_pending in
-      if not backlogged then t.pending <- t.pending + 1;
+      t.pending <- t.pending + 1;
       Obs.Metrics.set_gauge g_checker_lag (float_of_int t.pending);
       Mutex.unlock t.mu;
-      if backlogged then begin
-        (* checkers are behind: spill this epoch to disk instead of
-           queueing it, and re-check it when the pipeline settles *)
-        let path = write_spill t e_idx t.raw n in
-        t.n_spilled <- t.n_spilled + 1;
-        t.spilled <-
-          { ep with e_steps = [||]; e_spill = Some path } :: t.spilled
-      end
-      else dispatch.d_run (fun () -> run_shard t ep (fun () -> check_epoch t ep));
+      dispatch.d_run (fun () -> run_shard t ep);
       clear_raw t
   | _ -> ()
 
@@ -523,7 +349,7 @@ let push_event t ev =
   t.raw_n <- t.raw_n + 1
 
 let push t step =
-  if not (Atomic.get t.cancelled || t.finished) then begin
+  if not (Atomic.get t.cancelled) then begin
     push_event t (Step step);
     t.raw_steps <- t.raw_steps + 1;
     t.n_steps <- t.n_steps + 1;
@@ -558,42 +384,12 @@ let drain t =
   done;
   Mutex.unlock t.mu
 
-let remove_spills t =
-  List.iter
-    (fun ep ->
-      match ep.e_spill with
-      | Some path -> ( try Sys.remove path with Sys_error _ -> ())
-      | None -> ())
-    t.spilled;
-  t.spilled <- []
-
-let spill_files t =
-  List.rev_map
-    (fun ep -> match ep.e_spill with Some p -> p | None -> assert false)
-    t.spilled
-
 let settle t =
   match t.dispatch with
   | None -> ()
   | Some dispatch ->
-      (* in-flight shards first, then the spilled epochs (which needed
-         the checkers to be idle anyway — that is why they were
-         spilled) *)
-      drain t;
-      List.iter
-        (fun ep ->
-          match ep.e_spill with
-          | None -> ()
-          | Some path ->
-              Mutex.lock t.mu;
-              t.pending <- t.pending + 1;
-              Mutex.unlock t.mu;
-              dispatch.d_run (fun () ->
-                  run_shard t ep (fun () -> check_spilled t ep path)))
-        (List.rev t.spilled);
       drain t;
       dispatch.d_shutdown ();
-      remove_spills t;
       Obs.Metrics.set_gauge g_checker_lag 0.0
 
 (* The counters so far; the difference of two is one answer's share. *)
@@ -605,7 +401,6 @@ let counters t =
     deletes = t.n_deletes;
     propagations = t.st.Rup.props + t.shard_props;
     epochs = t.epochs;
-    spilled_epochs = t.n_spilled;
     drain_seconds = 0.0;
   }
 
@@ -630,36 +425,31 @@ let conclude t ~assumptions ~t0 =
             deletes = now.deletes - m.deletes;
             propagations = now.propagations - m.propagations;
             epochs = now.epochs - m.epochs;
-            spilled_epochs = now.spilled_epochs - m.spilled_epochs;
             drain_seconds = Unix.gettimeofday () -. t0;
           }
       end
       else Error Rup.no_conflict_reason
 
-let finish t =
-  if t.finished then invalid_arg "Pipeline.finish: already finished";
-  let t0 = Unix.gettimeofday () in
-  close_epoch t;
-  t.finished <- true;
-  settle t;
-  conclude t ~assumptions:t.assumptions ~t0
-
 (* Without epochs: replay the pending events in order on the
    coordinator's own database, validating every step. The first failure
    is sticky; later axioms still enter, so model checks stay complete. *)
 let validate_pending t =
+  let t0 = Unix.gettimeofday () in
   let gstep = ref t.raw_step0 in
+  let checked = ref 0 in
   for i = 0 to t.raw_n - 1 do
     match t.raw.(i) with
     | Axiom arr -> ignore (insert_axiom t arr)
     | Step step ->
         (if t.errors = [] then
-           match Rup.validate_step t.st step with
-           | Ok () -> ()
-           | Error msg -> t.errors <- [ (-1, !gstep, msg) ]);
+           match (Rup.validate_step t.st step, step) with
+           | Ok (), Proof.Add _ -> incr checked
+           | Ok (), Proof.Delete _ -> ()
+           | Error msg, _ -> t.errors <- [ (-1, !gstep, msg) ]);
         incr gstep
   done;
-  clear_raw t
+  clear_raw t;
+  count_checked !checked (Unix.gettimeofday () -. t0)
 
 let check_unsat t ~assumptions =
   let t0 = Unix.gettimeofday () in
@@ -685,16 +475,20 @@ let check_sat t ~assumptions ~value =
   in
   Model.check_held ~held ~assumptions ~value
 
+let check_answer t ~assumptions ~value = function
+  | S.Unsat -> check_unsat t ~assumptions
+  | S.Sat ->
+      let t0 = Unix.gettimeofday () in
+      check_sat t ~assumptions ~value
+      |> Result.map (fun () ->
+             { zero_summary with drain_seconds = Unix.gettimeofday () -. t0 })
+
 let cancel t =
-  if not t.finished then begin
+  if not (Atomic.get t.cancelled) then begin
     Atomic.set t.cancelled true;
-    t.finished <- true;
     clear_raw t;
     (* shards poll the flag and bail out quickly; wait for them so no
-       task still references this pipeline when the caller moves on *)
+       task still references this session when the caller moves on *)
     drain t;
-    Option.iter (fun d -> d.d_shutdown ()) t.dispatch;
-    remove_spills t
+    Option.iter (fun d -> d.d_shutdown ()) t.dispatch
   end
-
-let busy_seconds t = t.busy_seconds

@@ -3,24 +3,13 @@ module L = Satsolver.Lit
 
 type step = Add of L.t array | Delete of L.t array
 
-type t = {
-  mutable rev_steps : step list;
-  mutable n_adds : int;
-  mutable n_deletes : int;
-  mutable n_lits : int;
-}
+type t = { mutable rev_steps : step list; mutable length : int }
 
-let create () = { rev_steps = []; n_adds = 0; n_deletes = 0; n_lits = 0 }
+let create () = { rev_steps = []; length = 0 }
 
 let record p step =
-  (match step with
-  | Add c ->
-      p.n_adds <- p.n_adds + 1;
-      p.n_lits <- p.n_lits + Array.length c
-  | Delete c ->
-      p.n_deletes <- p.n_deletes + 1;
-      p.n_lits <- p.n_lits + Array.length c);
-  p.rev_steps <- step :: p.rev_steps
+  p.rev_steps <- step :: p.rev_steps;
+  p.length <- p.length + 1
 
 let tracer p =
   {
@@ -30,140 +19,7 @@ let tracer p =
   }
 
 let steps p = List.rev p.rev_steps
-let of_steps steps =
-  let p = create () in
-  List.iter (record p) steps;
-  p
-
-let n_adds p = p.n_adds
-let n_deletes p = p.n_deletes
-let n_lits p = p.n_lits
-let length p = p.n_adds + p.n_deletes
-
-(* ---- DRUP text form ---- *)
-
-let output_step fmt step =
-  let clause prefix c =
-    Format.fprintf fmt "%s" prefix;
-    Array.iter (fun l -> Format.fprintf fmt "%d " (L.to_dimacs l)) c;
-    Format.fprintf fmt "0@\n"
-  in
-  match step with Add c -> clause "" c | Delete c -> clause "d " c
-
-let output_drup fmt p =
-  List.iter (output_step fmt) (steps p);
-  Format.fprintf fmt "@?"
-
-let to_string p = Format.asprintf "%a" output_drup p
-
-let file_tracer oc =
-  let line prefix c =
-    output_string oc prefix;
-    Array.iter
-      (fun l ->
-        output_string oc (string_of_int (L.to_dimacs l));
-        output_char oc ' ')
-      c;
-    output_string oc "0\n"
-  in
-  { S.trace_add = line ""; trace_delete = line "d "; trace_barrier = ignore }
-
-let complete_marker = "c qed"
-let truncated_marker = "c truncated"
-
-let with_file_tracer path f =
-  let oc = open_out path in
-  match f (file_tracer oc) with
-  | v ->
-      output_string oc (complete_marker ^ "\n");
-      close_out oc;
-      v
-  | exception e ->
-      (* abnormal exit (budget exhaustion, interrupt, a certification
-         failure raised mid-solve): still flush and close the sink, and
-         stamp the file so a reader can tell a cut-short certificate
-         from a complete one *)
-      let bt = Printexc.get_raw_backtrace () in
-      (try
-         output_string oc (truncated_marker ^ "\n");
-         close_out oc
-       with _ -> close_out_noerr oc);
-      Printexc.raise_with_backtrace e bt
-
-type stream_end = Complete | Truncated | Unterminated
-
-(* Line-incremental DRUP reader: pulls lines from [next] one at a time
-   and emits each finished step, so a 100k-step certificate is checked
-   in bounded memory — only the line and the clause under construction
-   are live. The return value reports how the stream ended, from the
-   marker lines stamped by [with_file_tracer] (or their absence). *)
-let read_drup ~next ~emit =
-  let current = ref [] in
-  let deleting = ref false in
-  let ending = ref Unterminated in
-  let flush () =
-    let c = Array.of_list (List.rev !current) in
-    emit (if !deleting then Delete c else Add c);
-    current := [];
-    deleting := false
-  in
-  let rec loop () =
-    match next () with
-    | None -> ()
-    | Some line ->
-        let line = String.trim line in
-        (* "c ..." comment lines — including the completion/truncation
-           markers of [with_file_tracer] — are not proof steps *)
-        if line = complete_marker then ending := Complete
-        else if line = truncated_marker then ending := Truncated
-        else if
-          not
-            (line = "c"
-            || String.length line >= 2
-               && line.[0] = 'c'
-               && line.[1] = ' ')
-        then
-          String.split_on_char ' ' line
-          |> List.iter (fun tok ->
-                 match String.trim tok with
-                 | "" -> ()
-                 | "d" -> deleting := true
-                 | tok -> (
-                     match int_of_string_opt tok with
-                     | Some 0 -> flush ()
-                     | Some i -> current := L.of_dimacs i :: !current
-                     | None -> failwith ("Proof.parse_drup: bad token " ^ tok)));
-        loop ()
-  in
-  loop ();
-  !ending
-
-let line_reader_of_string text =
-  let pos = ref 0 in
-  let n = String.length text in
-  fun () ->
-    if !pos >= n then None
-    else
-      let stop =
-        match String.index_from_opt text !pos '\n' with
-        | Some i -> i
-        | None -> n
-      in
-      let line = String.sub text !pos (stop - !pos) in
-      pos := stop + 1;
-      Some line
-
-let read_drup_channel ic ~emit =
-  read_drup ~next:(fun () -> In_channel.input_line ic) ~emit
-
-let parse_drup text =
-  let rev = ref [] in
-  let (_ : stream_end) =
-    read_drup
-      ~next:(line_reader_of_string text)
-      ~emit:(fun s -> rev := s :: !rev)
-  in
-  List.rev !rev
+let length p = p.length
 
 (* ---- certification accounting ---- *)
 
@@ -174,7 +30,6 @@ type totals = {
   proof_steps : int;
   proof_lits : int;
   epochs : int;
-  spilled_epochs : int;
   solve_seconds : float;
   check_seconds : float;
 }
@@ -187,7 +42,6 @@ let zero_totals =
     proof_steps = 0;
     proof_lits = 0;
     epochs = 0;
-    spilled_epochs = 0;
     solve_seconds = 0.0;
     check_seconds = 0.0;
   }
@@ -200,7 +54,6 @@ let add_totals a b =
     proof_steps = a.proof_steps + b.proof_steps;
     proof_lits = a.proof_lits + b.proof_lits;
     epochs = a.epochs + b.epochs;
-    spilled_epochs = a.spilled_epochs + b.spilled_epochs;
     solve_seconds = a.solve_seconds +. b.solve_seconds;
     check_seconds = a.check_seconds +. b.check_seconds;
   }
@@ -212,7 +65,6 @@ let pp_totals fmt t =
     t.unsat_checked t.proof_steps t.proof_lits t.sat_checked t.solve_seconds
     t.check_seconds;
   if t.epochs > 0 then
-    Format.fprintf fmt "; pipelined in %d epoch(s) (%d spilled)" t.epochs
-      t.spilled_epochs;
+    Format.fprintf fmt "; pipelined in %d epoch(s)" t.epochs;
   if t.unknown_skipped > 0 then
     Format.fprintf fmt "; %d unknown verdict(s) uncertified" t.unknown_skipped

@@ -1,10 +1,13 @@
-(** DRUP certificate recording.
+(** DRUP certificate steps, an in-memory recorder, and certification
+    accounting.
 
     A proof is the ordered stream of clause additions and deletions
     emitted by {!Satsolver.Solver} through its tracer hook. Interpreted
     as a DRUP certificate, each added clause must be derivable from the
     original formula plus the earlier (undeleted) additions by unit
-    propagation alone — which is exactly what {!Rup.check} verifies. *)
+    propagation alone. {!Pipeline} checks the stream as the solver
+    emits it; the recorder keeps it whole for {!Rup.check}, the
+    sequential checker that serves as its test oracle. *)
 
 module L = Satsolver.Lit
 
@@ -21,77 +24,20 @@ val tracer : t -> Satsolver.Solver.tracer
 val steps : t -> step list
 (** Steps in emission order. *)
 
-val of_steps : step list -> t
-
-val n_adds : t -> int
-val n_deletes : t -> int
-
-val n_lits : t -> int
-(** Total literal count over all steps — the certificate size. *)
-
 val length : t -> int
 (** Total step count. *)
-
-val output_drup : Format.formatter -> t -> unit
-(** Standard DRUP text: one clause per line, deletions prefixed [d],
-    clauses terminated by [0]. *)
-
-val to_string : t -> string
-
-val file_tracer : out_channel -> Satsolver.Solver.tracer
-(** A streaming sink writing DRUP text directly to a channel: bounded
-    memory for proofs too large to keep in-core. *)
-
-val complete_marker : string
-(** Comment line stamped at the end of a DRUP file that was written to
-    completion by {!with_file_tracer}. *)
-
-val truncated_marker : string
-(** Comment line stamped when the writer exited abnormally: the file is
-    a valid DRUP prefix but not the whole certificate. *)
-
-val with_file_tracer : string -> (Satsolver.Solver.tracer -> 'a) -> 'a
-(** [with_file_tracer path f] opens [path], hands [f] a streaming DRUP
-    sink, and {e always} closes the file: on normal return the file ends
-    with {!complete_marker}, on an exception (budget exhaustion,
-    interrupt, solver failure) it ends with {!truncated_marker} and the
-    exception is re-raised — abnormal exits leave a truncation-detectable
-    file, never a silently short one. *)
-
-type stream_end =
-  | Complete  (** the stream ended with {!complete_marker} *)
-  | Truncated  (** the stream ended with {!truncated_marker} *)
-  | Unterminated  (** no marker: writer died, or marker-less legacy text *)
-
-val read_drup :
-  next:(unit -> string option) -> emit:(step -> unit) -> stream_end
-(** Line-incremental DRUP reader: pulls lines from [next] until it
-    returns [None], emitting each completed step — bounded memory
-    regardless of certificate size. Tolerates ["c ..."] comment lines
-    and reports which end-of-stream marker (if any) was seen. Raises
-    [Failure] on malformed input. *)
-
-val read_drup_channel : in_channel -> emit:(step -> unit) -> stream_end
-(** {!read_drup} over a channel's lines. *)
-
-val parse_drup : string -> step list
-(** Inverse of {!output_drup}: a thin list-building wrapper over
-    {!read_drup}; tolerates ["c ..."] comment lines (such as the
-    markers above); raises [Failure] on malformed input. *)
 
 (** {1 Certification accounting} *)
 
 type totals = {
-  unsat_checked : int;  (** UNSAT verdicts revalidated by {!Rup.check} *)
-  sat_checked : int;  (** SAT models revalidated by {!Model.check} *)
+  unsat_checked : int;  (** UNSAT answers whose proof steps were validated *)
+  sat_checked : int;  (** SAT models checked against the axioms *)
   unknown_skipped : int;
       (** solves that ended [Unknown] (budget exhausted / interrupted):
           nothing to certify, but the gap is accounted, not hidden *)
   proof_steps : int;
   proof_lits : int;
   epochs : int;  (** pipelined checking: proof epochs dispatched *)
-  spilled_epochs : int;
-      (** epochs that overflowed the checker queue and went to disk *)
   solve_seconds : float;  (** wall time of the certified solves *)
   check_seconds : float;
       (** wall time spent checking certificates; for pipelined

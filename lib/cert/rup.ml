@@ -389,7 +389,7 @@ let fork ~data ~offs ~sizes ~visible ~base ~prefix_active ~trail ~trail_len
       trail = Array.make (max 16 nv) 0;
       trail_len = 0;
       qhead = 0;
-      index = Hashtbl.create 64;
+      index = Hashtbl.create 1;  (* shards delete by clause id *)
       contradiction;
       props = 0;
     }

@@ -143,9 +143,6 @@ val fork :
     prefix. Cross-domain use requires the caller to publish the capture
     with a happens-before edge (e.g. a work-queue lock). *)
 
-val load_cnf : t -> L.t list list -> unit
-(** Insert the original formula (trusted) and propagate to fixpoint. *)
-
 val validate_step : t -> Proof.step -> (unit, string) result
 (** Check one certificate step against the active database and apply
     it: an addition must be RUP (then it is inserted), a deletion must

@@ -38,17 +38,8 @@ let create ?solver_options ?(portfolio = 1) ?portfolio_configs
   (* A certified sequential engine's checker sees every clause the
      solver does, from the constant-true unit [Aig.Cnf.create] adds on *)
   let session =
-    if certify && portfolio <= 1 then begin
-      let dispatch =
-        if cert_jobs > 0 then
-          Some (Parallel.Portfolio.pool_dispatch ~jobs:cert_jobs)
-        else None
-      in
-      let c = Cert.Pipeline.session ?dispatch () in
-      S.set_input_hook solver (Some (Cert.Pipeline.axiom c));
-      S.set_tracer solver (Some (Cert.Pipeline.tracer c));
-      Some c
-    end
+    if certify && portfolio <= 1 then
+      Some (Parallel.Portfolio.session ~cert_jobs solver)
     else None
   in
   let cnf = Aig.Cnf.create g solver in
@@ -163,60 +154,54 @@ let account_unknown t ~solve_s =
       solve_seconds = solve_s;
     }
 
-let account_sat t ~solve_s ~t1 = function
-  | Ok () ->
+(* Record one decided answer as its session's checker judged it, or
+   raise [Certification_failed]. The time since [t0], less the check,
+   counts as solving: with checker domains, only the answer's wait for
+   the epochs still in flight is check time — the rest overlapped the
+   search. *)
+let record t ~t0 answer = function
+  | Ok (s : Cert.Pipeline.summary) ->
+      let elapsed = Unix.gettimeofday () -. t0 in
+      let check_s = Float.min elapsed s.drain_seconds in
+      let unsat = answer = S.Unsat in
       account t
         {
           Cert.Proof.zero_totals with
-          Cert.Proof.sat_checked = 1;
-          solve_seconds = solve_s;
-          check_seconds = Unix.gettimeofday () -. t1;
+          Cert.Proof.unsat_checked = Bool.to_int unsat;
+          sat_checked = Bool.to_int (not unsat);
+          proof_steps = s.steps;
+          proof_lits = s.lits;
+          epochs = s.epochs;
+          solve_seconds = elapsed -. check_s;
+          check_seconds = check_s;
         }
-  | Error msg -> raise (Certification_failed ("model rejected: " ^ msg))
-
-let unsat_rejected msg =
-  Certification_failed ("UNSAT certificate rejected: " ^ msg)
+  | Error msg ->
+      raise
+        (Certification_failed
+           ((match answer with
+            | S.Unsat -> "UNSAT certificate rejected: "
+            | S.Sat -> "model rejected: ")
+           ^ msg))
 
 (* A certified sequential solve runs on the warm session exactly like
    an uncertified one; the session's checker then vouches for the
-   answer. With [cert_jobs > 0] the epochs were checked while the
-   solver searched, and the answer's wait for the rest counts as check
-   time. *)
-let certify_answer t session ~assumptions ~solve_s = function
+   answer. *)
+let certify_answer t session ~assumptions ~t0 = function
   | S.Unknown _ ->
       Cert.Pipeline.settle session;
-      account_unknown t ~solve_s
-  | S.Solved S.Unsat -> (
-      match
-        Obs.Trace.with_span "cert.check"
-          ~attrs:[ ("answer", Obs.Trace.Str "unsat") ]
-          (fun () -> Cert.Pipeline.check_unsat session ~assumptions)
-      with
-      | Ok s ->
-          account t
-            {
-              Cert.Proof.zero_totals with
-              Cert.Proof.unsat_checked = 1;
-              proof_steps = s.Cert.Pipeline.steps;
-              proof_lits = s.Cert.Pipeline.lits;
-              epochs = s.Cert.Pipeline.epochs;
-              spilled_epochs = s.Cert.Pipeline.spilled_epochs;
-              solve_seconds = solve_s;
-              check_seconds = s.Cert.Pipeline.drain_seconds;
-            }
-      | Error msg -> raise (unsat_rejected msg))
-  | S.Solved S.Sat ->
-      let t1 = Unix.gettimeofday () in
+      account_unknown t ~solve_s:(Unix.gettimeofday () -. t0)
+  | S.Solved answer ->
+      let kind = match answer with S.Unsat -> "unsat" | S.Sat -> "sat" in
       Obs.Trace.with_span "cert.check"
-        ~attrs:[ ("answer", Obs.Trace.Str "sat") ]
+        ~attrs:[ ("answer", Obs.Trace.Str kind) ]
         (fun () ->
-          Cert.Pipeline.check_sat session ~assumptions
-            ~value:(S.value_var t.solver))
-      |> account_sat t ~solve_s ~t1
+          Cert.Pipeline.check_answer session ~assumptions
+            ~value:(S.value_var t.solver) answer)
+      |> record t ~t0 answer
 
 (* Portfolio racing ([portfolio > 1]) certifies on the export path:
-   every racer solves one self-contained CNF snapshot cold, and the
-   winner's certificate is checked against that snapshot. *)
+   every racer solves one self-contained CNF snapshot cold on its own
+   session, and the winner's session vouches for the winner's answer. *)
 let solve_certified t ~nvars ~clauses ~assumptions =
   let t0 = Unix.gettimeofday () in
   let o =
@@ -224,64 +209,13 @@ let solve_certified t ~nvars ~clauses ~assumptions =
       ~budget:t.budget ?interrupt:t.interrupt ~jobs:t.portfolio ~nvars
       ~clauses ~assumptions ()
   in
-  let solve_s = Unix.gettimeofday () -. t0 in
-  let t1 = Unix.gettimeofday () in
-  (match o.Parallel.Portfolio.verdict with
-  | Parallel.Portfolio.Unknown _ -> account_unknown t ~solve_s
-  | Parallel.Portfolio.Unsat ->
-      if t.cert_jobs > 0 then begin
-        (* pipelined mode: the stream was checked while the solver ran;
-           only the residual drain after the last step counts as check
-           time — the rest overlapped the search *)
-        match o.Parallel.Portfolio.cert with
-        | Some (Ok s) ->
-            let drain = min solve_s s.Cert.Pipeline.drain_seconds in
-            t.cert_tot <-
-              Cert.Proof.add_totals t.cert_tot
-                {
-                  Cert.Proof.zero_totals with
-                  Cert.Proof.unsat_checked = 1;
-                  proof_steps = s.Cert.Pipeline.steps;
-                  proof_lits = s.Cert.Pipeline.lits;
-                  epochs = s.Cert.Pipeline.epochs;
-                  spilled_epochs = s.Cert.Pipeline.spilled_epochs;
-                  solve_seconds = solve_s -. drain;
-                  check_seconds = drain;
-                }
-        | Some (Error msg) -> raise (unsat_rejected msg)
-        | None ->
-            (* an Unsat winner always settles its pipeline *)
-            raise
-              (Certification_failed
-                 "UNSAT verdict arrived without a checked certificate stream")
-      end
-      else begin
-        let proof =
-          match o.Parallel.Portfolio.proof with
-          | Some p -> p
-          | None -> assert false (* certify:true always records *)
-        in
-        match
-          Cert.Rup.check ~assumptions ~nvars ~clauses
-            ~proof:(Cert.Proof.steps proof) ()
-        with
-        | Ok _ ->
-            t.cert_tot <-
-              Cert.Proof.add_totals t.cert_tot
-                {
-                  Cert.Proof.zero_totals with
-                  Cert.Proof.unsat_checked = 1;
-                  proof_steps = Cert.Proof.length proof;
-                  proof_lits = Cert.Proof.n_lits proof;
-                  solve_seconds = solve_s;
-                  check_seconds = Unix.gettimeofday () -. t1;
-                }
-        | Error msg -> raise (unsat_rejected msg)
-      end
-  | Parallel.Portfolio.Sat model ->
-      let value v = v < Array.length model && model.(v) in
-      account_sat t ~solve_s ~t1
-        (Cert.Model.check ~clauses ~assumptions ~value));
+  (match (o.Parallel.Portfolio.verdict, o.Parallel.Portfolio.cert) with
+  | Parallel.Portfolio.Sat _, Some r -> record t ~t0 S.Sat r
+  | Parallel.Portfolio.Unsat, Some r -> record t ~t0 S.Unsat r
+  | Parallel.Portfolio.Unknown _, _ ->
+      account_unknown t ~solve_s:(Unix.gettimeofday () -. t0)
+  | (Parallel.Portfolio.Sat _ | Parallel.Portfolio.Unsat), None ->
+      raise (Certification_failed "a decided race arrived without a check"));
   o
 
 let m_checks = Obs.Metrics.counter "ipc.checks"
@@ -294,8 +228,8 @@ let m_clauses_saved = Obs.Metrics.counter "simp.clauses_saved"
    assumption literals into a fresh graph ([Simp.Sweep]), Tseitin-encode
    it into a throwaway solver, and export {e that}. Dropped Tseitin
    definitions only name otherwise-unconstrained fresh variables, so the
-   reduced CNF is equisatisfiable with the full snapshot; certified
-   races check their DRUP proof against exactly this reduced CNF. *)
+   reduced CNF is equisatisfiable with the full snapshot; a certified
+   race's sessions take exactly this reduced CNF as their axioms. *)
 let reduced_snapshot t extra =
   Obs.Trace.with_span "simp.snapshot"
     ~attrs:[ ("assumptions", Obs.Trace.Int (List.length extra)) ]
@@ -363,12 +297,7 @@ let solve_raw_core t ~want_cex extra =
       | exception S.Interrupted -> S.Unknown "interrupted"
     in
     t.last_stats <- S.diff_stats (S.stats t.solver) before;
-    Option.iter
-      (fun c ->
-        certify_answer t c ~assumptions
-          ~solve_s:(Unix.gettimeofday () -. t0)
-          outcome)
-      t.session;
+    Option.iter (fun c -> certify_answer t c ~assumptions ~t0 outcome) t.session;
     match outcome with
     | S.Unknown reason -> `Unknown reason
     | S.Solved S.Unsat -> `Unsat

@@ -23,15 +23,16 @@
     assumptions propagate to a conflict. A certified run therefore makes
     the same decisions, conflicts and verdicts as an uncertified one.
     With [portfolio > 1], each race runs on one exported CNF snapshot,
-    and the winner's certificate is checked against that snapshot.
+    every racer's solver is mirrored by a session of its own, and the
+    winner's session vouches for the winner's answer.
 
     With [simp] (the default), witness-free solves — {!decide} with
     [~cex:false] — are answered on a {e reduced} problem: only the cone
     of influence of the permanent constraints and the obligation is
     encoded ({!Simp}). Witness-producing solves always encode the full
     extraction set, so counterexamples are bit-identical with [simp] on
-    or off; certified reduced races have their DRUP proof checked
-    against the reduced CNF they actually solved. *)
+    or off; a certified reduced race's sessions take the reduced CNF it
+    actually solved as their axioms. *)
 
 type t
 
@@ -54,12 +55,11 @@ val create :
     witness-free solves; it never changes verdicts or counterexamples.
 
     [cert_jobs] (default [0]) only matters with [certify]. With [0], a
-    sequential engine's checker validates the pending proof steps on
-    the solver's thread when an UNSAT answer needs them, and a race's
-    certificate is checked after the race. When positive, closed proof
-    epochs are checked on that many checker domains {e while the solver
-    searches} ({!Cert.Pipeline}), and every UNSAT answer waits for the
-    epochs before it. Verdicts and accept/reject decisions are
+    checker validates the pending proof steps on its solver's thread
+    when an UNSAT answer needs them. When positive, closed proof epochs
+    are checked on that many checker domains (divided over a race's
+    racers) {e while the solver searches} ({!Cert.Pipeline}), and every
+    UNSAT answer waits for the epochs before it. Verdicts and accept/reject decisions are
     identical; only the wall-clock attribution changes —
     [check_seconds] in {!cert_totals} then counts only that wait. *)
 

@@ -135,9 +135,8 @@ let with_file path f =
       close_out_noerr oc;
       invalid_arg "Obs.Trace.with_file: a sink is already installed"
   | None -> set_sink oc);
-  (* Same discipline as Cert.Proof.with_file_tracer: the sink is
-     flushed and closed on abnormal exit too, so an interrupted run
-     leaves whole, parseable lines behind. *)
+  (* The sink is flushed and closed on abnormal exit too, so an
+     interrupted run leaves whole, parseable lines behind. *)
   Fun.protect ~finally:close f
 
 let current_parent () =

@@ -7,7 +7,6 @@ type outcome = {
   winner : int;
   stats : S.stats;
   losers_stats : S.stats;
-  proof : Cert.Proof.t option;
   cert : (Cert.Pipeline.summary, string) result option;
 }
 
@@ -36,10 +35,10 @@ let default_configs k =
           var_decay = if i mod 3 = 0 then 0.93 else 0.97;
         })
 
-(* Checker domains for one pipeline, created lazily: a solve whose
+(* Checker domains for one session, created lazily: a solve whose
    certificate never fills an epoch (the common tiny proof) pays for
-   zero domains until its last epoch closes. All hooks run on the
-   pipeline's own thread, so the lazy cell is safe. *)
+   zero domains. All hooks run on the session's own thread, so the lazy
+   cell is safe. *)
 let pool_dispatch ~jobs =
   let pool = ref None in
   let get () =
@@ -61,48 +60,50 @@ let pool_dispatch ~jobs =
         | None -> ());
   }
 
-let run_config ~certify ~cert_jobs ~nvars ~clauses ~assumptions opts =
-  let s = S.create ~options:opts () in
-  (* the tracer must be live before clause loading so level-0
-     strengthenings of the input clauses are part of the certificate *)
-  let proof, pipe =
-    if not certify then (None, None)
-    else if cert_jobs > 0 then begin
-      let p =
-        Cert.Pipeline.create
-          ~dispatch:(pool_dispatch ~jobs:cert_jobs)
-          ~assumptions ~nvars ~clauses ()
-      in
-      S.set_tracer s (Some (Cert.Pipeline.tracer p));
-      (None, Some p)
-    end
-    else begin
-      let p = Cert.Proof.create () in
-      S.set_tracer s (Some (Cert.Proof.tracer p));
-      (Some p, None)
-    end
+let session ~cert_jobs s =
+  let dispatch =
+    if cert_jobs > 0 then Some (pool_dispatch ~jobs:cert_jobs) else None
   in
+  let c = Cert.Pipeline.session ?dispatch () in
+  S.set_input_hook s (Some (Cert.Pipeline.axiom c));
+  S.set_tracer s (Some (Cert.Pipeline.tracer c));
+  c
+
+let run_config ~certify ~cert_jobs ~nvars ~clauses opts =
+  let s = S.create ~options:opts () in
+  let c = if certify then Some (session ~cert_jobs s) else None in
   for _ = 1 to nvars do
     ignore (S.new_var s)
   done;
   List.iter (S.add_clause s) clauses;
-  (s, proof, pipe)
+  (s, c)
 
 let m_races = Obs.Metrics.counter "portfolio.races"
 let h_winner_margin = Obs.Metrics.histogram "portfolio.winner_margin_seconds"
 
-(* Settle a racer's pipeline against its verdict: only an UNSAT winner
-   is checked to completion; every other stream is cancelled
-   cooperatively (in-flight shards notice and bail). *)
-let settle_pipe pipe verdict =
-  match pipe with
-  | None -> None
-  | Some p -> (
-      match verdict with
-      | Unsat -> Some (Cert.Pipeline.finish p)
-      | Sat _ | Unknown _ ->
-          Cert.Pipeline.cancel p;
-          None)
+let verdict_of ~nvars s = function
+  | S.Solved S.Sat -> Sat (Array.init nvars (S.value_var s))
+  | S.Solved S.Unsat -> Unsat
+  | S.Unknown reason -> Unknown reason
+
+let solve_outcome ~assumptions ~budget s =
+  match S.solve_bounded ~assumptions ~budget s with
+  | r -> r
+  | exception S.Interrupted -> S.Unknown "interrupted"
+
+(* A decided racer's session vouches for its own answer; a session
+   whose answer needs no check is cancelled cooperatively (in-flight
+   shards notice and bail). *)
+let vouch ~assumptions s c outcome =
+  match (c, outcome) with
+  | None, _ -> None
+  | Some c, S.Solved answer ->
+      Some
+        (Cert.Pipeline.check_answer c ~assumptions ~value:(S.value_var s)
+           answer)
+  | Some c, S.Unknown _ ->
+      Cert.Pipeline.cancel c;
+      None
 
 let solve ?configs ?(certify = false) ?(cert_jobs = 0)
     ?(budget = S.no_budget) ?interrupt ~jobs ~nvars ~clauses ~assumptions ()
@@ -116,26 +117,17 @@ let solve ?configs ?(certify = false) ?(cert_jobs = 0)
   let configs = Array.of_list configs in
   if k <= 1 then begin
     (* Inline sequential solve with configuration 0. *)
-    let s, proof, pipe =
-      run_config ~certify ~cert_jobs ~nvars ~clauses ~assumptions configs.(0)
-    in
+    let s, c = run_config ~certify ~cert_jobs ~nvars ~clauses configs.(0) in
     (match interrupt with
     | Some f -> S.set_terminate s (Some f)
     | None -> ());
-    let verdict =
-      match S.solve_bounded ~assumptions ~budget s with
-      | S.Solved S.Sat -> Sat (Array.init nvars (S.value_var s))
-      | S.Solved S.Unsat -> Unsat
-      | S.Unknown reason -> Unknown reason
-      | exception S.Interrupted -> Unknown "interrupted"
-    in
+    let outcome = solve_outcome ~assumptions ~budget s in
     {
-      verdict;
+      verdict = verdict_of ~nvars s outcome;
       winner = 0;
       stats = S.stats s;
       losers_stats = S.zero_stats;
-      proof;
-      cert = settle_pipe pipe verdict;
+      cert = vouch ~assumptions s c outcome;
     }
   end
   else begin
@@ -148,53 +140,44 @@ let solve ?configs ?(certify = false) ?(cert_jobs = 0)
        gives the happens-before edge that makes the reads below safe *)
     let all_stats = Array.make k S.zero_stats in
     let unknowns = Array.make k None in
-    (* with pipelined certification, the checker domains are divided
-       over the racers — each stream must be checked as it is produced,
-       since any racer may turn out to be the winner *)
+    (* with checker domains, they are divided over the racers — each
+       stream must be checked as it is produced, since any racer may
+       turn out to be the winner *)
     let racer_cert_jobs = if cert_jobs > 0 then max 1 (cert_jobs / k) else 0 in
     let body i () =
-      let s, proof, pipe =
+      let s, c =
         run_config ~certify ~cert_jobs:racer_cert_jobs ~nvars ~clauses
-          ~assumptions configs.(i)
+          configs.(i)
       in
       let cancelled () =
         Atomic.get winner >= 0
         || match interrupt with Some f -> f () | None -> false
       in
       S.set_terminate s (Some cancelled);
-      (match S.solve_bounded ~assumptions ~budget s with
-      | exception S.Interrupted ->
-          (* a loser cancelled by the winner, or an external interrupt *)
-          unknowns.(i) <- Some "interrupted";
-          Option.iter Cert.Pipeline.cancel pipe
+      (match solve_outcome ~assumptions ~budget s with
       | S.Unknown reason ->
-          (* out of budget: this racer retires but MUST NOT abort the
+          (* a loser cancelled by the winner, an external interrupt, or
+             out of budget: this racer retires but MUST NOT abort the
              race — a sibling with different search dynamics may still
              decide the instance within the same budget *)
           unknowns.(i) <- Some reason;
-          Option.iter Cert.Pipeline.cancel pipe
-      | S.Solved r ->
+          Option.iter Cert.Pipeline.cancel c
+      | S.Solved _ as outcome ->
           if Atomic.compare_and_set winner (-1) i then begin
+            (* only the winner's session vouches for its answer *)
+            let cert = vouch ~assumptions s c outcome in
             Atomic.set t_win (Unix.gettimeofday ());
-            let verdict =
-              match r with
-              | S.Sat -> Sat (Array.init nvars (S.value_var s))
-              | S.Unsat -> Unsat
-            in
-            (* only the winner's stream is checked to completion *)
-            let cert = settle_pipe pipe verdict in
             outcomes.(i) <-
               Some
                 {
-                  verdict;
+                  verdict = verdict_of ~nvars s outcome;
                   winner = i;
                   stats = S.stats s;
                   losers_stats = S.zero_stats;
-                  proof;
                   cert;
                 }
           end
-          else Option.iter Cert.Pipeline.cancel pipe);
+          else Option.iter Cert.Pipeline.cancel c);
       all_stats.(i) <- S.stats s
     in
     Obs.Trace.with_span "portfolio.race"
@@ -203,7 +186,8 @@ let solve ?configs ?(certify = false) ?(cert_jobs = 0)
         let doms = List.init k (fun i -> Domain.spawn (body i)) in
         List.iter Domain.join doms);
     let w = Atomic.get winner in
-    (* Winner margin: how long the decided race kept spinning until the
+    (* Winner margin: how long the decided race kept spinning, once the
+       winner's answer (and its certification) was ready, until the
        cancelled losers actually unwound and joined — the cost of
        cooperative (poll-based) cancellation. *)
     if w >= 0 then begin
@@ -228,7 +212,6 @@ let solve ?configs ?(certify = false) ?(cert_jobs = 0)
         winner = -1;
         stats = total;
         losers_stats = S.zero_stats;
-        proof = None;
         cert = None;
       }
     end

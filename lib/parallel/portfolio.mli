@@ -23,15 +23,11 @@ type outcome = {
   losers_stats : Satsolver.Solver.stats;
       (** summed counters of every losing configuration — the wasted
           work the race paid for its latency win; zero when [jobs <= 1] *)
-  proof : Cert.Proof.t option;
-      (** the winner's recorded DRUP certificate when [certify] was set
-          and [cert_jobs = 0] (post-hoc checking mode) *)
   cert : (Cert.Pipeline.summary, string) result option;
-      (** pipelined mode ([certify] with [cert_jobs > 0]): the result of
-          checking the winner's stream, present exactly when the verdict
-          is [Unsat]. [Ok] means the certificate was validated while (and
-          just after) the solver ran; [Error] carries the failing epoch
-          and step. *)
+      (** with [certify]: the winner's session vouching for its own
+          answer ({!Cert.Pipeline.check_answer}), present exactly when
+          the verdict is [Sat] or [Unsat]. [Error] carries the reason
+          the answer was rejected. *)
 }
 
 val default_configs : int -> Satsolver.Solver.options list
@@ -41,11 +37,13 @@ val default_configs : int -> Satsolver.Solver.options list
     minimisation. VSIDS is never disabled: index-order branching is
     hopeless at proof-obligation sizes. *)
 
-val pool_dispatch : jobs:int -> Cert.Pipeline.dispatch
-(** Checker domains for one pipeline: a pool of [jobs] domains created
-    at the first dispatched epoch and shut down by [d_shutdown], after
-    which the next epoch creates a fresh one. Every hook must be called
-    from the one thread that drives the pipeline. *)
+val session : cert_jobs:int -> Satsolver.Solver.t -> Cert.Pipeline.t
+(** A {!Cert.Pipeline.session} mirroring [s], installed as [s]'s input
+    hook and tracer: call it before [s]'s first clause. With
+    [cert_jobs > 0] its closed epochs are checked on a pool of that
+    many domains, created at the first epoch and shut down whenever an
+    answer settles the session; with 0, steps are validated on the
+    solver's thread when an UNSAT answer needs them. *)
 
 val solve :
   ?configs:Satsolver.Solver.options list ->
@@ -62,19 +60,15 @@ val solve :
 (** Race [min jobs (length configs)] configurations, each in its own
     domain with its own solver over a private copy of the CNF. With
     [jobs <= 1] only configuration 0 runs, inline — bit-for-bit the
-    sequential solve. With [certify], every racer records a DRUP
-    certificate and the winner's is returned — the proof that is
-    checked is always the proof of the solver whose verdict is
-    reported.
+    sequential solve. With [certify], every racer's solver is mirrored
+    by its own {!session}, and the winner's session vouches for the
+    winner's answer — what is checked is always the search whose
+    verdict is reported.
 
-    [cert_jobs > 0] switches certification from post-hoc recording to
-    the pipelined checker ({!Cert.Pipeline}): each racer streams its
-    certificate into checker shards on [max 1 (cert_jobs / k)] pool
-    domains while it searches. Only the winner's stream is checked to
-    completion (its result lands in [cert]); losers' streams are
-    cancelled cooperatively, leaving no stuck domains. The checker
-    pool of a racer is created lazily at its first full epoch, so
-    small proofs pay for no extra domains.
+    [cert_jobs > 0] divides that many checker domains over the racers,
+    at least one each, so every stream is checked while its racer
+    searches. Losers' sessions are cancelled cooperatively, leaving no
+    stuck domains.
 
     [budget] applies to every racer independently. A racer that runs
     out of budget retires quietly; it never aborts the race. The

@@ -39,7 +39,8 @@ type t = {
   certify : bool;
       (** self-checking verdicts (DRUP / model / replay). A sequential
           run certifies on its warm solver session, so it searches
-          exactly like the uncertified run; see {!Ipc.Engine.create} *)
+          exactly like the uncertified run; a portfolio race on each
+          racer's solver; see {!Ipc.Engine.create} *)
   cert_jobs : int;
       (** with [certify], [> 0] checks the proof steps in epochs on that
           many checker domains while the solver searches

@@ -234,7 +234,6 @@ let cert_json ~cert_jobs c =
       ("proof_lits", Json.Int t.Cert.Proof.proof_lits);
       ("cert_jobs", Json.Int cert_jobs);
       ("epochs", Json.Int t.Cert.Proof.epochs);
-      ("spilled_epochs", Json.Int t.Cert.Proof.spilled_epochs);
       ("solve_seconds", Json.Float t.Cert.Proof.solve_seconds);
       ("check_seconds", Json.Float t.Cert.Proof.check_seconds);
       ("check_overhead_percent", Json.Float overhead);

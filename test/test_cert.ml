@@ -123,8 +123,9 @@ let test_certificate_across_compaction () =
     ignore (S.new_var s)
   done;
   let p = Proof.create () in
-  let pl = Cert.Pipeline.create ~nvars ~clauses () in
+  let pl = Cert.Pipeline.session () in
   let rec_tr = Proof.tracer p and pl_tr = Cert.Pipeline.tracer pl in
+  S.set_input_hook s (Some (Cert.Pipeline.axiom pl));
   S.set_tracer s
     (Some
        {
@@ -149,9 +150,9 @@ let test_certificate_across_compaction () =
       Alcotest.(check int) "every deletion checked"
         (S.stats s).S.deleted_clauses summary.Rup.deletes
   | Error msg -> Alcotest.fail ("sequential checker rejected: " ^ msg));
-  match Cert.Pipeline.finish pl with
+  match Cert.Pipeline.check_unsat pl ~assumptions:[] with
   | Ok _ -> ()
-  | Error msg -> Alcotest.fail ("pipelined checker rejected: " ^ msg)
+  | Error msg -> Alcotest.fail ("session checker rejected: " ^ msg)
 
 let test_rup_under_assumptions () =
   (* x0 -> x1 -> ... -> x9 with assumptions x0, ~x9: UNSAT purely by
@@ -171,76 +172,13 @@ let test_rup_under_assumptions () =
   | Ok _ -> Alcotest.fail "accepted a proof of a satisfiable formula"
   | Error _ -> ()
 
-let test_drup_roundtrip () =
-  let nvars, clauses = pigeonhole 5 4 in
-  let _, p, _ = solve_traced nvars clauses in
-  let text = Proof.to_string p in
-  let steps' = Proof.parse_drup text in
-  Alcotest.(check bool) "step-for-step identical" true
-    (Proof.steps p = steps');
-  (* the streaming file tracer writes the same text *)
-  let path = Filename.temp_file "proof" ".drup" in
-  let oc = open_out path in
-  let tr = Proof.file_tracer oc in
-  List.iter
-    (function
-      | Proof.Add c -> tr.S.trace_add c
-      | Proof.Delete c -> tr.S.trace_delete c)
-    (Proof.steps p);
-  close_out oc;
-  let ic = open_in path in
-  let streamed = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  Sys.remove path;
-  Alcotest.(check string) "streamed = in-core" text streamed
-
-(* ---- streaming DRUP parsing ---- *)
-
-let test_streaming_parse_drup () =
-  let nvars, clauses = pigeonhole 5 4 in
-  let _, p, _ = solve_traced nvars clauses in
-  let text = Proof.to_string p in
-  (* the streaming reader and the legacy whole-string parser agree *)
-  let streamed = ref [] in
-  let lines = String.split_on_char '\n' text in
-  let rest = ref lines in
-  let next () =
-    match !rest with
-    | [] -> None
-    | l :: tl ->
-        rest := tl;
-        Some l
-  in
-  let ending = Proof.read_drup ~next ~emit:(fun st -> streamed := st :: !streamed) in
-  Alcotest.(check bool) "no marker in plain dump" true
-    (ending = Proof.Unterminated);
-  Alcotest.(check bool) "streamed = parse_drup" true
-    (List.rev !streamed = Proof.parse_drup text);
-  Alcotest.(check bool) "streamed = recorded" true
-    (List.rev !streamed = Proof.steps p);
-  (* end-of-stream markers are recognized, not parsed as steps *)
-  let with_suffix suffix =
-    let n = ref 0 in
-    let rest = ref (String.split_on_char '\n' (text ^ suffix)) in
-    let next () =
-      match !rest with [] -> None | l :: tl -> rest := tl; Some l
-    in
-    let e = Proof.read_drup ~next ~emit:(fun _ -> incr n) in
-    (e, !n)
-  in
-  let n_steps = List.length (Proof.steps p) in
-  Alcotest.(check bool) "complete marker" true
-    (with_suffix (Proof.complete_marker ^ "\n") = (Proof.Complete, n_steps));
-  Alcotest.(check bool) "truncated marker" true
-    (with_suffix (Proof.truncated_marker ^ "\n") = (Proof.Truncated, n_steps));
-  (* malformed input still fails loudly *)
-  match Proof.parse_drup "1 2 garbage 0\n" with
-  | exception Failure _ -> ()
-  | _ -> Alcotest.fail "malformed DRUP accepted"
-
 (* ---- pipelined parallel checking ---- *)
 
 module Pipeline = Cert.Pipeline
+
+(* Pools alive among the dispatches below: a session must leave none
+   running once its answer is settled or it is cancelled. *)
+let live_pools = Atomic.make 0
 
 (* Pool-backed dispatch, created lazily exactly like Portfolio's. *)
 let pool_dispatch jobs =
@@ -250,6 +188,7 @@ let pool_dispatch jobs =
     | Some p -> p
     | None ->
         let p = Parallel.Pool.create ~jobs () in
+        Atomic.incr live_pools;
         pool := Some p;
         p
   in
@@ -260,20 +199,20 @@ let pool_dispatch jobs =
         match !pool with
         | Some p ->
             pool := None;
-            Parallel.Pool.shutdown p
+            Parallel.Pool.shutdown p;
+            Atomic.decr live_pools
         | None -> ());
   }
 
-(* Replay a recorded certificate through a pipeline's tracer, injecting
-   barrier hints every [barrier_every] steps the way the solver does at
-   restarts — small epochs force real sharding on small proofs. *)
-let replay_pipeline ?dispatch ?(epoch_target = 16) ?max_pending ?assumptions
-    ?(barrier_every = 5) ~nvars ~clauses steps =
-  let p =
-    Pipeline.create ?dispatch ~epoch_target ?max_pending ?assumptions ~nvars
-      ~clauses ()
-  in
-  let tr = Pipeline.tracer p in
+(* Replay a recorded certificate into a session: the input clauses as
+   axioms, then the steps through its tracer, injecting barrier hints
+   every [barrier_every] steps the way the solver does at restarts —
+   small epochs force real sharding on small proofs. *)
+let replay_session ?dispatch ?(epoch_target = 16) ?(barrier_every = 5)
+    ~clauses steps =
+  let c = Pipeline.session ?dispatch ~epoch_target () in
+  List.iter (Pipeline.axiom c) clauses;
+  let tr = Pipeline.tracer c in
   List.iteri
     (fun i st ->
       (match st with
@@ -281,11 +220,21 @@ let replay_pipeline ?dispatch ?(epoch_target = 16) ?max_pending ?assumptions
       | Proof.Delete c -> tr.S.trace_delete c);
       if (i + 1) mod barrier_every = 0 then tr.S.trace_barrier ())
     steps;
-  p
+  c
+
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
+let ends_with s suffix =
+  let n = String.length s and k = String.length suffix in
+  n >= k && String.sub s (n - k) k = suffix
 
 let test_pipeline_matches_sequential () =
-  (* accept/reject identity vs the sequential checker, across worker
-     counts — including rejection of the same corrupted certificates *)
+  (* accept/reject identity vs the sequential checker, without checker
+     domains and across worker counts — including rejection of the same
+     corrupted certificate at the same step *)
   let nvars, clauses = pigeonhole 6 5 in
   let verdict, p, _ = solve_traced nvars clauses in
   Alcotest.(check bool) "unsat" true (verdict = S.Unsat);
@@ -300,46 +249,48 @@ let test_pipeline_matches_sequential () =
         List.filteri (fun i _ -> i >= mid) steps;
       ]
   in
+  (match Rup.check ~nvars ~clauses ~proof:steps () with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.fail ("sequential control rejected: " ^ msg));
+  let sequential =
+    match Rup.check ~nvars ~clauses ~proof:corrupted () with
+    | Ok _ -> Alcotest.fail "sequential accepted corrupted proof"
+    | Error msg -> msg
+  in
   let dispatches =
-    [ ("jobs1", fun () -> Pipeline.inline_dispatch);
-      ("jobs2", fun () -> pool_dispatch 2);
-      ("jobs4", fun () -> pool_dispatch 4) ]
+    [ ("no dispatch", fun () -> None);
+      ("inline", fun () -> Some Pipeline.inline_dispatch);
+      ("jobs2", fun () -> Some (pool_dispatch 2));
+      ("jobs4", fun () -> Some (pool_dispatch 4)) ]
   in
   List.iter
     (fun (label, mk) ->
-      (* genuine certificate: accepted, in more than one epoch *)
-      let pl = replay_pipeline ~dispatch:(mk ()) ~nvars ~clauses steps in
-      (match Pipeline.finish pl with
+      let dispatch = mk () in
+      (* genuine certificate: accepted, in more than one epoch when
+         there are checker workers *)
+      let c = replay_session ?dispatch ~clauses steps in
+      (match Pipeline.check_unsat c ~assumptions:[] with
       | Ok s ->
-          Alcotest.(check bool) (label ^ ": multiple epochs") true
-            (s.Pipeline.epochs > 1);
+          Alcotest.(check bool) (label ^ ": multiple epochs iff dispatched")
+            (dispatch <> None) (s.Pipeline.epochs > 1);
           Alcotest.(check int)
             (label ^ ": every step checked")
             (List.length steps) s.Pipeline.steps
       | Error msg -> Alcotest.fail (label ^ ": genuine proof rejected: " ^ msg));
-      (* sequential control *)
-      (match Rup.check ~nvars ~clauses ~proof:steps () with
-      | Ok _ -> ()
-      | Error msg -> Alcotest.fail ("sequential control rejected: " ^ msg));
-      (* corrupted certificate: rejected by both, shard names its epoch *)
-      let pl = replay_pipeline ~dispatch:(mk ()) ~nvars ~clauses corrupted in
-      (match Pipeline.finish pl with
+      (* corrupted certificate: rejected at the step the sequential
+         checker names; a shard also names its epoch *)
+      let c = replay_session ?dispatch:(mk ()) ~clauses corrupted in
+      match Pipeline.check_unsat c ~assumptions:[] with
       | Ok _ -> Alcotest.fail (label ^ ": corrupted proof accepted")
       | Error msg ->
-          let contains hay needle =
-            let nh = String.length hay and nn = String.length needle in
-            let rec go i =
-              i + nn <= nh && (String.sub hay i nn = needle || go (i + 1))
-            in
-            go 0
-          in
           Alcotest.(check bool)
-            (label ^ ": error names the epoch")
-            true (contains msg "epoch"));
-      match Rup.check ~nvars ~clauses ~proof:corrupted () with
-      | Ok _ -> Alcotest.fail "sequential accepted corrupted proof"
-      | Error _ -> ())
-    dispatches
+            (label ^ ": same step and reason as the sequential checker")
+            true (ends_with msg sequential);
+          Alcotest.(check bool)
+            (label ^ ": error names the epoch iff dispatched")
+            (dispatch <> None) (contains msg "epoch"))
+    dispatches;
+  Alcotest.(check int) "no pool left running" 0 (Atomic.get live_pools)
 
 let test_pipeline_empty_and_assumptions () =
   (* propagation-only UNSAT under assumptions: no learnt clauses, the
@@ -349,137 +300,79 @@ let test_pipeline_empty_and_assumptions () =
   let assumptions = [ lit 0 true; lit 9 false ] in
   let verdict, p, _ = solve_traced ~assumptions nvars clauses in
   Alcotest.(check bool) "unsat" true (verdict = S.Unsat);
-  let pl =
-    replay_pipeline ~assumptions ~nvars ~clauses (Proof.steps p)
-  in
-  (match Pipeline.finish pl with
+  let c = replay_session ~clauses (Proof.steps p) in
+  (match Pipeline.check_unsat c ~assumptions with
   | Ok _ -> ()
   | Error msg -> Alcotest.fail ("assumption certificate rejected: " ^ msg));
   (* the same stream without the assumptions proves nothing *)
-  let pl = replay_pipeline ~nvars ~clauses (Proof.steps p) in
-  match Pipeline.finish pl with
+  let c = replay_session ~clauses (Proof.steps p) in
+  (match Pipeline.check_unsat c ~assumptions:[] with
   | Ok _ -> Alcotest.fail "accepted a proof of a satisfiable formula"
-  | Error _ -> ()
-
-let test_pipeline_spill_roundtrip () =
-  (* max_pending = 0 spills every closed epoch to disk; the re-check at
-     finish must accept exactly like the in-memory path and clean up *)
-  let nvars, clauses = pigeonhole 6 5 in
-  let _, p, _ = solve_traced nvars clauses in
-  let pl =
-    replay_pipeline ~max_pending:0 ~dispatch:(pool_dispatch 2) ~nvars ~clauses
-      (Proof.steps p)
-  in
-  let spills = Pipeline.spill_files pl in
-  Alcotest.(check bool) "epochs actually spilled" true (spills <> []);
+  | Error _ -> ());
+  (* and through a certified race: the winner's session vouches for the
+     UNSAT answer under the assumptions, and for a model without them *)
   List.iter
-    (fun path ->
-      Alcotest.(check bool) "spill file exists" true (Sys.file_exists path);
-      (* backpressure discipline: every spill file ends with a marker *)
-      let ic = open_in path in
-      let text = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      let last_line =
-        match
-          String.split_on_char '\n' (String.trim text) |> List.rev
-        with
-        | l :: _ -> l
-        | [] -> ""
+    (fun (assumptions, expect_unsat) ->
+      let o =
+        Parallel.Portfolio.solve ~certify:true ~jobs:2 ~nvars ~clauses
+          ~assumptions ()
       in
-      Alcotest.(check string) "complete marker last" Proof.complete_marker
-        last_line)
-    spills;
-  (match Pipeline.finish pl with
-  | Ok s ->
-      Alcotest.(check bool) "spilled epochs counted" true
-        (s.Pipeline.spilled_epochs > 0)
-  | Error msg -> Alcotest.fail ("spilled roundtrip rejected: " ^ msg));
-  List.iter
-    (fun path ->
-      Alcotest.(check bool) "spill file removed" false (Sys.file_exists path))
-    spills
-
-let test_pipeline_truncated_spill_rejected () =
-  (* chop the completion marker (and the final conflict) off one spill
-     file: finish must reject and name the truncated epoch *)
-  let nvars, clauses = pigeonhole 5 4 in
-  let _, p, _ = solve_traced nvars clauses in
-  let pl =
-    replay_pipeline ~max_pending:0 ~nvars ~clauses (Proof.steps p)
-  in
-  (match Pipeline.spill_files pl with
-  | [] -> Alcotest.fail "expected spilled epochs"
-  | path :: _ ->
-      let ic = open_in path in
-      let text = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      let lines = String.split_on_char '\n' (String.trim text) in
-      let keep = List.filteri (fun i _ -> i < List.length lines - 2) lines in
-      let oc = open_out path in
-      List.iter (fun l -> output_string oc (l ^ "\n")) keep;
-      close_out oc);
-  match Pipeline.finish pl with
-  | Ok _ -> Alcotest.fail "truncated spill accepted"
-  | Error msg ->
-      let contains hay needle =
-        let nh = String.length hay and nn = String.length needle in
-        let rec go i =
-          i + nn <= nh && (String.sub hay i nn = needle || go (i + 1))
-        in
-        go 0
-      in
-      Alcotest.(check bool) "names the epoch" true (contains msg "epoch")
+      Alcotest.(check bool) "race verdict" expect_unsat
+        (o.Parallel.Portfolio.verdict = Parallel.Portfolio.Unsat);
+      match o.Parallel.Portfolio.cert with
+      | Some (Ok _) -> ()
+      | Some (Error msg) -> Alcotest.fail ("winner's answer rejected: " ^ msg)
+      | None -> Alcotest.fail "certified race carries no cert result")
+    [ (assumptions, true); ([], false) ]
 
 let test_pipeline_cancel () =
-  (* cooperative cancellation mid-stream must leave no stuck domains and
-     remove every spill file; cancel is idempotent *)
+  (* cooperative cancellation mid-stream must leave no domain running;
+     cancel is idempotent *)
   let nvars, clauses = pigeonhole 6 5 in
   let _, p, _ = solve_traced nvars clauses in
   let steps = Proof.steps p in
   let half = List.filteri (fun i _ -> i < List.length steps / 2) steps in
-  let pl =
-    replay_pipeline ~max_pending:0 ~dispatch:(pool_dispatch 2) ~nvars ~clauses
-      half
-  in
-  let spills = Pipeline.spill_files pl in
-  Pipeline.cancel pl;
-  Pipeline.cancel pl;
-  List.iter
-    (fun path ->
-      Alcotest.(check bool) "spill removed on cancel" false
-        (Sys.file_exists path))
-    spills
+  let c = replay_session ~dispatch:(pool_dispatch 2) ~clauses half in
+  Alcotest.(check int) "checker pool running" 1 (Atomic.get live_pools);
+  Pipeline.cancel c;
+  Pipeline.cancel c;
+  Alcotest.(check int) "no pool left running" 0 (Atomic.get live_pools)
 
 let test_pipeline_portfolio_integration () =
-  (* the full wiring: racing solvers stream into per-racer pipelines;
-     the winner's stream is checked, losers cancel *)
+  (* the full wiring: racing solvers stream into per-racer sessions;
+     the winner's session vouches for its answer, losers cancel *)
   let nvars, clauses = pigeonhole 6 5 in
+  let sat_clauses = [ [ lit 0 true; lit 1 true ]; [ lit 0 false ] ] in
   List.iter
-    (fun jobs ->
+    (fun (jobs, cert_jobs) ->
+      let label = Printf.sprintf "jobs %d, cert_jobs %d: " jobs cert_jobs in
       let o =
-        Parallel.Portfolio.solve ~certify:true ~cert_jobs:2 ~jobs ~nvars
+        Parallel.Portfolio.solve ~certify:true ~cert_jobs ~jobs ~nvars
           ~clauses ~assumptions:[] ()
       in
-      Alcotest.(check bool) "unsat" true
+      Alcotest.(check bool) (label ^ "unsat") true
         (o.Parallel.Portfolio.verdict = Parallel.Portfolio.Unsat);
+      (match o.Parallel.Portfolio.cert with
+      | Some (Ok s) ->
+          Alcotest.(check bool) (label ^ "steps streamed") true
+            (s.Pipeline.steps > 0)
+      | Some (Error msg) ->
+          Alcotest.fail (label ^ "winner's genuine stream rejected: " ^ msg)
+      | None -> Alcotest.fail (label ^ "UNSAT outcome carries no cert result"));
+      let o =
+        Parallel.Portfolio.solve ~certify:true ~cert_jobs ~jobs ~nvars:2
+          ~clauses:sat_clauses ~assumptions:[] ()
+      in
+      (match o.Parallel.Portfolio.verdict with
+      | Parallel.Portfolio.Sat _ -> ()
+      | _ -> Alcotest.fail (label ^ "expected SAT"));
       match o.Parallel.Portfolio.cert with
       | Some (Ok s) ->
-          Alcotest.(check bool) "steps streamed" true (s.Pipeline.steps > 0)
-      | Some (Error msg) ->
-          Alcotest.fail ("winner's genuine stream rejected: " ^ msg)
-      | None -> Alcotest.fail "UNSAT outcome carries no cert result")
-    [ 1; 2 ];
-  (* SAT outcome: stream cancelled, no cert result, clean return *)
-  let sat_clauses = [ [ lit 0 true; lit 1 true ]; [ lit 0 false ] ] in
-  let o =
-    Parallel.Portfolio.solve ~certify:true ~cert_jobs:2 ~jobs:2 ~nvars:2
-      ~clauses:sat_clauses ~assumptions:[] ()
-  in
-  (match o.Parallel.Portfolio.verdict with
-  | Parallel.Portfolio.Sat _ -> ()
-  | _ -> Alcotest.fail "expected SAT");
-  Alcotest.(check bool) "no cert for SAT" true
-    (o.Parallel.Portfolio.cert = None)
+          Alcotest.(check int) (label ^ "a model rests on no step") 0
+            s.Pipeline.steps
+      | Some (Error msg) -> Alcotest.fail (label ^ "genuine model rejected: " ^ msg)
+      | None -> Alcotest.fail (label ^ "SAT outcome carries no cert result"))
+    [ (1, 0); (2, 0); (1, 2); (2, 2) ]
 
 (* ---- SAT-model checking ---- *)
 
@@ -520,15 +413,14 @@ let test_model_check_assumptions () =
 
 (* A solver mirrored by a session, wired the way a certified sequential
    engine wires its own, before the first clause. [cert_jobs > 0]
-   checks epochs of 16 steps on that many domains ([max_pending:0]
-   spills every one to disk first). [axiom] filters what the checker is
-   told, to build a checker that misses a clause. *)
-let mirrored ?(axiom = fun c -> Some c) ?max_pending ~cert_jobs nvars =
+   checks epochs of 16 steps on that many domains. [axiom] filters what
+   the checker is told, to build a checker that misses a clause. *)
+let mirrored ?(axiom = fun c -> Some c) ~cert_jobs nvars =
   let s = S.create () in
   let dispatch =
     if cert_jobs > 0 then Some (pool_dispatch cert_jobs) else None
   in
-  let c = Pipeline.session ?dispatch ~epoch_target:16 ?max_pending () in
+  let c = Pipeline.session ?dispatch ~epoch_target:16 () in
   S.set_input_hook s
     (Some (fun cl -> Option.iter (Pipeline.axiom c) (axiom cl)));
   S.set_tracer s (Some (Pipeline.tracer c));
@@ -560,22 +452,17 @@ let unsat_ok s c ~assumptions =
   Pipeline.check_unsat c ~assumptions
 
 (* the checker configurations every session test runs under *)
-let session_configs =
-  [
-    ("cert_jobs 0", 0, None);
-    ("cert_jobs 2", 2, None);
-    ("cert_jobs 2, every epoch spilled", 2, Some 0);
-  ]
+let session_configs = [ ("cert_jobs 0", 0); ("cert_jobs 2", 2) ]
 
 (* Two guarded pigeonhole cores on one warm solver: SAT, UNSAT, more
    clauses, UNSAT, SAT — every answer vouched for, the session open.
    The clauses added between the answers land inside an epoch. *)
 let test_session_accepts () =
   List.iter
-    (fun (label, cert_jobs, max_pending) ->
+    (fun (label, cert_jobs) ->
       let label = label ^ ": " in
       let act1 = lit 0 true and act2 = lit 1 true in
-      let s, c = mirrored ?max_pending ~cert_jobs 42 in
+      let s, c = mirrored ~cert_jobs 42 in
       let php1 = guarded_pigeonhole ~base:2 ~act:act1 5 4 in
       List.iter (S.add_clause s) php1;
       (match sat_ok s c ~assumptions:[] with
@@ -595,11 +482,7 @@ let test_session_accepts () =
       | Ok sum ->
           Alcotest.(check bool)
             (label ^ "epochs only when pipelined")
-            (cert_jobs > 0) (sum.Pipeline.epochs > 0);
-          Alcotest.(check bool)
-            (label ^ "spilled when asked")
-            (max_pending = Some 0)
-            (sum.Pipeline.spilled_epochs > 0)
+            (cert_jobs > 0) (sum.Pipeline.epochs > 0)
       | Error m -> Alcotest.fail (label ^ "second UNSAT rejected: " ^ m));
       match sat_ok s c ~assumptions:[ L.negate act2 ] with
       | Ok () -> ()
@@ -615,9 +498,9 @@ let test_session_withheld_activation_clause () =
   let clauses = guarded_pigeonhole ~base:1 ~act 5 4 in
   let withheld = List.nth clauses 3 in
   List.iter
-    (fun (label, cert_jobs, max_pending) ->
+    (fun (label, cert_jobs) ->
       let s, c =
-        mirrored ?max_pending ~cert_jobs
+        mirrored ~cert_jobs
           ~axiom:(fun cl -> if cl == withheld then None else Some cl)
           21
       in
@@ -636,8 +519,8 @@ let test_session_withheld_activation_clause () =
    and the session's tracer. *)
 let session_rejects_step what bad =
   let act = lit 0 true in
-  let reject (label, cert_jobs, max_pending) =
-    let s, c = mirrored ?max_pending ~cert_jobs 21 in
+  let reject (label, cert_jobs) =
+    let s, c = mirrored ~cert_jobs 21 in
     List.iter (S.add_clause s) (guarded_pigeonhole ~base:1 ~act 5 4);
     bad s (Pipeline.tracer c);
     (match sat_ok s c ~assumptions:[] with
@@ -691,8 +574,8 @@ let test_session_rejects_axiom_delete () =
 let test_session_rejects_unrefuted () =
   let act = lit 0 true in
   List.iter
-    (fun (label, cert_jobs, max_pending) ->
-      let s, c = mirrored ?max_pending ~cert_jobs 21 in
+    (fun (label, cert_jobs) ->
+      let s, c = mirrored ~cert_jobs 21 in
       List.iter (S.add_clause s) (guarded_pigeonhole ~base:1 ~act 5 4);
       List.iter
         (fun assumptions ->
@@ -718,6 +601,33 @@ let test_session_rejects_models () =
   match Pipeline.check_sat c ~assumptions ~value:(flip 3) with
   | Ok () -> Alcotest.fail "model falsifying an assumption accepted"
   | Error _ -> ()
+
+(* Every validated addition counts in [cert.clauses_checked], whether a
+   shard or the solver's thread validates it *)
+let test_session_counts_checked () =
+  let checked = Obs.Metrics.counter "cert.clauses_checked" in
+  List.iter
+    (fun (label, cert_jobs) ->
+      let act1 = lit 0 true and act2 = lit 1 true in
+      let s, c = mirrored ~cert_jobs 42 in
+      let c0 = Obs.Metrics.counter_value checked in
+      List.iter (S.add_clause s) (guarded_pigeonhole ~base:2 ~act:act1 5 4);
+      List.iter (S.add_clause s) (guarded_pigeonhole ~base:22 ~act:act2 5 4);
+      let adds =
+        List.fold_left
+          (fun acc assumptions ->
+            match unsat_ok s c ~assumptions with
+            | Ok sum -> acc + sum.Pipeline.adds
+            | Error m -> Alcotest.failf "%s: genuine UNSAT rejected: %s" label m)
+          0
+          [ [ act1 ]; [ L.negate act1; act2 ] ]
+      in
+      Alcotest.(check bool) (label ^ ": additions validated") true (adds > 0);
+      Alcotest.(check int)
+        (label ^ ": counter delta")
+        adds
+        (Obs.Metrics.counter_value checked - c0))
+    session_configs
 
 (* ---- counterexample validation against the simulator ---- *)
 
@@ -892,8 +802,8 @@ let test_certified_alg1_jobs_and_portfolio () =
     ]
 
 let test_certified_alg1_pipelined () =
-  (* end-to-end: the engine's certify path with the streaming checker —
-     same verdict and certification coverage as the post-hoc mode *)
+  (* end-to-end: the engine's certify path with checker domains — same
+     verdict and certification coverage as without them *)
   let run cert_jobs =
     Upec.Alg1.run_with
       {
@@ -942,9 +852,6 @@ let () =
             test_rup_under_assumptions;
           Alcotest.test_case "certificate across arena compaction" `Quick
             test_certificate_across_compaction;
-          Alcotest.test_case "drup text roundtrip" `Quick test_drup_roundtrip;
-          Alcotest.test_case "streaming drup reader" `Quick
-            test_streaming_parse_drup;
         ] );
       ( "pipeline",
         [
@@ -952,10 +859,6 @@ let () =
             test_pipeline_matches_sequential;
           Alcotest.test_case "assumption-only certificates" `Quick
             test_pipeline_empty_and_assumptions;
-          Alcotest.test_case "spill roundtrip" `Quick
-            test_pipeline_spill_roundtrip;
-          Alcotest.test_case "truncated spill rejected" `Quick
-            test_pipeline_truncated_spill_rejected;
           Alcotest.test_case "cancellation" `Quick test_pipeline_cancel;
           Alcotest.test_case "portfolio integration" `Quick
             test_pipeline_portfolio_integration;
@@ -984,6 +887,8 @@ let () =
             test_session_rejects_unrefuted;
           Alcotest.test_case "rejects false models" `Quick
             test_session_rejects_models;
+          Alcotest.test_case "counts the steps it validates" `Quick
+            test_session_counts_checked;
         ] );
       ( "certval",
         [
