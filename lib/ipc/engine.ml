@@ -30,9 +30,10 @@ type t = {
 }
 
 let create ?solver_options ?(portfolio = 1) ?portfolio_configs
-    ?(certify = false) ?(cert_jobs = 0) ?(simp = true) ~two_instance nl =
+    ?(certify = false) ?(cert_jobs = 0) ?(simp = true) ?share ~two_instance nl
+    =
   let g = Aig.create () in
-  let u = Unroller.create g nl ~two_instance in
+  let u = Unroller.create ?share g nl ~two_instance in
   let solver = S.create ?options:solver_options () in
   let cert_jobs = max 0 cert_jobs in
   (* A certified sequential engine's checker sees every clause the

@@ -48,11 +48,17 @@ val create :
   ?certify:bool ->
   ?cert_jobs:int ->
   ?simp:bool ->
+  ?share:(Rtl.Structural.svar -> bool) ->
   two_instance:bool ->
   Rtl.Netlist.t ->
   t
 (** [simp] (default [true]) enables cone-of-influence reduction for
     witness-free solves; it never changes verdicts or counterexamples.
+
+    [share] goes to {!Unroller.create}: instance B's cycle-0 state of
+    those state variables is A's own, so the engine can only answer
+    queries that assume their cycle-0 equality. A witness extracted
+    from such an engine shows them equal at cycle 0.
 
     [cert_jobs] (default [0]) only matters with [certify]. With [0], a
     checker validates the pending proof steps on its solver's thread

@@ -39,6 +39,7 @@ type t = {
   g : Aig.t;
   nl : Netlist.t;
   duo : bool;
+  share : Structural.svar -> bool;  (* B takes A's cycle-0 vector *)
   params : (int, Blaster.vec) Hashtbl.t;  (* shared across inst and time *)
   frames_a : frames;  (* index 0 first *)
   frames_b : frames;
@@ -56,12 +57,13 @@ let new_frame () =
     f_inputs = Hashtbl.create 32;
   }
 
-let create g nl ~two_instance =
+let create ?(share = fun _ -> false) g nl ~two_instance =
   let t =
     {
       g;
       nl;
       duo = two_instance;
+      share;
       params = Hashtbl.create 8;
       frames_a = fv_create ();
       frames_b = fv_create ();
@@ -75,30 +77,35 @@ let create g nl ~two_instance =
     nl.Netlist.params;
   t
 
-let instances t = if t.duo then [ A; B ] else [ A ]
-
 let frames_of t inst = match inst with A -> t.frames_a | B -> t.frames_b
 let frame_of t inst i = fv_get (frames_of t inst) i
 
-let fresh_state_frame t =
-  let mk () =
-    let f = new_frame () in
-    List.iter
-      (fun rd ->
-        let s = rd.Netlist.rd_signal in
-        Hashtbl.replace f.f_regs s.Expr.s_id
-          (Blaster.fresh_vec t.g s.Expr.s_width))
-      t.nl.Netlist.regs;
-    List.iter
-      (fun md ->
-        let m = md.Netlist.md_mem in
-        Hashtbl.replace f.f_mems m.Expr.m_id
-          (Array.init m.Expr.m_depth (fun _ ->
-               Blaster.fresh_vec t.g m.Expr.m_data_width)))
-      t.nl.Netlist.mems;
-    f
+(* The symbolic starting state: fresh variables for every register and
+   memory element, except that instance B takes A's own vector of every
+   shared one ([a] is A's frame 0). *)
+let state_frame_0 t ~a =
+  let f = new_frame () in
+  let vec sv width =
+    match a with
+    | Some a when t.share sv -> (
+        match sv with
+        | Structural.Sreg s -> Hashtbl.find a.f_regs s.Expr.s_id
+        | Structural.Smem (m, i) -> (Hashtbl.find a.f_mems m.Expr.m_id).(i))
+    | _ -> Blaster.fresh_vec t.g width
   in
-  (mk, ())
+  List.iter
+    (fun rd ->
+      let s = rd.Netlist.rd_signal in
+      Hashtbl.replace f.f_regs s.Expr.s_id (vec (Structural.Sreg s) s.Expr.s_width))
+    t.nl.Netlist.regs;
+  List.iter
+    (fun md ->
+      let m = md.Netlist.md_mem in
+      Hashtbl.replace f.f_mems m.Expr.m_id
+        (Array.init m.Expr.m_depth (fun i ->
+             vec (Structural.Smem (m, i)) m.Expr.m_data_width)))
+    t.nl.Netlist.mems;
+  f
 
 let env_of t inst i =
   let f = frame_of t inst i in
@@ -167,15 +174,14 @@ let advance t inst =
 let ensure_frames t k =
   if t.nframes < 0 then begin
     (* materialise frame 0: fully symbolic starting state *)
-    List.iter
-      (fun inst ->
-        let mk, () = fresh_state_frame t in
-        fv_push (frames_of t inst) (mk ()))
-      (instances t);
+    let a = state_frame_0 t ~a:None in
+    fv_push t.frames_a a;
+    if t.duo then fv_push t.frames_b (state_frame_0 t ~a:(Some a));
     t.nframes <- 0
   end;
   while t.nframes < k do
-    List.iter (fun inst -> advance t inst) (instances t);
+    advance t A;
+    if t.duo then advance t B;
     t.nframes <- t.nframes + 1
   done
 

@@ -14,7 +14,16 @@ open Bitblast
     of the design, [A] and [B]. Each instance has its own state and
     input variables; {e parameters} (symbolic constants such as the
     victim address range) are shared between instances and frames, which
-    encodes that both instances run under the same memory layout. *)
+    encodes that both instances run under the same memory layout.
+
+    An unroller may also {e share} part of the starting state: instance
+    B's cycle-0 vector of a shared register or memory element is A's
+    own vector. Structural hashing then merges every B node whose cone
+    stays inside the shared state and the parameters with A's node, so
+    a state variable whose next state reads only shared state gets the
+    constant-true {!svar_equal_lit} at cycle 1. Sharing bakes the
+    cycle-0 equality of those elements into the encoding: use it only
+    where every query assumes that equality anyway. *)
 
 type instance = A | B
 
@@ -22,7 +31,11 @@ val pp_instance : Format.formatter -> instance -> unit
 
 type t
 
-val create : Aig.t -> Netlist.t -> two_instance:bool -> t
+val create :
+  ?share:(Structural.svar -> bool) -> Aig.t -> Netlist.t -> two_instance:bool -> t
+(** [share] (default: nothing) names the state variables whose cycle-0
+    vector instance B takes from A. *)
+
 val graph : t -> Aig.t
 val netlist : t -> Netlist.t
 val two_instance : t -> bool

@@ -31,19 +31,18 @@ let equalities cond s = Svars.fold (fun sv acc -> fst (cond sv) :: acc) s []
    the whole fixed-point loop. The State_Equivalence(S) assumption
    travels through solver assumptions and each iteration's obligation
    is armed by an activation literal, so learnt clauses survive across
-   iterations. A hand-over's per-svar worker runs on the same engine: a
-   second one would hold a second copy of the encoding. *)
+   iterations. S shrinks between iterations, so instance B keeps a
+   cycle-0 state of its own. *)
 let make_checker ctx spec s0 =
   let eng = Refine.engine ctx ~k:1 in
   let g = Ipc.Engine.graph eng in
   let cond = conditions eng spec s0 in
-  ( (fun s ->
-      let act = Aig.fresh_var g in
-      let diffs = Svars.fold (fun sv acc -> snd (cond sv) :: acc) s [] in
-      Ipc.Engine.assume_implication eng act (Aig.mk_or_list g diffs);
-      Refine.decide ctx eng ~goals:[ (1, s) ]
-        (Ipc.Engine.Violation (act :: equalities cond s))),
-    fun ~k:_ -> (eng, conditions ~armed:true eng spec s0) )
+  fun s ->
+    let act = Aig.fresh_var g in
+    let diffs = Svars.fold (fun sv acc -> snd (cond sv) :: acc) s [] in
+    Ipc.Engine.assume_implication eng act (Aig.mk_or_list g diffs);
+    Refine.decide ctx eng ~goals:[ (1, s) ]
+      (Ipc.Engine.Violation (act :: equalities cond s))
 
 (* --- lemma cache hook -----------------------------------------------
 
@@ -59,19 +58,23 @@ type svar_cache = {
   sc_store : Structural.svar -> s:Svars.t -> holds:bool -> unit;
 }
 
-(* Per-svar worker: decides whether sv can differ at cycle 1 under
-   State_Equivalence(S) at cycle 0, for every sv of the initial set.
+(* Per-svar worker of one round: decides whether sv can differ at
+   cycle 1 under State_Equivalence(S) at cycle 0, for every sv of the
+   round's S.
 
      S_cex := { sv in S | SAT( eq-assumptions(S)@0 /\ diff_sv@1 ) }
 
    S_cex is at least as large as any single model's violation set, so
    the fixed point is reached in no more iterations than the monolithic
-   check needs. *)
-let make_worker ctx spec s0 =
-  let eng = Refine.engine ctx ~k:1 in
-  (eng, conditions ~armed:true eng spec s0)
-
-let query s (eng, cond) (_, sv) = (eng, snd (cond sv) :: equalities cond s)
+   check needs. Instance B shares A's cycle-0 state on S, so the
+   equality assumptions of unguarded svars are constant-true and the
+   diff of every svar whose next state reads only S folds away. *)
+let make_worker ctx spec (fr : Refine.frontier) =
+  let s = fr.Refine.s0 in
+  let eng = Refine.engine ctx ~share:s ~k:1 in
+  let cond = conditions ~armed:true eng spec s in
+  let eqs = equalities cond s in
+  (eng, fun (_, sv) -> snd (cond sv) :: eqs)
 
 let run_with ?initial ?resume ?svar_cache (o : Options.t) spec =
   let ctx =
@@ -94,8 +97,7 @@ let run_with ?initial ?resume ?svar_cache (o : Options.t) spec =
           List.fold_left (fun s (_, s_cex) -> Svars.diff s s_cex) s per_frame);
       save = (fun s -> (1, [| s |]));
       monolithic = (fun () -> make_checker ctx spec s0);
-      worker = (fun ~k:_ -> make_worker ctx spec s0);
-      query;
+      worker = make_worker ctx spec;
       lemmas =
         (fun s ->
           Option.map

@@ -25,36 +25,11 @@ let decide_unrolled ctx eng spec ((k, sf) as st) =
   done;
   Refine.decide ctx eng ~goals:(goals st) (Ipc.Engine.Goal !goal)
 
-(* Per-(cycle, svar) worker state: one activation literal per pair
-   (j, sv) arming diff_sv@j, for every sv of [s0] and j = 1..k, on an
-   engine whose frames 0..k are constrained and whose frame-0
-   equivalence over [s0] is asserted. Pairs already in [acts] keep
-   their literal. *)
-let arm ?(acts = Hashtbl.create 1024) eng spec s0 k =
-  let g = Ipc.Engine.graph eng in
-  for j = 1 to k do
-    Svars.iter
-      (fun sv ->
-        let key = (j, Structural.svar_name sv) in
-        if not (Hashtbl.mem acts key) then begin
-          let diff =
-            Aig.lit_not (Macros.sv_condition eng spec ~frame:j sv)
-          in
-          let act = Aig.fresh_var g in
-          Ipc.Engine.assume_implication eng act diff;
-          Hashtbl.replace acts key act
-        end)
-      s0
-  done;
-  (eng, acts)
-
 (* The monolithic checker: one engine across iterations AND
    unroll-depth growth. Frame-0 equivalence is asserted once (sound —
    the cycle-0 set never shrinks); when k grows, only the new frame's
    environment and input constraints are appended. Learnt clauses and
-   branching heuristics stay warm across the whole refinement. A
-   hand-over's per-(cycle, svar) worker arms its pairs on the same
-   engine: a second one would hold a second copy of the encoding. *)
+   branching heuristics stay warm across the whole refinement. *)
 type session = { i_eng : Ipc.Engine.t; mutable i_frames : int }
 
 let make_checker ctx spec s0 =
@@ -81,21 +56,32 @@ let make_checker ctx spec s0 =
     end;
     sess.i_eng
   in
-  let acts = Hashtbl.create 1024 in
-  ( (fun ((k, _) as st) -> decide_unrolled ctx (at_depth k) spec st),
-    fun ~k -> arm ~acts (at_depth k) spec s0 k )
+  fun ((k, _) as st) -> decide_unrolled ctx (at_depth k) spec st
 
-(* Per-(cycle, svar) worker for the parallel strategy. The unrolled
+(* Per-(cycle, svar) worker for one unroll depth k. The unrolled
    property assumes equivalence only at cycle 0 — and that set never
    shrinks — so the assumption set of every individual check is
-   constant: frame-0 equivalence is asserted permanently at worker
-   construction, and each pair (j, sv) gets one activation literal
+   constant: instance B shares A's cycle-0 state on [s0], frame-0
+   equivalence of its guarded cells is asserted at worker construction,
+   and each pair (j, sv) with j = 1..k gets one activation literal
    arming diff_sv@j. Pair verdicts are therefore semantic facts, and
    the whole trace is identical for every job count. *)
-let make_worker ctx spec s0 k =
-  let eng = Refine.engine ctx ~k in
+let make_worker ctx spec (fr : Refine.frontier) =
+  let s0 = fr.Refine.s0 and k = fr.Refine.k in
+  let eng = Refine.engine ctx ~share:s0 ~k in
   Macros.state_equivalence_assume eng spec ~frame:0 s0;
-  arm eng spec s0 k
+  let g = Ipc.Engine.graph eng in
+  let acts = Hashtbl.create 1024 in
+  for j = 1 to k do
+    Svars.iter
+      (fun sv ->
+        let diff = Aig.lit_not (Macros.sv_condition eng spec ~frame:j sv) in
+        let act = Aig.fresh_var g in
+        Ipc.Engine.assume_implication eng act diff;
+        Hashtbl.replace acts (j, Structural.svar_name sv) act)
+      s0
+  done;
+  (eng, fun (j, sv) -> [ Hashtbl.find acts (j, Structural.svar_name sv) ])
 
 (* the run, with its hand-over cap state at the end *)
 let run ?resume (o : Options.t) spec =
@@ -135,10 +121,7 @@ let run ?resume (o : Options.t) spec =
             (k, sf));
         save = Fun.id;
         monolithic = (fun () -> make_checker ctx spec s0);
-        worker = (fun ~k -> make_worker ctx spec s0 k);
-        query =
-          (fun _ (eng, acts) (j, sv) ->
-            (eng, [ Hashtbl.find acts (j, Structural.svar_name sv) ]));
+        worker = make_worker ctx spec;
         lemmas = (fun _ -> None);
       }
       (match Refine.resumed ctx with Some st -> st | None -> (1, [| s0; s0 |]))

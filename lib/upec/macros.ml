@@ -121,6 +121,9 @@ let sv_condition eng spec ~frame sv =
       let gl = (U.blast_at u U.A ~frame:0 guard).(0) in
       Aig.mk_or g gl eq
 
+let cycle0_shared spec s sv =
+  Structural.Svar_set.mem sv s && Spec.victim_cell_guard spec sv = None
+
 let state_equivalence_assume eng spec ~frame set =
   Structural.Svar_set.iter
     (fun sv -> Ipc.Engine.assume eng (sv_condition eng spec ~frame sv))

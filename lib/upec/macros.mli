@@ -45,6 +45,13 @@ val sv_condition :
 (** The equal-or-protected condition for one state variable at one
     cycle (the conjunct State_Equivalence is built from). *)
 
+val cycle0_shared : Spec.t -> Structural.Svar_set.t -> Structural.svar -> bool
+(** [cycle0_shared spec s sv]: may an engine whose every query assumes
+    State_Equivalence([s]) at cycle 0 give instance B A's own cycle-0
+    copy of [sv] ({!Ipc.Unroller.create})? Exactly the state variables
+    of [s] without a {!Spec.victim_cell_guard}: a guarded cell's
+    condition is guard or equality, so its B copy stays free. *)
+
 val state_equivalence_assume :
   Ipc.Engine.t -> Spec.t -> frame:int -> Structural.Svar_set.t -> unit
 (** State_Equivalence(S) as an assumption: every state variable in S is

@@ -10,10 +10,12 @@ type t = {
   config_hash : string Lazy.t;
   resume : Checkpoint.t option;
   resumed : (int * Svars.t array) option;
-  (* engine registry: workers create engines inside pool domains, so
-     the list is mutex-protected; reads happen after the pool drained *)
+  (* engine registry: workers create and retire engines inside pool
+     domains, so the list is mutex-protected; reads happen after the
+     pool drained. A retired engine's accounting lives on in [retired]. *)
   reg_mu : Mutex.t;
   mutable engines : Ipc.Engine.t list;
+  mutable retired : Cert.Proof.totals * Simp.reduction option;
   (* degraded obligations, reverse order: (entry, reason) as reported *)
   mutable unknowns : (string * string) list;
   (* undecided (cycle, svar name) obligations: out of the goal lists
@@ -142,6 +144,7 @@ let create alg ?resume ?costliest (o : Options.t) spec =
     resumed;
     reg_mu = Mutex.create ();
     engines = [];
+    retired = (Cert.Proof.zero_totals, None);
     unknowns =
       (match resume with
       | Some ck -> List.rev ck.Checkpoint.ck_unknown
@@ -163,13 +166,16 @@ let stopped ctx =
 
 (* Shared two-instance session setup. The cooperative cancellation hook
    comes from [should_stop], polled from inside every solve. [portfolio]
-   is explicit because witness re-derivation always runs sequentially. *)
-let setup_engine ctx ~portfolio ~k =
+   is explicit because witness re-derivation always runs sequentially.
+   With [share], instance B's cycle-0 state of every svar of that set
+   without a victim-cell guard is A's own ({!Macros.cycle0_shared}). *)
+let setup_engine ?share ctx ~portfolio ~k =
   let o = ctx.o and spec = ctx.spec in
+  let share = Option.map (Macros.cycle0_shared spec) share in
   let eng =
     Ipc.Engine.create ?solver_options:o.Options.solver_options ~portfolio
       ~certify:o.Options.certify ~cert_jobs:o.Options.cert_jobs
-      ~simp:o.Options.simp ~two_instance:true (netlist ctx)
+      ~simp:o.Options.simp ?share ~two_instance:true (netlist ctx)
   in
   Mutex.protect ctx.reg_mu (fun () -> ctx.engines <- eng :: ctx.engines);
   Ipc.Engine.set_interrupt eng o.Options.should_stop;
@@ -182,7 +188,24 @@ let setup_engine ctx ~portfolio ~k =
   done;
   eng
 
-let engine ctx ~k = setup_engine ctx ~portfolio:ctx.o.Options.portfolio ~k
+let engine ?share ctx ~k =
+  setup_engine ?share ctx ~portfolio:ctx.o.Options.portfolio ~k
+
+let merge_simp a b =
+  match (a, b) with
+  | None, x | x, None -> x
+  | Some a, Some b -> Some (Simp.merge_reduction a b)
+
+(* Drop an engine from the registry, folding its certification and
+   reduction accounting into the run's. *)
+let retire ctx eng =
+  let simp = Ipc.Engine.reduction_stats eng in
+  Mutex.protect ctx.reg_mu (fun () ->
+      let cert, simp0 = ctx.retired in
+      ctx.engines <- List.filter (fun e -> e != eng) ctx.engines;
+      ctx.retired <-
+        ( Cert.Proof.add_totals cert (Ipc.Engine.cert_totals eng),
+          merge_simp simp0 simp ))
 
 (* ---- decisions ---- *)
 
@@ -351,11 +374,6 @@ let extract_cex ctx fr (j, sv) =
 
 (* ---- report ---- *)
 
-let merge_simp a b =
-  match (a, b) with
-  | None, x | x, None -> x
-  | Some a, Some b -> Some (Simp.merge_reduction a b)
-
 (* [record] is the single funnel of every strategy, so the
    per-iteration span lives here as a manual (non-lexical) span from
    the iteration's start. *)
@@ -432,6 +450,7 @@ let finish ctx verdict =
     | v -> v
   in
   let o = ctx.o in
+  let retired_cert, retired_simp = ctx.retired in
   {
     Report.procedure = procedure ctx;
     variant = ctx.spec.Spec.variant;
@@ -448,7 +467,7 @@ let finish ctx verdict =
                List.fold_left
                  (fun acc e ->
                    Cert.Proof.add_totals acc (Ipc.Engine.cert_totals e))
-                 Cert.Proof.zero_totals ctx.engines;
+                 retired_cert ctx.engines;
              ct_cex_validated = ctx.cex_validated;
            }
        else None);
@@ -460,7 +479,7 @@ let finish ctx verdict =
     simp =
       List.fold_left
         (fun acc e -> merge_simp acc (Ipc.Engine.reduction_stats e))
-        None ctx.engines;
+        retired_simp ctx.engines;
     cache = None;
     extra = [];
   }
@@ -509,14 +528,13 @@ type lemmas = {
   store : obligation -> holds:bool -> unit;
 }
 
-type ('st, 'w) property = {
+type 'st property = {
   frontier : 'st -> frontier;
   holds : 'st -> 'st step;
   refine : 'st -> (int * Svars.t) list -> 'st;
   save : 'st -> int * Svars.t array;
-  monolithic : unit -> ('st -> decision) * (k:int -> 'w);
-  worker : k:int -> 'w;
-  query : 'st -> 'w -> obligation -> Ipc.Engine.t * Aig.lit list;
+  monolithic : unit -> 'st -> decision;
+  worker : frontier -> Ipc.Engine.t * (obligation -> Aig.lit list);
   lemmas : 'st -> lemmas option;
 }
 
@@ -664,25 +682,29 @@ let per_svar_round ctx p decide_batch ?probe ~iter st =
         end
 
 (* Obligations go to a pool with one lazily built [worker] per domain,
-   rebuilt when the unroll depth grows. Cached obligations are answered
-   before the pool sees them and fresh results are offered back; the
-   merged batch keeps the obligation order, so the rest of the round
-   cannot tell the difference (a cached SAT carries no model — witness
-   extraction always re-solves on a fresh engine). *)
-let per_svar_batches ctx p ~worker pool =
+   built for the frontier's unroll depth and cycle-0 set: a worker
+   shares instance B's cycle-0 state on that set, so it answers only
+   that frontier's obligations, and the one it supersedes is retired.
+   Cached obligations are answered before the pool sees them and fresh
+   results are offered back; the merged batch keeps the obligation
+   order, so the rest of the round cannot tell the difference (a cached
+   SAT carries no model — witness extraction always re-solves on a
+   fresh engine). *)
+let per_svar_batches ctx p pool =
   let workers = Array.make (Parallel.Pool.jobs pool) None in
-  let worker k wid =
+  let worker fr wid =
     match workers.(wid) with
-    | Some (k', w) when k' = k -> w
-    | _ ->
-        let w = worker ~k in
-        workers.(wid) <- Some (k, w);
+    | Some (fr', w) when fr'.k = fr.k && Svars.equal fr'.s0 fr.s0 -> w
+    | old ->
+        Option.iter (fun (_, (eng, _)) -> retire ctx eng) old;
+        let w = p.worker fr in
+        workers.(wid) <- Some (fr, w);
         w
   in
-  let solve st fr obs =
+  let solve fr obs =
     Parallel.Pool.map_wid pool
       (fun wid ((j, sv) as ob) ->
-        let w = worker fr.k wid in
+        let eng, query = worker fr wid in
         Obs.Trace.with_span
           (match ctx.alg with
           | Checkpoint.Alg1 -> "alg1.svar"
@@ -693,7 +715,7 @@ let per_svar_batches ctx p ~worker pool =
               ("frame", Obs.Trace.Int j);
             ]
         @@ fun () ->
-        let eng, assumptions = p.query st w ob in
+        let assumptions = query ob in
         (* no cap here: the bool is always false *)
         let d, _ =
           with_retries ctx.o eng (fun () ->
@@ -709,7 +731,7 @@ let per_svar_batches ctx p ~worker pool =
       List.map (fun ob -> (ob, Option.bind lemmas (fun l -> l.lookup ob))) obs
     in
     let fresh =
-      solve st fr
+      solve fr
         (List.filter_map
            (fun (ob, cached) -> if cached = None then Some ob else None)
            looked)
@@ -759,17 +781,15 @@ let run ctx p st0 =
   match ctx.o.Options.jobs with
   | Some j ->
       Parallel.Pool.with_pool ~jobs:(max 1 j) (fun pool ->
-          let batches = per_svar_batches ctx p ~worker:p.worker pool in
+          let batches = per_svar_batches ctx p pool in
           iterate (fun ~iter st -> per_svar_round ctx p batches ~iter st))
   | None ->
       (* monolithic until the hand-over cap stops a check (see
          [handover_floor]), then per-svar on one worker for that
          iteration and every later one *)
       Parallel.Pool.with_pool ~jobs:1 (fun pool ->
-          let check, worker = p.monolithic () in
-          let per_svar =
-            per_svar_round ctx p (per_svar_batches ctx p ~worker pool)
-          in
+          let check = p.monolithic () in
+          let per_svar = per_svar_round ctx p (per_svar_batches ctx p pool) in
           iterate (fun ~iter st ->
               match ctx.handover with
               | Some _ -> per_svar ~iter st

@@ -44,14 +44,21 @@ val costliest : t -> int option
 (** The hand-over cap state: the conflicts of the costliest monolithic
     decision so far, the seed included; [None] before the first. *)
 
-val engine : t -> k:int -> Ipc.Engine.t
+val engine : ?share:Structural.Svar_set.t -> t -> k:int -> Ipc.Engine.t
 (** A registered two-instance session for the property unrolled to
     depth [k] (1 = the two-cycle property), racing
     [Options.portfolio] configurations: environment assumptions over
     every frame, then per frame the primary-input constraints and the
     victim's transaction (cycles 0-1) or equal victim-port traffic
     (later cycles). Alg. 2 under [Options.reset_start] also pins
-    cycle 0 to the reset state. *)
+    cycle 0 to the reset state.
+
+    [share] is the session's cycle-0 equivalence set: instance B's
+    cycle-0 state of every svar in it that has no
+    {!Spec.victim_cell_guard} is A's own ({!Ipc.Unroller.create}), so
+    every query on the session must assume State_Equivalence([share])
+    at cycle 0. A guarded cell keeps its own B copy, because its
+    cycle-0 condition is guard or equality. *)
 
 type decision
 (** A monolithic check's outcome — holds, a model with its per-cycle
@@ -95,7 +102,7 @@ type lemmas = {
       (** every freshly decided obligation; Unknowns are never offered *)
 }
 
-type ('st, 'w) property = {
+type 'st property = {
   frontier : 'st -> frontier;
   holds : 'st -> 'st step;
       (** every obligation of the iteration held: a fixed point, or
@@ -104,21 +111,21 @@ type ('st, 'w) property = {
       (** remove the per-cycle S_cex of a non-persistent divergence *)
   save : 'st -> int * Structural.Svar_set.t array;
       (** the checkpointed unroll depth and candidate sets *)
-  monolithic : unit -> ('st -> decision) * (k:int -> 'w);
+  monolithic : unit -> 'st -> decision;
       (** default strategy: called once, before the first iteration,
           to build the monolithic checker of the whole run, one warm
-          session, and the worker a hand-over runs on that session *)
-  worker : k:int -> 'w;
-      (** per-svar strategy: one per pool domain and unroll depth *)
-  query : 'st -> 'w -> obligation -> Ipc.Engine.t * Aig.lit list;
-      (** the worker engine and assumption literals that make an
-          obligation satisfiable iff its svar can differ *)
+          session *)
+  worker : frontier -> Ipc.Engine.t * (obligation -> Aig.lit list);
+      (** per-svar round: a fresh engine for one frontier's unroll depth
+          and cycle-0 set, built with {!engine}[ ~share:fr.s0], and the
+          assumption literals that make one of the frontier's
+          obligations satisfiable iff its svar can differ. Built once
+          per pool domain and frontier, also for a hand-over round *)
   lemmas : 'st -> lemmas option;  (** per-svar memoisation *)
 }
-(** What is specific to one algorithm. ['st] is its refinement state,
-    ['w] its per-svar worker. *)
+(** What is specific to one algorithm. ['st] is its refinement state. *)
 
-val run : t -> ('st, 'w) property -> 'st -> Report.run
+val run : t -> 'st property -> 'st -> Report.run
 (** Iterate from the given state (from the checkpoint's iteration when
     resuming) until a verdict. [Options.jobs = Some j] decides every
     obligation separately on a pool of [max 1 j] workers, persistent

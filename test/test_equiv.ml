@@ -293,10 +293,13 @@ let with_checkpoint_path f =
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () -> f path)
 
+(* A starved run must still refine once, so that both checkpoint cases
+   write a checkpoint: 8 is the smallest budget from 5 up at which they
+   do. *)
 let starved o =
   {
     o with
-    O.budget = Satsolver.Solver.conflict_budget 5;
+    O.budget = Satsolver.Solver.conflict_budget 8;
     budget_retries = 0;
   }
 
@@ -378,7 +381,7 @@ let golden_cases =
       "02888f658a3522df080158fa50e2d196",
       fun () -> alg1 O.default (hwpe_memory ()) );
     ( "hwpe alg1 per-svar j1",
-      "ce9999e715d2162ca5f53322e5dfd43c",
+      "820a4a8876b7a5d78351cd838e11a331",
       fun () -> alg1 j1 (hwpe_memory ()) );
     ( "hwpe alg1 per-svar j2",
       "da8b2a1bbd974dc20e0e0bc1c4dcfbe9",
@@ -390,7 +393,7 @@ let golden_cases =
       "f424dcc880f741a5a46a4635388af510",
       fun () -> alg2 O.default (hwpe_memory ()) );
     ( "hwpe alg2 per-svar j1",
-      "ab769062975d26f6e0424e89e48176e9",
+      "d6613f190265f4d9e47b4875d2e7057f",
       fun () -> alg2 j1 (hwpe_memory ()) );
     ( "hwpe alg2 per-svar j2",
       "6e8d060c30be09871035f768f5bd1f73",
@@ -399,13 +402,13 @@ let golden_cases =
       "8234de76f60f5b101bc717365ed88f71",
       fun () -> alg2 bmc_k2 (hwpe_memory ()) );
     ( "hwpe conclude per-svar j1",
-      "d4acaecfb124e2004f9ccb55a781bde3",
+      "837bf944f07ab28dd9b4430c6abf20b5",
       fun () -> conclude j1 (hwpe_memory ()) );
     ( "hwpe alg2 checkpoint+resume",
       "2c3ba88e1ebea3b86f80338efc491289",
       fun () -> checkpointed_then_resumed run_alg2 O.default (hwpe_memory ()) );
     ( "hwpe alg2 per-svar starved checkpoint+resume",
-      "12ebfc63c9cddf4b1197c601433655d1",
+      "d6339aaedc794f22ce556d9ba8016c8e",
       fun () ->
         checkpointed_then_resumed run_alg2 (starved j1) (hwpe_memory ()) );
     (* micro design (secure) *)
@@ -413,21 +416,21 @@ let golden_cases =
       "daf4b250a1985d98bdec3a0a9febe94a",
       fun () -> alg1 O.default (micro_secure ()) );
     ( "micro alg1 per-svar j1",
-      "57738ec143c13987a39460c0899de367",
+      "feaa0049ce2a80523ba0cf48f2786d97",
       fun () -> alg1 j1 (micro_secure ()) );
     ( "micro alg1 per-svar cached",
-      "075bd70bb5acb6ccf0569a0c773e43a9",
+      "26f958064802075161a8c55602330ae3",
       fun () -> cached_rerun j1 (micro_secure ()) );
     ( "micro alg1 checkpoint+resume",
       "1cf36535671d467c9044ce1ac30925eb",
       fun () ->
         checkpointed_then_resumed run_alg1 O.default (micro_secure ()) );
     ( "micro alg1 per-svar starved checkpoint+resume",
-      "9fb34dca55b548cf64d433c2996c3d6c",
+      "0bd6c99bdb25da6b721450046ab6b6d3",
       fun () ->
         checkpointed_then_resumed run_alg1 (starved j1) (micro_secure ()) );
     ( "micro alg1 per-svar starved",
-      "a3f48e868fd2d50c2b2c960ec674a14f",
+      "4b85a486b926c33da99332b38474f90d",
       fun () -> alg1 (starved j1) (micro_secure ()) );
     ( "micro alg1 monolithic starved",
       "b2cdbf207ad10b2348e96619a394b129",
@@ -436,14 +439,14 @@ let golden_cases =
       "5ee908c08ea534699e50940962b8598b",
       fun () -> conclude O.default (micro_secure ()) );
     ( "micro conclude per-svar j1",
-      "981c24c2f9899c1e310d83743ea11a0a",
+      "4af11e315312e29dff5ac702acc1e6b0",
       fun () -> conclude j1 (micro_secure ()) );
     ( "micro conclude per-svar starved",
-      "514de6187435c08adbeac693e46d641a",
+      "dd06f0974e2c397517e756dfd801a1db",
       fun () -> conclude (starved j1) (micro_secure ()) );
     (* countermeasure (secure): the default strategy hands over *)
     ( "countermeasure alg1 hand-over",
-      "af40dea35074aa836d6855c6398f8448",
+      "642990bfc1c8d2bb2458e465431fb72c",
       fun () -> golden_repr (fst (Lazy.force countermeasure_default)) );
   ]
 
@@ -552,6 +555,101 @@ let test_conclude_s_final () =
     (s_final (Upec.Alg2.conclude_with j1 (countermeasure ())))
     (s_final r)
 
+(* ---- cycle-0 sharing ----
+
+   A per-svar worker's instance B takes A's own cycle-0 state on the
+   round's set (Macros.cycle0_shared). That is part of the trusted
+   encoding, like Tseitin: for every obligation of a first per-svar
+   round, a shared engine must answer exactly like an unshared engine
+   that assumes the cycle-0 equalities instead. *)
+
+(* a two-instance engine constrained like the refinement's *)
+let sharing_engine ?share spec ~k =
+  let eng =
+    Ipc.Engine.create
+      ?share:(Option.map (Upec.Macros.cycle0_shared spec) share)
+      ~two_instance:true spec.Upec.Spec.soc.Soc.Builder.netlist
+  in
+  Ipc.Engine.ensure_frames eng k;
+  Upec.Macros.assume_env eng spec ~frames:k;
+  for f = 0 to k do
+    Upec.Macros.frame_constraints eng spec ~frame:f
+  done;
+  eng
+
+let holds eng lits =
+  match Ipc.Engine.decide ~cex:false eng (Ipc.Engine.Violation lits) with
+  | Ipc.Engine.Proved -> true
+  | Ipc.Engine.Refuted _ -> false
+  | Ipc.Engine.Unknown reason -> Alcotest.fail ("undecided: " ^ reason)
+
+let diff eng spec ~frame sv =
+  Aig.lit_not (Upec.Macros.sv_condition eng spec ~frame sv)
+
+(* Alg. 1's first round: can sv differ at cycle 1 under
+   State_Equivalence(S) at cycle 0? Also against the run's own worker,
+   whose answers reach the lemma hook. *)
+let test_share_alg1 spec () =
+  let spec = spec () in
+  let s = Upec.Spec.s_neg_victim spec in
+  let stored = Hashtbl.create 64 in
+  let cache =
+    {
+      Upec.Alg1.sc_lookup = (fun _ ~s:_ -> None);
+      sc_store =
+        (fun sv ~s:s' ~holds ->
+          if Structural.Svar_set.equal s' s then
+            Hashtbl.replace stored (Structural.svar_name sv) holds);
+    }
+  in
+  ignore
+    (Upec.Alg1.run_with ~svar_cache:cache
+       { j1 with O.max_iterations = 1 }
+       spec);
+  Alcotest.(check bool) "the run decided obligations" true
+    (Hashtbl.length stored > 0);
+  let shared = sharing_engine ~share:s spec ~k:1
+  and plain = sharing_engine spec ~k:1 in
+  let eqs eng =
+    Structural.Svar_set.fold
+      (fun sv acc -> Upec.Macros.sv_condition eng spec ~frame:0 sv :: acc)
+      s []
+  in
+  Structural.Svar_set.iter
+    (fun sv ->
+      let name = Structural.svar_name sv in
+      let expect = holds plain (diff plain spec ~frame:1 sv :: eqs plain) in
+      Alcotest.(check bool)
+        (name ^ ": shared engine") expect
+        (holds shared (diff shared spec ~frame:1 sv :: eqs shared));
+      Option.iter
+        (Alcotest.(check bool) (name ^ ": the run's worker") expect)
+        (Hashtbl.find_opt stored name))
+    s
+
+(* Alg. 2's first round at depth k: can sv differ at cycle j <= k under
+   frame-0 equivalence of the fixed cycle-0 set? *)
+let test_share_alg2 spec () =
+  let spec = spec () in
+  let s0 = Upec.Spec.s_neg_victim spec in
+  List.iter
+    (fun k ->
+      let shared = sharing_engine ~share:s0 spec ~k
+      and plain = sharing_engine spec ~k in
+      List.iter
+        (fun eng -> Upec.Macros.state_equivalence_assume eng spec ~frame:0 s0)
+        [ shared; plain ];
+      for j = 1 to k do
+        Structural.Svar_set.iter
+          (fun sv ->
+            Alcotest.(check bool)
+              (Printf.sprintf "k=%d: %s@%d" k (Structural.svar_name sv) j)
+              (holds plain [ diff plain spec ~frame:j sv ])
+              (holds shared [ diff shared spec ~frame:j sv ]))
+          s0
+      done)
+    [ 1; 2 ]
+
 let golden_test ?(speed = `Quick) (name, expected, run) =
   Alcotest.test_case name speed (fun () ->
       let text = run () in
@@ -623,6 +721,17 @@ let () =
           Alcotest.test_case "budget below the cap keeps retries" `Quick
             test_budget_below_cap;
         ] );
+      ( "sharing",
+        [
+          Alcotest.test_case "hwpe alg1" `Quick (test_share_alg1 hwpe_memory);
+          Alcotest.test_case "hwpe alg2" `Slow (test_share_alg2 hwpe_memory);
+          Alcotest.test_case "micro alg1" `Quick (test_share_alg1 micro_secure);
+          Alcotest.test_case "micro alg2" `Quick (test_share_alg2 micro_secure);
+          Alcotest.test_case "countermeasure alg1" `Slow
+            (test_share_alg1 countermeasure);
+          Alcotest.test_case "countermeasure alg2" `Slow
+            (test_share_alg2 countermeasure);
+        ] );
       ( "inherit-cap",
         [
           Alcotest.test_case "step conflicts sum to the solver's" `Slow
@@ -631,7 +740,7 @@ let () =
             test_conclude_s_final;
           golden_test ~speed:`Slow
             ( "countermeasure conclude",
-              "ddd8a6b7d97da8f831c17da9f32639d2",
+              "bb5d7a107452593eb831fc25964ef6d3",
               fun () -> golden_repr (fst (Lazy.force countermeasure_conclude))
             );
         ] );

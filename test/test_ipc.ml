@@ -189,6 +189,89 @@ let test_param_shared_between_instances () =
   | Ipc.Engine.Refuted _ -> Alcotest.fail "shared param must equalise instances"
   | Ipc.Engine.Unknown r -> undecided r
 
+(* ---- cycle-0 sharing ---- *)
+
+(* [a] holds, [b] follows [a], [c] loads an input; [m] holds two
+   words *)
+let build_shared () =
+  let open Netlist.Builder in
+  let b = create "sharing" in
+  let x = input b "x" 4 in
+  let ra = reg b "a" 4 in
+  let rb = reg b "b" 4 in
+  let rc = reg b "c" 4 in
+  set_next b rb Expr.(ra +: one 4);
+  set_next b rc x;
+  ignore (mem b "m" ~addr_width:1 ~data_width:4 ~depth:2);
+  finalize b
+
+let test_share_cycle0 () =
+  let nl = build_shared () in
+  let sreg n = Structural.Sreg (Netlist.find_reg nl n).Netlist.rd_signal in
+  let m = (Netlist.find_mem nl "m").Netlist.md_mem in
+  let shared = [ sreg "a"; Structural.Smem (m, 0) ] in
+  let u =
+    Unroller.create
+      ~share:(fun sv -> List.exists (Structural.equal_svar sv) shared)
+      (Aig.create ()) nl ~two_instance:true
+  in
+  Unroller.ensure_frames u 1;
+  let same sv =
+    Unroller.svar_vec u Unroller.A ~frame:0 sv
+    = Unroller.svar_vec u Unroller.B ~frame:0 sv
+  in
+  List.iter
+    (fun (sv, expect) ->
+      Alcotest.(check bool)
+        (Structural.svar_name sv ^ ": B's cycle-0 vector is A's")
+        expect (same sv))
+    [
+      (sreg "a", true);
+      (Structural.Smem (m, 0), true);
+      (sreg "b", false);
+      (sreg "c", false);
+      (Structural.Smem (m, 1), false);
+    ];
+  let equal_at_1 n = Unroller.svar_equal_lit u ~frame:1 (sreg n) in
+  Alcotest.(check bool)
+    "b reads only shared state: equal at cycle 1" true
+    (equal_at_1 "b" = Aig.true_lit);
+  Alcotest.(check bool)
+    "c reads an input: not folded" false
+    (Aig.is_const (equal_at_1 "c"))
+
+(* A victim-range memory cell's cycle-0 condition is guard or equality,
+   so it is never shared, even when its set says so. *)
+let test_share_guarded_cells () =
+  let soc = Soc.Builder.build Soc.Config.formal_tiny Soc.Builder.Formal in
+  let spec = Upec.Spec.make soc Upec.Spec.Secure in
+  let s = Structural.all_svars soc.Soc.Builder.netlist in
+  let guarded, plain =
+    Structural.Svar_set.partition
+      (fun sv -> Upec.Spec.victim_cell_guard spec sv <> None)
+      s
+  in
+  Alcotest.(check bool) "the design has guarded cells" false
+    (Structural.Svar_set.is_empty guarded);
+  Structural.Svar_set.iter
+    (fun sv ->
+      Alcotest.(check bool)
+        (Structural.svar_name sv ^ " is never shared")
+        false
+        (Upec.Macros.cycle0_shared spec s sv))
+    guarded;
+  Structural.Svar_set.iter
+    (fun sv ->
+      Alcotest.(check bool)
+        (Structural.svar_name sv ^ " is shared in its set")
+        true
+        (Upec.Macros.cycle0_shared spec s sv);
+      Alcotest.(check bool)
+        (Structural.svar_name sv ^ " is not shared outside it")
+        false
+        (Upec.Macros.cycle0_shared spec Structural.Svar_set.empty sv))
+    plain
+
 let test_cex_pp_smoke () =
   let nl = build_spy () in
   let eng = Ipc.Engine.create ~two_instance:true nl in
@@ -464,6 +547,9 @@ let () =
           Alcotest.test_case "params shared" `Quick
             test_param_shared_between_instances;
           Alcotest.test_case "cex printing" `Quick test_cex_pp_smoke;
+          Alcotest.test_case "cycle-0 sharing" `Quick test_share_cycle0;
+          Alcotest.test_case "guarded cells never shared" `Quick
+            test_share_guarded_cells;
         ] );
       ( "decide",
         [
