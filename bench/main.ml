@@ -622,13 +622,8 @@ let certify_experiment ctx =
       priv_depth = 4;
     }
   in
-  let certified ?(cert_jobs = 0) ?(portfolio = 1) () =
-    {
-      Upec.Options.default with
-      Upec.Options.certify = true;
-      cert_jobs;
-      portfolio;
-    }
+  let certified ?(portfolio = 1) () =
+    { Upec.Options.default with Upec.Options.certify = true; portfolio }
   in
   let alg1 variant o = Upec.Alg1.run_with o (spec ~cfg variant) in
   let alg2 variant o = Upec.Alg2.conclude_with o (spec ~cfg variant) in
@@ -641,19 +636,6 @@ let certify_experiment ctx =
         certified ~portfolio:2 (),
         alg1 Upec.Spec.Secure );
       ("alg2-vulnerable", "sequential", certified (), alg2 Upec.Spec.Vulnerable);
-      (* pipelined counterparts: same workloads, streaming checker *)
-      ( "alg1-vulnerable-pipelined4",
-        "pipelined",
-        certified ~cert_jobs:4 (),
-        alg1 Upec.Spec.Vulnerable );
-      ( "alg1-secure-pipelined4",
-        "pipelined",
-        certified ~cert_jobs:4 (),
-        alg1 Upec.Spec.Secure );
-      ( "alg2-vulnerable-pipelined4",
-        "pipelined",
-        certified ~cert_jobs:4 (),
-        alg2 Upec.Spec.Vulnerable );
     ]
   in
   (* the solver conflicts one run causes, from the process-wide metrics *)
@@ -665,7 +647,7 @@ let certify_experiment ctx =
   in
   Format.fprintf ctx.fmt
     "run                        | mode       | verdict | solve    | check    \
-     | overhead | proof steps | epochs | conflicts (uncert.) | cex replay@.";
+     | overhead | proof steps | conflicts (uncert.) | cex replay@.";
   let rows =
     List.map
       (fun (name, mode, (o : Upec.Options.t), run) ->
@@ -698,16 +680,15 @@ let certify_experiment ctx =
           else 0.
         in
         Format.fprintf ctx.fmt
-          "%-26s | %-10s | %-7s | %7.3fs | %7.3fs | %7.1f%% | %11d | %6d | \
-           %8d (%8d) | %s@."
+          "%-26s | %-10s | %-7s | %7.3fs | %7.3fs | %7.1f%% | %11d | %8d \
+           (%8d) | %s@."
           name mode verdict t.Cert.Proof.solve_seconds
-          t.Cert.Proof.check_seconds overhead t.Cert.Proof.proof_steps
-          t.Cert.Proof.epochs spent plain cex_str;
+          t.Cert.Proof.check_seconds overhead t.Cert.Proof.proof_steps spent
+          plain cex_str;
         Json.Obj
           [
             ("name", Json.Str name);
             ("mode", Json.Str mode);
-            ("cert_jobs", Json.Int o.Upec.Options.cert_jobs);
             ("portfolio", Json.Int o.Upec.Options.portfolio);
             ("verdict", Json.Str verdict);
             ("total_seconds", Json.Float dt);
@@ -716,7 +697,6 @@ let certify_experiment ctx =
             ("overhead_percent", Json.Float overhead);
             ("proof_steps", Json.Int t.Cert.Proof.proof_steps);
             ("proof_lits", Json.Int t.Cert.Proof.proof_lits);
-            ("epochs", Json.Int t.Cert.Proof.epochs);
             ("unsat_checked", Json.Int t.Cert.Proof.unsat_checked);
             ("sat_checked", Json.Int t.Cert.Proof.sat_checked);
             ("sat_conflicts", Json.Int spent);
@@ -732,12 +712,10 @@ let certify_experiment ctx =
   Format.fprintf ctx.fmt "wrote BENCH_certify.json@.";
   Format.fprintf ctx.fmt
     "=> without a portfolio, a certified run searches on its warm session \
-     exactly like the uncertified run (equal conflicts). Without checker \
-     domains, the proof steps an UNSAT answer rests on are validated when \
-     it arrives, which costs the same order as the solve itself on \
-     proof-heavy verdicts; the pipelined checker overlaps that work with \
-     the search, leaving only each UNSAT answer's wait as visible \
-     certification overhead@."
+     exactly like the uncertified run (equal conflicts). The proof steps \
+     an UNSAT answer rests on are validated when it arrives, on the \
+     solver's thread; a per-svar worker's session holds only its own \
+     round's steps@."
 
 (* ---------------------------------------------------------------- *)
 (* Budget governance: verdict quality vs conflict budget             *)

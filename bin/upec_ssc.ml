@@ -173,15 +173,6 @@ let certify_arg =
   in
   Arg.(value & flag & info [ "certify" ] ~doc)
 
-let cert_jobs_arg =
-  let doc =
-    "With $(b,--certify): check the proof steps on $(docv) parallel \
-     checker domains while the solver searches, instead of on the solver's \
-     thread when an UNSAT answer needs them (0). Accept/reject decisions \
-     are identical; only the certification overhead shrinks."
-  in
-  Arg.(value & opt int 0 & info [ "cert-jobs" ] ~doc ~docv:"N")
-
 let cex_vcd_arg =
   let doc =
     "Dump the counterexample as paired VCD waveforms $(docv).A.vcd / \
@@ -247,7 +238,7 @@ let metrics_arg =
 
 let check_cmd =
   let run design alg scenario max_k full_cex no_simp json_file
-      jobs portfolio stats certify cert_jobs cex_vcd conflict_budget
+      jobs portfolio stats certify cex_vcd conflict_budget
       prop_budget timeout budget_retries budget_escalation checkpoint_file
       resume_file trace_file metrics_file =
     let scenario = Option.map resolve_scenario scenario in
@@ -302,7 +293,6 @@ let check_cmd =
         jobs;
         portfolio;
         certify;
-        cert_jobs = max 0 cert_jobs;
         cex_vcd;
         budget;
         budget_retries;
@@ -360,8 +350,7 @@ let check_cmd =
     Term.(
       const run $ design_term $ alg_arg $ scenario_arg $ max_k_arg
       $ full_cex_arg $ no_simp_arg $ json_arg $ jobs_arg
-      $ portfolio_arg $ stats_flag_arg $ certify_arg $ cert_jobs_arg
-      $ cex_vcd_arg $ conflict_budget_arg $ prop_budget_arg $ timeout_arg
+      $ portfolio_arg $ stats_flag_arg $ certify_arg $ cex_vcd_arg $ conflict_budget_arg $ prop_budget_arg $ timeout_arg
       $ budget_retries_arg $ budget_escalation_arg $ checkpoint_arg
       $ resume_arg $ trace_arg $ metrics_arg)
 

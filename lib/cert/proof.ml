@@ -29,7 +29,6 @@ type totals = {
   unknown_skipped : int;
   proof_steps : int;
   proof_lits : int;
-  epochs : int;
   solve_seconds : float;
   check_seconds : float;
 }
@@ -41,7 +40,6 @@ let zero_totals =
     unknown_skipped = 0;
     proof_steps = 0;
     proof_lits = 0;
-    epochs = 0;
     solve_seconds = 0.0;
     check_seconds = 0.0;
   }
@@ -53,7 +51,6 @@ let add_totals a b =
     unknown_skipped = a.unknown_skipped + b.unknown_skipped;
     proof_steps = a.proof_steps + b.proof_steps;
     proof_lits = a.proof_lits + b.proof_lits;
-    epochs = a.epochs + b.epochs;
     solve_seconds = a.solve_seconds +. b.solve_seconds;
     check_seconds = a.check_seconds +. b.check_seconds;
   }
@@ -64,7 +61,5 @@ let pp_totals fmt t =
      solve %.3fs, check %.3fs"
     t.unsat_checked t.proof_steps t.proof_lits t.sat_checked t.solve_seconds
     t.check_seconds;
-  if t.epochs > 0 then
-    Format.fprintf fmt "; pipelined in %d epoch(s)" t.epochs;
   if t.unknown_skipped > 0 then
     Format.fprintf fmt "; %d unknown verdict(s) uncertified" t.unknown_skipped

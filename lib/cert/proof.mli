@@ -37,13 +37,8 @@ type totals = {
           nothing to certify, but the gap is accounted, not hidden *)
   proof_steps : int;
   proof_lits : int;
-  epochs : int;  (** pipelined checking: proof epochs dispatched *)
   solve_seconds : float;  (** wall time of the certified solves *)
-  check_seconds : float;
-      (** wall time spent checking certificates; for pipelined
-          certification, only the {e residual} drain after the solver
-          finished — the overlapped work is hidden inside
-          [solve_seconds] *)
+  check_seconds : float;  (** wall time spent checking certificates *)
 }
 
 val zero_totals : totals

@@ -17,13 +17,9 @@
 
    Clause storage is a flat arena: one int array of literal payload plus
    offset/size tables, clauses named by dense ids in insertion order.
-   The arena arrays are append-only — nothing mutates a clause once
-   written (the classic watched-literal trick of swapping lits in place
-   is replaced by per-state watch side-tables [wa]/[wb]) — so a state
-   can be forked for a parallel shard ({!Pipeline}) by capturing the
-   array references plus a copy of the small active-flag prefix: the
-   literal payload is shared, immutable and safe to read from another
-   domain once the capture is published with a happens-before edge. *)
+   Nothing mutates a clause once written: the classic watched-literal
+   trick of swapping lits in place is replaced by watch side-tables
+   [wa]/[wb]. *)
 
 module L = Satsolver.Lit
 
@@ -43,20 +39,13 @@ let ipush v x =
   v.len <- v.len + 1
 
 type t = {
-  (* arena: shared, append-only clause payload. A forked shard holds
-     captures of these arrays; the owner may grow them (replacing the
-     reference with a larger copy), which never disturbs a capture. *)
+  (* arena: append-only clause payload *)
   mutable a_data : int array;  (* flat literal payload *)
   mutable a_dlen : int;
   mutable a_offs : int array;  (* cid -> offset into a_data *)
   mutable a_sizes : int array;  (* cid -> literal count *)
   mutable a_n : int;  (* clause ids in [0, a_n) are readable *)
-  (* activity flags. cids < base live in [prefix_active] (a private
-     copy taken at fork time); cids >= base in [active], index - base.
-     An owner state has base = 0. *)
-  base : int;
-  prefix_active : Bytes.t;
-  mutable active : Bytes.t;
+  mutable active : Bytes.t;  (* activity flag by cid *)
   (* the two watched literals of each watched clause, by cid; -1 when
      the clause is unwatched (unit or empty at activation) *)
   mutable wa : int array;
@@ -80,8 +69,6 @@ let create nvars =
     a_offs = Array.make 256 0;
     a_sizes = Array.make 256 0;
     a_n = 0;
-    base = 0;
-    prefix_active = Bytes.empty;
     active = Bytes.make 256 '\000';
     wa = Array.make 256 (-1);
     wb = Array.make 256 (-1);
@@ -118,27 +105,15 @@ let ensure_cid st cid =
      st.wa <- wa;
      st.wb <- wb
    end);
-  if cid >= st.base then begin
-    let i = cid - st.base in
-    if i >= Bytes.length st.active then begin
-      let cap = max (i + 1) (2 * Bytes.length st.active) in
-      let b = Bytes.make cap '\000' in
-      Bytes.blit st.active 0 b 0 (Bytes.length st.active);
-      st.active <- b
-    end
+  if cid >= Bytes.length st.active then begin
+    let cap = max (cid + 1) (2 * Bytes.length st.active) in
+    let b = Bytes.make cap '\000' in
+    Bytes.blit st.active 0 b 0 (Bytes.length st.active);
+    st.active <- b
   end
 
-let is_active st cid =
-  if cid < st.base then Bytes.unsafe_get st.prefix_active cid <> '\000'
-  else Bytes.unsafe_get st.active (cid - st.base) <> '\000'
-
-let set_active st cid v =
-  let c = if v then '\001' else '\000' in
-  if cid < st.base then Bytes.set st.prefix_active cid c
-  else Bytes.set st.active (cid - st.base) c
-
-let clause_lits st cid =
-  Array.sub st.a_data st.a_offs.(cid) st.a_sizes.(cid)
+let is_active st cid = Bytes.unsafe_get st.active cid <> '\000'
+let set_active st cid v = Bytes.set st.active cid (if v then '\001' else '\000')
 
 (* append [lits] to the arena (no activation); returns the new cid *)
 let arena_add st lits =
@@ -356,61 +331,6 @@ let assumptions_conflict st assumptions =
   st.trail_len <- root;
   st.qhead <- root;
   !ok
-
-(* Fork a checker state for one shard: share (by reference) captured
-   arena arrays — append-only, so entries below [visible] are immutable
-   wherever the references travel — plus a snapshot of the small
-   mutable state: activity prefix (ownership transfers to the fork),
-   trusted root trail, contradiction flag. The snapshot values describe
-   the database at epoch start, which is earlier than the owner's
-   current state — that is why they are explicit arguments rather than
-   read off an owner state (reading the owner's mutable fields from
-   another domain would also be a race). The caller is responsible for
-   the happens-before edge when the fork crosses domains. *)
-let fork ~data ~offs ~sizes ~visible ~base ~prefix_active ~trail ~trail_len
-    ~contradiction ~nv =
-  let nv = max 1 nv in
-  let sh =
-    {
-      a_data = data;
-      a_dlen = 0;
-      (* owner-only; a fork never appends *)
-      a_offs = offs;
-      a_sizes = sizes;
-      a_n = visible;
-      base;
-      prefix_active;
-      active = Bytes.make (max 16 (visible - base)) '\000';
-      wa = Array.make (max 16 visible) (-1);
-      wb = Array.make (max 16 visible) (-1);
-      nv;
-      assigns = Array.make nv 0;
-      watches = Array.init (2 * nv) (fun _ -> ivec ());
-      trail = Array.make (max 16 nv) 0;
-      trail_len = 0;
-      qhead = 0;
-      index = Hashtbl.create 1;  (* shards delete by clause id *)
-      contradiction;
-      props = 0;
-    }
-  in
-  (* The snapshot trail is already a unit-propagation fixpoint of the
-     active prefix (the owner propagates to fixpoint after every
-     insertion and deletions never unassign), so its literals are
-     replanted as trusted facts and the queue head skips them. *)
-  for i = 0 to trail_len - 1 do
-    let l = trail.(i) in
-    ensure_var sh (l lsr 1);
-    enqueue sh l
-  done;
-  sh.qhead <- sh.trail_len;
-  (* watch the active prefix. No clause of it is unit-with-unset-lit
-     (that consequence would already be on the trail), so this builds
-     watches without triggering propagation. *)
-  for cid = 0 to base - 1 do
-    if Bytes.get prefix_active cid <> '\000' then activate sh cid
-  done;
-  sh
 
 (* ---- driver ---- *)
 

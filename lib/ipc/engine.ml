@@ -11,7 +11,6 @@ type t = {
   portfolio : int;  (* configs raced per solve; <= 1 means sequential *)
   configs : S.options list option;
   certify : bool;
-  cert_jobs : int;  (* > 0: pipelined streaming checker on that many domains *)
   session : Cert.Pipeline.t option;  (* certified sequential: mirrors [solver] *)
   simp : bool;  (* problem reduction for witness-free solves *)
   mutable assumed : Aig.lit list;  (* permanent assumptions, reversed *)
@@ -30,17 +29,14 @@ type t = {
 }
 
 let create ?solver_options ?(portfolio = 1) ?portfolio_configs
-    ?(certify = false) ?(cert_jobs = 0) ?(simp = true) ?share ~two_instance nl
-    =
+    ?(certify = false) ?(simp = true) ?share ~two_instance nl =
   let g = Aig.create () in
   let u = Unroller.create ?share g nl ~two_instance in
   let solver = S.create ?options:solver_options () in
-  let cert_jobs = max 0 cert_jobs in
   (* A certified sequential engine's checker sees every clause the
      solver does, from the constant-true unit [Aig.Cnf.create] adds on *)
   let session =
-    if certify && portfolio <= 1 then
-      Some (Parallel.Portfolio.session ~cert_jobs solver)
+    if certify && portfolio <= 1 then Some (Parallel.Portfolio.session solver)
     else None
   in
   let cnf = Aig.Cnf.create g solver in
@@ -52,7 +48,6 @@ let create ?solver_options ?(portfolio = 1) ?portfolio_configs
     portfolio;
     configs = portfolio_configs;
     certify;
-    cert_jobs;
     session;
     simp;
     assumed = [];
@@ -157,9 +152,7 @@ let account_unknown t ~solve_s =
 
 (* Record one decided answer as its session's checker judged it, or
    raise [Certification_failed]. The time since [t0], less the check,
-   counts as solving: with checker domains, only the answer's wait for
-   the epochs still in flight is check time — the rest overlapped the
-   search. *)
+   counts as solving. *)
 let record t ~t0 answer = function
   | Ok (s : Cert.Pipeline.summary) ->
       let elapsed = Unix.gettimeofday () -. t0 in
@@ -172,7 +165,6 @@ let record t ~t0 answer = function
           sat_checked = Bool.to_int (not unsat);
           proof_steps = s.steps;
           proof_lits = s.lits;
-          epochs = s.epochs;
           solve_seconds = elapsed -. check_s;
           check_seconds = check_s;
         }
@@ -188,9 +180,7 @@ let record t ~t0 answer = function
    an uncertified one; the session's checker then vouches for the
    answer. *)
 let certify_answer t session ~assumptions ~t0 = function
-  | S.Unknown _ ->
-      Cert.Pipeline.settle session;
-      account_unknown t ~solve_s:(Unix.gettimeofday () -. t0)
+  | S.Unknown _ -> account_unknown t ~solve_s:(Unix.gettimeofday () -. t0)
   | S.Solved answer ->
       let kind = match answer with S.Unsat -> "unsat" | S.Sat -> "sat" in
       Obs.Trace.with_span "cert.check"
@@ -206,8 +196,7 @@ let certify_answer t session ~assumptions ~t0 = function
 let solve_certified t ~nvars ~clauses ~assumptions =
   let t0 = Unix.gettimeofday () in
   let o =
-    Parallel.Portfolio.solve ?configs:t.configs ~certify:true ~cert_jobs:t.cert_jobs
-      ~budget:t.budget ?interrupt:t.interrupt ~jobs:t.portfolio ~nvars
+    Parallel.Portfolio.solve ?configs:t.configs ~certify:true ~budget:t.budget ?interrupt:t.interrupt ~jobs:t.portfolio ~nvars
       ~clauses ~assumptions ()
   in
   (match (o.Parallel.Portfolio.verdict, o.Parallel.Portfolio.cert) with

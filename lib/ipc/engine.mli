@@ -46,7 +46,6 @@ val create :
   ?portfolio:int ->
   ?portfolio_configs:Satsolver.Solver.options list ->
   ?certify:bool ->
-  ?cert_jobs:int ->
   ?simp:bool ->
   ?share:(Rtl.Structural.svar -> bool) ->
   two_instance:bool ->
@@ -58,16 +57,7 @@ val create :
     [share] goes to {!Unroller.create}: instance B's cycle-0 state of
     those state variables is A's own, so the engine can only answer
     queries that assume their cycle-0 equality. A witness extracted
-    from such an engine shows them equal at cycle 0.
-
-    [cert_jobs] (default [0]) only matters with [certify]. With [0], a
-    checker validates the pending proof steps on its solver's thread
-    when an UNSAT answer needs them. When positive, closed proof epochs
-    are checked on that many checker domains (divided over a race's
-    racers) {e while the solver searches} ({!Cert.Pipeline}), and every
-    UNSAT answer waits for the epochs before it. Verdicts and accept/reject decisions are
-    identical; only the wall-clock attribution changes —
-    [check_seconds] in {!cert_totals} then counts only that wait. *)
+    from such an engine shows them equal at cycle 0. *)
 
 val unroller : t -> Unroller.t
 val graph : t -> Aig.t

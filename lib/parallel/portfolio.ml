@@ -35,43 +35,15 @@ let default_configs k =
           var_decay = if i mod 3 = 0 then 0.93 else 0.97;
         })
 
-(* Checker domains for one session, created lazily: a solve whose
-   certificate never fills an epoch (the common tiny proof) pays for
-   zero domains. All hooks run on the session's own thread, so the lazy
-   cell is safe. *)
-let pool_dispatch ~jobs =
-  let pool = ref None in
-  let get () =
-    match !pool with
-    | Some p -> p
-    | None ->
-        let p = Pool.create ~jobs () in
-        pool := Some p;
-        p
-  in
-  {
-    Cert.Pipeline.d_run = (fun f -> Pool.submit (get ()) (fun _wid -> f ()));
-    d_shutdown =
-      (fun () ->
-        match !pool with
-        | Some p ->
-            pool := None;
-            Pool.shutdown p
-        | None -> ());
-  }
-
-let session ~cert_jobs s =
-  let dispatch =
-    if cert_jobs > 0 then Some (pool_dispatch ~jobs:cert_jobs) else None
-  in
-  let c = Cert.Pipeline.session ?dispatch () in
+let session s =
+  let c = Cert.Pipeline.session () in
   S.set_input_hook s (Some (Cert.Pipeline.axiom c));
   S.set_tracer s (Some (Cert.Pipeline.tracer c));
   c
 
-let run_config ~certify ~cert_jobs ~nvars ~clauses opts =
+let run_config ~certify ~nvars ~clauses opts =
   let s = S.create ~options:opts () in
-  let c = if certify then Some (session ~cert_jobs s) else None in
+  let c = if certify then Some (session s) else None in
   for _ = 1 to nvars do
     ignore (S.new_var s)
   done;
@@ -92,8 +64,7 @@ let solve_outcome ~assumptions ~budget s =
   | exception S.Interrupted -> S.Unknown "interrupted"
 
 (* A decided racer's session vouches for its own answer; a session
-   whose answer needs no check is cancelled cooperatively (in-flight
-   shards notice and bail). *)
+   whose answer needs no check is cancelled. *)
 let vouch ~assumptions s c outcome =
   match (c, outcome) with
   | None, _ -> None
@@ -105,9 +76,8 @@ let vouch ~assumptions s c outcome =
       Cert.Pipeline.cancel c;
       None
 
-let solve ?configs ?(certify = false) ?(cert_jobs = 0)
-    ?(budget = S.no_budget) ?interrupt ~jobs ~nvars ~clauses ~assumptions ()
-    =
+let solve ?configs ?(certify = false) ?(budget = S.no_budget) ?interrupt
+    ~jobs ~nvars ~clauses ~assumptions () =
   let configs =
     match configs with
     | Some (_ :: _ as cs) -> cs
@@ -117,7 +87,7 @@ let solve ?configs ?(certify = false) ?(cert_jobs = 0)
   let configs = Array.of_list configs in
   if k <= 1 then begin
     (* Inline sequential solve with configuration 0. *)
-    let s, c = run_config ~certify ~cert_jobs ~nvars ~clauses configs.(0) in
+    let s, c = run_config ~certify ~nvars ~clauses configs.(0) in
     (match interrupt with
     | Some f -> S.set_terminate s (Some f)
     | None -> ());
@@ -140,15 +110,8 @@ let solve ?configs ?(certify = false) ?(cert_jobs = 0)
        gives the happens-before edge that makes the reads below safe *)
     let all_stats = Array.make k S.zero_stats in
     let unknowns = Array.make k None in
-    (* with checker domains, they are divided over the racers — each
-       stream must be checked as it is produced, since any racer may
-       turn out to be the winner *)
-    let racer_cert_jobs = if cert_jobs > 0 then max 1 (cert_jobs / k) else 0 in
     let body i () =
-      let s, c =
-        run_config ~certify ~cert_jobs:racer_cert_jobs ~nvars ~clauses
-          configs.(i)
-      in
+      let s, c = run_config ~certify ~nvars ~clauses configs.(i) in
       let cancelled () =
         Atomic.get winner >= 0
         || match interrupt with Some f -> f () | None -> false

@@ -37,18 +37,14 @@ val default_configs : int -> Satsolver.Solver.options list
     minimisation. VSIDS is never disabled: index-order branching is
     hopeless at proof-obligation sizes. *)
 
-val session : cert_jobs:int -> Satsolver.Solver.t -> Cert.Pipeline.t
+val session : Satsolver.Solver.t -> Cert.Pipeline.t
 (** A {!Cert.Pipeline.session} mirroring [s], installed as [s]'s input
-    hook and tracer: call it before [s]'s first clause. With
-    [cert_jobs > 0] its closed epochs are checked on a pool of that
-    many domains, created at the first epoch and shut down whenever an
-    answer settles the session; with 0, steps are validated on the
-    solver's thread when an UNSAT answer needs them. *)
+    hook and tracer: call it before [s]'s first clause. Its steps are
+    validated on the solver's thread when an UNSAT answer needs them. *)
 
 val solve :
   ?configs:Satsolver.Solver.options list ->
   ?certify:bool ->
-  ?cert_jobs:int ->
   ?budget:Satsolver.Solver.budget ->
   ?interrupt:(unit -> bool) ->
   jobs:int ->
@@ -63,12 +59,7 @@ val solve :
     sequential solve. With [certify], every racer's solver is mirrored
     by its own {!session}, and the winner's session vouches for the
     winner's answer — what is checked is always the search whose
-    verdict is reported.
-
-    [cert_jobs > 0] divides that many checker domains over the racers,
-    at least one each, so every stream is checked while its racer
-    searches. Losers' sessions are cancelled cooperatively, leaving no
-    stuck domains.
+    verdict is reported. Losers' sessions are cancelled.
 
     [budget] applies to every racer independently. A racer that runs
     out of budget retires quietly; it never aborts the race. The

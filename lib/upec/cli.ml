@@ -159,7 +159,6 @@ let options_to_json ~alg (o : Options.t) =
         match o.Options.jobs with Some n -> Json.Int n | None -> Json.Null );
       ("portfolio", Json.Int o.Options.portfolio);
       ("certify", Json.Bool o.Options.certify);
-      ("cert_jobs", Json.Int o.Options.cert_jobs);
       ("max_conflicts", Json.Int o.Options.budget.S.max_conflicts);
       ("max_propagations", Json.Int o.Options.budget.S.max_propagations);
       ("max_seconds", Json.Float o.Options.budget.S.max_seconds);
@@ -188,7 +187,6 @@ let options_of_json j =
       jobs;
       portfolio = get_int j "portfolio" d.Options.portfolio;
       certify = get_bool j "certify" d.Options.certify;
-      cert_jobs = get_int j "cert_jobs" d.Options.cert_jobs;
       budget =
         {
           S.max_conflicts =

@@ -8,7 +8,6 @@ type t = {
   jobs : int option;
   portfolio : int;
   certify : bool;
-  cert_jobs : int;
   cex_vcd : string option;
   budget : S.budget;
   budget_retries : int;
@@ -27,7 +26,6 @@ let default =
     jobs = None;
     portfolio = 1;
     certify = false;
-    cert_jobs = 0;
     cex_vcd = None;
     budget = S.no_budget;
     budget_retries = 2;

@@ -41,12 +41,6 @@ type t = {
           run certifies on its warm solver session, so it searches
           exactly like the uncertified run; a portfolio race on each
           racer's solver; see {!Ipc.Engine.create} *)
-  cert_jobs : int;
-      (** with [certify], [> 0] checks the proof steps in epochs on that
-          many checker domains while the solver searches
-          ({!Cert.Pipeline}); [0] (default) checks them on the solver's
-          thread when an UNSAT answer needs them. Accept/reject is
-          identical. *)
   cex_vcd : string option;  (** waveform-pair prefix for counterexamples *)
   budget : Satsolver.Solver.budget;  (** per-solve resource budget *)
   budget_retries : int;

@@ -174,8 +174,7 @@ let setup_engine ?share ctx ~portfolio ~k =
   let share = Option.map (Macros.cycle0_shared spec) share in
   let eng =
     Ipc.Engine.create ?solver_options:o.Options.solver_options ~portfolio
-      ~certify:o.Options.certify ~cert_jobs:o.Options.cert_jobs
-      ~simp:o.Options.simp ?share ~two_instance:true (netlist ctx)
+      ~certify:o.Options.certify ~simp:o.Options.simp ?share ~two_instance:true (netlist ctx)
   in
   Mutex.protect ctx.reg_mu (fun () -> ctx.engines <- eng :: ctx.engines);
   Ipc.Engine.set_interrupt eng o.Options.should_stop;

@@ -199,7 +199,6 @@ let options_json (o : Options.t) =
       ("jobs", opt (fun j -> Json.Int j) o.Options.jobs);
       ("portfolio", Json.Int o.Options.portfolio);
       ("certify", Json.Bool o.Options.certify);
-      ("cert_jobs", Json.Int o.Options.cert_jobs);
       ("cex_vcd", opt (fun s -> Json.Str s) o.Options.cex_vcd);
       ("budget", budget_json o.Options.budget);
       ("budget_retries", Json.Int o.Options.budget_retries);
@@ -218,7 +217,7 @@ let simp_json (red : Simp.reduction) =
       ("reduced_clauses", Json.Int red.Simp.red_clauses);
     ]
 
-let cert_json ~cert_jobs c =
+let cert_json c =
   let t = c.ct_totals in
   let overhead =
     if t.Cert.Proof.solve_seconds > 0.0 then
@@ -232,8 +231,6 @@ let cert_json ~cert_jobs c =
       ("unknown_skipped", Json.Int t.Cert.Proof.unknown_skipped);
       ("proof_steps", Json.Int t.Cert.Proof.proof_steps);
       ("proof_lits", Json.Int t.Cert.Proof.proof_lits);
-      ("cert_jobs", Json.Int cert_jobs);
-      ("epochs", Json.Int t.Cert.Proof.epochs);
       ("solve_seconds", Json.Float t.Cert.Proof.solve_seconds);
       ("check_seconds", Json.Float t.Cert.Proof.check_seconds);
       ("check_overhead_percent", Json.Float overhead);
@@ -281,7 +278,7 @@ let to_json r =
                  [ ("name", Json.Str name); ("reason", Json.Str reason) ])
              r.unknowns) );
       ("resumed_from", opt (fun i -> Json.Int i) r.resumed_from);
-      ("cert", opt (cert_json ~cert_jobs:r.options.Options.cert_jobs) r.cert);
+      ("cert", opt cert_json r.cert);
       ("options", options_json r.options);
       ("simp", opt simp_json r.simp);
       ("cache", opt cache_json r.cache);

@@ -172,69 +172,25 @@ let test_rup_under_assumptions () =
   | Ok _ -> Alcotest.fail "accepted a proof of a satisfiable formula"
   | Error _ -> ()
 
-(* ---- pipelined parallel checking ---- *)
+(* ---- the session checker against the sequential one ---- *)
 
 module Pipeline = Cert.Pipeline
 
-(* Pools alive among the dispatches below: a session must leave none
-   running once its answer is settled or it is cancelled. *)
-let live_pools = Atomic.make 0
-
-(* Pool-backed dispatch, created lazily exactly like Portfolio's. *)
-let pool_dispatch jobs =
-  let pool = ref None in
-  let get () =
-    match !pool with
-    | Some p -> p
-    | None ->
-        let p = Parallel.Pool.create ~jobs () in
-        Atomic.incr live_pools;
-        pool := Some p;
-        p
-  in
-  {
-    Pipeline.d_run = (fun f -> Parallel.Pool.submit (get ()) (fun _ -> f ()));
-    d_shutdown =
-      (fun () ->
-        match !pool with
-        | Some p ->
-            pool := None;
-            Parallel.Pool.shutdown p;
-            Atomic.decr live_pools
-        | None -> ());
-  }
-
 (* Replay a recorded certificate into a session: the input clauses as
-   axioms, then the steps through its tracer, injecting barrier hints
-   every [barrier_every] steps the way the solver does at restarts —
-   small epochs force real sharding on small proofs. *)
-let replay_session ?dispatch ?(epoch_target = 16) ?(barrier_every = 5)
-    ~clauses steps =
-  let c = Pipeline.session ?dispatch ~epoch_target () in
+   axioms, then the steps through its tracer. *)
+let replay_session ~clauses steps =
+  let c = Pipeline.session () in
   List.iter (Pipeline.axiom c) clauses;
   let tr = Pipeline.tracer c in
-  List.iteri
-    (fun i st ->
-      (match st with
-      | Proof.Add c -> tr.S.trace_add c
-      | Proof.Delete c -> tr.S.trace_delete c);
-      if (i + 1) mod barrier_every = 0 then tr.S.trace_barrier ())
+  List.iter
+    (function
+      | Proof.Add c -> tr.S.trace_add c | Proof.Delete c -> tr.S.trace_delete c)
     steps;
   c
 
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  go 0
-
-let ends_with s suffix =
-  let n = String.length s and k = String.length suffix in
-  n >= k && String.sub s (n - k) k = suffix
-
 let test_pipeline_matches_sequential () =
-  (* accept/reject identity vs the sequential checker, without checker
-     domains and across worker counts — including rejection of the same
-     corrupted certificate at the same step *)
+  (* accept/reject identity vs the sequential checker, including
+     rejection of the same corrupted certificate at the same step *)
   let nvars, clauses = pigeonhole 6 5 in
   let verdict, p, _ = solve_traced nvars clauses in
   Alcotest.(check bool) "unsat" true (verdict = S.Unsat);
@@ -257,40 +213,21 @@ let test_pipeline_matches_sequential () =
     | Ok _ -> Alcotest.fail "sequential accepted corrupted proof"
     | Error msg -> msg
   in
-  let dispatches =
-    [ ("no dispatch", fun () -> None);
-      ("inline", fun () -> Some Pipeline.inline_dispatch);
-      ("jobs2", fun () -> Some (pool_dispatch 2));
-      ("jobs4", fun () -> Some (pool_dispatch 4)) ]
-  in
-  List.iter
-    (fun (label, mk) ->
-      let dispatch = mk () in
-      (* genuine certificate: accepted, in more than one epoch when
-         there are checker workers *)
-      let c = replay_session ?dispatch ~clauses steps in
-      (match Pipeline.check_unsat c ~assumptions:[] with
-      | Ok s ->
-          Alcotest.(check bool) (label ^ ": multiple epochs iff dispatched")
-            (dispatch <> None) (s.Pipeline.epochs > 1);
-          Alcotest.(check int)
-            (label ^ ": every step checked")
-            (List.length steps) s.Pipeline.steps
-      | Error msg -> Alcotest.fail (label ^ ": genuine proof rejected: " ^ msg));
-      (* corrupted certificate: rejected at the step the sequential
-         checker names; a shard also names its epoch *)
-      let c = replay_session ?dispatch:(mk ()) ~clauses corrupted in
-      match Pipeline.check_unsat c ~assumptions:[] with
-      | Ok _ -> Alcotest.fail (label ^ ": corrupted proof accepted")
-      | Error msg ->
-          Alcotest.(check bool)
-            (label ^ ": same step and reason as the sequential checker")
-            true (ends_with msg sequential);
-          Alcotest.(check bool)
-            (label ^ ": error names the epoch iff dispatched")
-            (dispatch <> None) (contains msg "epoch"))
-    dispatches;
-  Alcotest.(check int) "no pool left running" 0 (Atomic.get live_pools)
+  (* genuine certificate: accepted, every step checked *)
+  (match Pipeline.check_unsat (replay_session ~clauses steps) ~assumptions:[] with
+  | Ok s ->
+      Alcotest.(check int) "every step checked" (List.length steps)
+        s.Pipeline.steps
+  | Error msg -> Alcotest.fail ("genuine proof rejected: " ^ msg));
+  (* corrupted certificate: rejected at the step the sequential checker
+     names, for the same reason *)
+  match
+    Pipeline.check_unsat (replay_session ~clauses corrupted) ~assumptions:[]
+  with
+  | Ok _ -> Alcotest.fail "corrupted proof accepted"
+  | Error msg ->
+      Alcotest.(check string)
+        "same step and reason as the sequential checker" sequential msg
 
 let test_pipeline_empty_and_assumptions () =
   (* propagation-only UNSAT under assumptions: no learnt clauses, the
@@ -326,17 +263,26 @@ let test_pipeline_empty_and_assumptions () =
     [ (assumptions, true); ([], false) ]
 
 let test_pipeline_cancel () =
-  (* cooperative cancellation mid-stream must leave no domain running;
-     cancel is idempotent *)
+  (* cancellation mid-stream is idempotent, and a cancelled session
+     takes no further step, so it vouches for nothing *)
   let nvars, clauses = pigeonhole 6 5 in
   let _, p, _ = solve_traced nvars clauses in
   let steps = Proof.steps p in
-  let half = List.filteri (fun i _ -> i < List.length steps / 2) steps in
-  let c = replay_session ~dispatch:(pool_dispatch 2) ~clauses half in
-  Alcotest.(check int) "checker pool running" 1 (Atomic.get live_pools);
+  let mid = List.length steps / 2 in
+  let c = replay_session ~clauses (List.filteri (fun i _ -> i < mid) steps) in
   Pipeline.cancel c;
   Pipeline.cancel c;
-  Alcotest.(check int) "no pool left running" 0 (Atomic.get live_pools)
+  let tr = Pipeline.tracer c in
+  List.iteri
+    (fun i st ->
+      if i >= mid then
+        match st with
+        | Proof.Add c -> tr.S.trace_add c
+        | Proof.Delete c -> tr.S.trace_delete c)
+    steps;
+  match Pipeline.check_unsat c ~assumptions:[] with
+  | Ok _ -> Alcotest.fail "a cancelled session vouched for an answer"
+  | Error _ -> ()
 
 let test_pipeline_portfolio_integration () =
   (* the full wiring: racing solvers stream into per-racer sessions;
@@ -344,11 +290,11 @@ let test_pipeline_portfolio_integration () =
   let nvars, clauses = pigeonhole 6 5 in
   let sat_clauses = [ [ lit 0 true; lit 1 true ]; [ lit 0 false ] ] in
   List.iter
-    (fun (jobs, cert_jobs) ->
-      let label = Printf.sprintf "jobs %d, cert_jobs %d: " jobs cert_jobs in
+    (fun jobs ->
+      let label = Printf.sprintf "jobs %d: " jobs in
       let o =
-        Parallel.Portfolio.solve ~certify:true ~cert_jobs ~jobs ~nvars
-          ~clauses ~assumptions:[] ()
+        Parallel.Portfolio.solve ~certify:true ~jobs ~nvars ~clauses
+          ~assumptions:[] ()
       in
       Alcotest.(check bool) (label ^ "unsat") true
         (o.Parallel.Portfolio.verdict = Parallel.Portfolio.Unsat);
@@ -360,7 +306,7 @@ let test_pipeline_portfolio_integration () =
           Alcotest.fail (label ^ "winner's genuine stream rejected: " ^ msg)
       | None -> Alcotest.fail (label ^ "UNSAT outcome carries no cert result"));
       let o =
-        Parallel.Portfolio.solve ~certify:true ~cert_jobs ~jobs ~nvars:2
+        Parallel.Portfolio.solve ~certify:true ~jobs ~nvars:2
           ~clauses:sat_clauses ~assumptions:[] ()
       in
       (match o.Parallel.Portfolio.verdict with
@@ -372,7 +318,7 @@ let test_pipeline_portfolio_integration () =
             s.Pipeline.steps
       | Some (Error msg) -> Alcotest.fail (label ^ "genuine model rejected: " ^ msg)
       | None -> Alcotest.fail (label ^ "SAT outcome carries no cert result"))
-    [ (1, 0); (2, 0); (1, 2); (2, 2) ]
+    [ 1; 2 ]
 
 (* ---- SAT-model checking ---- *)
 
@@ -412,15 +358,11 @@ let test_model_check_assumptions () =
 (* ---- the incremental session: one checker mirrors one solver ---- *)
 
 (* A solver mirrored by a session, wired the way a certified sequential
-   engine wires its own, before the first clause. [cert_jobs > 0]
-   checks epochs of 16 steps on that many domains. [axiom] filters what
+   engine wires its own, before the first clause. [axiom] filters what
    the checker is told, to build a checker that misses a clause. *)
-let mirrored ?(axiom = fun c -> Some c) ~cert_jobs nvars =
+let mirrored ?(axiom = fun c -> Some c) nvars =
   let s = S.create () in
-  let dispatch =
-    if cert_jobs > 0 then Some (pool_dispatch cert_jobs) else None
-  in
-  let c = Pipeline.session ?dispatch ~epoch_target:16 () in
+  let c = Pipeline.session () in
   S.set_input_hook s
     (Some (fun cl -> Option.iter (Pipeline.axiom c) (axiom cl)));
   S.set_tracer s (Some (Pipeline.tracer c));
@@ -451,43 +393,32 @@ let unsat_ok s c ~assumptions =
     (solve_under s assumptions = S.Unsat);
   Pipeline.check_unsat c ~assumptions
 
-(* the checker configurations every session test runs under *)
-let session_configs = [ ("cert_jobs 0", 0); ("cert_jobs 2", 2) ]
-
 (* Two guarded pigeonhole cores on one warm solver: SAT, UNSAT, more
-   clauses, UNSAT, SAT — every answer vouched for, the session open.
-   The clauses added between the answers land inside an epoch. *)
+   clauses, UNSAT, SAT — every answer vouched for, the session open. *)
 let test_session_accepts () =
-  List.iter
-    (fun (label, cert_jobs) ->
-      let label = label ^ ": " in
-      let act1 = lit 0 true and act2 = lit 1 true in
-      let s, c = mirrored ~cert_jobs 42 in
-      let php1 = guarded_pigeonhole ~base:2 ~act:act1 5 4 in
-      List.iter (S.add_clause s) php1;
-      (match sat_ok s c ~assumptions:[] with
-      | Ok () -> ()
-      | Error m -> Alcotest.fail (label ^ "genuine model rejected: " ^ m));
-      let steps1 =
-        match unsat_ok s c ~assumptions:[ act1 ] with
-        | Ok sum -> sum.Pipeline.steps
-        | Error m -> Alcotest.fail (label ^ "genuine UNSAT rejected: " ^ m)
-      in
-      Alcotest.(check bool) (label ^ "steps validated") true (steps1 > 0);
-      (* a redundant step (a copy of an input clause), so that the next
-         clauses arrive behind a pending step, inside one epoch *)
-      (Pipeline.tracer c).S.trace_add (Array.of_list (List.hd php1));
-      List.iter (S.add_clause s) (guarded_pigeonhole ~base:22 ~act:act2 5 4);
-      (match unsat_ok s c ~assumptions:[ L.negate act1; act2 ] with
-      | Ok sum ->
-          Alcotest.(check bool)
-            (label ^ "epochs only when pipelined")
-            (cert_jobs > 0) (sum.Pipeline.epochs > 0)
-      | Error m -> Alcotest.fail (label ^ "second UNSAT rejected: " ^ m));
-      match sat_ok s c ~assumptions:[ L.negate act2 ] with
-      | Ok () -> ()
-      | Error m -> Alcotest.fail (label ^ "last model rejected: " ^ m))
-    session_configs
+  let act1 = lit 0 true and act2 = lit 1 true in
+  let s, c = mirrored 42 in
+  let php1 = guarded_pigeonhole ~base:2 ~act:act1 5 4 in
+  List.iter (S.add_clause s) php1;
+  (match sat_ok s c ~assumptions:[] with
+  | Ok () -> ()
+  | Error m -> Alcotest.fail ("genuine model rejected: " ^ m));
+  let steps1 =
+    match unsat_ok s c ~assumptions:[ act1 ] with
+    | Ok sum -> sum.Pipeline.steps
+    | Error m -> Alcotest.fail ("genuine UNSAT rejected: " ^ m)
+  in
+  Alcotest.(check bool) "steps validated" true (steps1 > 0);
+  (* a redundant step (a copy of an input clause), so that the next
+     clauses arrive behind a pending step *)
+  (Pipeline.tracer c).S.trace_add (Array.of_list (List.hd php1));
+  List.iter (S.add_clause s) (guarded_pigeonhole ~base:22 ~act:act2 5 4);
+  (match unsat_ok s c ~assumptions:[ L.negate act1; act2 ] with
+  | Ok _ -> ()
+  | Error m -> Alcotest.fail ("second UNSAT rejected: " ^ m));
+  match sat_ok s c ~assumptions:[ L.negate act2 ] with
+  | Ok () -> ()
+  | Error m -> Alcotest.fail ("last model rejected: " ^ m)
 
 (* The mutant of a checker that is not told one activation clause
    [¬act ∨ C]: php(5,4) is minimally unsatisfiable, so without C the
@@ -497,57 +428,33 @@ let test_session_withheld_activation_clause () =
   let act = lit 0 true in
   let clauses = guarded_pigeonhole ~base:1 ~act 5 4 in
   let withheld = List.nth clauses 3 in
-  List.iter
-    (fun (label, cert_jobs) ->
-      let s, c =
-        mirrored ~cert_jobs
-          ~axiom:(fun cl -> if cl == withheld then None else Some cl)
-          21
-      in
-      List.iter (S.add_clause s) clauses;
-      match unsat_ok s c ~assumptions:[ act ] with
-      | Ok _ ->
-          Alcotest.failf "%s: UNSAT vouched for without an activation clause"
-            label
-      | Error _ -> ())
-    session_configs
+  let s, c =
+    mirrored ~axiom:(fun cl -> if cl == withheld then None else Some cl) 21
+  in
+  List.iter (S.add_clause s) clauses;
+  match unsat_ok s c ~assumptions:[ act ] with
+  | Ok _ -> Alcotest.fail "UNSAT vouched for without an activation clause"
+  | Error _ -> ()
 
 (* A corrupted step traced into a live session: SAT answers still stand
-   (a model rests on no learnt clause), the next UNSAT answer is
-   rejected at that step, and the rejection is the same, at the same
-   global step, with and without checker domains. [bad] gets the solver
-   and the session's tracer. *)
+   (a model rests on no learnt clause), and the next UNSAT answer is
+   rejected at that step, for good. [bad] gets the solver and the
+   session's tracer. *)
 let session_rejects_step what bad =
   let act = lit 0 true in
-  let reject (label, cert_jobs) =
-    let s, c = mirrored ~cert_jobs 21 in
-    List.iter (S.add_clause s) (guarded_pigeonhole ~base:1 ~act 5 4);
-    bad s (Pipeline.tracer c);
-    (match sat_ok s c ~assumptions:[] with
-    | Ok () -> ()
-    | Error m -> Alcotest.failf "%s, %s: model rejected: %s" what label m);
-    match unsat_ok s c ~assumptions:[ act ] with
-    | Ok _ -> Alcotest.failf "%s accepted at %s" what label
-    | Error m ->
-        (* the failure is sticky *)
-        (match Pipeline.check_unsat c ~assumptions:[ act ] with
-        | Ok _ -> Alcotest.failf "%s forgotten at %s" what label
-        | Error m' -> Alcotest.(check string) "sticky" m m');
-        (label, m)
-  in
-  let ends_with s suffix =
-    let n = String.length s and k = String.length suffix in
-    n >= k && String.sub s (n - k) k = suffix
-  in
-  match List.map reject session_configs with
-  | (label0, sequential) :: rest ->
-      List.iter
-        (fun (label, m) ->
-          if not (ends_with m sequential) then
-            Alcotest.failf "%s: %s says %S, %s says %S" what label0 sequential
-              label m)
-        rest
-  | [] -> ()
+  let s, c = mirrored 21 in
+  List.iter (S.add_clause s) (guarded_pigeonhole ~base:1 ~act 5 4);
+  bad s (Pipeline.tracer c);
+  (match sat_ok s c ~assumptions:[] with
+  | Ok () -> ()
+  | Error m -> Alcotest.failf "%s: model rejected: %s" what m);
+  match unsat_ok s c ~assumptions:[ act ] with
+  | Ok _ -> Alcotest.failf "%s accepted" what
+  | Error m -> (
+      (* the failure is sticky *)
+      match Pipeline.check_unsat c ~assumptions:[ act ] with
+      | Ok _ -> Alcotest.failf "%s forgotten" what
+      | Error m' -> Alcotest.(check string) "sticky" m m')
 
 let test_session_rejects_non_rup () =
   session_rejects_step "a non-RUP step" (fun _ tr ->
@@ -573,20 +480,17 @@ let test_session_rejects_axiom_delete () =
    the proof steps a solve would trace *)
 let test_session_rejects_unrefuted () =
   let act = lit 0 true in
+  let s, c = mirrored 21 in
+  List.iter (S.add_clause s) (guarded_pigeonhole ~base:1 ~act 5 4);
   List.iter
-    (fun (label, cert_jobs) ->
-      let s, c = mirrored ~cert_jobs 21 in
-      List.iter (S.add_clause s) (guarded_pigeonhole ~base:1 ~act 5 4);
-      List.iter
-        (fun assumptions ->
-          match Pipeline.check_unsat c ~assumptions with
-          | Ok _ -> Alcotest.failf "%s: unrefuted UNSAT answer accepted" label
-          | Error _ -> ())
-        [ []; [ act ] ])
-    session_configs
+    (fun assumptions ->
+      match Pipeline.check_unsat c ~assumptions with
+      | Ok _ -> Alcotest.fail "unrefuted UNSAT answer accepted"
+      | Error _ -> ())
+    [ []; [ act ] ]
 
 let test_session_rejects_models () =
-  let s, c = mirrored ~cert_jobs:0 4 in
+  let s, c = mirrored 4 in
   (* x0 and x1 forced; x3 free: the solve assumes it *)
   List.iter (S.add_clause s) [ [ lit 0 true ]; [ lit 0 false; lit 1 true ] ];
   let assumptions = [ lit 3 true ] in
@@ -602,32 +506,26 @@ let test_session_rejects_models () =
   | Ok () -> Alcotest.fail "model falsifying an assumption accepted"
   | Error _ -> ()
 
-(* Every validated addition counts in [cert.clauses_checked], whether a
-   shard or the solver's thread validates it *)
+(* Every validated addition counts in [cert.clauses_checked] *)
 let test_session_counts_checked () =
   let checked = Obs.Metrics.counter "cert.clauses_checked" in
-  List.iter
-    (fun (label, cert_jobs) ->
-      let act1 = lit 0 true and act2 = lit 1 true in
-      let s, c = mirrored ~cert_jobs 42 in
-      let c0 = Obs.Metrics.counter_value checked in
-      List.iter (S.add_clause s) (guarded_pigeonhole ~base:2 ~act:act1 5 4);
-      List.iter (S.add_clause s) (guarded_pigeonhole ~base:22 ~act:act2 5 4);
-      let adds =
-        List.fold_left
-          (fun acc assumptions ->
-            match unsat_ok s c ~assumptions with
-            | Ok sum -> acc + sum.Pipeline.adds
-            | Error m -> Alcotest.failf "%s: genuine UNSAT rejected: %s" label m)
-          0
-          [ [ act1 ]; [ L.negate act1; act2 ] ]
-      in
-      Alcotest.(check bool) (label ^ ": additions validated") true (adds > 0);
-      Alcotest.(check int)
-        (label ^ ": counter delta")
-        adds
-        (Obs.Metrics.counter_value checked - c0))
-    session_configs
+  let act1 = lit 0 true and act2 = lit 1 true in
+  let s, c = mirrored 42 in
+  let c0 = Obs.Metrics.counter_value checked in
+  List.iter (S.add_clause s) (guarded_pigeonhole ~base:2 ~act:act1 5 4);
+  List.iter (S.add_clause s) (guarded_pigeonhole ~base:22 ~act:act2 5 4);
+  let adds =
+    List.fold_left
+      (fun acc assumptions ->
+        match unsat_ok s c ~assumptions with
+        | Ok sum -> acc + sum.Pipeline.adds
+        | Error m -> Alcotest.failf "genuine UNSAT rejected: %s" m)
+      0
+      [ [ act1 ]; [ L.negate act1; act2 ] ]
+  in
+  Alcotest.(check bool) "additions validated" true (adds > 0);
+  Alcotest.(check int) "counter delta" adds
+    (Obs.Metrics.counter_value checked - c0)
 
 (* ---- counterexample validation against the simulator ---- *)
 
@@ -801,29 +699,6 @@ let test_certified_alg1_jobs_and_portfolio () =
       ("jobs4-portfolio2", Some 4, 2);
     ]
 
-let test_certified_alg1_pipelined () =
-  (* end-to-end: the engine's certify path with checker domains — same
-     verdict and certification coverage as without them *)
-  let run cert_jobs =
-    Upec.Alg1.run_with
-      {
-        Upec.Options.default with
-        Upec.Options.certify = true;
-        cert_jobs;
-      }
-      (micro_spec Upec.Spec.Secure)
-  in
-  let seq = run 0 and pipe = run 2 in
-  Alcotest.(check bool) "sequential secure" true (Upec.Report.is_secure seq);
-  Alcotest.(check bool) "pipelined secure" true (Upec.Report.is_secure pipe);
-  let ts = (cert_of seq).Upec.Report.ct_totals
-  and tp = (cert_of pipe).Upec.Report.ct_totals in
-  Alcotest.(check int) "same UNSAT coverage" ts.Proof.unsat_checked
-    tp.Proof.unsat_checked;
-  Alcotest.(check bool) "pipelined in epochs" true
-    (tp.Proof.epochs >= tp.Proof.unsat_checked);
-  Alcotest.(check bool) "sequential has no epochs" true (ts.Proof.epochs = 0)
-
 let test_certified_alg2 () =
   let certified = { O.default with O.certify = true } in
   let r = Upec.Alg2.conclude_with certified (tiny_spec Upec.Spec.Vulnerable) in
@@ -907,8 +782,6 @@ let () =
           Alcotest.test_case "alg1 secure" `Quick test_certified_alg1_secure;
           Alcotest.test_case "alg1 jobs x portfolio" `Slow
             test_certified_alg1_jobs_and_portfolio;
-          Alcotest.test_case "alg1 pipelined vs post-hoc" `Slow
-            test_certified_alg1_pipelined;
           Alcotest.test_case "alg2 both variants" `Slow test_certified_alg2;
         ] );
     ]

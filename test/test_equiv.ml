@@ -258,12 +258,14 @@ let golden_repr ?(stats = true) ?(cert = true) ?checkpoint
     | None -> "cert none"
     | Some c ->
         let t = c.Upec.Report.ct_totals in
+        (* "epochs=0" keeps the recorded digests: proof steps are no
+           longer checked in epochs *)
         Printf.sprintf
-          "cert unsat=%d sat=%d unknown=%d steps=%d lits=%d epochs=%d \
+          "cert unsat=%d sat=%d unknown=%d steps=%d lits=%d epochs=0 \
            validated=%s"
           t.Cert.Proof.unsat_checked t.Cert.Proof.sat_checked
           t.Cert.Proof.unknown_skipped t.Cert.Proof.proof_steps
-          t.Cert.Proof.proof_lits t.Cert.Proof.epochs
+          t.Cert.Proof.proof_lits
           (match c.Upec.Report.ct_cex_validated with
           | None -> "-"
           | Some b -> string_of_bool b)
@@ -457,20 +459,35 @@ let golden_cases =
    two runs agree on everything but the cert line — the trace, every
    step's conflicts and propagations — and spend the same conflicts. *)
 
-let alg1_trace spec o = golden_repr ~cert:false (Upec.Alg1.run_with o (spec ()))
+(* a run's trace without the cert line, and its report *)
+let alg1_trace spec o =
+  let r = Upec.Alg1.run_with o (spec ()) in
+  (golden_repr ~cert:false r, r)
 
 let alg2_trace spec o =
   let r, outcome = Upec.Alg2.run_with o (spec ()) in
-  golden_repr ~cert:false r ^ "\n" ^ repr_outcome outcome
+  (golden_repr ~cert:false r ^ "\n" ^ repr_outcome outcome, r)
 
-let test_certified_search ?uncertified trace o () =
+(* [checked]: the UNSAT answers and models the certified run vouches
+   for *)
+let test_certified_search ?uncertified ?checked trace o () =
   let run certify = metered (fun () -> trace { o with O.certify }) in
-  let plain, plain_conflicts =
+  let (plain, _), plain_conflicts =
     match uncertified with Some u -> Lazy.force u | None -> run false
   in
-  let certified, certified_conflicts = run true in
+  let (certified, r), certified_conflicts = run true in
   Alcotest.(check string) "trace without the cert line" plain certified;
-  Alcotest.(check int) "sat.conflicts" plain_conflicts certified_conflicts
+  Alcotest.(check int) "sat.conflicts" plain_conflicts certified_conflicts;
+  Option.iter
+    (fun (unsat, sat) ->
+      match r.Upec.Report.cert with
+      | Some c ->
+          let t = c.Upec.Report.ct_totals in
+          Alcotest.(check (pair int int))
+            "UNSAT answers and models checked" (unsat, sat)
+            (t.Cert.Proof.unsat_checked, t.Cert.Proof.sat_checked)
+      | None -> Alcotest.fail "certified run without cert totals")
+    checked
 
 (* ---- step accounting and the hand-over ---- *)
 
@@ -561,7 +578,9 @@ let test_conclude_s_final () =
    round's set (Macros.cycle0_shared). That is part of the trusted
    encoding, like Tseitin: for every obligation of a first per-svar
    round, a shared engine must answer exactly like an unshared engine
-   that assumes the cycle-0 equalities instead. *)
+   that assumes the cycle-0 equalities instead. So must the question
+   whether a state variable can differ at cycle 0 at all, which only
+   a guarded cell or one outside the set can. *)
 
 (* a two-instance engine constrained like the refinement's *)
 let sharing_engine ?share spec ~k =
@@ -585,6 +604,23 @@ let holds eng lits =
 
 let diff eng spec ~frame sv =
   Aig.lit_not (Upec.Macros.sv_condition eng spec ~frame sv)
+
+(* the two engines agree on whether each state variable can differ at
+   cycle 0 under [assumed] *)
+let check_cycle0 spec ~shared ~plain assumed =
+  let differs eng sv =
+    let u = Ipc.Engine.unroller eng in
+    not
+      (holds eng
+         (Aig.lit_not (Ipc.Unroller.svar_equal_lit u ~frame:0 sv)
+         :: assumed eng))
+  in
+  Structural.Svar_set.iter
+    (fun sv ->
+      Alcotest.(check bool)
+        (Structural.svar_name sv ^ "@0")
+        (differs plain sv) (differs shared sv))
+    (Structural.all_svars spec.Upec.Spec.soc.Soc.Builder.netlist)
 
 (* Alg. 1's first round: can sv differ at cycle 1 under
    State_Equivalence(S) at cycle 0? Also against the run's own worker,
@@ -625,7 +661,8 @@ let test_share_alg1 spec () =
       Option.iter
         (Alcotest.(check bool) (name ^ ": the run's worker") expect)
         (Hashtbl.find_opt stored name))
-    s
+    s;
+  check_cycle0 spec ~shared ~plain eqs
 
 (* Alg. 2's first round at depth k: can sv differ at cycle j <= k under
    frame-0 equivalence of the fixed cycle-0 set? *)
@@ -639,6 +676,7 @@ let test_share_alg2 spec () =
       List.iter
         (fun eng -> Upec.Macros.state_equivalence_assume eng spec ~frame:0 s0)
         [ shared; plain ];
+      check_cycle0 spec ~shared ~plain (fun _ -> []);
       for j = 1 to k do
         Structural.Svar_set.iter
           (fun sv ->
@@ -699,9 +737,8 @@ let () =
                ~uncertified:
                  (lazy
                    (let r, spent = Lazy.force countermeasure_default in
-                    (golden_repr ~cert:false r, spent)))
-               (alg1_trace countermeasure)
-               O.default);
+                    ((golden_repr ~cert:false r, r), spent)))
+               ~checked:(54, 6) (alg1_trace countermeasure) O.default);
         ] );
       ( "handover",
         [

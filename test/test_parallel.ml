@@ -237,36 +237,33 @@ let test_portfolio_losers_after_cancellation () =
 
 let test_portfolio_certified () =
   (* the winner's own session must vouch for the winner's answer, UNSAT
-     and SAT, on the raced and the inline path, with and without
-     checker domains *)
+     and SAT, on the raced and the inline path *)
   let nvars, clauses = pigeonhole 6 5 in
   let sat_clauses = [ [ L.make 0 true; L.make 1 true ]; [ L.make 0 false ] ] in
   List.iter
-    (fun (jobs, cert_jobs) ->
+    (fun jobs ->
       let vouched what o =
         match o.Portfolio.cert with
         | Some (Ok s) -> s
         | Some (Error msg) ->
-            Alcotest.failf "winner's %s rejected (jobs=%d, cert_jobs=%d): %s"
-              what jobs cert_jobs msg
+            Alcotest.failf "winner's %s rejected (jobs=%d): %s" what jobs msg
         | None -> Alcotest.failf "certified %s answer carries no cert" what
       in
       let o =
-        Portfolio.solve ~certify:true ~cert_jobs ~jobs ~nvars ~clauses
-          ~assumptions:[] ()
+        Portfolio.solve ~certify:true ~jobs ~nvars ~clauses ~assumptions:[] ()
       in
       Alcotest.(check bool) "unsat" true (o.Portfolio.verdict = Portfolio.Unsat);
       Alcotest.(check bool) "proof steps validated" true
         ((vouched "proof" o).Cert.Pipeline.steps > 0);
       let o =
-        Portfolio.solve ~certify:true ~cert_jobs ~jobs ~nvars:2
-          ~clauses:sat_clauses ~assumptions:[] ()
+        Portfolio.solve ~certify:true ~jobs ~nvars:2 ~clauses:sat_clauses
+          ~assumptions:[] ()
       in
       (match o.Portfolio.verdict with
       | Portfolio.Sat _ -> ()
       | _ -> Alcotest.fail "expected SAT");
       ignore (vouched "model" o))
-    [ (1, 0); (4, 0); (1, 2); (4, 2) ]
+    [ 1; 4 ]
 
 (* ---- parallel Alg. 1: determinism across job counts ---- *)
 
