@@ -20,6 +20,8 @@ type t = {
   ck_unknown : (string * string) list;
       (* svars degraded to Unknown so far, with the budget reason — they
          are out of every frame set but must surface in the report *)
+  ck_costliest : int option;  (* the hand-over cap state *)
+  ck_handover : int option;  (* the iteration that handed over *)
 }
 
 let version = 2
@@ -66,24 +68,32 @@ let config_hash ~alg spec =
 
 let to_string ck =
   let strs l = Json.List (List.map (fun n -> Json.Str n) l) in
+  (* the hand-over state is absent until it holds something, as in
+     checkpoints written before it was kept *)
+  let handover =
+    List.filter_map
+      (fun (name, v) -> Option.map (fun n -> (name, Json.Int n)) v)
+      [ ("costliest", ck.ck_costliest); ("handover", ck.ck_handover) ]
+  in
   Json.to_string
     (Json.Obj
-       [
-         ("magic", Json.Str magic);
-         ("version", Json.Int version);
-         ("alg", Json.Str (alg_tag ck.ck_alg));
-         ("variant", Json.Str ck.ck_variant);
-         ("hash", Json.Str ck.ck_config_hash);
-         ("iter", Json.Int ck.ck_iter);
-         ("k", Json.Int ck.ck_k);
-         ("frames", Json.List (Array.to_list (Array.map strs ck.ck_frames)));
-         ( "unknown",
-           Json.List
-             (List.map
-                (fun (n, r) ->
-                  Json.Obj [ ("name", Json.Str n); ("reason", Json.Str r) ])
-                ck.ck_unknown) );
-       ])
+       ([
+          ("magic", Json.Str magic);
+          ("version", Json.Int version);
+          ("alg", Json.Str (alg_tag ck.ck_alg));
+          ("variant", Json.Str ck.ck_variant);
+          ("hash", Json.Str ck.ck_config_hash);
+          ("iter", Json.Int ck.ck_iter);
+          ("k", Json.Int ck.ck_k);
+          ("frames", Json.List (Array.to_list (Array.map strs ck.ck_frames)));
+          ( "unknown",
+            Json.List
+              (List.map
+                 (fun (n, r) ->
+                   Json.Obj [ ("name", Json.Str n); ("reason", Json.Str r) ])
+                 ck.ck_unknown) );
+        ]
+       @ handover))
 
 (* [Some] only when every element converts *)
 let list_of conv j =
@@ -107,6 +117,11 @@ let of_string text =
     let* n = field name Json.to_int j in
     let* () = check (n >= 0) ("negative " ^ name) in
     Ok n
+  in
+  let optional_count name j =
+    match Json.member name j with
+    | Json.Null -> Ok None
+    | _ -> Result.map Option.some (count name j)
   in
   let* j =
     match Json.of_string text with
@@ -142,6 +157,8 @@ let of_string text =
            | _ -> None))
       j
   in
+  let* costliest = optional_count "costliest" j in
+  let* handover = optional_count "handover" j in
   Ok
     {
       ck_alg = alg;
@@ -151,6 +168,8 @@ let of_string text =
       ck_k = k;
       ck_frames = Array.of_list frames;
       ck_unknown = unknown;
+      ck_costliest = costliest;
+      ck_handover = handover;
     }
 
 let save path ck =

@@ -9,7 +9,8 @@
 
     The on-disk form is one {!Json} object (members [magic],
     [version] 2, [alg], [variant], [hash], [iter], [k], [frames],
-    [unknown]); {!save} publishes it atomically ({!Atomic_file.write})
+    [unknown], and [costliest] and [handover] once they are set);
+    {!save} publishes it atomically ({!Atomic_file.write})
     so a crash at any point leaves either the previous checkpoint or
     the new one — never a torn file. A config hash over the algorithm,
     design variant, persistence model and the full svar universe guards
@@ -30,6 +31,14 @@ type t = {
   ck_unknown : (string * string) list;
       (** svars degraded to Unknown with the resource reason; excluded
           from the frame sets but surfaced in the final report *)
+  ck_costliest : int option;
+      (** the default strategy's hand-over cap state: the conflicts of
+          the costliest monolithic decision so far; [None] before the
+          first one and in checkpoints written without it *)
+  ck_handover : int option;
+      (** the iteration at which the default strategy handed over to the
+          per-svar round; [None] before it and in checkpoints written
+          without it *)
 }
 
 val config_hash : alg:alg -> Spec.t -> string

@@ -152,8 +152,10 @@ let create alg ?resume ?costliest (o : Options.t) spec =
     undecided;
     steps = [];
     cex_validated = None;
-    costliest;
-    handover = None;
+    (* a resumed run continues the cap state it was checkpointed with *)
+    costliest =
+      (match resume with Some ck -> ck.Checkpoint.ck_costliest | None -> costliest);
+    handover = Option.bind resume (fun ck -> ck.Checkpoint.ck_handover);
   }
 
 let resumed ctx = ctx.resumed
@@ -516,6 +518,8 @@ let save ctx ~next_iter (k, frames) =
               (fun s -> List.map Structural.svar_name (Svars.elements s))
               frames;
           ck_unknown = List.rev ctx.unknowns;
+          ck_costliest = ctx.costliest;
+          ck_handover = ctx.handover;
         }
 
 (* ---- the refinement loop ---- *)

@@ -34,7 +34,10 @@ val create :
     by the same algorithm under the same config hash, and every svar
     it names must exist; [Invalid_argument] otherwise. [costliest]
     seeds the hand-over cap state (see {!decide}) with the conflicts
-    of an earlier phase's costliest monolithic decision. *)
+    of an earlier phase's costliest monolithic decision. A resumed run
+    takes its cap state and hand-over iteration from the checkpoint
+    instead, so it is capped, and hands over, like the run that wrote
+    it; a checkpoint without them resumes uncapped. *)
 
 val resumed : t -> (int * Structural.Svar_set.t array) option
 (** The resumed checkpoint's unroll depth and candidate sets (Alg. 1

@@ -407,7 +407,7 @@ let golden_cases =
       "837bf944f07ab28dd9b4430c6abf20b5",
       fun () -> conclude j1 (hwpe_memory ()) );
     ( "hwpe alg2 checkpoint+resume",
-      "2c3ba88e1ebea3b86f80338efc491289",
+      "d9bd0a3e470aecc7adf4595069a470e3",
       fun () -> checkpointed_then_resumed run_alg2 O.default (hwpe_memory ()) );
     ( "hwpe alg2 per-svar starved checkpoint+resume",
       "d6339aaedc794f22ce556d9ba8016c8e",
@@ -424,7 +424,7 @@ let golden_cases =
       "26f958064802075161a8c55602330ae3",
       fun () -> cached_rerun j1 (micro_secure ()) );
     ( "micro alg1 checkpoint+resume",
-      "1cf36535671d467c9044ce1ac30925eb",
+      "e766c0a70e7816be0d5aca8407dc5f4c",
       fun () ->
         checkpointed_then_resumed run_alg1 O.default (micro_secure ()) );
     ( "micro alg1 per-svar starved checkpoint+resume",
@@ -540,6 +540,53 @@ let test_alg2_handover () =
     "s_final of the per-svar strategy"
     (s_final (run_alg2 j1 (countermeasure ())))
     (s_final r)
+
+(* A checkpoint carries the hand-over state. Resumed before its
+   hand-over iteration, a run is capped like the uninterrupted one, so
+   that iteration spends the same conflicts; resumed after the hand-over
+   (its checkpoint names the iteration), it stays per-svar and makes no
+   capped probe. *)
+let test_resume_handover () =
+  let u, _ = Lazy.force countermeasure_default in
+  let iter7 (r : Upec.Report.run) =
+    match
+      List.find_opt
+        (fun (s : Upec.Report.step) -> s.Upec.Report.st_iter = 7)
+        r.Upec.Report.steps
+    with
+    | Some { Upec.Report.st_stats = Some st; _ } -> st.Satsolver.Solver.conflicts
+    | _ -> Alcotest.fail "no iteration 7 with stats"
+  in
+  let ck =
+    with_checkpoint_path (fun path ->
+        ignore
+          (Upec.Alg1.run_with
+             { O.default with O.max_iterations = 6; checkpoint_file = Some path }
+             (countermeasure ()));
+        match Upec.Checkpoint.load path with
+        | Ok ck -> ck
+        | Error m -> Alcotest.fail ("checkpoint unreadable: " ^ m))
+  in
+  Alcotest.(check int) "checkpointed before iteration 7" 7
+    ck.Upec.Checkpoint.ck_iter;
+  let resumed ck = Upec.Alg1.run_with ~resume:ck O.default (countermeasure ()) in
+  let before = resumed ck in
+  Alcotest.(check string) "procedure" u.Upec.Report.procedure
+    before.Upec.Report.procedure;
+  Alcotest.(check int) "iteration 7 conflicts" (iter7 u) (iter7 before);
+  Alcotest.(check string) "s_final" (s_final u) (s_final before);
+  let cap =
+    match ck.Upec.Checkpoint.ck_costliest with
+    | Some c -> max 4096 (2 * c)
+    | None -> Alcotest.fail "checkpoint without the cap state"
+  in
+  let after = resumed { ck with Upec.Checkpoint.ck_handover = Some 7 } in
+  Alcotest.(check string) "procedure after the hand-over"
+    u.Upec.Report.procedure after.Upec.Report.procedure;
+  Alcotest.(check int) "iteration 7 without the probe" (iter7 u - cap)
+    (iter7 after);
+  Alcotest.(check string) "s_final after the hand-over" (s_final u)
+    (s_final after)
 
 (* A conflict budget at or below the hand-over cap keeps the cap off:
    the final check runs its three escalating attempts (1024, 4096 and
@@ -757,6 +804,8 @@ let () =
             test_alg2_handover;
           Alcotest.test_case "budget below the cap keeps retries" `Quick
             test_budget_below_cap;
+          Alcotest.test_case "resume keeps the hand-over state" `Quick
+            test_resume_handover;
         ] );
       ( "sharing",
         [

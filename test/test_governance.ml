@@ -33,6 +33,8 @@ let gen_checkpoint =
       array_size (int_range 1 5) (list_size (int_range 0 8) raw_string)
     in
     let* unknown = list_size (int_range 0 6) (pair raw_string raw_string) in
+    let* costliest = opt (int_range 0 1_000_000) in
+    let* handover = opt (int_range 1 1000) in
     return
       {
         Ck.ck_alg = alg;
@@ -42,6 +44,8 @@ let gen_checkpoint =
         ck_k = k;
         ck_frames = frames;
         ck_unknown = unknown;
+        ck_costliest = costliest;
+        ck_handover = handover;
       })
 
 let qcheck_roundtrip =
@@ -61,6 +65,8 @@ let sample_ck () =
     ck_k = 2;
     ck_frames = [| [ "a"; "b c" ]; []; [ "weird%name@1" ] |];
     ck_unknown = [ ("x@2", "conflict budget exhausted") ];
+    ck_costliest = Some 3121;
+    ck_handover = None;
   }
 
 let test_save_load_roundtrip () =
@@ -113,10 +119,30 @@ let test_rejects_malformed_members () =
       ("negative iter", with_member "iter" (J.Int (-1)));
       ("ill-typed k", with_member "k" (J.Str "1"));
       ("ill-typed frame", with_member "frames" (J.List [ J.Int 0 ]));
+      ("negative costliest", with_member "costliest" (J.Int (-1)));
+      ("ill-typed costliest", with_member "costliest" (J.Str "7"));
       ( "unknown without reason",
         with_member "unknown" (J.List [ J.Obj [ ("name", J.Str "x") ] ]) );
       ("missing hash", J.to_string (J.Obj (List.remove_assoc "hash" members)));
     ]
+
+(* A checkpoint written before the hand-over state was kept loads with
+   both members absent. *)
+let test_loads_without_handover_state () =
+  let module J = Upec.Json in
+  let ck = { (sample_ck ()) with Ck.ck_handover = Some 7 } in
+  let text =
+    match J.of_string (Ck.to_string ck) with
+    | J.Obj m ->
+        J.to_string
+          (J.Obj (List.remove_assoc "handover" (List.remove_assoc "costliest" m)))
+    | _ -> Alcotest.fail "a checkpoint is a JSON object"
+  in
+  match Ck.of_string text with
+  | Ok ck' ->
+      Alcotest.(check bool) "the rest as written, the state absent" true
+        (ck' = { ck with Ck.ck_costliest = None; ck_handover = None })
+  | Error m -> Alcotest.fail ("refused: " ^ m)
 
 let test_load_missing_is_error () =
   match Ck.load "/nonexistent/governance.ck" with
@@ -137,6 +163,8 @@ let test_hash_mismatch_refused () =
       ck_k = 1;
       ck_frames = [| [] |];
       ck_unknown = [];
+      ck_costliest = None;
+      ck_handover = None;
     }
   in
   match
@@ -158,6 +186,8 @@ let test_alg_kind_refused () =
       ck_k = 1;
       ck_frames = [| [] |];
       ck_unknown = [];
+      ck_costliest = None;
+      ck_handover = None;
     }
   in
   match
@@ -312,6 +342,8 @@ let () =
           Alcotest.test_case "rejects truncation" `Quick test_rejects_truncation;
           Alcotest.test_case "rejects malformed members" `Quick
             test_rejects_malformed_members;
+          Alcotest.test_case "loads without hand-over state" `Quick
+            test_loads_without_handover_state;
           Alcotest.test_case "load of missing file is Error" `Quick
             test_load_missing_is_error;
           Alcotest.test_case "config-hash mismatch refused" `Slow
