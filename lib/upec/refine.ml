@@ -375,31 +375,26 @@ let extract_cex ctx fr (j, sv) =
 
 (* ---- report ---- *)
 
-(* [record] is the single funnel of every strategy, so the
-   per-iteration span lives here as a manual (non-lexical) span from
-   the iteration's start. *)
+let s_size fr = Svars.cardinal (List.assoc fr.k fr.goals)
+
+(* [record] is the single funnel of every strategy: it reports the
+   iteration's S_cex as an instant event inside the iteration's span
+   (see [run]). *)
 let record ctx ~iter fr ~it0 ~s_cex ~pers_hit ~unknown (stats, winner, losers)
     =
   let t1 = Unix.gettimeofday () in
-  let s_size = Svars.cardinal (List.assoc fr.k fr.goals) in
-  if Obs.Trace.enabled () then
-    Obs.Trace.emit_span
-      (match ctx.alg with
-      | Checkpoint.Alg1 -> "alg1.iter"
-      | Checkpoint.Alg2 -> "alg2.iter")
-      ~t0:it0 ~t1
-      ~attrs:
-        [
-          ("iter", Obs.Trace.Int iter);
-          ("k", Obs.Trace.Int fr.k);
-          ("s_size", Obs.Trace.Int s_size);
-          ("cex_size", Obs.Trace.Int (Svars.cardinal s_cex));
-        ];
+  Obs.Trace.event
+    (match ctx.alg with Checkpoint.Alg1 -> "alg1.cex" | Checkpoint.Alg2 -> "alg2.cex")
+    ~attrs:
+      [
+        ("iter", Obs.Trace.Int iter);
+        ("cex_size", Obs.Trace.Int (Svars.cardinal s_cex));
+      ];
   ctx.steps <-
     {
       Report.st_iter = iter;
       st_k = fr.k;
-      st_s_size = s_size;
+      st_s_size = s_size fr;
       st_cex = s_cex;
       st_pers_hit = pers_hit;
       st_unknown = unknown;
@@ -766,12 +761,27 @@ let per_svar_batches ctx p pool =
     merge looked fresh
 
 let run ctx p st0 =
+  (* every iteration's work nests in one span *)
+  let span ~iter st f =
+    let fr = p.frontier st in
+    Obs.Trace.with_span
+      (match ctx.alg with
+      | Checkpoint.Alg1 -> "alg1.iter"
+      | Checkpoint.Alg2 -> "alg2.iter")
+      ~attrs:
+        [
+          ("iter", Obs.Trace.Int iter);
+          ("k", Obs.Trace.Int fr.k);
+          ("s_size", Obs.Trace.Int (s_size fr));
+        ]
+      f
+  in
   let iterate round =
     let rec loop iter st =
       if iter > ctx.o.Options.max_iterations then
         finish ctx (Report.Inconclusive "iteration budget exhausted")
       else
-        match round ~iter st with
+        match span ~iter st (fun () -> round ~iter st) with
         | Stop verdict -> finish ctx verdict
         | Next st ->
             save ctx ~next_iter:(iter + 1) (p.save st);

@@ -51,6 +51,27 @@ let field_int line key =
   in
   find 0
 
+let field_float line key =
+  let pat = Printf.sprintf "\"%s\":" key in
+  let plen = String.length pat in
+  let n = String.length line in
+  let rec find i =
+    if i + plen > n then None
+    else if String.sub line i plen = pat then begin
+      let j = ref (i + plen) in
+      while
+        !j < n
+        && (String.contains "-+.eE" line.[!j]
+           || (line.[!j] >= '0' && line.[!j] <= '9'))
+      do
+        incr j
+      done;
+      float_of_string_opt (String.sub line (i + plen) (!j - i - plen))
+    end
+    else find (i + 1)
+  in
+  find 0
+
 let with_temp_trace f =
   let path = Filename.temp_file "obs-test" ".jsonl" in
   Fun.protect
@@ -285,6 +306,58 @@ let test_instrument_kind_clash () =
        "Obs.Metrics: test.kind_clash already registered as a different \
         instrument kind") (fun () -> ignore (Obs.Metrics.gauge "test.kind_clash"))
 
+(* A traced refinement nests every solve under its iteration's span,
+   so the root spans do not count an iteration's time twice. *)
+let test_iteration_spans_nest () =
+  let spec =
+    match Scenarios.Scenario.find "countermeasure_d3" with
+    | Some s -> Upec.Cli.spec_of s.Scenarios.Scenario.sp_design
+    | None -> Alcotest.fail "countermeasure_d3 is not in the catalog"
+  in
+  let t0 = Unix.gettimeofday () in
+  let lines =
+    with_temp_trace (fun () -> ignore (Upec.Alg1.run_with Upec.Options.default spec))
+  in
+  let wall = Unix.gettimeofday () -. t0 in
+  (* id -> name, parent, begin, end *)
+  let spans = Hashtbl.create 4096 in
+  List.iter
+    (fun line ->
+      match (field_string line "ev", field_int line "id", field_float line "t") with
+      | Some "begin", Some id, Some t ->
+          Hashtbl.replace spans id
+            ( Option.value (field_string line "name") ~default:"",
+              Option.value (field_int line "parent") ~default:0,
+              t,
+              t )
+      | Some "end", Some id, Some t -> (
+          match Hashtbl.find_opt spans id with
+          | Some (name, parent, tb, _) -> Hashtbl.replace spans id (name, parent, tb, t)
+          | None -> Alcotest.fail "end without begin")
+      | _ -> ())
+    lines;
+  let rec under_iteration id =
+    match Hashtbl.find_opt spans id with
+    | Some ("alg1.iter", _, _, _) -> true
+    | Some (_, parent, _, _) -> parent <> 0 && under_iteration parent
+    | None -> false
+  in
+  let solves, roots =
+    Hashtbl.fold
+      (fun _ (name, parent, tb, te) (solves, roots) ->
+        ( (if name = "sat.solve" then parent :: solves else solves),
+          if parent = 0 then roots +. (te -. tb) else roots ))
+      spans ([], 0.0)
+  in
+  Alcotest.(check bool) "the run solved" true (solves <> []);
+  List.iter
+    (fun parent ->
+      Alcotest.(check bool) "sat.solve under an iteration" true
+        (under_iteration parent))
+    solves;
+  if roots > wall then
+    Alcotest.failf "root spans sum to %.3f s in a %.3f s run" roots wall
+
 let () =
   Alcotest.run "obs"
     [
@@ -297,6 +370,8 @@ let () =
           Alcotest.test_case "error + interrupt leaves parseable JSONL" `Quick
             test_span_error_and_interrupt;
           Alcotest.test_case "manual emit_span" `Quick test_emit_span_manual;
+          Alcotest.test_case "iteration spans nest" `Quick
+            test_iteration_spans_nest;
           Alcotest.test_case "disabled tracer is a no-op" `Quick
             test_disabled_is_noop;
         ] );
