@@ -110,8 +110,8 @@ type tracer = {
     [trace_barrier] fires at restarts and after learnt-database
     reductions — natural phase boundaries of the search. It carries no
     proof content and any point between steps is a valid DRUP split; the
-    barrier is a pacing hint. A sink that only records steps ignores it;
-    a pipelined checker uses it to close an epoch ({!Cert.Pipeline}). *)
+    barrier is a pacing hint, and a sink that only records steps (every
+    sink in this repository) ignores it. *)
 
 val set_tracer : t -> tracer option -> unit
 (** Install (or clear) the certificate sink. Install it before the

@@ -57,7 +57,9 @@ val run_with :
     check per iteration, reusing a single warm solver session across
     iterations, until a check reaches the hand-over cap (see
     {!Options.t.jobs}). That iteration and every later one then run
-    per-svar on one worker, on the warm session's own engine.
+    per-svar on one worker. A per-svar worker is built for its round's
+    S, and its instance B shares A's cycle-0 state on S (METHOD.md
+    §4).
 
     {b Resource governance.} Every SAT call runs under
     [Options.budget] with escalating retries; a svar still undecided

@@ -35,8 +35,9 @@ val run_with :
     shrinking per-cycle goal travels on solver assumptions, so learnt
     clauses survive the whole refinement. A check that reaches the
     hand-over cap (see {!Options.t.jobs}) hands that iteration and
-    every later one to the per-svar round on one worker, on the warm
-    session's own engine.
+    every later one to the per-svar round on one worker. A per-svar
+    worker is built per unroll depth, and its instance B shares A's
+    cycle-0 state on the fixed cycle-0 set.
 
     {b Problem reduction.} [Options.simp] (on by default) restricts
     witness-free solves to the cone of influence of the property; it

@@ -21,8 +21,10 @@ type t = {
           solver session (assumptions and activation literals keep
           learnt clauses and branching heuristics across iterations),
           until a check reaches the hand-over cap; then per-svar on one
-          worker, on that session's engine, for that iteration and every
-          later one. A run's first check is uncapped; each later one is
+          worker for that iteration and every later one. Per-svar
+          workers, in both strategies, are built per round and share
+          instance B's cycle-0 state with instance A on the round's
+          set. A run's first check is uncapped; each later one is
           capped at [max 4096 (2 × the costliest earlier check's
           conflicts)], counting every retry of a check. The induction of
           {!Alg2.conclude_with} inherits the unrolled phase's costliest
@@ -34,7 +36,9 @@ type t = {
           e.g. [UPEC-SSC (Alg. 1, incremental, per-svar from iteration
           7)]. Detection runs stay monolithic, where they find witnesses
           in a few thousand conflicts; proofs hand their final inductive
-          check to per-svar, which needs about half the conflicts. *)
+          check to per-svar, which needs a fraction of the conflicts.
+          A checkpoint carries the cap state and the hand-over
+          iteration, so a resumed run continues both. *)
   portfolio : int;  (** solver configurations raced per SAT call *)
   certify : bool;
       (** self-checking verdicts (DRUP / model / replay). A sequential

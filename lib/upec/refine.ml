@@ -11,8 +11,9 @@ type t = {
   resume : Checkpoint.t option;
   resumed : (int * Svars.t array) option;
   (* engine registry: workers create and retire engines inside pool
-     domains, so the list is mutex-protected; reads happen after the
-     pool drained. A retired engine's accounting lives on in [retired]. *)
+     domains, so the list is mutex-protected. A retired engine's
+     certification and reduction accounting lives on in [retired]; the
+     report retires every engine left. *)
   reg_mu : Mutex.t;
   mutable engines : Ipc.Engine.t list;
   mutable retired : Cert.Proof.totals * Simp.reduction option;
@@ -154,7 +155,9 @@ let create alg ?resume ?costliest (o : Options.t) spec =
     cex_validated = None;
     (* a resumed run continues the cap state it was checkpointed with *)
     costliest =
-      (match resume with Some ck -> ck.Checkpoint.ck_costliest | None -> costliest);
+      (match resume with
+      | Some ck -> ck.Checkpoint.ck_costliest
+      | None -> costliest);
     handover = Option.bind resume (fun ck -> ck.Checkpoint.ck_handover);
   }
 
@@ -176,7 +179,8 @@ let setup_engine ?share ctx ~portfolio ~k =
   let share = Option.map (Macros.cycle0_shared spec) share in
   let eng =
     Ipc.Engine.create ?solver_options:o.Options.solver_options ~portfolio
-      ~certify:o.Options.certify ~simp:o.Options.simp ?share ~two_instance:true (netlist ctx)
+      ~certify:o.Options.certify ~simp:o.Options.simp ?share
+      ~two_instance:true (netlist ctx)
   in
   Mutex.protect ctx.reg_mu (fun () -> ctx.engines <- eng :: ctx.engines);
   Ipc.Engine.set_interrupt eng o.Options.should_stop;
@@ -384,7 +388,9 @@ let record ctx ~iter fr ~it0 ~s_cex ~pers_hit ~unknown (stats, winner, losers)
     =
   let t1 = Unix.gettimeofday () in
   Obs.Trace.event
-    (match ctx.alg with Checkpoint.Alg1 -> "alg1.cex" | Checkpoint.Alg2 -> "alg2.cex")
+    (match ctx.alg with
+    | Checkpoint.Alg1 -> "alg1.cex"
+    | Checkpoint.Alg2 -> "alg2.cex")
     ~attrs:
       [
         ("iter", Obs.Trace.Int iter);
@@ -446,7 +452,8 @@ let finish ctx verdict =
     | v -> v
   in
   let o = ctx.o in
-  let retired_cert, retired_simp = ctx.retired in
+  List.iter (retire ctx) ctx.engines;
+  let cert, simp = ctx.retired in
   {
     Report.procedure = procedure ctx;
     variant = ctx.spec.Spec.variant;
@@ -457,25 +464,14 @@ let finish ctx verdict =
     svar_count = Svars.cardinal (Structural.all_svars nl);
     cert =
       (if o.Options.certify then
-         Some
-           {
-             Report.ct_totals =
-               List.fold_left
-                 (fun acc e ->
-                   Cert.Proof.add_totals acc (Ipc.Engine.cert_totals e))
-                 retired_cert ctx.engines;
-             ct_cex_validated = ctx.cex_validated;
-           }
+         Some { Report.ct_totals = cert; ct_cex_validated = ctx.cex_validated }
        else None);
     unknowns;
     resumed_from =
       Option.map (fun ck -> ck.Checkpoint.ck_iter) ctx.resume;
     metrics = Some (Obs.Metrics.snapshot ());
     options = o;
-    simp =
-      List.fold_left
-        (fun acc e -> merge_simp acc (Ipc.Engine.reduction_stats e))
-        retired_simp ctx.engines;
+    simp;
     cache = None;
     extra = [];
   }

@@ -526,9 +526,9 @@ let test_handover_s_final () =
     (s_final (Upec.Alg1.run_with j1 (countermeasure ())))
     (s_final r)
 
-(* Alg. 2's warm session hands over as well: its (cycle, svar) pairs are
-   armed on the session's own engine, and the run reaches the per-svar
-   strategy's fixed point. *)
+(* Alg. 2's warm session hands over as well: its (cycle, svar) pairs go
+   to the per-svar strategy's shared worker, not to the session's
+   engine, and the run reaches the per-svar strategy's fixed point. *)
 let test_alg2_handover () =
   let r, spent = Lazy.force countermeasure_alg2 in
   Alcotest.(check string)
