@@ -258,8 +258,7 @@ let golden_repr ?(stats = true) ?(cert = true) ?checkpoint
     | None -> "cert none"
     | Some c ->
         let t = c.Upec.Report.ct_totals in
-        (* "epochs=0" keeps the recorded digests: proof steps are no
-           longer checked in epochs *)
+        (* "epochs=0" is part of the recorded digests' text *)
         Printf.sprintf
           "cert unsat=%d sat=%d unknown=%d steps=%d lits=%d epochs=0 \
            validated=%s"
