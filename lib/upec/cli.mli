@@ -79,4 +79,5 @@ val options_of_json : Json.t -> int * Options.t
     the {!Options.default} values. [jobs] is kept literal — apply
     {!resolve_jobs} at the execution site. Members it does not read are
     ignored, so a job that still carries a dropped member (such as
-    [incremental]) parses, and keys, as the same job without it. *)
+    [incremental] or [cert_jobs]) parses, and keys, as the same job
+    without it. *)
