@@ -175,4 +175,29 @@ module Cnf = struct
 
   let assert_implies ctx a b =
     S.add_clause ctx.solver [ L.negate (sat_lit ctx a); sat_lit ctx b ]
+
+  (* An encoded node's Tseitin clauses make its variable equal to its
+     fan-ins' conjunction in every model, so it is read, not evaluated;
+     only nodes outside the encoding are evaluated, once each. *)
+  let model ctx value =
+    let g = ctx.graph in
+    let memo = Hashtbl.create 64 in
+    let rec node_val node =
+      if node < Array.length ctx.node_var && ctx.node_var.(node) >= 0 then
+        value (L.pos ctx.node_var.(node))
+      else
+        match Hashtbl.find_opt memo node with
+        | Some v -> v
+        | None ->
+            let v =
+              if g.fanin0.(node) < 0 then value (encode_lit ctx (2 * node))
+              else lit_val g.fanin0.(node) && lit_val g.fanin1.(node)
+            in
+            Hashtbl.add memo node v;
+            v
+    and lit_val l =
+      let v = node_val (node_of l) in
+      if compl_of l = 1 then not v else v
+    in
+    lit_val
 end

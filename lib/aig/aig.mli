@@ -80,4 +80,13 @@ module Cnf : sig
 
   val assert_implies : ctx -> lit -> lit -> unit
   (** Add clause [¬a ∨ b]. *)
+
+  val model : ctx -> (Satsolver.Lit.t -> bool) -> lit -> bool
+  (** [model ctx value] values AIG literals under a total assignment
+      [value] of the solver's variables that satisfies every clause
+      the context added: the same value as {!eval} with each variable
+      read through {!sat_lit}. An encoded node reads its own SAT
+      variable; any other node is evaluated from its fan-ins, each
+      once per [model ctx value] application, and a variable never
+      encoded is encoded first. *)
 end

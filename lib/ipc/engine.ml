@@ -133,10 +133,6 @@ let pre_encode t =
 
 let sat_vars t = S.nvars t.solver
 
-(* Value of an AIG literal under a SAT-variable valuation. *)
-let model_fn_of t sat_value =
-  let g = t.g in
-  fun l -> Aig.eval g (fun var_lit -> sat_value var_lit) l
 
 let account t tot = t.cert_tot <- Cert.Proof.add_totals t.cert_tot tot
 
@@ -292,10 +288,7 @@ let solve_raw_core t ~want_cex extra =
     | S.Unknown reason -> `Unknown reason
     | S.Solved S.Unsat -> `Unsat
     | S.Solved S.Sat ->
-        let sat_value lit =
-          try S.value t.solver lit with Invalid_argument _ -> false
-        in
-        `Sat (fun l -> sat_value (Aig.Cnf.sat_lit t.cnf l))
+        `Sat (fun lit -> try S.value t.solver lit with Invalid_argument _ -> false)
   end
   else begin
     let nvars, clauses, assumptions =
@@ -333,13 +326,12 @@ let solve_raw_core t ~want_cex extra =
     | Parallel.Portfolio.Sat model ->
         (* only consulted by witness-producing solves, which never use
            the reduced snapshot — the model indexes the full CNF *)
-        let sat_value lit =
-          let v = L.var lit in
-          if v < Array.length model then
-            if L.sign lit then model.(v) else not model.(v)
-          else false
-        in
-        `Sat (fun l -> sat_value (Aig.Cnf.sat_lit t.cnf l))
+        `Sat
+          (fun lit ->
+            let v = L.var lit in
+            if v < Array.length model then
+              if L.sign lit then model.(v) else not model.(v)
+            else false)
   end
 
 let solve_raw t ~want_cex extra =
@@ -371,7 +363,8 @@ let decide ?(cex = true) t q : verdict =
   | `Unknown reason -> Unknown reason
   | `Sat value ->
       Refuted
-        (if cex then Some (Cex.extract t.u (model_fn_of t value)) else None)
+        (if cex then Some (Cex.extract t.u (Aig.Cnf.model t.cnf value))
+         else None)
 
 (* --- reduction accounting ------------------------------------------- *)
 

@@ -528,6 +528,89 @@ let test_decide_witness_free () =
         bare)
     [ composite; prime ]
 
+(* A witness reads the SAT value of every node it encoded; that must be
+   what evaluating each extracted bit's cone from the witness's own
+   free variables (cycle-0 state, inputs, parameters) gives. Checked on
+   a model of a two-instance SoC engine at depth 2. *)
+let test_cex_reads_model () =
+  let spec =
+    Upec.Spec.make
+      (Soc.Builder.build Soc.Config.formal_tiny Soc.Builder.Formal)
+      Upec.Spec.Vulnerable
+  in
+  let nl = spec.Upec.Spec.soc.Soc.Builder.netlist in
+  let k = 2 in
+  let eng = Ipc.Engine.create ~two_instance:true nl in
+  Ipc.Engine.ensure_frames eng k;
+  Upec.Macros.assume_env eng spec ~frames:k;
+  for f = 0 to k do
+    Upec.Macros.frame_constraints eng spec ~frame:f
+  done;
+  let u = Ipc.Engine.unroller eng and g = Ipc.Engine.graph eng in
+  let svars = Structural.all_svars nl in
+  let differs =
+    Structural.Svar_set.fold
+      (fun sv acc -> Aig.lit_not (Unroller.svar_equal_lit u ~frame:k sv) :: acc)
+      svars []
+  in
+  let cex =
+    match
+      Ipc.Engine.decide eng (Ipc.Engine.Violation [ Aig.mk_or_list g differs ])
+    with
+    | Ipc.Engine.Refuted (Some cex) -> cex
+    | v -> Alcotest.failf "expected a witness, got %s" (verdict_str v)
+  in
+  let instances = [ Unroller.A; Unroller.B ] in
+  (* the witness's value of every free variable *)
+  let leaves = Hashtbl.create 1024 in
+  let leaf vec value =
+    Array.iteri
+      (fun i l ->
+        if (not (Aig.is_const l)) && Aig.fanins g (Aig.node_of l) = None then
+          Hashtbl.replace leaves (Aig.node_of l)
+            (Bitvec.bit value i <> Aig.complemented l))
+      vec
+  in
+  List.iter
+    (fun inst ->
+      Structural.Svar_set.iter
+        (fun sv ->
+          leaf (Unroller.svar_vec u inst ~frame:0 sv)
+            (Ipc.Cex.svar_value cex inst ~frame:0 sv))
+        svars;
+      for frame = 0 to k do
+        List.iter
+          (fun s ->
+            leaf (Unroller.input_vec u inst ~frame s)
+              (Ipc.Cex.input_value cex inst ~frame s))
+          nl.Netlist.inputs
+      done)
+    instances;
+  List.iter
+    (fun s -> leaf (Unroller.param_vec u s) (Ipc.Cex.param_value cex s))
+    nl.Netlist.params;
+  let eval l =
+    Aig.eval g (fun v -> Hashtbl.find leaves (Aig.node_of v)) l
+  in
+  let bits = ref 0 in
+  List.iter
+    (fun inst ->
+      for frame = 1 to k do
+        Structural.Svar_set.iter
+          (fun sv ->
+            let value = Ipc.Cex.svar_value cex inst ~frame sv in
+            Array.iteri
+              (fun i l ->
+                incr bits;
+                Alcotest.(check bool)
+                  (Printf.sprintf "%s@%d[%d]" (Structural.svar_name sv) frame i)
+                  (eval l) (Bitvec.bit value i))
+              (Unroller.svar_vec u inst ~frame sv))
+          svars
+      done)
+    instances;
+  Alcotest.(check bool) "bits compared" true (!bits > 0)
+
 let () =
   Alcotest.run "ipc"
     [
@@ -550,6 +633,8 @@ let () =
           Alcotest.test_case "cycle-0 sharing" `Quick test_share_cycle0;
           Alcotest.test_case "guarded cells never shared" `Quick
             test_share_guarded_cells;
+          Alcotest.test_case "witness = per-bit evaluation" `Quick
+            test_cex_reads_model;
         ] );
       ( "decide",
         [
