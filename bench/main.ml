@@ -13,12 +13,12 @@
    Each experiment writes to its own buffer, so concurrent runs print
    exactly the same report as sequential ones, in selection order. With
    several experiments selected, -j runs whole experiments concurrently;
-   with exactly one, -j is handed to the provers (per-svar strategy),
+   with exactly one, -j is handed to the provers (workers per round),
    which keeps the two levels of parallelism from oversubscribing. *)
 
 module Json = Upec.Json
 
-type ctx = { fmt : Format.formatter; jobs : int option }
+type ctx = { fmt : Format.formatter; jobs : int }
 
 let section ctx title =
   Format.fprintf ctx.fmt
@@ -40,8 +40,8 @@ let formal_soc ?(cfg = Soc.Config.formal_default) () =
 let spec ?cfg ?(pers = Upec.Spec.Full_pers) variant =
   Upec.Spec.make ~pers_model:pers (formal_soc ?cfg ()) variant
 
-(* The experiments run the default strategy with Alg. 1 capped at 64
-   iterations; [ctx.jobs] selects the per-svar strategy. *)
+(* The experiments run Alg. 1 capped at 64 iterations, with [ctx.jobs]
+   workers per round. *)
 let alg1_base = { Upec.Options.default with Upec.Options.max_iterations = 64 }
 let alg1_opts ctx = { alg1_base with Upec.Options.jobs = ctx.jobs }
 let alg2_opts ctx = { Upec.Options.default with Upec.Options.jobs = ctx.jobs }
@@ -129,9 +129,7 @@ let e2 ctx =
   let o2 =
     {
       o with
-      Upec.Options.jobs =
-        (match ctx.jobs with Some j -> Some j | None -> Some 2);
-      portfolio = 2;
+      Upec.Options.portfolio = 2;
     }
   in
   let cfg = { Soc.Config.formal_default with Soc.Config.with_dma = false } in
@@ -727,7 +725,7 @@ let budget_experiment ctx =
     "industrial property checking runs under resource caps; a budgeted \
      solve that gives up must degrade the verdict, not the tool. This \
      experiment sweeps a per-call conflict budget on the secure proof \
-     (per-svar strategy) and records how much of the verdict survives: \
+     (per-svar rounds) and records how much of the verdict survives: \
      degraded svars stay assumed but are no longer checked, so the result \
      is either the full SECURE verdict or an INCONCLUSIVE one naming \
      exactly what was left undecided — never a spurious flip.";
@@ -738,7 +736,7 @@ let budget_experiment ctx =
       priv_depth = 4;
     }
   in
-  let jobs = match ctx.jobs with Some j -> j | None -> 1 in
+  let jobs = ctx.jobs in
   let budgets = [ 50; 200; 1_000; 10_000; 0 (* unlimited *) ] in
   Format.fprintf ctx.fmt
     "conflict budget | retries | verdict | unknowns | iterations | time@.";
@@ -756,7 +754,7 @@ let budget_experiment ctx =
                   Upec.Alg1.run_with
                     {
                       alg1_base with
-                      Upec.Options.jobs = Some jobs;
+                      Upec.Options.jobs;
                       budget;
                       budget_retries = retries;
                     }
@@ -1272,14 +1270,14 @@ let () =
     exit 1
   end;
   (* Two levels of parallelism, never both: with one experiment selected,
-     -j goes to the provers (per-svar strategy); with several, -j runs
+     -j goes to the provers (workers per round); with several, -j runs
      whole experiments concurrently and the provers stay sequential. *)
   let resolve n = if n <= 0 then Parallel.Pool.default_jobs () else n in
   let outer_jobs, inner_jobs =
     match (jobs_arg, to_run) with
-    | None, _ -> (1, None)
-    | Some n, [ _ ] -> (1, Some (resolve n))
-    | Some n, _ -> (min (resolve n) (List.length to_run), None)
+    | None, _ -> (1, 1)
+    | Some n, [ _ ] -> (1, resolve n)
+    | Some n, _ -> (min (resolve n) (List.length to_run), 1)
   in
   let t0 = Unix.gettimeofday () in
   let results =

@@ -138,20 +138,14 @@ let json_arg =
 
 let jobs_arg =
   let doc =
-    "Run the per-svar strategy on N worker domains from the first \
-     iteration (0 or negative = auto: $(b,UPEC_JOBS) or the recommended \
-     domain count). Verdicts and reports are identical for every N. \
-     Without it, each iteration runs one monolithic check on one warm \
-     solver session until a check spends more than max(4096, twice the \
-     costliest earlier check's) conflicts; that iteration and every later \
-     one then run per-svar on one worker, and the report's procedure names \
-     the iteration. With $(b,--alg 2), the induction's first check counts \
-     the unrolled phase's checks as earlier ones. A \
-     $(b,--conflict-budget) at or below that cap turns it off for the \
-     check: exhaustion under the budget retries and ends the run \
-     inconclusive."
+    "Run each refinement round on N worker domains (default 1; 0 or \
+     negative = auto: $(b,UPEC_JOBS) or the recommended domain count). A \
+     round decides the persistent state variables on one worker, in \
+     order, and stops at the first that can diverge; it decides the \
+     others on all N. Verdicts, witnesses and reports are identical for \
+     every N."
   in
-  Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~doc ~docv:"N")
+  Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~doc ~docv:"N")
 
 let portfolio_arg =
   let doc =

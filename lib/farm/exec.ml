@@ -119,7 +119,8 @@ let run ~store job =
       let options =
         {
           job.Job.jb_options with
-          Upec.Options.jobs = Upec.Cli.resolve_jobs job.Job.jb_options.Upec.Options.jobs;
+          Upec.Options.jobs =
+            Upec.Cli.resolve_jobs job.Job.jb_options.Upec.Options.jobs;
         }
       in
       let report =

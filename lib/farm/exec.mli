@@ -16,10 +16,7 @@
       touches; only that cone re-solves.
 
     [run] never writes the store: new lemmas and the report travel in
-    the {!outcome} for the daemon (the single writer) to merge. The
-    lemma cache engages only under the per-svar strategy
-    ([Options.jobs = Some _]); monolithic runs still get report-level
-    caching. *)
+    the {!outcome} for the daemon (the single writer) to merge. *)
 
 type outcome = {
   oc_id : string;  (** echo of the job's correlation id *)

@@ -11,7 +11,7 @@ type t = {
   portfolio : int;  (* configs raced per solve; <= 1 means sequential *)
   configs : S.options list option;
   certify : bool;
-  session : Cert.Pipeline.t option;  (* certified sequential: mirrors [solver] *)
+  session : Cert.Pipeline.t option;  (* certified: mirrors [solver] *)
   simp : bool;  (* problem reduction for witness-free solves *)
   mutable assumed : Aig.lit list;  (* permanent assumptions, reversed *)
   mutable implications : (Aig.lit * Aig.lit) list;  (* reversed *)
@@ -33,11 +33,10 @@ let create ?solver_options ?(portfolio = 1) ?portfolio_configs
   let g = Aig.create () in
   let u = Unroller.create ?share g nl ~two_instance in
   let solver = S.create ?options:solver_options () in
-  (* A certified sequential engine's checker sees every clause the
-     solver does, from the constant-true unit [Aig.Cnf.create] adds on *)
+  (* A certified engine's checker sees every clause its own solver
+     does, from the constant-true unit [Aig.Cnf.create] adds on *)
   let session =
-    if certify && portfolio <= 1 then Some (Parallel.Portfolio.session solver)
-    else None
+    if certify then Some (Parallel.Portfolio.session solver) else None
   in
   let cnf = Aig.Cnf.create g solver in
   {
@@ -255,7 +254,7 @@ let reduced_snapshot t extra =
   t.red_snapshot <- Some (nvars, List.length clauses);
   (nvars, clauses, assumptions)
 
-let solve_raw_core t ~want_cex extra =
+let solve_raw_core t ~want_cex ~sequential extra =
   (* Reduction (simp): a witness-free solve only needs the logic that
      can reach its constraint cone. Sequentially that means skipping
      [pre_encode] — the lazy Tseitin encoding then IS the
@@ -266,7 +265,7 @@ let solve_raw_core t ~want_cex extra =
      simp on or off. *)
   let reduce = t.simp && not want_cex in
   if not reduce then pre_encode t;
-  if t.portfolio <= 1 then begin
+  if t.portfolio <= 1 || sequential then begin
     if reduce then begin
       t.red_solves <- t.red_solves + 1;
       Obs.Metrics.incr m_reduced
@@ -334,7 +333,7 @@ let solve_raw_core t ~want_cex extra =
             else false)
   end
 
-let solve_raw t ~want_cex extra =
+let solve_raw t ~want_cex ~sequential extra =
   Obs.Metrics.incr m_checks;
   Obs.Trace.with_span "ipc.check"
     ~attrs:
@@ -342,23 +341,23 @@ let solve_raw t ~want_cex extra =
         ( "mode",
           Obs.Trace.Str
             (if t.certify then "certified"
-             else if t.portfolio > 1 then "portfolio"
+             else if t.portfolio > 1 && not sequential then "portfolio"
              else "incremental") );
         ("assumptions", Obs.Trace.Int (List.length extra));
         ("reduced", Obs.Trace.Bool (t.simp && not want_cex));
       ]
-    (fun () -> solve_raw_core t ~want_cex extra)
+    (fun () -> solve_raw_core t ~want_cex ~sequential extra)
 
 (* --- the unified three-valued interface ----------------------------- *)
 
 type query = Goal of Aig.lit | Violation of Aig.lit list
 type verdict = Proved | Refuted of Cex.t option | Unknown of string
 
-let decide ?(cex = true) t q : verdict =
+let decide ?(cex = true) ?(sequential = false) t q : verdict =
   let extra =
     match q with Goal g -> [ Aig.lit_not g ] | Violation ls -> ls
   in
-  match solve_raw t ~want_cex:cex extra with
+  match solve_raw t ~want_cex:cex ~sequential extra with
   | `Unsat -> Proved
   | `Unknown reason -> Unknown reason
   | `Sat value ->

@@ -24,7 +24,8 @@
     the same decisions, conflicts and verdicts as an uncertified one.
     With [portfolio > 1], each race runs on one exported CNF snapshot,
     every racer's solver is mirrored by a session of its own, and the
-    winner's session vouches for the winner's answer.
+    winner's session vouches for the winner's answer; the engine's own
+    session vouches for its [~sequential] solves.
 
     With [simp] (the default), witness-free solves — {!decide} with
     [~cex:false] — are answered on a {e reduced} problem: only the cone
@@ -113,14 +114,16 @@ type verdict =
       (** budget ran out or the interrupt fired — a resource fact about
           this solve, not a property of the instance *)
 
-val decide : ?cex:bool -> t -> query -> verdict
+val decide : ?cex:bool -> ?sequential:bool -> t -> query -> verdict
 (** The one entry point every solve goes through. [Goal g] asks whether
     the assumptions imply [g] ([Proved] iff assumptions ∧ ¬g is UNSAT);
     [Violation ls] asks whether assumptions ∧ ⋀ls is reachable
     ([Refuted] iff SAT — the violation exists). With [~cex:false]
     (default [true]) no counterexample is extracted and the solve may
     run on the reduced problem; [Refuted None] then only reports
-    existence. *)
+    existence. With [~sequential:true] (default [false]) an engine
+    created with [portfolio > 1] solves on its own warm solver, as a
+    sequential engine does, instead of racing a snapshot. *)
 
 (** {1 Statistics} *)
 

@@ -22,42 +22,38 @@ type svar_cache = {
           never offered (exhaustion is a property of the budget, not
           the formula) *)
 }
-(** Memoisation hook for the per-svar strategy, used by the proof farm
+(** Memoisation hook for the per-svar checks, used by the proof farm
     ({!Farm.Exec}) with {!Fingerprint.check_key}-addressed lemmas. A
     sound cache must only answer when the design content the check
-    depends on is unchanged; the hook itself is trusted. Only the
-    per-svar round consults it: from the first iteration under
-    [Options.jobs = Some _], from the hand-over on under the default
-    strategy. A monolithic check solves one formula for all of S,
-    which no per-svar lemma answers. *)
+    depends on is unchanged; the hook itself is trusted. Every round
+    consults it before any worker solves; an answer counts as a
+    decision, and a refuted persistent check still gets its witness
+    from a solve (see {!Refine.run}). *)
 
 val run_with :
-  ?initial:Structural.Svar_set.t * int option ->
+  ?initial:Structural.Svar_set.t ->
   ?resume:Checkpoint.t ->
   ?svar_cache:svar_cache ->
   Options.t ->
   Spec.t ->
   Report.run
 (** Every knob lives in {!Options.t}
-    (strategy, problem reduction, certification, budgets, checkpoints
-    — see there). [initial = (s, costliest)] starts from [s] instead
-    of S_not_victim and seeds the hand-over cap with [costliest], the
-    conflicts of an earlier phase's costliest monolithic check ([None]:
-    it made none, and the first check runs uncapped); it is how
-    {!Alg2.conclude_with} runs the final induction. [resume] restarts
+    (workers, problem reduction, certification, budgets, checkpoints
+    — see there). [initial] starts from that set instead of
+    S_not_victim; it is how {!Alg2.conclude_with} runs the final
+    induction. [resume] restarts
     from a checkpoint, verifying its config hash ([Invalid_argument]
     on mismatch) — the final verdict is identical to an uninterrupted
     run's. [Options.max_k] and [Options.reset_start] are Alg2-only and
     ignored here.
 
-    {b Strategy selection.} [Options.jobs = Some j] decides every
-    state variable of S independently on a pool of [j] workers
-    (verdicts are semantic facts, so the refinement trace and verdict
-    are identical for every job count); [None] runs one monolithic
-    check per iteration, reusing a single warm solver session across
-    iterations, until a check reaches the hand-over cap (see
-    {!Options.t.jobs}). That iteration and every later one then run
-    per-svar on one worker. A per-svar worker is built for its round's
+    {b Rounds.} Every iteration decides, for each state variable of
+    S, whether it can diverge at cycle 1 under State_Equivalence(S) at
+    cycle 0: persistent ones first, in order, up to the first that can
+    (a vulnerability, with that svar's witness), then the rest on a
+    pool of [Options.jobs] workers ({!Refine.run}). Verdicts are
+    semantic facts, so the refinement trace, verdict and witness are
+    identical for every job count. A worker is built for its round's
     S, and its instance B shares A's cycle-0 state on S (METHOD.md
     §4).
 

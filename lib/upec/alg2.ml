@@ -10,57 +10,9 @@ type outcome =
    0..k. *)
 let goals (k, sf) = List.init k (fun i -> (i + 1, sf.(i + 1)))
 
-(* Decide the depth-k unrolled property on one engine whose frames
-   0..k are fully constrained. The goal — the conjunction of the
-   per-cycle equivalence obligations — rides on solver assumptions
-   through {!Ipc.Engine.decide}, never asserted, so a warm engine can be
-   re-asked with shrunken sets. *)
-let decide_unrolled ctx eng spec ((k, sf) as st) =
-  let g = Ipc.Engine.graph eng in
-  let goal = ref Aig.true_lit in
-  for j = 1 to k do
-    goal :=
-      Aig.mk_and g !goal
-        (Macros.state_equivalence_goal eng spec ~frame:j sf.(j))
-  done;
-  Refine.decide ctx eng ~goals:(goals st) (Ipc.Engine.Goal !goal)
-
-(* The monolithic checker: one engine across iterations AND
-   unroll-depth growth. Frame-0 equivalence is asserted once (sound —
-   the cycle-0 set never shrinks); when k grows, only the new frame's
-   environment and input constraints are appended. Learnt clauses and
-   branching heuristics stay warm across the whole refinement. *)
-type session = { i_eng : Ipc.Engine.t; mutable i_frames : int }
-
-let make_checker ctx spec s0 =
-  let session = ref None in
-  (* the session's engine, constrained over frames 0..k *)
-  let at_depth k =
-    let sess =
-      match !session with
-      | Some s -> s
-      | None ->
-          let eng = Refine.engine ctx ~k:1 in
-          Macros.state_equivalence_assume eng spec ~frame:0 s0;
-          let s = { i_eng = eng; i_frames = 1 } in
-          session := Some s;
-          s
-    in
-    if k > sess.i_frames then begin
-      Ipc.Engine.ensure_frames sess.i_eng k;
-      for f = sess.i_frames + 1 to k do
-        Macros.assume_env_at sess.i_eng spec ~frame:f;
-        Macros.frame_constraints sess.i_eng spec ~frame:f
-      done;
-      sess.i_frames <- k
-    end;
-    sess.i_eng
-  in
-  fun ((k, _) as st) -> decide_unrolled ctx (at_depth k) spec st
-
-(* Per-(cycle, svar) worker for one unroll depth k. The unrolled
-   property assumes equivalence only at cycle 0 — and that set never
-   shrinks — so the assumption set of every individual check is
+(* Per-(cycle, svar) worker of one round at unroll depth k. The
+   unrolled property assumes equivalence only at cycle 0 — and that set
+   never shrinks — so the assumption set of every individual check is
    constant: instance B shares A's cycle-0 state on [s0], frame-0
    equivalence of its guarded cells is asserted at worker construction,
    and each pair (j, sv) with j = 1..k gets one activation literal
@@ -83,8 +35,7 @@ let make_worker ctx spec (fr : Refine.frontier) =
   done;
   (eng, fun (j, sv) -> [ Hashtbl.find acts (j, Structural.svar_name sv) ])
 
-(* the run, with its hand-over cap state at the end *)
-let run ?resume (o : Options.t) spec =
+let run_with ?resume (o : Options.t) spec =
   let ctx = Refine.create Checkpoint.Alg2 ?resume o spec in
   let s0 = Spec.s_neg_victim spec in
   let outcome = ref Gave_up in
@@ -120,29 +71,20 @@ let run ?resume (o : Options.t) spec =
             List.iter (fun (j, v) -> sf.(j) <- Svars.diff sf.(j) v) per_frame;
             (k, sf));
         save = Fun.id;
-        monolithic = (fun () -> make_checker ctx spec s0);
         worker = make_worker ctx spec;
         lemmas = (fun _ -> None);
       }
       (match Refine.resumed ctx with Some st -> st | None -> (1, [| s0; s0 |]))
   in
   ( report,
-    (match report.Report.verdict with
+    match report.Report.verdict with
     | Report.Vulnerable _ -> Found_vulnerable
-    | _ -> !outcome),
-    Refine.costliest ctx )
-
-let run_with ?resume o spec =
-  let report, outcome, _ = run ?resume o spec in
-  (report, outcome)
+    | _ -> !outcome )
 
 (* [svar_cache] feeds only the induction phase: its obligations are
    exactly Alg. 1's 2-cycle per-svar checks, so farm lemmas apply
    verbatim. The unrolled phase's (frame, svar) obligations live in a
-   k-deep formula no 2-cycle lemma answers — they always solve. The
-   induction inherits the unrolled phase's hand-over cap state, so its
-   first check is capped like any later check of one run; a per-svar
-   unrolled phase makes no monolithic check and seeds nothing. *)
+   k-deep formula no 2-cycle lemma answers — they always solve. *)
 let conclude_with ?resume ?svar_cache (o : Options.t) spec =
   match resume with
   | Some ck when ck.Checkpoint.ck_alg = Checkpoint.Alg1 ->
@@ -150,8 +92,8 @@ let conclude_with ?resume ?svar_cache (o : Options.t) spec =
          checkpoint was written: resume the induction directly *)
       Refine.concluded (Alg1.run_with ~resume:ck ?svar_cache o spec)
   | _ -> (
-      match run ?resume o spec with
-      | report, (Found_vulnerable | Gave_up), _ -> report
-      | report, Hold { s_final; k = _ }, costliest ->
+      match run_with ?resume o spec with
+      | report, (Found_vulnerable | Gave_up) -> report
+      | report, Hold { s_final; k = _ } ->
           Refine.concluded ~unrolled:report
-            (Alg1.run_with ~initial:(s_final, costliest) ?svar_cache o spec))
+            (Alg1.run_with ~initial:s_final ?svar_cache o spec))

@@ -24,25 +24,20 @@ val run_with :
     A [Hold] outcome under [reset_start] carries no inductive meaning;
     it shows BMC finding nothing within the window.
 
-    {b Strategy selection.} [Options.jobs = Some j] decides each pair
-    [(cycle, sv)] independently on a pool of [j] workers. The unrolled
-    property only assumes equivalence at cycle 0 — a set that never
-    shrinks — so pair verdicts are semantic and the trace is identical
-    for every job count. [Options.jobs = None] runs one monolithic
-    check per iteration on a single warm solver session, reused across
-    iterations {e and} across unroll-depth growth — when the depth
-    grows only the new frame's constraints are appended, and the
-    shrinking per-cycle goal travels on solver assumptions, so learnt
-    clauses survive the whole refinement. A check that reaches the
-    hand-over cap (see {!Options.t.jobs}) hands that iteration and
-    every later one to the per-svar round on one worker. A per-svar
-    worker is built per unroll depth, and its instance B shares A's
-    cycle-0 state on the fixed cycle-0 set.
+    {b Rounds.} Every iteration decides each pair [(cycle, sv)]
+    independently: persistent pairs first, in order, up to the first
+    one that can diverge (a vulnerability, with that pair's explicit
+    witness), then the rest on a pool of [Options.jobs] workers
+    ({!Refine.run}). The unrolled property only assumes equivalence at
+    cycle 0 — a set that never shrinks — so pair verdicts are semantic
+    and the trace and witness are identical for every job count. A
+    worker is built per round, and its instance B shares A's cycle-0
+    state on the fixed cycle-0 set.
 
     {b Problem reduction.} [Options.simp] (on by default) restricts
-    witness-free solves to the cone of influence of the property; it
-    never changes verdicts, and counterexample extraction always runs
-    on the full encoding. [Options.portfolio] races that many solver
+    witness-free portfolio races to the cone of influence of the
+    property; it never changes verdicts, and counterexample extraction
+    always runs on the full encoding. [Options.portfolio] races that many solver
     configurations per SAT call.
 
     [Options.certify] and [Options.cex_vcd] behave as in
@@ -51,8 +46,8 @@ val run_with :
     vulnerable verdict's multi-cycle counterexample is replayed through
     the standalone simulator before it is reported.
 
-    {b Resource governance} works as in {!Alg1.run_with}; in the
-    per-svar strategy a pair [(j, sv)] still Unknown after the last
+    {b Resource governance} works as in {!Alg1.run_with}; a pair
+    [(j, sv)] still Unknown after the last
     retry stays in the cycle-[j] set but is no longer checked, recorded
     in [Report.unknowns] as ["name@j"]. Any undecided pair degrades a
     standalone Secure verdict to [Inconclusive]; the [Hold] outcome
@@ -76,18 +71,11 @@ val conclude_with :
     (certification and reduction accounting from both phases is
     summed).
 
-    The induction inherits the unrolled phase's hand-over cap state
-    (see {!Options.t.jobs}): its first monolithic check is capped at
-    [max 4096 (2 × the conflicts of the unrolled phase's costliest
-    monolithic check)] and, when the cap stops it, hands over to the
-    per-svar round like any later check of one run. A per-svar
-    unrolled phase makes no monolithic check and seeds nothing.
-
     With [Options.checkpoint_file], the unrolled phase writes Alg2
     checkpoints and the induction phase overwrites them with Alg1
     checkpoints; a [resume] checkpoint of either kind is routed to the
     right phase (an Alg1 checkpoint skips the unrolled phase
-    entirely, so the resumed induction's first check is uncapped).
+    entirely).
 
     [svar_cache] memoises the induction phase's per-svar checks (see
     {!Alg1.svar_cache}); the unrolled phase never consults it — its

@@ -20,8 +20,6 @@ type t = {
   ck_unknown : (string * string) list;
       (* svars degraded to Unknown so far, with the budget reason — they
          are out of every frame set but must surface in the report *)
-  ck_costliest : int option;  (* the hand-over cap state *)
-  ck_handover : int option;  (* the iteration that handed over *)
 }
 
 let version = 2
@@ -68,16 +66,9 @@ let config_hash ~alg spec =
 
 let to_string ck =
   let strs l = Json.List (List.map (fun n -> Json.Str n) l) in
-  (* the hand-over state is absent until it holds something, as in
-     checkpoints written before it was kept *)
-  let handover =
-    List.filter_map
-      (fun (name, v) -> Option.map (fun n -> (name, Json.Int n)) v)
-      [ ("costliest", ck.ck_costliest); ("handover", ck.ck_handover) ]
-  in
   Json.to_string
     (Json.Obj
-       ([
+       [
           ("magic", Json.Str magic);
           ("version", Json.Int version);
           ("alg", Json.Str (alg_tag ck.ck_alg));
@@ -92,8 +83,7 @@ let to_string ck =
                  (fun (n, r) ->
                    Json.Obj [ ("name", Json.Str n); ("reason", Json.Str r) ])
                  ck.ck_unknown) );
-        ]
-       @ handover))
+        ])
 
 (* [Some] only when every element converts *)
 let list_of conv j =
@@ -157,8 +147,10 @@ let of_string text =
            | _ -> None))
       j
   in
-  let* costliest = optional_count "costliest" j in
-  let* handover = optional_count "handover" j in
+  (* members of checkpoints written while runs could hand over from
+     monolithic checks: still checked, no longer used *)
+  let* _ = optional_count "costliest" j in
+  let* _ = optional_count "handover" j in
   Ok
     {
       ck_alg = alg;
@@ -168,8 +160,6 @@ let of_string text =
       ck_k = k;
       ck_frames = Array.of_list frames;
       ck_unknown = unknown;
-      ck_costliest = costliest;
-      ck_handover = handover;
     }
 
 let save path ck =

@@ -8,9 +8,8 @@
     formula, not of the schedule).
 
     The on-disk form is one {!Json} object (members [magic],
-    [version] 2, [alg], [variant], [hash], [iter], [k], [frames],
-    [unknown], and [costliest] and [handover] once they are set);
-    {!save} publishes it atomically ({!Atomic_file.write})
+    [version] 2, [alg], [variant], [hash], [iter], [k], [frames] and
+    [unknown]); {!save} publishes it atomically ({!Atomic_file.write})
     so a crash at any point leaves either the previous checkpoint or
     the new one — never a torn file. A config hash over the algorithm,
     design variant, persistence model and the full svar universe guards
@@ -31,14 +30,6 @@ type t = {
   ck_unknown : (string * string) list;
       (** svars degraded to Unknown with the resource reason; excluded
           from the frame sets but surfaced in the final report *)
-  ck_costliest : int option;
-      (** the default strategy's hand-over cap state: the conflicts of
-          the costliest monolithic decision so far; [None] before the
-          first one and in checkpoints written without it *)
-  ck_handover : int option;
-      (** the iteration at which the default strategy handed over to the
-          per-svar round; [None] before it and in checkpoints written
-          without it *)
 }
 
 val config_hash : alg:alg -> Spec.t -> string
@@ -50,7 +41,10 @@ val to_string : t -> string
 val of_string : string -> (t, string) result
 (** Inverse of {!to_string}; never raises. [Error] on malformed or
     truncated JSON, a missing or ill-typed member, a negative count, or
-    a wrong magic or version. *)
+    a wrong magic or version. Checkpoints of runs that could hand over
+    from monolithic checks to per-svar rounds may carry [costliest] and
+    [handover] counts; they are checked like any count and ignored, so
+    such a checkpoint resumes as the same frontier. *)
 
 val save : string -> t -> unit
 (** Atomic publish ({!Atomic_file.write}). May raise [Unix.Unix_error] /

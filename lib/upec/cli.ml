@@ -60,9 +60,7 @@ let spec_of d =
   in
   Spec.make ~pers_model soc variant
 
-let resolve_jobs = function
-  | Some n when n <= 0 -> Some (Parallel.Pool.default_jobs ())
-  | j -> j
+let resolve_jobs n = if n <= 0 then Parallel.Pool.default_jobs () else n
 
 let budget_of ~conflicts ~props ~seconds =
   {
@@ -155,8 +153,7 @@ let options_to_json ~alg (o : Options.t) =
       ("max_iterations", Json.Int o.Options.max_iterations);
       ("max_k", Json.Int o.Options.max_k);
       ("simp", Json.Bool o.Options.simp);
-      ( "jobs",
-        match o.Options.jobs with Some n -> Json.Int n | None -> Json.Null );
+      ("jobs", Json.Int o.Options.jobs);
       ("portfolio", Json.Int o.Options.portfolio);
       ("certify", Json.Bool o.Options.certify);
       ("max_conflicts", Json.Int o.Options.budget.S.max_conflicts);
@@ -170,21 +167,13 @@ let options_to_json ~alg (o : Options.t) =
 let options_of_json j =
   let d = Options.default in
   let alg = get_int j "alg" 1 in
-  let jobs =
-    match Json.member "jobs" j with
-    | Json.Null -> None
-    | v -> (
-        match Json.to_int v with
-        | Some n -> Some n
-        | None -> mem_err "jobs" "int")
-  in
   ( alg,
     {
       d with
       Options.max_iterations = get_int j "max_iterations" d.Options.max_iterations;
       max_k = get_int j "max_k" d.Options.max_k;
       simp = get_bool j "simp" d.Options.simp;
-      jobs;
+      jobs = get_int j "jobs" d.Options.jobs;
       portfolio = get_int j "portfolio" d.Options.portfolio;
       certify = get_bool j "certify" d.Options.certify;
       budget =

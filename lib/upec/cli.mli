@@ -42,11 +42,10 @@ val spec_of : design -> Spec.t
     variant/pers strings fall back to the defaults (matching the
     historical flag behaviour). *)
 
-val resolve_jobs : int option -> int option
-(** [Some n] with [n <= 0] (auto) becomes
-    [Some (Parallel.Pool.default_jobs ())], so a report echoes the job
-    count that actually ran; [Some n] with [n > 0] and [None] (the
-    default strategy) are kept. *)
+val resolve_jobs : int -> int
+(** A count [n <= 0] (auto) becomes [Parallel.Pool.default_jobs ()], so
+    a report echoes the worker count that actually ran; a positive
+    count is kept. *)
 
 val budget_of :
   conflicts:int -> props:int -> seconds:float -> Satsolver.Solver.budget
@@ -77,7 +76,7 @@ val options_of_json : Json.t -> int * Options.t
     process-local fields ([should_stop], [checkpoint_file], [cex_vcd],
     [solver_options]) are not part of the wire format and come back as
     the {!Options.default} values. [jobs] is kept literal — apply
-    {!resolve_jobs} at the execution site. Members it does not read are
-    ignored, so a job that still carries a dropped member (such as
-    [incremental] or [cert_jobs]) parses, and keys, as the same job
-    without it. *)
+    {!resolve_jobs} at the execution site; an absent or [null] [jobs]
+    is the default count. Members it does not read are ignored, so a
+    job that still carries a dropped member (such as [incremental] or
+    [cert_jobs]) parses, and keys, as the same job without it. *)

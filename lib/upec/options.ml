@@ -5,7 +5,7 @@ type t = {
   max_k : int;
   solver_options : S.options option;
   simp : bool;
-  jobs : int option;
+  jobs : int;
   portfolio : int;
   certify : bool;
   cex_vcd : string option;
@@ -23,7 +23,7 @@ let default =
     max_k = 8;
     solver_options = None;
     simp = true;
-    jobs = None;
+    jobs = 1;
     portfolio = 1;
     certify = false;
     cex_vcd = None;

@@ -27,13 +27,6 @@ type t = {
   undecided : (int * string, unit) Hashtbl.t;
   mutable steps : Report.step list;  (* reverse order *)
   mutable cex_validated : bool option;
-  (* conflicts of the costliest monolithic decision so far; [None]
-     until the first one, which runs uncapped (see [decide]), unless
-     the run inherits an unrolled phase's *)
-  mutable costliest : int option;
-  (* the iteration at which the default strategy handed over to the
-     per-svar round *)
-  mutable handover : int option;
 }
 
 let netlist ctx = ctx.spec.Spec.soc.Soc.Builder.netlist
@@ -45,23 +38,11 @@ let caller = function
   | Checkpoint.Alg2 -> "Alg2.run_with"
 
 let procedure ctx =
-  let o = ctx.o in
-  let base =
-    match ctx.alg with
-    | Checkpoint.Alg1 -> "UPEC-SSC (Alg. 1"
-    | Checkpoint.Alg2 when o.Options.reset_start ->
-        "BMC-from-reset (Alg. 2 property"
-    | Checkpoint.Alg2 -> "UPEC-SSC-unrolled (Alg. 2"
-  in
-  let strategy =
-    match (o.Options.jobs, ctx.handover) with
-    | Some _, _ -> [ "per-svar" ]
-    | None, handover ->
-        "incremental"
-        :: List.map (Printf.sprintf "per-svar from iteration %d")
-             (Option.to_list handover)
-  in
-  String.concat ", " (base :: strategy) ^ ")"
+  match ctx.alg with
+  | Checkpoint.Alg1 -> "UPEC-SSC (Alg. 1, per-svar)"
+  | Checkpoint.Alg2 when ctx.o.Options.reset_start ->
+      "BMC-from-reset (Alg. 2 property, per-svar)"
+  | Checkpoint.Alg2 -> "UPEC-SSC-unrolled (Alg. 2, per-svar)"
 
 (* Undecided Alg. 2 pairs are recorded in checkpoints and reports as
    "name@j"; the reason string stays plain. *)
@@ -99,7 +80,7 @@ let resolve_names tbl names ~what =
             (Printf.sprintf "%s: checkpoint names unknown state var %s" what n))
     Svars.empty names
 
-let create alg ?resume ?costliest (o : Options.t) spec =
+let create alg ?resume (o : Options.t) spec =
   let t0 = Unix.gettimeofday () in
   let config_hash = lazy (Checkpoint.config_hash ~alg spec) in
   let undecided = Hashtbl.create 64 in
@@ -153,16 +134,9 @@ let create alg ?resume ?costliest (o : Options.t) spec =
     undecided;
     steps = [];
     cex_validated = None;
-    (* a resumed run continues the cap state it was checkpointed with *)
-    costliest =
-      (match resume with
-      | Some ck -> ck.Checkpoint.ck_costliest
-      | None -> costliest);
-    handover = Option.bind resume (fun ck -> ck.Checkpoint.ck_handover);
   }
 
 let resumed ctx = ctx.resumed
-let costliest ctx = ctx.costliest
 
 let stopped ctx =
   match ctx.o.Options.should_stop with Some f -> f () | None -> false
@@ -170,17 +144,16 @@ let stopped ctx =
 (* ---- engines ---- *)
 
 (* Shared two-instance session setup. The cooperative cancellation hook
-   comes from [should_stop], polled from inside every solve. [portfolio]
-   is explicit because witness re-derivation always runs sequentially.
-   With [share], instance B's cycle-0 state of every svar of that set
-   without a victim-cell guard is A's own ({!Macros.cycle0_shared}). *)
-let setup_engine ?share ctx ~portfolio ~k =
+   comes from [should_stop], polled from inside every solve. With
+   [share], instance B's cycle-0 state of every svar of that set without
+   a victim-cell guard is A's own ({!Macros.cycle0_shared}). *)
+let engine ?share ctx ~k =
   let o = ctx.o and spec = ctx.spec in
   let share = Option.map (Macros.cycle0_shared spec) share in
   let eng =
-    Ipc.Engine.create ?solver_options:o.Options.solver_options ~portfolio
-      ~certify:o.Options.certify ~simp:o.Options.simp ?share
-      ~two_instance:true (netlist ctx)
+    Ipc.Engine.create ?solver_options:o.Options.solver_options
+      ~portfolio:o.Options.portfolio ~certify:o.Options.certify
+      ~simp:o.Options.simp ?share ~two_instance:true (netlist ctx)
   in
   Mutex.protect ctx.reg_mu (fun () -> ctx.engines <- eng :: ctx.engines);
   Ipc.Engine.set_interrupt eng o.Options.should_stop;
@@ -192,9 +165,6 @@ let setup_engine ?share ctx ~portfolio ~k =
     Macros.frame_constraints eng spec ~frame:f
   done;
   eng
-
-let engine ?share ctx ~k =
-  setup_engine ?share ctx ~portfolio:ctx.o.Options.portfolio ~k
 
 let merge_simp a b =
   match (a, b) with
@@ -246,89 +216,26 @@ let no_work =
    under [budget]; every budget-exhausted Unknown is retried with the
    limits scaled by [budget_escalation], at most [budget_retries] extra
    times. An interrupt is a control transfer, not exhaustion — never
-   retried. The work reported is that of every attempt. A [cap] below
-   the budget's conflict limit at attempt 0 replaces that limit in
-   every attempt, and the bool next to the verdict says the cap stopped
-   the solve, which is then not retried; a cap at or above the budget's
-   limit is ignored, so the budget keeps its retries. *)
-let with_retries ?cap (o : Options.t) eng (solve : unit -> Ipc.Engine.verdict)
-    =
-  let budget = o.Options.budget in
-  let cap =
-    match cap with
-    | Some c when budget.S.max_conflicts < 0 || c < budget.S.max_conflicts ->
-        Some c
-    | _ -> None
-  in
+   retried. The work reported is that of every attempt. *)
+let with_retries (o : Options.t) eng (solve : unit -> Ipc.Engine.verdict) =
   let rec attempt n b work =
-    Ipc.Engine.set_budget eng
-      (match cap with Some c -> { b with S.max_conflicts = c } | None -> b);
+    Ipc.Engine.set_budget eng b;
     let v = solve () in
     let work = add_work work (solved eng ()) in
     match v with
-    | Ipc.Engine.Unknown "conflict budget exhausted" when cap <> None ->
-        ({ work with result = v }, true)
     | Ipc.Engine.Unknown reason
       when reason <> "interrupted" && n < o.Options.budget_retries ->
         attempt (n + 1) (S.scale_budget b o.Options.budget_escalation) work
-    | _ -> ({ work with result = v }, false)
+    | _ -> { work with result = v }
   in
-  attempt 0 budget no_work
+  attempt 0 o.Options.budget no_work
 
-type check =
-  | Holds
-  | Cex of Ipc.Cex.t * (int * Svars.t) list
-      (* a model, with the svars it shows diverging per cycle *)
-  | Capped  (* stopped by the hand-over cap: the per-svar round takes over *)
-  | Unknown of string
-
-type decision = check solved
-
-(* The hand-over cap of the default strategy. A run's first monolithic
-   decision is uncapped, unless the run inherits the costliest decision
-   of an unrolled phase; every later one is capped at [handover_factor]
-   times the conflicts of the costliest decision so far, at least
-   [handover_floor]. Monolithic refinement finds a witness in a few
-   thousand conflicts, while a proof's last, inductive UNSAT check can
-   take a hundred thousand, which the per-svar round decides in about
-   half. A run that never reaches the cap is the plain monolithic run:
-   a conflict limit changes the search only once it is exhausted. *)
-let handover_floor = 4096
-let handover_factor = 2
-
-let decide ctx eng ~goals query =
-  let cap =
-    Option.map
-      (fun c -> max handover_floor (handover_factor * c))
-      ctx.costliest
-  in
-  let d, capped =
-    with_retries ?cap ctx.o eng (fun () -> Ipc.Engine.decide eng query)
-  in
-  ctx.costliest <-
-    Some (max d.stats.S.conflicts (Option.value ctx.costliest ~default:0));
-  {
-    d with
-    result =
-      (match d.result with
-      | _ when capped -> Capped
-      | Ipc.Engine.Proved -> Holds
-      | Ipc.Engine.Refuted c ->
-          let cex = Option.get c in
-          Cex
-            ( cex,
-              List.map
-                (fun (j, s) ->
-                  (j, Macros.violations eng ctx.spec cex ~frame:j s))
-                goals )
-      | Ipc.Engine.Unknown reason -> Unknown reason);
-  }
-
-(* summed work of several decisions, on top of [init]; the last
-   portfolio winner *)
-let sum ?(init = no_work) results =
+(* summed work of several decisions; the last portfolio winner *)
+let sum results =
   let w =
-    List.fold_left (fun w r -> add_work w { r with result = () }) init results
+    List.fold_left
+      (fun w r -> add_work w { r with result = () })
+      no_work results
   in
   (w.stats, w.winner, w.losers)
 
@@ -361,27 +268,11 @@ type frontier = {
   goals : (int * Svars.t) list;
 }
 
-(* Deterministic counterexample for a per-svar hit: a worker's engine
-   has solved a schedule-dependent sequence of obligations, so its model
-   is not reproducible. Re-derive the witness on a fresh sequential
-   engine for one fixed obligation, without a budget — only an
-   interrupt can stop it, surfacing as a missing witness. *)
-let extract_cex ctx fr (j, sv) =
-  let eng = setup_engine ctx ~portfolio:1 ~k:fr.k in
-  Macros.state_equivalence_assume eng ctx.spec ~frame:0 fr.s0;
-  match
-    Ipc.Engine.decide eng
-      (Ipc.Engine.Violation
-         [ Aig.lit_not (Macros.sv_condition eng ctx.spec ~frame:j sv) ])
-  with
-  | Ipc.Engine.Refuted c -> c
-  | Ipc.Engine.Proved | Ipc.Engine.Unknown _ -> None
-
 (* ---- report ---- *)
 
 let s_size fr = Svars.cardinal (List.assoc fr.k fr.goals)
 
-(* [record] is the single funnel of every strategy: it reports the
+(* [record] is the single funnel of every round: it reports the
    iteration's S_cex as an instant event inside the iteration's span
    (see [run]). *)
 let record ctx ~iter fr ~it0 ~s_cex ~pers_hit ~unknown (stats, winner, losers)
@@ -509,8 +400,6 @@ let save ctx ~next_iter (k, frames) =
               (fun s -> List.map Structural.svar_name (Svars.elements s))
               frames;
           ck_unknown = List.rev ctx.unknowns;
-          ck_costliest = ctx.costliest;
-          ck_handover = ctx.handover;
         }
 
 (* ---- the refinement loop ---- *)
@@ -527,7 +416,6 @@ type 'st property = {
   holds : 'st -> 'st step;
   refine : 'st -> (int * Svars.t) list -> 'st;
   save : 'st -> int * Svars.t array;
-  monolithic : unit -> 'st -> decision;
   worker : frontier -> Ipc.Engine.t * (obligation -> Aig.lit list);
   lemmas : 'st -> lemmas option;
 }
@@ -537,59 +425,80 @@ let union per_frame =
 
 let interrupted = Stop (Report.Inconclusive "interrupted")
 
-(* One check of the whole frontier. A monolithic check cannot attribute
-   exhaustion to one svar: Unknown ends the run inconclusive. A check
-   the hand-over cap stopped goes to [handover] with its start time. *)
-let monolithic_round ctx p check ~handover ~iter st =
+
+(* --- the per-svar round ----------------------------------------------
+
+   Instead of one check whose S_cex is whatever happens to differ in one
+   model, decide for every obligation (j, sv) independently whether sv
+   *can* differ at cycle j. Each answer is a semantic fact about the
+   formula, so S_cex — and with it the whole refinement trace — is
+   identical for every job count and schedule.
+
+   Persistent obligations come first, one at a time on worker 0 in
+   obligation order: the first one refuted proves the design vulnerable
+   and ends the round, with a witness for it alone. Otherwise the
+   non-persistent obligations go to the pool, and S_cex is every one
+   refuted. *)
+
+(* A round's worker: an engine built for the round's frontier, the
+   assumption literals of each obligation, and the obligations decided
+   on it, latest first. *)
+type worker = {
+  eng : Ipc.Engine.t;
+  query : obligation -> Aig.lit list;
+  mutable history : obligation list;
+}
+
+(* One obligation decided witness-free on [w] under the budget. *)
+let decide ctx ?(sequential = false) w ((j, sv) as ob) =
+  Obs.Trace.with_span
+    (match ctx.alg with
+    | Checkpoint.Alg1 -> "alg1.svar"
+    | Checkpoint.Alg2 -> "alg2.pair")
+    ~attrs:
+      [
+        ("svar", Obs.Trace.Str (Structural.svar_name sv));
+        ("frame", Obs.Trace.Int j);
+      ]
+  @@ fun () ->
+  let d =
+    with_retries ctx.o w.eng (fun () ->
+        Ipc.Engine.decide ~cex:false ~sequential w.eng
+          (Ipc.Engine.Violation (w.query ob)))
+  in
+  w.history <- ob :: w.history;
+  { d with result = (ob, d.result) }
+
+(* The witness of a refuted persistent obligation [ob]: [ob] re-decided
+   with a model on worker 0's own solver, without a budget. That solver
+   first gets the history it has in a sequential run without a lemma
+   cache — the round's persistent obligations up to [ob], decided
+   witness-free in order — so the witness is the same for every job
+   count, portfolio and cache: a racing worker's solver replays what it
+   raced, and an obligation the cache answered is solved. Returns the
+   work of every solve, the witness solve last. *)
+let witness ctx w ((j, sv) as ob) =
+  let replay =
+    if ctx.o.Options.portfolio > 1 then List.rev w.history else []
+  in
+  let replay =
+    match w.history with
+    | (j', sv') :: _ when j' = j && Structural.compare_svar sv' sv = 0 ->
+        replay
+    | _ -> replay @ [ ob ]
+  in
+  let work = List.map (decide ctx ~sequential:true w) replay in
+  Ipc.Engine.set_budget w.eng S.no_budget;
+  let v =
+    Ipc.Engine.decide ~sequential:true w.eng
+      (Ipc.Engine.Violation (w.query ob))
+  in
+  work @ [ solved w.eng (ob, v) ]
+
+let round ctx p pool ~iter st =
   let it0 = Unix.gettimeofday () in
   let fr = p.frontier st in
-  let d = check st in
-  match d.result with
-  | Capped -> handover (it0, d)
-  | Unknown reason ->
-      Stop
-        (Report.Inconclusive
-           (if stopped ctx || reason = "interrupted" then "interrupted"
-            else "undecided within budget: " ^ reason))
-  | Holds ->
-      record ctx ~iter fr ~it0 ~s_cex:Svars.empty ~pers_hit:Svars.empty
-        ~unknown:Svars.empty (sum [ d ]);
-      p.holds st
-  | Cex (cex, per_frame) ->
-      if stopped ctx then interrupted
-      else begin
-        let s_cex = union per_frame in
-        let pers_hit = Svars.filter (Spec.is_pers ctx.spec) s_cex in
-        record ctx ~iter fr ~it0 ~s_cex ~pers_hit ~unknown:Svars.empty
-          (sum [ d ]);
-        if Svars.is_empty s_cex then
-          Stop
-            (Report.Inconclusive
-               "counterexample without S_cex (spurious model)")
-        else if not (Svars.is_empty pers_hit) then
-          Stop (validate_cex ctx ~claimed:s_cex ~s_cex cex)
-        else Next (p.refine st per_frame)
-      end
-
-(* --- per-svar decomposition (the parallel strategy) ------------------
-
-   Instead of one monolithic check whose S_cex is whatever happens to
-   differ in the solver's model, decide for every obligation (j, sv)
-   independently whether sv *can* differ at cycle j. Each answer is a
-   semantic fact about the formula, so S_cex — and with it the whole
-   refinement trace — is identical for every job count and schedule.
-
-   Persistent svars are checked first: any satisfiable one proves the
-   design vulnerable and ends the run without touching the rest. A
-   hand-over round starts at the capped monolithic [probe] it takes
-   over from, whose time and work it reports. *)
-let per_svar_round ctx p decide_batch ?probe ~iter st =
-  let it0, init =
-    match probe with
-    | Some (it0, d) -> (it0, { d with result = () })
-    | None -> (Unix.gettimeofday (), no_work)
-  in
-  let fr = p.frontier st in
+  let lemmas = p.lemmas st in
   let is_pers = Spec.is_pers ctx.spec in
   let obligations wanted =
     List.concat_map
@@ -604,6 +513,55 @@ let per_svar_round ctx p decide_batch ?probe ~iter st =
           (Svars.elements s))
       fr.goals
   in
+  (* the round's workers, one per pool domain, each built on first use
+     for the round's unroll depth and cycle-0 set and pre-encoded, so
+     its CNF is the same with problem reduction on or off *)
+  let workers = Array.make (Parallel.Pool.jobs pool) None in
+  let worker wid =
+    match workers.(wid) with
+    | Some w -> w
+    | None ->
+        let eng, query = p.worker fr in
+        Ipc.Engine.pre_encode eng;
+        let w = { eng; query; history = [] } in
+        workers.(wid) <- Some w;
+        w
+  in
+  (* a lemma answers an obligation before any worker sees it, and every
+     fresh answer is offered back; Unknowns never are *)
+  let lookup ob = Option.bind lemmas (fun l -> l.lookup ob) in
+  let cached ob holds =
+    {
+      no_work with
+      result =
+        (ob, if holds then Ipc.Engine.Proved else Ipc.Engine.Refuted None);
+    }
+  in
+  let store r =
+    Option.iter
+      (fun l ->
+        match r.result with
+        | ob, Ipc.Engine.Proved -> l.store ob ~holds:true
+        | ob, Ipc.Engine.Refuted _ -> l.store ob ~holds:false
+        | _, Ipc.Engine.Unknown _ -> ())
+      lemmas
+  in
+  let rec persistent acc = function
+    | [] -> (List.rev acc, None)
+    | ob :: rest -> (
+        let r =
+          match lookup ob with
+          | Some holds -> cached ob holds
+          | None ->
+              let r = decide ctx (worker 0) ob in
+              store r;
+              r
+        in
+        match r.result with
+        | _, Ipc.Engine.Refuted _ -> (List.rev (r :: acc), Some ob)
+        | _ when stopped ctx -> (List.rev (r :: acc), None)
+        | _ -> persistent (r :: acc) rest)
+  in
   let refuted results =
     List.filter_map
       (fun r ->
@@ -613,148 +571,77 @@ let per_svar_round ctx p decide_batch ?probe ~iter st =
       results
   in
   let svars obs = Svars.of_list (List.map snd obs) in
-  let pers = decide_batch st fr (obligations is_pers) in
-  if stopped ctx then interrupted
-  else
-    match refuted pers with
-    | _ :: _ as pers_sat -> (
-        (* Vulnerable: no need to classify the remaining svars. Another
-           svar's Unknown cannot retract a concrete SAT. *)
-        let pers_hit = svars pers_sat in
-        let unknown = note_unknowns ctx pers in
-        record ctx ~iter fr ~it0 ~s_cex:pers_hit ~pers_hit ~unknown
-          (sum ~init pers);
-        (* deterministic witness: smallest cycle, then svar order *)
-        let witness =
-          List.fold_left
-            (fun ((j, sv) as best) ((j', sv') as ob) ->
-              if j' < j || (j' = j && Structural.compare_svar sv' sv < 0) then
-                ob
-              else best)
-            (List.hd pers_sat) pers_sat
-        in
-        match extract_cex ctx fr witness with
-        | Some cex ->
-            Stop
-              (validate_cex ctx
-                 ~claimed:(Svars.singleton (snd witness))
-                 ~s_cex:pers_hit cex)
-        | None ->
-            if stopped ctx then interrupted
-            else
+  let outcome =
+    let pers, hit = persistent [] (obligations is_pers) in
+    if stopped ctx then interrupted
+    else
+      match hit with
+      | Some ((_, sv) as ob) -> (
+          (* Vulnerable: no need to classify the remaining svars. Another
+             svar's Unknown cannot retract a concrete SAT. *)
+          let pers_hit = Svars.singleton sv in
+          let unknown = note_unknowns ctx pers in
+          let work = witness ctx (worker 0) ob in
+          record ctx ~iter fr ~it0 ~s_cex:pers_hit ~pers_hit ~unknown
+            (sum (pers @ work));
+          match (List.hd (List.rev work)).result with
+          | _, Ipc.Engine.Refuted (Some cex) ->
+              Stop (validate_cex ctx ~claimed:pers_hit ~s_cex:pers_hit cex)
+          | _ when stopped ctx -> interrupted
+          | _ ->
               Stop
-                (Report.Inconclusive
-                   "per-svar SAT not reproducible on a fresh engine"))
-    | [] ->
-        let rest =
-          decide_batch st fr (obligations (fun sv -> not (is_pers sv)))
-        in
-        if stopped ctx then interrupted
-        else begin
-          let sat = refuted rest in
-          let per_frame =
+                (Report.Inconclusive "per-svar SAT not reproducible on its worker"))
+      | None ->
+          let looked =
             List.map
-              (fun (j, _) ->
-                (j, svars (List.filter (fun (j', _) -> j' = j) sat)))
-              fr.goals
+              (fun ob -> (ob, lookup ob))
+              (obligations (fun sv -> not (is_pers sv)))
           in
-          let s_cex = union per_frame in
-          (* Alg. 2 has always listed the second batch's degradations
-             first; the order shows in reports and checkpoints *)
-          let unknown =
-            note_unknowns ctx
-              (match ctx.alg with
-              | Checkpoint.Alg1 -> pers @ rest
-              | Checkpoint.Alg2 -> rest @ pers)
+          let fresh =
+            Parallel.Pool.map_wid pool
+              (fun wid ob -> decide ctx (worker wid) ob)
+              (List.filter_map
+                 (fun (ob, c) -> if c = None then Some ob else None)
+                 looked)
           in
-          record ctx ~iter fr ~it0 ~s_cex ~pers_hit:Svars.empty ~unknown
-            (sum ~init (pers @ rest));
-          (* every goal still being decided held: a fixed point, whose
-             Secure claim [finish] degrades if anything stayed undecided *)
-          if Svars.is_empty s_cex then p.holds st
-          else Next (p.refine st per_frame)
-        end
-
-(* Obligations go to a pool with one lazily built [worker] per domain,
-   built for the frontier's unroll depth and cycle-0 set: a worker
-   shares instance B's cycle-0 state on that set, so it answers only
-   that frontier's obligations, and the one it supersedes is retired.
-   Cached obligations are answered before the pool sees them and fresh
-   results are offered back; the merged batch keeps the obligation
-   order, so the rest of the round cannot tell the difference (a cached
-   SAT carries no model — witness extraction always re-solves on a
-   fresh engine). *)
-let per_svar_batches ctx p pool =
-  let workers = Array.make (Parallel.Pool.jobs pool) None in
-  let worker fr wid =
-    match workers.(wid) with
-    | Some (fr', w) when fr'.k = fr.k && Svars.equal fr'.s0 fr.s0 -> w
-    | old ->
-        Option.iter (fun (_, (eng, _)) -> retire ctx eng) old;
-        let w = p.worker fr in
-        workers.(wid) <- Some (fr, w);
-        w
+          List.iter store fresh;
+          (* the cached and fresh answers in obligation order *)
+          let rec merge looked fresh =
+            match (looked, fresh) with
+            | (ob, Some holds) :: looked, _ -> cached ob holds :: merge looked fresh
+            | (_, None) :: looked, r :: fresh -> r :: merge looked fresh
+            | _ -> []
+          in
+          let rest = merge looked fresh in
+          if stopped ctx then interrupted
+          else begin
+            let sat = refuted rest in
+            let per_frame =
+              List.map
+                (fun (j, _) ->
+                  (j, svars (List.filter (fun (j', _) -> j' = j) sat)))
+                fr.goals
+            in
+            let s_cex = union per_frame in
+            (* Alg. 2 has always listed the second batch's degradations
+               first; the order shows in reports and checkpoints *)
+            let unknown =
+              note_unknowns ctx
+                (match ctx.alg with
+                | Checkpoint.Alg1 -> pers @ rest
+                | Checkpoint.Alg2 -> rest @ pers)
+            in
+            record ctx ~iter fr ~it0 ~s_cex ~pers_hit:Svars.empty ~unknown
+              (sum (pers @ rest));
+            (* every goal still being decided held: a fixed point, whose
+               Secure claim [finish] degrades if anything stayed undecided *)
+            if Svars.is_empty s_cex then p.holds st
+            else Next (p.refine st per_frame)
+          end
   in
-  let solve fr obs =
-    Parallel.Pool.map_wid pool
-      (fun wid ((j, sv) as ob) ->
-        let eng, query = worker fr wid in
-        Obs.Trace.with_span
-          (match ctx.alg with
-          | Checkpoint.Alg1 -> "alg1.svar"
-          | Checkpoint.Alg2 -> "alg2.pair")
-          ~attrs:
-            [
-              ("svar", Obs.Trace.Str (Structural.svar_name sv));
-              ("frame", Obs.Trace.Int j);
-            ]
-        @@ fun () ->
-        let assumptions = query ob in
-        (* no cap here: the bool is always false *)
-        let d, _ =
-          with_retries ctx.o eng (fun () ->
-              Ipc.Engine.decide ~cex:false eng
-                (Ipc.Engine.Violation assumptions))
-        in
-        { d with result = (ob, d.result) })
-      obs
-  in
-  fun st fr obs ->
-    let lemmas = p.lemmas st in
-    let looked =
-      List.map (fun ob -> (ob, Option.bind lemmas (fun l -> l.lookup ob))) obs
-    in
-    let fresh =
-      solve fr
-        (List.filter_map
-           (fun (ob, cached) -> if cached = None then Some ob else None)
-           looked)
-    in
-    Option.iter
-      (fun l ->
-        List.iter
-          (fun r ->
-            match r.result with
-            | ob, Ipc.Engine.Proved -> l.store ob ~holds:true
-            | ob, Ipc.Engine.Refuted _ -> l.store ob ~holds:false
-            | _, Ipc.Engine.Unknown _ -> ())
-          fresh)
-      lemmas;
-    let rec merge looked fresh =
-      match (looked, fresh) with
-      | (ob, Some holds) :: looked, _ ->
-          {
-            result =
-              (ob, if holds then Ipc.Engine.Proved else Ipc.Engine.Refuted None);
-            stats = S.zero_stats;
-            winner = None;
-            losers = S.zero_stats;
-          }
-          :: merge looked fresh
-      | (_, None) :: looked, r :: fresh -> r :: merge looked fresh
-      | _ -> []
-    in
-    merge looked fresh
+  (* no reference to a finished round's workers survives it *)
+  Array.iter (Option.iter (fun w -> retire ctx w.eng)) workers;
+  outcome
 
 let run ctx p st0 =
   (* every iteration's work nests in one span *)
@@ -772,37 +659,17 @@ let run ctx p st0 =
         ]
       f
   in
-  let iterate round =
-    let rec loop iter st =
-      if iter > ctx.o.Options.max_iterations then
-        finish ctx (Report.Inconclusive "iteration budget exhausted")
-      else
-        match span ~iter st (fun () -> round ~iter st) with
-        | Stop verdict -> finish ctx verdict
-        | Next st ->
-            save ctx ~next_iter:(iter + 1) (p.save st);
-            loop (iter + 1) st
-    in
-    loop
-      (match ctx.resume with Some ck -> ck.Checkpoint.ck_iter | None -> 1)
-      st0
-  in
-  match ctx.o.Options.jobs with
-  | Some j ->
-      Parallel.Pool.with_pool ~jobs:(max 1 j) (fun pool ->
-          let batches = per_svar_batches ctx p pool in
-          iterate (fun ~iter st -> per_svar_round ctx p batches ~iter st))
-  | None ->
-      (* monolithic until the hand-over cap stops a check (see
-         [handover_floor]), then per-svar on one worker for that
-         iteration and every later one *)
-      Parallel.Pool.with_pool ~jobs:1 (fun pool ->
-          let check = p.monolithic () in
-          let per_svar = per_svar_round ctx p (per_svar_batches ctx p pool) in
-          iterate (fun ~iter st ->
-              match ctx.handover with
-              | Some _ -> per_svar ~iter st
-              | None ->
-                  monolithic_round ctx p check ~iter st ~handover:(fun probe ->
-                      ctx.handover <- Some iter;
-                      per_svar ~probe ~iter st)))
+  Parallel.Pool.with_pool ~jobs:(max 1 ctx.o.Options.jobs) (fun pool ->
+      let rec loop iter st =
+        if iter > ctx.o.Options.max_iterations then
+          finish ctx (Report.Inconclusive "iteration budget exhausted")
+        else
+          match span ~iter st (fun () -> round ctx p pool ~iter st) with
+          | Stop verdict -> finish ctx verdict
+          | Next st ->
+              save ctx ~next_iter:(iter + 1) (p.save st);
+              loop (iter + 1) st
+      in
+      loop
+        (match ctx.resume with Some ck -> ck.Checkpoint.ck_iter | None -> 1)
+        st0)

@@ -196,7 +196,7 @@ let options_json (o : Options.t) =
           | Some _ -> "custom"
           | None -> "default") );
       ("simp", Json.Bool o.Options.simp);
-      ("jobs", opt (fun j -> Json.Int j) o.Options.jobs);
+      ("jobs", Json.Int o.Options.jobs);
       ("portfolio", Json.Int o.Options.portfolio);
       ("certify", Json.Bool o.Options.certify);
       ("cex_vcd", opt (fun s -> Json.Str s) o.Options.cex_vcd);

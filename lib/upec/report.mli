@@ -54,15 +54,11 @@ type cache_info = {
 
 type run = {
   procedure : string;
-      (** the procedure and strategy that produced the run, built by
-          {!Refine}, with [S] one of [", incremental"] (the default
-          strategy's warm session) or [", per-svar"], the first followed
-          by [", per-svar from iteration N"] when the default strategy
-          handed over at iteration N:
-          - ["UPEC-SSC (Alg. 1S)"] — {!Alg1.run_with};
-          - ["UPEC-SSC-unrolled (Alg. 2S)"] — {!Alg2.run_with};
-          - ["BMC-from-reset (Alg. 2 propertyS)"] — {!Alg2.run_with}
-            under [Options.reset_start];
+      (** the procedure that produced the run, built by {!Refine}:
+          - ["UPEC-SSC (Alg. 1, per-svar)"] — {!Alg1.run_with};
+          - ["UPEC-SSC-unrolled (Alg. 2, per-svar)"] — {!Alg2.run_with};
+          - ["BMC-from-reset (Alg. 2 property, per-svar)"] —
+            {!Alg2.run_with} under [Options.reset_start];
           - ["UPEC-SSC-unrolled + induction"] — {!Alg2.conclude_with}
             when the induction ran. *)
   variant : Spec.variant;

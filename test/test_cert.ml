@@ -693,10 +693,10 @@ let test_certified_alg1_jobs_and_portfolio () =
         true
         (c.Upec.Report.ct_totals.Proof.unsat_checked >= 1))
     [
-      ("jobs1", Some 1, 1);
-      ("jobs4", Some 4, 1);
-      ("portfolio2", None, 2);
-      ("jobs4-portfolio2", Some 4, 2);
+      ("jobs1", 1, 1);
+      ("jobs4", 4, 1);
+      ("portfolio2", 1, 2);
+      ("jobs4-portfolio2", 4, 2);
     ]
 
 let test_certified_alg2 () =

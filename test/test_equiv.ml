@@ -9,10 +9,11 @@
    examples/busted_hwpe_memory.ml: the Sec. 4.1 HWPE + memory variant =
    DMA disabled, memory-only persistence), including certified and
    interrupted-then-resumed runs. Also the shape and round-trip checks
-   of the schema-3 JSON report, golden traces pinning every strategy of
-   both procedures bit for bit, and the step accounting and fixed point
-   of the default strategy's hand-over, within one run and from Alg. 2's
-   unrolled phase to its induction. *)
+   of the schema-3 JSON report, golden traces pinning runs of both
+   procedures bit for bit, the step accounting and fixed point of the
+   per-svar rounds, within one run and from Alg. 2's unrolled phase to
+   its induction, and the rounds' witnesses across job counts,
+   portfolios, problem reduction and lemma caches. *)
 
 open Rtl
 module O = Upec.Options
@@ -64,20 +65,20 @@ let check_identical what on off =
 (* ---- simp on/off: bit-identical runs ---- *)
 
 let test_alg1_simp_equiv () =
-  let run ?jobs simp =
+  let run ?(jobs = 1) simp =
     Upec.Alg1.run_with
       { O.default with O.simp; jobs }
       (dma_timer Upec.Spec.Vulnerable)
   in
-  check_identical "alg1 monolithic" (run true) (run false);
-  check_identical "alg1 per-svar" (run ~jobs:2 true) (run ~jobs:2 false)
+  check_identical "alg1 one worker" (run true) (run false);
+  check_identical "alg1 two workers" (run ~jobs:2 true) (run ~jobs:2 false)
 
 let test_alg2_simp_equiv () =
-  let run ?jobs simp =
+  let run ?(jobs = 1) simp =
     fst (Upec.Alg2.run_with { O.default with O.simp; jobs } (hwpe_memory ()))
   in
-  check_identical "alg2 monolithic" (run true) (run false);
-  check_identical "alg2 per-svar" (run ~jobs:2 true) (run ~jobs:2 false)
+  check_identical "alg2 one worker" (run true) (run false);
+  check_identical "alg2 two workers" (run ~jobs:2 true) (run ~jobs:2 false)
 
 let test_certified_simp_equiv () =
   (* a certified witness-free solve runs on its worker's lazily encoded
@@ -86,11 +87,11 @@ let test_certified_simp_equiv () =
      twice over (verdict or certificate) *)
   let run simp =
     Upec.Alg1.run_with
-      { O.default with O.simp; jobs = Some 2; certify = true }
+      { O.default with O.simp; jobs = 2; certify = true }
       (dma_timer Upec.Spec.Vulnerable)
   in
   let on = run true and off = run false in
-  check_identical "alg1 per-svar certified" on off;
+  check_identical "alg1 certified" on off;
   List.iter
     (fun (r : Upec.Report.run) ->
       match r.Upec.Report.cert with
@@ -121,7 +122,7 @@ let test_bmc_reset_simp_equiv () =
 (* ---- interrupt + resume with reduction enabled ---- *)
 
 let test_resume_simp_equiv () =
-  let o = { O.default with O.jobs = Some 2 } in
+  let o = { O.default with O.jobs = 2 } in
   let baseline = Upec.Alg1.run_with o (dma_timer Upec.Spec.Secure) in
   let path = Filename.temp_file "equiv" ".ck" in
   Sys.remove path;
@@ -159,7 +160,7 @@ let test_resume_simp_equiv () =
 let test_json_roundtrip () =
   let r =
     fst
-      (Upec.Alg2.run_with { O.default with O.jobs = Some 2 } (hwpe_memory ()))
+      (Upec.Alg2.run_with { O.default with O.jobs = 2 } (hwpe_memory ()))
   in
   let j = Upec.Report.to_json r in
   let j' = Upec.Json.of_string (Upec.Json.to_string j) in
@@ -215,17 +216,19 @@ let test_schema_versions () =
   | _ -> Alcotest.fail "missing schema member accepted"
   | exception Upec.Json.Parse_error _ -> ()
 
-(* ---- golden traces: every strategy pinned bit for bit ----
+(* ---- golden traces: runs pinned bit for bit ----
 
    CNF variable numbering and assumption order steer the search, so a
    refactor of the refinement drivers must reproduce each run exactly:
    the procedure, the verdict with its full waveform, every step's sets,
    the degraded checks, the certificate counts, the resume point and
-   the last checkpoint written. Sequential runs also pin each step's
+   the last checkpoint written. One-worker runs also pin each step's
    conflicts and propagations; on two workers the solver work depends
-   on the schedule, so only the trace is pinned there. Re-record a
-   digest only for a change meant to alter that run; a mismatch prints
-   the run's full trace. *)
+   on the schedule, so only the trace is pinned there. Cases named
+   "incremental" or "monolithic" pin the default options, which once
+   selected a strategy of their own. Re-record a digest only for a
+   change meant to alter that run; a mismatch prints the run's full
+   trace. *)
 
 (* the smallest secure SoC with a real inductive UNSAT proof (as in
    test_cert) *)
@@ -313,8 +316,8 @@ let alg2 ?(stats = true) o spec =
 
 let conclude o spec = golden_repr (Upec.Alg2.conclude_with o spec)
 let bmc_k2 = { O.default with O.reset_start = true; max_k = 2 }
-let j1 = { O.default with O.jobs = Some 1 }
-let j2 = { O.default with O.jobs = Some 2 }
+let j1 = { O.default with O.jobs = 1 }
+let j2 = { O.default with O.jobs = 2 }
 
 (* a checkpointed run, then a resume from the last checkpoint it wrote *)
 let checkpointed_then_resumed run o spec =
@@ -342,8 +345,8 @@ let metered run =
   let r = run () in
   (r, conflicts () - c0)
 
-(* the Sec. 4.2 countermeasure at depth 3: the last check of its
-   monolithic proof reaches the hand-over cap *)
+(* the Sec. 4.2 countermeasure at depth 3: a secure design, proved in
+   two rounds *)
 let countermeasure () =
   match Scenarios.Scenario.find "countermeasure_d3" with
   | Some s -> Upec.Cli.spec_of s.Scenarios.Scenario.sp_design
@@ -352,11 +355,7 @@ let countermeasure () =
 let countermeasure_default =
   lazy (metered (fun () -> Upec.Alg1.run_with O.default (countermeasure ())))
 
-let countermeasure_alg2 =
-  lazy (metered (fun () -> run_alg2 O.default (countermeasure ())))
-
-(* Alg. 2 and its induction: the unrolled phase hands over at iteration
-   7, and the induction inherits its cap state *)
+(* Alg. 2 and its induction *)
 let countermeasure_conclude =
   lazy
     (metered (fun () -> Upec.Alg2.conclude_with O.default (countermeasure ())))
@@ -379,75 +378,76 @@ let golden_cases =
   [
     (* HWPE + memory variant (vulnerable) *)
     ( "hwpe alg1 incremental",
-      "02888f658a3522df080158fa50e2d196",
+      "20ec2addd484626f92c87af64f13ec04",
       fun () -> alg1 O.default (hwpe_memory ()) );
     ( "hwpe alg1 per-svar j1",
-      "820a4a8876b7a5d78351cd838e11a331",
+      "20ec2addd484626f92c87af64f13ec04",
       fun () -> alg1 j1 (hwpe_memory ()) );
     ( "hwpe alg1 per-svar j2",
-      "da8b2a1bbd974dc20e0e0bc1c4dcfbe9",
+      "43ec346f5e7426e4eb7cb2f339a0a777",
       fun () -> alg1 ~stats:false j2 (hwpe_memory ()) );
     ( "hwpe alg1 certified",
-      "8dd7afe09f53029009964750607ab89a",
+      "195637b3633fb1ab418d2ec55a266fc1",
       fun () -> alg1 { O.default with O.certify = true } (hwpe_memory ()) );
     ( "hwpe alg2 incremental",
-      "f424dcc880f741a5a46a4635388af510",
+      "ea4e8e09f65df114c6334a9d39d672bb",
       fun () -> alg2 O.default (hwpe_memory ()) );
     ( "hwpe alg2 per-svar j1",
-      "d6613f190265f4d9e47b4875d2e7057f",
+      "ea4e8e09f65df114c6334a9d39d672bb",
       fun () -> alg2 j1 (hwpe_memory ()) );
     ( "hwpe alg2 per-svar j2",
-      "6e8d060c30be09871035f768f5bd1f73",
+      "4d979a04961cc02c4f72bbb0d2007b9a",
       fun () -> alg2 ~stats:false j2 (hwpe_memory ()) );
     ( "hwpe alg2 reset-start k2",
-      "8234de76f60f5b101bc717365ed88f71",
+      "e0631a760a0962af7f32ec944358dbdf",
       fun () -> alg2 bmc_k2 (hwpe_memory ()) );
     ( "hwpe conclude per-svar j1",
-      "837bf944f07ab28dd9b4430c6abf20b5",
+      "c4346c75704e64eda52d4391973e0378",
       fun () -> conclude j1 (hwpe_memory ()) );
-    ( "hwpe alg2 checkpoint+resume",
-      "d9bd0a3e470aecc7adf4595069a470e3",
-      fun () -> checkpointed_then_resumed run_alg2 O.default (hwpe_memory ()) );
+
     ( "hwpe alg2 per-svar starved checkpoint+resume",
-      "d6339aaedc794f22ce556d9ba8016c8e",
+      "986cf1612789eb816c9f9f56d1e7bc87",
       fun () ->
         checkpointed_then_resumed run_alg2 (starved j1) (hwpe_memory ()) );
     (* micro design (secure) *)
     ( "micro alg1 incremental",
-      "daf4b250a1985d98bdec3a0a9febe94a",
+      "d9f2b39f343773061086668ea54097bf",
       fun () -> alg1 O.default (micro_secure ()) );
     ( "micro alg1 per-svar j1",
-      "feaa0049ce2a80523ba0cf48f2786d97",
+      "d9f2b39f343773061086668ea54097bf",
       fun () -> alg1 j1 (micro_secure ()) );
     ( "micro alg1 per-svar cached",
-      "26f958064802075161a8c55602330ae3",
+      "40345922a252464d1dae4851d66e5bfc",
       fun () -> cached_rerun j1 (micro_secure ()) );
+    ( "micro alg2 checkpoint+resume",
+      "6497e1529226c12b9fcf1e87eba82d95",
+      fun () -> checkpointed_then_resumed run_alg2 O.default (micro_secure ()) );
     ( "micro alg1 checkpoint+resume",
-      "e766c0a70e7816be0d5aca8407dc5f4c",
+      "11b1d70b22365f41a3adf106ace4c236",
       fun () ->
         checkpointed_then_resumed run_alg1 O.default (micro_secure ()) );
     ( "micro alg1 per-svar starved checkpoint+resume",
-      "0bd6c99bdb25da6b721450046ab6b6d3",
+      "bf7292b6ac4d8c3c151f62077108f15f",
       fun () ->
         checkpointed_then_resumed run_alg1 (starved j1) (micro_secure ()) );
     ( "micro alg1 per-svar starved",
-      "4b85a486b926c33da99332b38474f90d",
+      "fac0553559c671005d3b979885fee96e",
       fun () -> alg1 (starved j1) (micro_secure ()) );
     ( "micro alg1 monolithic starved",
-      "b2cdbf207ad10b2348e96619a394b129",
+      "fac0553559c671005d3b979885fee96e",
       fun () -> alg1 (starved O.default) (micro_secure ()) );
     ( "micro conclude incremental",
-      "5ee908c08ea534699e50940962b8598b",
+      "05727246fc75d5c137f8423d55836c2e",
       fun () -> conclude O.default (micro_secure ()) );
     ( "micro conclude per-svar j1",
-      "4af11e315312e29dff5ac702acc1e6b0",
+      "05727246fc75d5c137f8423d55836c2e",
       fun () -> conclude j1 (micro_secure ()) );
     ( "micro conclude per-svar starved",
-      "dd06f0974e2c397517e756dfd801a1db",
+      "29918991bc8a3f826d7fb6529868b8ad",
       fun () -> conclude (starved j1) (micro_secure ()) );
-    (* countermeasure (secure): the default strategy hands over *)
+    (* countermeasure (secure) *)
     ( "countermeasure alg1 hand-over",
-      "642990bfc1c8d2bb2458e465431fb72c",
+      "e244cf94e6e3bea377629fcbe1acf975",
       fun () -> golden_repr (fst (Lazy.force countermeasure_default)) );
   ]
 
@@ -488,7 +488,7 @@ let test_certified_search ?uncertified ?checked trace o () =
       | None -> Alcotest.fail "certified run without cert totals")
     checked
 
-(* ---- step accounting and the hand-over ---- *)
+(* ---- step accounting and the fixed point ---- *)
 
 let step_conflicts (r : Upec.Report.run) =
   List.fold_left
@@ -503,10 +503,15 @@ let s_final (r : Upec.Report.run) =
   | Upec.Report.Secure { s_final } -> names s_final
   | _ -> Alcotest.fail "expected a secure verdict"
 
+(* the final S of the monolithic fixed point (Testutil.oracle_alg1) *)
+let oracle_s_final spec =
+  match Testutil.oracle_alg1 ~max_iterations:128 spec with
+  | Testutil.Oracle_secure s -> names s
+  | _ -> Alcotest.fail "the oracle found no fixed point"
+
 (* Every solve of a sequential secure run belongs to one step, so the
-   steps' conflicts add up to the solver's: the per-svar workers' own
-   solves (the unrolled phase rebuilds its worker at every depth), and
-   a hand-over step that carries its capped check. *)
+   steps' conflicts add up to the solver's: the workers' own solves, a
+   new worker's every round. *)
 let test_step_conflicts runs () =
   List.iter
     (fun (what, run) ->
@@ -514,108 +519,23 @@ let test_step_conflicts runs () =
       Alcotest.(check int) (what ^ ": step conflicts") spent (step_conflicts r))
     runs
 
-(* The hand-over proves the per-svar strategy's fixed point. *)
+(* The rounds prove the monolithic fixed point. *)
 let test_handover_s_final () =
   let r, _ = Lazy.force countermeasure_default in
   Alcotest.(check string)
-    "procedure" "UPEC-SSC (Alg. 1, incremental, per-svar from iteration 7)"
-    r.Upec.Report.procedure;
+    "procedure" "UPEC-SSC (Alg. 1, per-svar)" r.Upec.Report.procedure;
   Alcotest.(check string)
-    "s_final of the per-svar strategy"
-    (s_final (Upec.Alg1.run_with j1 (countermeasure ())))
+    "s_final of the oracle"
+    (oracle_s_final (countermeasure ()))
     (s_final r)
 
-(* Alg. 2's warm session hands over as well: its (cycle, svar) pairs go
-   to the per-svar strategy's shared worker, not to the session's
-   engine, and the run reaches the per-svar strategy's fixed point. *)
-let test_alg2_handover () =
-  let r, spent = Lazy.force countermeasure_alg2 in
-  Alcotest.(check string)
-    "procedure"
-    "UPEC-SSC-unrolled (Alg. 2, incremental, per-svar from iteration 7)"
-    r.Upec.Report.procedure;
-  Alcotest.(check int) "step conflicts" spent (step_conflicts r);
-  Alcotest.(check string)
-    "s_final of the per-svar strategy"
-    (s_final (run_alg2 j1 (countermeasure ())))
-    (s_final r)
-
-(* A checkpoint carries the hand-over state. Resumed before its
-   hand-over iteration, a run is capped like the uninterrupted one, so
-   that iteration spends the same conflicts; resumed after the hand-over
-   (its checkpoint names the iteration), it stays per-svar and makes no
-   capped probe. *)
-let test_resume_handover () =
-  let u, _ = Lazy.force countermeasure_default in
-  let iter7 (r : Upec.Report.run) =
-    match
-      List.find_opt
-        (fun (s : Upec.Report.step) -> s.Upec.Report.st_iter = 7)
-        r.Upec.Report.steps
-    with
-    | Some { Upec.Report.st_stats = Some st; _ } -> st.Satsolver.Solver.conflicts
-    | _ -> Alcotest.fail "no iteration 7 with stats"
-  in
-  let ck =
-    with_checkpoint_path (fun path ->
-        ignore
-          (Upec.Alg1.run_with
-             { O.default with O.max_iterations = 6; checkpoint_file = Some path }
-             (countermeasure ()));
-        match Upec.Checkpoint.load path with
-        | Ok ck -> ck
-        | Error m -> Alcotest.fail ("checkpoint unreadable: " ^ m))
-  in
-  Alcotest.(check int) "checkpointed before iteration 7" 7
-    ck.Upec.Checkpoint.ck_iter;
-  let resumed ck = Upec.Alg1.run_with ~resume:ck O.default (countermeasure ()) in
-  let before = resumed ck in
-  Alcotest.(check string) "procedure" u.Upec.Report.procedure
-    before.Upec.Report.procedure;
-  Alcotest.(check int) "iteration 7 conflicts" (iter7 u) (iter7 before);
-  Alcotest.(check string) "s_final" (s_final u) (s_final before);
-  let cap =
-    match ck.Upec.Checkpoint.ck_costliest with
-    | Some c -> max 4096 (2 * c)
-    | None -> Alcotest.fail "checkpoint without the cap state"
-  in
-  let after = resumed { ck with Upec.Checkpoint.ck_handover = Some 7 } in
-  Alcotest.(check string) "procedure after the hand-over"
-    u.Upec.Report.procedure after.Upec.Report.procedure;
-  Alcotest.(check int) "iteration 7 without the probe" (iter7 u - cap)
-    (iter7 after);
-  Alcotest.(check string) "s_final after the hand-over" (s_final u)
-    (s_final after)
-
-(* A conflict budget at or below the hand-over cap keeps the cap off:
-   the final check runs its three escalating attempts (1024, 4096 and
-   16384 conflicts) and ends the run Inconclusive, as without the cap.
-   Iterations 2 and 4 need a retry too; their steps count both
-   attempts, so the steps and the undecided check add up to the
-   solver's work. *)
-let test_budget_below_cap () =
-  let o =
-    { O.default with O.budget = Satsolver.Solver.conflict_budget 1024 }
-  in
-  let r, spent =
-    metered (fun () -> Upec.Alg1.run_with o (countermeasure ()))
-  in
-  Alcotest.(check string)
-    "procedure" "UPEC-SSC (Alg. 1, incremental)" r.Upec.Report.procedure;
-  Alcotest.(check string)
-    "verdict" "inconclusive undecided within budget: conflict budget exhausted"
-    (repr_verdict r);
-  Alcotest.(check int)
-    "steps + undecided check" spent
-    (step_conflicts r + 1024 + 4096 + 16384)
-
-(* The induction of a default-strategy conclude reaches the fixed point
-   of the per-svar conclude. *)
+(* Alg. 2's induction reaches the same fixed point: the unrolled
+   phase never removes an svar of it. *)
 let test_conclude_s_final () =
   let r, _ = Lazy.force countermeasure_conclude in
   Alcotest.(check string)
-    "s_final of the per-svar conclude"
-    (s_final (Upec.Alg2.conclude_with j1 (countermeasure ())))
+    "s_final of the oracle"
+    (oracle_s_final (countermeasure ()))
     (s_final r)
 
 (* ---- cycle-0 sharing ----
@@ -734,6 +654,72 @@ let test_share_alg2 spec () =
       done)
     [ 1; 2 ]
 
+(* ---- the rounds' witnesses ----
+
+   A round decides its persistent obligations on worker 0 in order and
+   re-decides the first one refuted with a model on that worker, after
+   the history a sequential uncached run gives it. So the trace — the
+   verdict with its full waveform, every step's sets — is the same for
+   every job count, with a portfolio, with problem reduction off, and
+   with a lemma cache that answers the witness's obligation. *)
+
+let test_round_configurations run spec () =
+  let base = repr_run (run O.default (spec ())) in
+  List.iter
+    (fun (what, o) ->
+      Alcotest.(check string) what base (repr_run (run o (spec ()))))
+    [
+      ("jobs 2", j2);
+      ("jobs 4", { O.default with O.jobs = 4 });
+      ("portfolio 2", { O.default with O.portfolio = 2 });
+      ("simp off", { O.default with O.simp = false });
+    ]
+
+let test_cached_witness () =
+  let uncached = Upec.Alg1.run_with O.default (hwpe_memory ()) in
+  let witness =
+    match uncached.Upec.Report.verdict with
+    | Upec.Report.Vulnerable { s_cex; _ } -> names s_cex
+    | _ -> Alcotest.fail "expected a vulnerable verdict"
+  in
+  (* the S of the round that refuted the witness's obligation *)
+  let round_s = ref None in
+  ignore
+    (Upec.Alg1.run_with
+       ~svar_cache:
+         {
+           Upec.Alg1.sc_lookup = (fun _ ~s:_ -> None);
+           sc_store =
+             (fun sv ~s ~holds ->
+               if (not holds) && Structural.svar_name sv = witness then
+                 round_s := Some (names s));
+         }
+       O.default (hwpe_memory ()));
+  let round_s =
+    match !round_s with
+    | Some s -> s
+    | None -> Alcotest.fail "the witness's obligation was never stored"
+  in
+  let answered = ref 0 in
+  let cached =
+    Upec.Alg1.run_with
+      ~svar_cache:
+        {
+          Upec.Alg1.sc_lookup =
+            (fun sv ~s ->
+              if Structural.svar_name sv = witness && names s = round_s then begin
+                incr answered;
+                Some false
+              end
+              else None);
+          sc_store = (fun _ ~s:_ ~holds:_ -> ());
+        }
+      O.default (hwpe_memory ())
+  in
+  Alcotest.(check int) "the cache answered the witness's obligation" 1
+    !answered;
+  Alcotest.(check string) "trace" (repr_run uncached) (repr_run cached)
+
 let golden_test ?(speed = `Quick) (name, expected, run) =
   Alcotest.test_case name speed (fun () ->
       let text = run () in
@@ -765,7 +751,7 @@ let () =
             test_schema_versions;
         ] );
       ("golden", List.map golden_test golden_cases);
-      (* Group names stay within the width of "inherit-cap": a wider one
+      (* Group names stay within the width of "cert-search": a wider one
          widens alcotest's group column and truncates the test names
          after it differently. *)
       ( "cert-search",
@@ -784,8 +770,10 @@ let () =
                  (lazy
                    (let r, spent = Lazy.force countermeasure_default in
                     ((golden_repr ~cert:false r, r), spent)))
-               ~checked:(54, 6) (alg1_trace countermeasure) O.default);
+               ~checked:(108, 8) (alg1_trace countermeasure) O.default);
         ] );
+      (* the group that once held the hand-over's tests; its name keeps
+         the names of its cases *)
       ( "handover",
         [
           Alcotest.test_case "step conflicts sum to the solver's" `Quick
@@ -795,16 +783,25 @@ let () =
                    lazy
                      (metered (fun () ->
                           Upec.Alg2.conclude_with j1 (micro_secure ()))) );
-                 ("hand-over", countermeasure_default);
+                 ("countermeasure", countermeasure_default);
                ]);
           Alcotest.test_case "s_final equals per-svar's" `Quick
             test_handover_s_final;
-          Alcotest.test_case "alg2 hands over on its session" `Slow
-            test_alg2_handover;
-          Alcotest.test_case "budget below the cap keeps retries" `Quick
-            test_budget_below_cap;
-          Alcotest.test_case "resume keeps the hand-over state" `Quick
-            test_resume_handover;
+        ] );
+      ( "rounds",
+        [
+          Alcotest.test_case "hwpe alg1 jobs, portfolio, simp" `Quick
+            (test_round_configurations
+               (fun o spec -> Upec.Alg1.run_with o spec)
+               hwpe_memory);
+          Alcotest.test_case "hwpe alg2 jobs, portfolio, simp" `Quick
+            (test_round_configurations run_alg2 hwpe_memory);
+          Alcotest.test_case "countermeasure jobs, portfolio, simp" `Slow
+            (test_round_configurations
+               (fun o spec -> Upec.Alg1.run_with o spec)
+               countermeasure);
+          Alcotest.test_case "cached witness = uncached" `Quick
+            test_cached_witness;
         ] );
       ( "sharing",
         [
@@ -817,6 +814,8 @@ let () =
           Alcotest.test_case "countermeasure alg2" `Slow
             (test_share_alg2 countermeasure);
         ] );
+      (* the group that once held the tests of the cap Alg. 2's
+         induction inherited; its name keeps the names of its cases *)
       ( "inherit-cap",
         [
           Alcotest.test_case "step conflicts sum to the solver's" `Slow
@@ -825,7 +824,7 @@ let () =
             test_conclude_s_final;
           golden_test ~speed:`Slow
             ( "countermeasure conclude",
-              "bb5d7a107452593eb831fc25964ef6d3",
+              "538b4b7783202bda3b879e49d05b502f",
               fun () -> golden_repr (fst (Lazy.force countermeasure_conclude))
             );
         ] );

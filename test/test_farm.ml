@@ -502,7 +502,7 @@ let job ?(id = "t") ?(certify = false) d =
     Farm.Job.jb_id = id;
     jb_design = d;
     jb_alg = 1;
-    jb_options = { O.default with O.jobs = Some 1; certify };
+    jb_options = { O.default with O.jobs = 1; certify };
   }
 
 (* Everything semantic must be byte-equal between warm and cold; strip
@@ -662,7 +662,7 @@ let test_options_key () =
   Alcotest.(check bool) "algorithm is part of the key" true
     (Farm.Job.options_key j1 <> Farm.Job.options_key j3);
   let j4 =
-    { j1 with Farm.Job.jb_options = { j1.Farm.Job.jb_options with O.jobs = Some 2 } }
+    { j1 with Farm.Job.jb_options = { j1.Farm.Job.jb_options with O.jobs = 2 } }
   in
   Alcotest.(check bool) "job count is part of the key" true
     (Farm.Job.options_key j1 <> Farm.Job.options_key j4);

@@ -33,8 +33,6 @@ let gen_checkpoint =
       array_size (int_range 1 5) (list_size (int_range 0 8) raw_string)
     in
     let* unknown = list_size (int_range 0 6) (pair raw_string raw_string) in
-    let* costliest = opt (int_range 0 1_000_000) in
-    let* handover = opt (int_range 1 1000) in
     return
       {
         Ck.ck_alg = alg;
@@ -44,17 +42,41 @@ let gen_checkpoint =
         ck_k = k;
         ck_frames = frames;
         ck_unknown = unknown;
-        ck_costliest = costliest;
-        ck_handover = handover;
       })
 
+(* [ck]'s text as written by runs that could hand over from monolithic
+   checks to per-svar rounds: with the hand-over cap state members *)
+let with_handover_members ?costliest ?handover ck =
+  let module J = Upec.Json in
+  match J.of_string (Ck.to_string ck) with
+  | J.Obj m ->
+      J.to_string
+        (J.Obj
+           (m
+           @ List.filter_map
+               (fun (name, v) -> Option.map (fun n -> (name, J.Int n)) v)
+               [ ("costliest", costliest); ("handover", handover) ]))
+  | _ -> failwith "a checkpoint is a JSON object"
+
+(* Every checkpoint round-trips, and reads the same with the hand-over
+   members of older checkpoints added. *)
 let qcheck_roundtrip =
   QCheck.Test.make ~count:300 ~name:"checkpoint to_string/of_string roundtrip"
-    (QCheck.make ~print:(fun ck -> Format.asprintf "%a" Ck.pp ck) gen_checkpoint)
-    (fun ck ->
-      match Ck.of_string (Ck.to_string ck) with
-      | Ok ck' -> ck' = ck
-      | Error m -> QCheck.Test.fail_reportf "parse failed: %s" m)
+    (QCheck.make
+       ~print:(fun (ck, _, _) -> Format.asprintf "%a" Ck.pp ck)
+       QCheck.Gen.(
+         triple gen_checkpoint
+           (opt (int_range 0 1_000_000))
+           (opt (int_range 1 1000))))
+    (fun (ck, costliest, handover) ->
+      let parsed what text =
+        match Ck.of_string text with
+        | Ok ck' -> ck' = ck
+        | Error m -> QCheck.Test.fail_reportf "%s: parse failed: %s" what m
+      in
+      parsed "written" (Ck.to_string ck)
+      && parsed "with hand-over members"
+           (with_handover_members ?costliest ?handover ck))
 
 let sample_ck () =
   {
@@ -65,8 +87,6 @@ let sample_ck () =
     ck_k = 2;
     ck_frames = [| [ "a"; "b c" ]; []; [ "weird%name@1" ] |];
     ck_unknown = [ ("x@2", "conflict budget exhausted") ];
-    ck_costliest = Some 3121;
-    ck_handover = None;
   }
 
 let test_save_load_roundtrip () =
@@ -105,6 +125,8 @@ let test_rejects_malformed_members () =
     J.to_string
       (J.Obj (List.map (fun (k', v') -> (k', if k' = k then v else v')) members))
   in
+  (* a member checkpoints no longer carry, as older ones did *)
+  let with_extra k v = J.to_string (J.Obj (members @ [ (k, v) ])) in
   List.iter
     (fun (what, text) ->
       match Ck.of_string text with
@@ -119,30 +141,75 @@ let test_rejects_malformed_members () =
       ("negative iter", with_member "iter" (J.Int (-1)));
       ("ill-typed k", with_member "k" (J.Str "1"));
       ("ill-typed frame", with_member "frames" (J.List [ J.Int 0 ]));
-      ("negative costliest", with_member "costliest" (J.Int (-1)));
-      ("ill-typed costliest", with_member "costliest" (J.Str "7"));
+      ("negative costliest", with_extra "costliest" (J.Int (-1)));
+      ("ill-typed costliest", with_extra "costliest" (J.Str "7"));
+      ("negative handover", with_extra "handover" (J.Int (-7)));
+      ("ill-typed handover", with_extra "handover" (J.Bool true));
       ( "unknown without reason",
         with_member "unknown" (J.List [ J.Obj [ ("name", J.Str "x") ] ]) );
       ("missing hash", J.to_string (J.Obj (List.remove_assoc "hash" members)));
     ]
 
-(* A checkpoint written before the hand-over state was kept loads with
-   both members absent. *)
+(* Checkpoints are written without the hand-over cap state that runs
+   handing over from monolithic checks once kept, and load. *)
 let test_loads_without_handover_state () =
   let module J = Upec.Json in
-  let ck = { (sample_ck ()) with Ck.ck_handover = Some 7 } in
-  let text =
-    match J.of_string (Ck.to_string ck) with
-    | J.Obj m ->
-        J.to_string
-          (J.Obj (List.remove_assoc "handover" (List.remove_assoc "costliest" m)))
-    | _ -> Alcotest.fail "a checkpoint is a JSON object"
-  in
+  let ck = sample_ck () in
+  let text = Ck.to_string ck in
+  (match J.of_string text with
+  | J.Obj m ->
+      Alcotest.(check (list string))
+        "no hand-over members written" []
+        (List.filter (fun k -> k = "costliest" || k = "handover") (List.map fst m))
+  | _ -> Alcotest.fail "a checkpoint is a JSON object");
   match Ck.of_string text with
-  | Ok ck' ->
-      Alcotest.(check bool) "the rest as written, the state absent" true
-        (ck' = { ck with Ck.ck_costliest = None; ck_handover = None })
+  | Ok ck' -> Alcotest.(check bool) "loads as written" true (ck' = ck)
   | Error m -> Alcotest.fail ("refused: " ^ m)
+
+(* A checkpoint of a run that checked the whole property once per
+   iteration, with the hand-over members such a run wrote (before and
+   after its hand-over), resumes to the verdict and final S of an
+   uninterrupted run: its S is a frontier the rounds refine further. *)
+let test_resumes_monolithic_checkpoint () =
+  let spec () = spec_of Upec.Spec.Secure in
+  let uninterrupted = Upec.Alg1.run_with alg1_opts (spec ()) in
+  let iter, s =
+    match Testutil.oracle_alg1 ~max_iterations:2 (spec ()) with
+    | Testutil.Oracle_frontier (i, s) -> (i, s)
+    | _ -> Alcotest.fail "the oracle needs more than two iterations here"
+  in
+  let ck =
+    {
+      Ck.ck_alg = Ck.Alg1;
+      ck_variant = "secure";
+      ck_config_hash = Ck.config_hash ~alg:Ck.Alg1 (spec ());
+      ck_iter = iter;
+      ck_k = 1;
+      ck_frames =
+        [|
+          List.map Rtl.Structural.svar_name
+            (Rtl.Structural.Svar_set.elements s);
+        |];
+      ck_unknown = [];
+    }
+  in
+  List.iter
+    (fun (what, text) ->
+      match Ck.of_string text with
+      | Error m -> Alcotest.failf "%s: refused: %s" what m
+      | Ok ck ->
+          let resumed = Upec.Alg1.run_with ~resume:ck alg1_opts (spec ()) in
+          Alcotest.(check string)
+            (what ^ ": verdict and final S")
+            (verdict_str uninterrupted) (verdict_str resumed);
+          Alcotest.(check (option int))
+            (what ^ ": resumed from its iteration") (Some iter)
+            resumed.Upec.Report.resumed_from)
+    [
+      ("before the hand-over", with_handover_members ~costliest:3121 ck);
+      ( "after the hand-over",
+        with_handover_members ~costliest:3121 ~handover:(iter - 1) ck );
+    ]
 
 let test_load_missing_is_error () =
   match Ck.load "/nonexistent/governance.ck" with
@@ -163,13 +230,10 @@ let test_hash_mismatch_refused () =
       ck_k = 1;
       ck_frames = [| [] |];
       ck_unknown = [];
-      ck_costliest = None;
-      ck_handover = None;
     }
   in
   match
-    Upec.Alg1.run_with ~resume:ck
-      { alg1_opts with O.jobs = Some 1 }
+    Upec.Alg1.run_with ~resume:ck alg1_opts
       (spec_of Upec.Spec.Vulnerable)
   with
   | _ -> Alcotest.fail "hash mismatch not refused"
@@ -186,12 +250,10 @@ let test_alg_kind_refused () =
       ck_k = 1;
       ck_frames = [| [] |];
       ck_unknown = [];
-      ck_costliest = None;
-      ck_handover = None;
     }
   in
   match
-    Upec.Alg2.run_with ~resume:ck { O.default with O.jobs = Some 1 } spec
+    Upec.Alg2.run_with ~resume:ck O.default spec
   with
   | _ -> Alcotest.fail "Alg2 accepted an Alg1 checkpoint"
   | exception Invalid_argument _ -> ()
@@ -211,14 +273,14 @@ let with_ck_file f =
 let stop_after_first_checkpoint path () = Sys.file_exists path
 
 let test_alg1_interrupt_resume ~stop_jobs ~resume_jobs ?(certify = false) () =
-  let resume_opts = { alg1_opts with O.jobs = Some resume_jobs; certify } in
+  let resume_opts = { alg1_opts with O.jobs = resume_jobs; certify } in
   let baseline = Upec.Alg1.run_with resume_opts (spec_of Upec.Spec.Secure) in
   with_ck_file (fun path ->
       let interrupted =
         Upec.Alg1.run_with
           {
             alg1_opts with
-            O.jobs = Some stop_jobs;
+            O.jobs = stop_jobs;
             certify;
             checkpoint_file = Some path;
             should_stop = Some (stop_after_first_checkpoint path);
@@ -246,14 +308,14 @@ let test_alg1_interrupt_resume ~stop_jobs ~resume_jobs ?(certify = false) () =
         (resumed.Upec.Report.resumed_from <> None))
 
 let test_conclude_interrupt_resume () =
-  let jobs1 = { O.default with O.jobs = Some 1 } in
+  let jobs1 = O.default in
   let baseline = Upec.Alg2.conclude_with jobs1 (spec_of Upec.Spec.Secure) in
   with_ck_file (fun path ->
       let interrupted =
         Upec.Alg2.conclude_with
           {
             O.default with
-            O.jobs = Some 4;
+            O.jobs = 4;
             checkpoint_file = Some path;
             should_stop = Some (stop_after_first_checkpoint path);
           }
@@ -282,7 +344,7 @@ let test_conclude_interrupt_resume () =
 let budgeted base ~conflicts ~retries =
   {
     base with
-    O.jobs = Some 2;
+    O.jobs = 2;
     budget = Satsolver.Solver.conflict_budget conflicts;
     budget_retries = retries;
   }
@@ -344,6 +406,8 @@ let () =
             test_rejects_malformed_members;
           Alcotest.test_case "loads without hand-over state" `Quick
             test_loads_without_handover_state;
+          Alcotest.test_case "resumes a monolithic run's checkpoint" `Slow
+            test_resumes_monolithic_checkpoint;
           Alcotest.test_case "load of missing file is Error" `Quick
             test_load_missing_is_error;
           Alcotest.test_case "config-hash mismatch refused" `Slow

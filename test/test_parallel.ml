@@ -1,5 +1,5 @@
 (* Tests for the domain pool and the portfolio SAT runner, and the
-   determinism guarantee of the parallel UPEC-SSC strategy: identical
+   determinism guarantee of UPEC-SSC's per-svar rounds: identical
    verdicts, refinement traces and final sets for every job count. *)
 
 module Pool = Parallel.Pool
@@ -8,10 +8,10 @@ module S = Satsolver.Solver
 module L = Satsolver.Lit
 module O = Upec.Options
 
-(* the options of an Alg. 1 run capped at 64 iterations, default
-   strategy or per-svar on [j] workers *)
+(* the options of an Alg. 1 run capped at 64 iterations, on [j]
+   workers per round *)
 let alg1_opts = { O.default with O.max_iterations = 64 }
-let jobs j = { alg1_opts with O.jobs = Some j }
+let jobs j = { alg1_opts with O.jobs = j }
 
 (* ---- pool ---- *)
 
@@ -317,16 +317,20 @@ let test_alg1_jobs_deterministic_secure () =
   check_same_run r1 r4
 
 let test_alg1_jobs_matches_legacy_verdicts () =
-  (* the per-svar strategy must agree with the monolithic iteration on
-     the verdict and (for secure runs) the final inductive set *)
-  let legacy = Upec.Alg1.run_with alg1_opts (spec_of Upec.Spec.Secure) in
-  let per_svar = Upec.Alg1.run_with (jobs 2) (spec_of Upec.Spec.Secure) in
-  Alcotest.(check bool) "both secure" true
-    (Upec.Report.is_secure legacy && Upec.Report.is_secure per_svar);
-  match (legacy.Upec.Report.verdict, per_svar.Upec.Report.verdict) with
-  | Upec.Report.Secure { s_final = f1 }, Upec.Report.Secure { s_final = f2 } ->
-      check_svar_set "same greatest fixed point" f1 f2
-  | _ -> Alcotest.fail "unreachable"
+  (* the per-svar rounds must agree with the monolithic fixed point of
+     the test oracle on the verdict and (for secure runs) the final
+     inductive set *)
+  List.iter
+    (fun variant ->
+      let per_svar = Upec.Alg1.run_with (jobs 2) (spec_of variant) in
+      match (Testutil.oracle_alg1 (spec_of variant), per_svar.Upec.Report.verdict) with
+      | Testutil.Oracle_secure f1, Upec.Report.Secure { s_final = f2 } ->
+          check_svar_set "same greatest fixed point" f1 f2
+      | Testutil.Oracle_vulnerable _, Upec.Report.Vulnerable _ -> ()
+      | _, v ->
+          Alcotest.failf "the oracle disagrees with %s"
+            (Format.asprintf "%a" Upec.Report.pp_verdict v))
+    [ Upec.Spec.Secure; Upec.Spec.Vulnerable ]
 
 let () =
   Alcotest.run "parallel"

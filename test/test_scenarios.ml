@@ -375,13 +375,12 @@ let test_sample_digest () =
    [Upec.Cli.resolve_jobs]: any non-positive count means "auto", so the
    report echoes the job count that actually ran *)
 let test_resolve_jobs () =
-  let auto = Some (Parallel.Pool.default_jobs ()) in
+  let auto = Parallel.Pool.default_jobs () in
   let resolved = Upec.Cli.resolve_jobs in
-  Alcotest.(check (option int)) "negative = auto" auto (resolved (Some (-3)));
-  Alcotest.(check (option int)) "zero = auto" auto (resolved (Some 0));
-  Alcotest.(check (option int)) "explicit count kept" (Some 2)
-    (resolved (Some 2));
-  Alcotest.(check (option int)) "monolithic kept" None (resolved None)
+  Alcotest.(check int) "negative = auto" auto (resolved (-3));
+  Alcotest.(check int) "zero = auto" auto (resolved 0);
+  Alcotest.(check int) "explicit count kept" 2 (resolved 2);
+  Alcotest.(check int) "default kept" 1 (resolved Upec.Options.default.Upec.Options.jobs)
 
 let () =
   Alcotest.run "scenarios"

@@ -74,3 +74,51 @@ let run_until_halt ?(max_cycles = 20000) eng =
 
 let cpu_reg eng i =
   if i = 0 then 0 else Bitvec.to_int (Sim.Engine.mem_value eng "cpu.regs" i)
+
+(* The Fig. 3 fixed point computed the way the paper's Alg. 1 states
+   it: one two-instance engine without any cycle-0 sharing, one check
+   of the whole property per iteration, S_cex read from that check's
+   model. Kept as an oracle independent of the per-svar rounds of
+   {!Upec.Refine}: both must reach the same verdict class and, on a
+   secure design, the same final S (the greatest fixed point below the
+   start set). *)
+type oracle =
+  | Oracle_secure of Structural.Svar_set.t
+  | Oracle_vulnerable of Structural.Svar_set.t
+  | Oracle_frontier of int * Structural.Svar_set.t
+      (** [max_iterations] reached: the next iteration and its S *)
+
+let oracle_alg1 ?(max_iterations = 64) ?initial spec =
+  let module Svars = Structural.Svar_set in
+  let eng =
+    Ipc.Engine.create ~two_instance:true spec.Upec.Spec.soc.Soc.Builder.netlist
+  in
+  Ipc.Engine.ensure_frames eng 1;
+  Upec.Macros.assume_env eng spec ~frames:1;
+  for f = 0 to 1 do
+    Upec.Macros.frame_constraints eng spec ~frame:f
+  done;
+  let g = Ipc.Engine.graph eng in
+  let cond ~frame sv = Upec.Macros.sv_condition eng spec ~frame sv in
+  let rec loop i s =
+    if i > max_iterations then Oracle_frontier (i, s)
+    else
+    (* the iteration's obligation, armed by its own activation literal *)
+    let act = Aig.fresh_var g in
+    Ipc.Engine.assume_implication eng act
+      (Aig.mk_or_list g
+         (Svars.fold (fun sv acc -> Aig.lit_not (cond ~frame:1 sv) :: acc) s []));
+    let eqs = Svars.fold (fun sv acc -> cond ~frame:0 sv :: acc) s [] in
+    match Ipc.Engine.decide eng (Ipc.Engine.Violation (act :: eqs)) with
+    | Ipc.Engine.Proved -> Oracle_secure s
+    | Ipc.Engine.Unknown reason -> failwith ("oracle: " ^ reason)
+    | Ipc.Engine.Refuted cex ->
+        let s_cex =
+          Upec.Macros.violations eng spec (Option.get cex) ~frame:1 s
+        in
+        if Svars.is_empty s_cex then failwith "oracle: spurious model";
+        if Svars.exists (Upec.Spec.is_pers spec) s_cex then
+          Oracle_vulnerable s_cex
+        else loop (i + 1) (Svars.diff s s_cex)
+  in
+  loop 1 (match initial with Some s -> s | None -> Upec.Spec.s_neg_victim spec)
