@@ -476,7 +476,7 @@ let decide ctx ?(sequential = false) w ((j, sv) as ob) =
    witness-free in order — so the witness is the same for every job
    count, portfolio and cache: a racing worker's solver replays what it
    raced, and an obligation the cache answered is solved. Returns the
-   work of every solve, the witness solve last. *)
+   replayed decisions and the witness solve. *)
 let witness ctx w ((j, sv) as ob) =
   let replay =
     if ctx.o.Options.portfolio > 1 then List.rev w.history else []
@@ -487,13 +487,13 @@ let witness ctx w ((j, sv) as ob) =
         replay
     | _ -> replay @ [ ob ]
   in
-  let work = List.map (decide ctx ~sequential:true w) replay in
+  let replayed = List.map (decide ctx ~sequential:true w) replay in
   Ipc.Engine.set_budget w.eng S.no_budget;
   let v =
     Ipc.Engine.decide ~sequential:true w.eng
       (Ipc.Engine.Violation (w.query ob))
   in
-  work @ [ solved w.eng (ob, v) ]
+  (replayed, solved w.eng v)
 
 let round ctx p pool ~iter st =
   let it0 = Unix.gettimeofday () in
@@ -581,11 +581,11 @@ let round ctx p pool ~iter st =
              svar's Unknown cannot retract a concrete SAT. *)
           let pers_hit = Svars.singleton sv in
           let unknown = note_unknowns ctx pers in
-          let work = witness ctx (worker 0) ob in
+          let replayed, w = witness ctx (worker 0) ob in
           record ctx ~iter fr ~it0 ~s_cex:pers_hit ~pers_hit ~unknown
-            (sum (pers @ work));
-          match (List.hd (List.rev work)).result with
-          | _, Ipc.Engine.Refuted (Some cex) ->
+            (sum (pers @ replayed @ [ { w with result = (ob, w.result) } ]));
+          match w.result with
+          | Ipc.Engine.Refuted (Some cex) ->
               Stop (validate_cex ctx ~claimed:pers_hit ~s_cex:pers_hit cex)
           | _ when stopped ctx -> interrupted
           | _ ->
