@@ -163,9 +163,9 @@ let e3 ~full ctx =
   print_report ctx r;
   let times = List.map (fun s -> s.Upec.Report.st_seconds) r.Upec.Report.steps in
   Format.fprintf ctx.fmt
-    "@.shape check: SECURE; %d iterations (paper: 3); iteration times \
-     %.2fs..%.2fs — the final inductive check dominates, mirroring the \
-     paper's spread@."
+    "@.shape check: SECURE; %d rounds (paper: 3 iterations; a round \
+     removes every svar that can diverge, a paper iteration one \
+     counterexample's worth); round times %.2fs..%.2fs@."
     (Upec.Report.iterations r)
     (List.fold_left min infinity times)
     (List.fold_left max 0. times);

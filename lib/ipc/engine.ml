@@ -287,7 +287,9 @@ let solve_raw_core t ~want_cex ~sequential extra =
     | S.Unknown reason -> `Unknown reason
     | S.Solved S.Unsat -> `Unsat
     | S.Solved S.Sat ->
-        `Sat (fun lit -> try S.value t.solver lit with Invalid_argument _ -> false)
+        `Sat
+          (fun lit ->
+            try S.value t.solver lit with Invalid_argument _ -> false)
   end
   else begin
     let nvars, clauses, assumptions =

@@ -475,8 +475,10 @@ let decide ctx ?(sequential = false) w ((j, sv) as ob) =
    cache — the round's persistent obligations up to [ob], decided
    witness-free in order — so the witness is the same for every job
    count, portfolio and cache: a racing worker's solver replays what it
-   raced, and an obligation the cache answered is solved. Returns the
-   replayed decisions and the witness solve. *)
+   raced, and an obligation the cache answered is solved, so the
+   witness solve repeats the uncached sequential solver's trajectory
+   whatever its phase policy. Returns the replayed decisions and the
+   witness solve. *)
 let witness ctx w ((j, sv) as ob) =
   let replay =
     if ctx.o.Options.portfolio > 1 then List.rev w.history else []
@@ -590,7 +592,8 @@ let round ctx p pool ~iter st =
           | _ when stopped ctx -> interrupted
           | _ ->
               Stop
-                (Report.Inconclusive "per-svar SAT not reproducible on its worker"))
+                (Report.Inconclusive
+                   "per-svar SAT not reproducible on its worker"))
       | None ->
           let looked =
             List.map
@@ -608,7 +611,8 @@ let round ctx p pool ~iter st =
           (* the cached and fresh answers in obligation order *)
           let rec merge looked fresh =
             match (looked, fresh) with
-            | (ob, Some holds) :: looked, _ -> cached ob holds :: merge looked fresh
+            | (ob, Some holds) :: looked, _ ->
+                cached ob holds :: merge looked fresh
             | (_, None) :: looked, r :: fresh -> r :: merge looked fresh
             | _ -> []
           in

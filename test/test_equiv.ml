@@ -421,7 +421,8 @@ let golden_cases =
       fun () -> cached_rerun j1 (micro_secure ()) );
     ( "micro alg2 checkpoint+resume",
       "6497e1529226c12b9fcf1e87eba82d95",
-      fun () -> checkpointed_then_resumed run_alg2 O.default (micro_secure ()) );
+      fun () ->
+        checkpointed_then_resumed run_alg2 O.default (micro_secure ()) );
     ( "micro alg1 checkpoint+resume",
       "11b1d70b22365f41a3adf106ace4c236",
       fun () ->
@@ -676,7 +677,8 @@ let test_round_configurations run spec () =
     ]
 
 let test_cached_witness () =
-  let uncached = Upec.Alg1.run_with O.default (hwpe_memory ()) in
+  let spec () = dma_timer Upec.Spec.Vulnerable in
+  let uncached = Upec.Alg1.run_with O.default (spec ()) in
   let witness =
     match uncached.Upec.Report.verdict with
     | Upec.Report.Vulnerable { s_cex; _ } -> names s_cex
@@ -694,7 +696,7 @@ let test_cached_witness () =
                if (not holds) && Structural.svar_name sv = witness then
                  round_s := Some (names s));
          }
-       O.default (hwpe_memory ()));
+       O.default (spec ()));
   let round_s =
     match !round_s with
     | Some s -> s
@@ -707,14 +709,15 @@ let test_cached_witness () =
         {
           Upec.Alg1.sc_lookup =
             (fun sv ~s ->
-              if Structural.svar_name sv = witness && names s = round_s then begin
+              if Structural.svar_name sv = witness && names s = round_s
+              then begin
                 incr answered;
                 Some false
               end
               else None);
           sc_store = (fun _ ~s:_ ~holds:_ -> ());
         }
-      O.default (hwpe_memory ())
+      O.default (spec ())
   in
   Alcotest.(check int) "the cache answered the witness's obligation" 1
     !answered;
@@ -790,10 +793,13 @@ let () =
         ] );
       ( "rounds",
         [
-          Alcotest.test_case "hwpe alg1 jobs, portfolio, simp" `Quick
+          Alcotest.test_case "dma-timer alg1 jobs, portfolio, simp" `Quick
             (test_round_configurations
                (fun o spec -> Upec.Alg1.run_with o spec)
-               hwpe_memory);
+               (fun () -> dma_timer Upec.Spec.Vulnerable));
+          Alcotest.test_case "dma-timer alg2 jobs, portfolio, simp" `Quick
+            (test_round_configurations run_alg2 (fun () ->
+                 dma_timer Upec.Spec.Vulnerable));
           Alcotest.test_case "hwpe alg2 jobs, portfolio, simp" `Quick
             (test_round_configurations run_alg2 hwpe_memory);
           Alcotest.test_case "countermeasure jobs, portfolio, simp" `Slow

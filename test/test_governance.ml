@@ -160,7 +160,9 @@ let test_loads_without_handover_state () =
   | J.Obj m ->
       Alcotest.(check (list string))
         "no hand-over members written" []
-        (List.filter (fun k -> k = "costliest" || k = "handover") (List.map fst m))
+        (List.filter
+           (fun k -> k = "costliest" || k = "handover")
+           (List.map fst m))
   | _ -> Alcotest.fail "a checkpoint is a JSON object");
   match Ck.of_string text with
   | Ok ck' -> Alcotest.(check bool) "loads as written" true (ck' = ck)

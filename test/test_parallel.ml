@@ -323,7 +323,9 @@ let test_alg1_jobs_matches_legacy_verdicts () =
   List.iter
     (fun variant ->
       let per_svar = Upec.Alg1.run_with (jobs 2) (spec_of variant) in
-      match (Testutil.oracle_alg1 (spec_of variant), per_svar.Upec.Report.verdict) with
+      match
+        (Testutil.oracle_alg1 (spec_of variant), per_svar.Upec.Report.verdict)
+      with
       | Testutil.Oracle_secure f1, Upec.Report.Secure { s_final = f2 } ->
           check_svar_set "same greatest fixed point" f1 f2
       | Testutil.Oracle_vulnerable _, Upec.Report.Vulnerable _ -> ()

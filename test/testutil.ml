@@ -88,7 +88,7 @@ type oracle =
   | Oracle_frontier of int * Structural.Svar_set.t
       (** [max_iterations] reached: the next iteration and its S *)
 
-let oracle_alg1 ?(max_iterations = 64) ?initial spec =
+let oracle_alg1 ?(max_iterations = 64) spec =
   let module Svars = Structural.Svar_set in
   let eng =
     Ipc.Engine.create ~two_instance:true spec.Upec.Spec.soc.Soc.Builder.netlist
@@ -102,23 +102,26 @@ let oracle_alg1 ?(max_iterations = 64) ?initial spec =
   let cond ~frame sv = Upec.Macros.sv_condition eng spec ~frame sv in
   let rec loop i s =
     if i > max_iterations then Oracle_frontier (i, s)
-    else
-    (* the iteration's obligation, armed by its own activation literal *)
-    let act = Aig.fresh_var g in
-    Ipc.Engine.assume_implication eng act
-      (Aig.mk_or_list g
-         (Svars.fold (fun sv acc -> Aig.lit_not (cond ~frame:1 sv) :: acc) s []));
-    let eqs = Svars.fold (fun sv acc -> cond ~frame:0 sv :: acc) s [] in
-    match Ipc.Engine.decide eng (Ipc.Engine.Violation (act :: eqs)) with
-    | Ipc.Engine.Proved -> Oracle_secure s
-    | Ipc.Engine.Unknown reason -> failwith ("oracle: " ^ reason)
-    | Ipc.Engine.Refuted cex ->
-        let s_cex =
-          Upec.Macros.violations eng spec (Option.get cex) ~frame:1 s
-        in
-        if Svars.is_empty s_cex then failwith "oracle: spurious model";
-        if Svars.exists (Upec.Spec.is_pers spec) s_cex then
-          Oracle_vulnerable s_cex
-        else loop (i + 1) (Svars.diff s s_cex)
+    else begin
+      (* the iteration's obligation, armed by its own activation literal *)
+      let act = Aig.fresh_var g in
+      Ipc.Engine.assume_implication eng act
+        (Aig.mk_or_list g
+           (Svars.fold
+              (fun sv acc -> Aig.lit_not (cond ~frame:1 sv) :: acc)
+              s []));
+      let eqs = Svars.fold (fun sv acc -> cond ~frame:0 sv :: acc) s [] in
+      match Ipc.Engine.decide eng (Ipc.Engine.Violation (act :: eqs)) with
+      | Ipc.Engine.Proved -> Oracle_secure s
+      | Ipc.Engine.Unknown reason -> failwith ("oracle: " ^ reason)
+      | Ipc.Engine.Refuted cex ->
+          let s_cex =
+            Upec.Macros.violations eng spec (Option.get cex) ~frame:1 s
+          in
+          if Svars.is_empty s_cex then failwith "oracle: spurious model";
+          if Svars.exists (Upec.Spec.is_pers spec) s_cex then
+            Oracle_vulnerable s_cex
+          else loop (i + 1) (Svars.diff s s_cex)
+    end
   in
-  loop 1 (match initial with Some s -> s | None -> Upec.Spec.s_neg_victim spec)
+  loop 1 (Upec.Spec.s_neg_victim spec)
