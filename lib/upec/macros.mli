@@ -7,11 +7,6 @@ val assume_env : Ipc.Engine.t -> Spec.t -> frames:int -> unit
 (** Assume the Expr-level environment (well-formedness, threat model,
     policy, invariants) in both instances at every cycle [0..frames]. *)
 
-val assume_env_at : Ipc.Engine.t -> Spec.t -> frame:int -> unit
-(** The same constraint at one cycle only — the building block
-    incremental sessions use to extend an existing engine when the
-    unrolling depth grows. *)
-
 val primary_input_constraints : Ipc.Engine.t -> Spec.t -> frame:int -> unit
 (** Inputs other than the victim port are equal between the instances
     at the given cycle. *)
@@ -69,9 +64,11 @@ val violations :
   frame:int ->
   Structural.Svar_set.t ->
   Structural.Svar_set.t
-(** S_cex: the state variables of S whose values differ at the given
-    cycle in the counterexample and which are not protected-range cells
-    under the counterexample's parameter valuation. *)
+(** S_cex of one model: the state variables of S whose values differ
+    at the given cycle in the counterexample and which are not
+    protected-range cells under the counterexample's parameter
+    valuation. The per-svar rounds never read S_cex off a model; the
+    test suite's monolithic oracle does. *)
 
 val cell_guard_concrete : Spec.t -> Ipc.Cex.t -> Structural.svar -> bool
 (** Is this state variable a protected-range memory cell under the
