@@ -72,7 +72,7 @@ val design_key : design -> string
 val options_to_json : alg:int -> Options.t -> Json.t
 val options_of_json : Json.t -> int * Options.t
 (** Returns [(alg, options)]; [alg] defaults to 1. Round-trips every
-    option a farm job can carry (strategy, budgets, certification);
+    option a farm job can carry (workers, budgets, certification);
     process-local fields ([should_stop], [checkpoint_file], [cex_vcd],
     [solver_options]) are not part of the wire format and come back as
     the {!Options.default} values. [jobs] is kept literal — apply
