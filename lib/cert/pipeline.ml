@@ -12,7 +12,9 @@
    Pending axioms and steps wait, and the next UNSAT answer replays
    them in order on the checker's database, on the solver's thread. A
    step is validated against exactly the axioms and steps that precede
-   it in the stream. Steps need validating only before an UNSAT answer
+   it in the stream: first on the clauses its hints name (ids the
+   session numbers exactly as the solver does), and by propagation over
+   the whole database only if those do not suffice. Steps need validating only before an UNSAT answer
    relies on them: axioms are never retracted and RUP is monotone, so a
    step validated long after it was traced is still implied by the
    axioms of the answer that needs it. *)
@@ -26,14 +28,15 @@ type summary = {
   adds : int;
   deletes : int;
   propagations : int;
+  unhinted : int;  (** additions validated by full propagation *)
   drain_seconds : float;  (** wall time the answer's check took *)
 }
 
-(* What the session buffers: proof steps, and axioms in their place
-   among them (normalized, tautologies dropped) *)
-type event = Step of Proof.step | Axiom of int array
+(* What the session buffers: proof steps with their hints, and axioms in
+   their place among them (normalized; a tautology only takes its id) *)
+type event = Step of Proof.step * int array | Axiom of int array | Vacuous
 
-let no_event = Axiom [||]
+let no_event = Vacuous
 
 type t = {
   st : Rup.t;  (* the checker's database *)
@@ -48,6 +51,8 @@ type t = {
   mutable n_deletes : int;
   mutable axioms : int array;  (* arena cids of the replayed axioms *)
   mutable n_axioms : int;
+  mutable cids : int array;  (* clause id -> arena cid, -1 if none *)
+  mutable n_ids : int;  (* clause ids replayed so far *)
   mutable mark : summary;  (* the counters at the last UNSAT answer *)
   mutable error : (int * string) option;  (* first failing step *)
 }
@@ -62,6 +67,7 @@ let zero_summary =
     adds = 0;
     deletes = 0;
     propagations = 0;
+    unhinted = 0;
     drain_seconds = 0.0;
   }
 
@@ -79,14 +85,27 @@ let session () =
     n_deletes = 0;
     axioms = [||];
     n_axioms = 0;
+    cids = Array.make 256 (-1);
+    n_ids = 0;
     mark = zero_summary;
     error = None;
   }
 
+(* The next clause id of the stream names arena clause [cid] *)
+let name_next t cid =
+  if t.n_ids = Array.length t.cids then begin
+    let a = Array.make (2 * t.n_ids) (-1) in
+    Array.blit t.cids 0 a 0 t.n_ids;
+    t.cids <- a
+  end;
+  t.cids.(t.n_ids) <- cid;
+  t.n_ids <- t.n_ids + 1
+
 (* Replay one axiom into the arena (trusted, unindexed) and remember
-   its clause id. *)
+   its arena cid. *)
 let insert_axiom t arr =
   let cid = Rup.insert_axiom t.st arr in
+  name_next t cid;
   if t.n_axioms = Array.length t.axioms then begin
     let a = Array.make (max 256 (2 * t.n_axioms)) 0 in
     Array.blit t.axioms 0 a 0 t.n_axioms;
@@ -111,9 +130,9 @@ let push_event t ev =
   t.raw.(t.raw_n) <- ev;
   t.raw_n <- t.raw_n + 1
 
-let push t step =
+let push t step hints =
   if not t.cancelled then begin
-    push_event t (Step step);
+    push_event t (Step (step, hints));
     t.raw_steps <- t.raw_steps + 1;
     t.n_steps <- t.n_steps + 1;
     match step with
@@ -127,15 +146,16 @@ let push t step =
 
 let tracer t =
   {
-    S.trace_add = (fun c -> push t (Proof.Add c));
-    S.trace_delete = (fun c -> push t (Proof.Delete c));
+    S.trace_add = (fun c hints -> push t (Proof.Add c) hints);
+    S.trace_delete = (fun c -> push t (Proof.Delete c) [||]);
     S.trace_barrier = ignore;
   }
 
 let axiom t lits =
-  match Rup.normalize (List.map L.to_int lits) with
-  | None -> () (* a tautology constrains nothing *)
-  | Some arr -> push_event t (Axiom arr)
+  push_event t
+    (match Rup.normalize (List.map L.to_int lits) with
+    | None -> Vacuous (* a tautology constrains nothing *)
+    | Some arr -> Axiom arr)
 
 (* Replay the pending events in order on the checker's database,
    validating every step. The first failure is sticky; later axioms
@@ -148,12 +168,23 @@ let validate_pending t =
   for i = 0 to t.raw_n - 1 do
     match t.raw.(i) with
     | Axiom arr -> insert_axiom t arr
-    | Step step ->
+    | Vacuous -> name_next t (-1)
+    | Step (step, hints) ->
+        let n0 = t.st.Rup.a_n in
         (if t.error = None then
-           match (Rup.validate_step t.st step, step) with
+           (* a hint naming no earlier clause names none at all *)
+           let hints =
+             Array.map
+               (fun id -> if id >= 0 && id < t.n_ids then t.cids.(id) else -1)
+               hints
+           in
+           match (Rup.validate_step ~hints t.st step, step) with
            | Ok (), Proof.Add _ -> incr checked
            | Ok (), Proof.Delete _ -> ()
            | Error msg, _ -> t.error <- Some (!gstep, msg));
+        (match step with
+        | Proof.Add _ -> name_next t (if t.st.Rup.a_n > n0 then n0 else -1)
+        | Proof.Delete _ -> ());
         incr gstep
   done;
   clear_raw t;
@@ -171,6 +202,7 @@ let counters t =
     adds = t.n_adds;
     deletes = t.n_deletes;
     propagations = t.st.Rup.props;
+    unhinted = t.st.Rup.unhinted;
     drain_seconds = 0.0;
   }
 
@@ -192,6 +224,7 @@ let check_unsat t ~assumptions =
             adds = now.adds - m.adds;
             deletes = now.deletes - m.deletes;
             propagations = now.propagations - m.propagations;
+            unhinted = now.unhinted - m.unhinted;
             drain_seconds = Unix.gettimeofday () -. t0;
           }
       end
@@ -206,7 +239,9 @@ let check_sat t ~assumptions ~value =
       f st.Rup.a_data st.Rup.a_offs.(cid) st.Rup.a_sizes.(cid)
     done;
     for i = 0 to t.raw_n - 1 do
-      match t.raw.(i) with Axiom a -> f a 0 (Array.length a) | Step _ -> ()
+      match t.raw.(i) with
+      | Axiom a -> f a 0 (Array.length a)
+      | Step _ | Vacuous -> ()
     done
   in
   Model.check_held ~held ~assumptions ~value

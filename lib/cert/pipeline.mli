@@ -23,6 +23,9 @@ type summary = {
   adds : int;
   deletes : int;
   propagations : int;
+  unhinted : int;
+      (** additions whose hints did not suffice, validated by
+          propagation over the whole database *)
   drain_seconds : float;  (** wall time the answer's check took *)
 }
 
@@ -32,7 +35,11 @@ val session : unit -> t
     [Solver.set_input_hook] and {!tracer} with [Solver.set_tracer]
     before the solver's first clause. Axioms and proof steps form one
     stream in arrival order, and every step is validated against
-    exactly the axioms and steps before it. *)
+    exactly the axioms and steps before it. The session numbers that
+    stream's clauses as the solver does, so an addition is validated on
+    the clauses its hints name ({!Rup.hinted_implied}), and by unit
+    propagation over the whole database only when they do not
+    suffice. *)
 
 val tracer : t -> Satsolver.Solver.tracer
 (** The proof-step sink to install with [Solver.set_tracer]. *)

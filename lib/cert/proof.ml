@@ -13,7 +13,7 @@ let record p step =
 
 let tracer p =
   {
-    S.trace_add = (fun c -> record p (Add c));
+    S.trace_add = (fun c _ -> record p (Add c));
     S.trace_delete = (fun c -> record p (Delete c));
     S.trace_barrier = ignore;
   }

@@ -59,6 +59,7 @@ type t = {
   index : (int list, int list ref) Hashtbl.t;  (* for deletions *)
   mutable contradiction : bool;  (* empty clause derived / root conflict *)
   mutable props : int;
+  mutable unhinted : int;  (* additions validated by full propagation *)
 }
 
 let create nvars =
@@ -81,6 +82,7 @@ let create nvars =
     index = Hashtbl.create 1024;
     contradiction = false;
     props = 0;
+    unhinted = 0;
   }
 
 let ensure_var st v =
@@ -292,6 +294,74 @@ let rup_implied st lits =
   st.qhead <- root;
   !ok
 
+(* Does asserting the negation of [lits] reach a conflict by unit steps
+   on the clauses [hints] (clause ids) alone? A hint the database does
+   not hold active is ignored, so hints can only fail to convince, never
+   convince wrongly. They may come in any order: a pass fires every hint
+   that has become unit, and passes repeat while one fires. No watch
+   list is read. Temporary assignments are undone before returning. *)
+let hinted_implied st lits hints =
+  st.contradiction
+  ||
+  let root = st.trail_len in
+  let ok = ref false in
+  (try
+     Array.iter
+       (fun l ->
+         ensure_var st (l lsr 1);
+         match value st l with
+         | 1 -> raise Exit
+         | -1 -> ()
+         | _ -> enqueue st (l lxor 1))
+       lits;
+     let pending = Array.copy hints in
+     let n = ref (Array.length pending) in
+     let fired = ref true in
+     while !fired && not !ok do
+       fired := false;
+       let kept = ref 0 in
+       let i = ref 0 in
+       while (not !ok) && !i < !n do
+         let cid = pending.(!i) in
+         incr i;
+         if cid >= 0 && cid < st.a_n && is_active st cid then begin
+           let off = st.a_offs.(cid) in
+           let stop = off + st.a_sizes.(cid) in
+           let open_lit = ref (-1) and n_open = ref 0 and sat = ref false in
+           let k = ref off in
+           while (not !sat) && !k < stop do
+             let l = st.a_data.(!k) in
+             (match value st l with
+             | 1 -> sat := true
+             | 0 ->
+                 incr n_open;
+                 open_lit := l
+             | _ -> ());
+             incr k
+           done;
+           (* a satisfied hint stays satisfied: drop it *)
+           if not !sat then
+             if !n_open = 0 then ok := true
+             else if !n_open = 1 then begin
+               enqueue st !open_lit;
+               fired := true
+             end
+             else begin
+               pending.(!kept) <- cid;
+               incr kept
+             end
+         end
+       done;
+       n := !kept
+     done
+   with Exit -> ok := true);
+  for i = root to st.trail_len - 1 do
+    st.assigns.(st.trail.(i) lsr 1) <- 0
+  done;
+  st.trail_len <- root;
+  st.qhead <- root;
+  !ok
+
 let deactivate st cid =
   (* lazy detach: propagation skips inactive clauses. Level-0
      assignments implied by the clause are kept (drat-trim forward-mode
@@ -366,12 +436,18 @@ let not_rup_reason = "added clause is not implied by unit propagation"
 
 let step_lits lits = normalize (Array.to_list (Array.map L.to_int lits))
 
-let validate_step st = function
+let validate_step ?(hints = [||]) st = function
   | Proof.Add lits -> (
       match step_lits lits with
       | None -> Ok () (* a tautology is trivially implied *)
       | Some arr ->
-          if rup_implied st arr then begin
+          if
+            hinted_implied st arr hints
+            || begin
+                 st.unhinted <- st.unhinted + 1;
+                 rup_implied st arr
+               end
+          then begin
             ignore (insert st arr);
             Ok ()
           end

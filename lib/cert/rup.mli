@@ -65,6 +65,8 @@ type t = {
   index : (int list, int list ref) Hashtbl.t;
   mutable contradiction : bool;
   mutable props : int;
+  mutable unhinted : int;
+      (** additions {!validate_step} validated by full propagation *)
 }
 
 val create : int -> t
@@ -80,12 +82,25 @@ val insert_axiom : t -> int array -> int
     validation and without a deletion-index entry, so a deletion step
     naming it finds nothing. Returns its clause id. *)
 
-val validate_step : t -> Proof.step -> (unit, string) result
+val hinted_implied : t -> int array -> int array -> bool
+(** [hinted_implied st lits hints]: does asserting the negation of the
+    normalized clause [lits] reach a conflict by unit steps on the
+    clauses [hints] (clause ids, in any order) alone, or is [lits]
+    satisfied at level 0? A hint the database does not hold active is
+    ignored: hints can fail to convince, never convince wrongly. No
+    watch list is read, so a step whose hints suffice costs only the
+    walk over its hints. *)
+
+val validate_step :
+  ?hints:int array -> t -> Proof.step -> (unit, string) result
 (** Check one certificate step against the active database and apply
     it: an addition must be RUP (then it is inserted), a deletion must
     name a clause the deletion index holds (then it is deactivated).
-    [Error] carries the reason; the step index is the caller's to add.
-    {!check} is this step over the whole stream. *)
+    An addition is first tried on its [hints] ({!hinted_implied},
+    default none); only when they do not suffice is it propagated on
+    the whole database (counted in [unhinted]). [Error] carries the
+    reason; the step index is the caller's to add. {!check} is this
+    step over the whole stream, without hints. *)
 
 val final_conflict : t -> L.t list -> bool
 (** The acceptance condition on the final database: a derived

@@ -11,16 +11,19 @@
 
      arena.(cr)          header: size lsl 2, lor 1 if learnt, lor 2 if removed
      arena.(cr + 1)      learnt slot: the clause's index in the learnt side
-                         arrays (learnts, l_act, l_lbd); -1 for problem clauses
+                         arrays (learnts, l_act, l_lbd, l_id); for a problem
+                         clause [-2 - id], [id] its clause id in the
+                         certificate stream (see [fresh_id]), or -1 once
+                         an untraced solver's compaction has moved it
      arena.(cr + 2 ..)   the size literals, Lit.to_int encoded
 
    Watch lists, reasons (-1 = none) and the problem and learnt clause
-   sets hold crefs. Learnt activity and LBD live in unboxed side arrays
-   indexed by the slot, which keeps the learnts in age order. Database
-   reduction marks the learnts it deletes as removed, then compacts the
-   arena in place: each survivor's new cref is parked in its slot word,
-   every cref (watches, reasons, both clause sets) is rewritten through
-   it, and the survivors slide down in arena order. *)
+   sets hold crefs. Learnt activity, LBD and clause id live in unboxed
+   side arrays indexed by the slot, which keeps the learnts in age
+   order. Database reduction marks the learnts it deletes as removed,
+   then compacts the arena in place: each survivor's new cref is parked
+   in its slot word, every cref (watches, reasons, both clause sets) is
+   rewritten through it, and the survivors slide down in arena order. *)
 
 type options = {
   use_vsids : bool;
@@ -89,7 +92,7 @@ let pp_budget fmt b =
     (if parts = [] then "unlimited" else String.concat " " parts)
 
 type tracer = {
-  trace_add : Lit.t array -> unit;
+  trace_add : Lit.t array -> int array -> unit;
   trace_delete : Lit.t array -> unit;
   trace_barrier : unit -> unit;
 }
@@ -147,13 +150,22 @@ type t = {
   mutable learnts : int array;  (* learnt crefs by slot, oldest first *)
   mutable l_act : float array;  (* learnt activity, by slot *)
   mutable l_lbd : int array;  (* learnt LBD, by slot *)
+  mutable l_id : int array;  (* learnt clause id, by slot *)
   mutable nlearnts : int;
+  mutable next_id : int;  (* the certificate stream's next clause id *)
   (* conflict-analysis scratch *)
   mutable out : int array;  (* the learnt clause being built, UIP first *)
   mutable out_len : int;
   mutable stack : int array;  (* minimisation DFS stack *)
   mutable clear : int array;  (* vars marked seen during analysis *)
   mutable clear_len : int;
+  (* hints of the learnt clause being built, when tracing: the ids of
+     the clauses analysis resolved on, latest first, and of the reasons
+     minimisation used *)
+  mutable hints : int array;
+  mutable hints_len : int;
+  mutable mhints : int array;
+  mutable mhints_len : int;
   mutable lbd_stamp : int array;  (* by decision level *)
   mutable lbd_epoch : int;
   mutable assumptions : int array;  (* of the solve in flight *)
@@ -208,12 +220,18 @@ let create ?(options = default_options) () =
     learnts = [||];
     l_act = [||];
     l_lbd = [||];
+    l_id = [||];
     nlearnts = 0;
+    next_id = 0;
     out = Array.make 16 0;
     out_len = 0;
     stack = Array.make 16 0;
     clear = Array.make 16 0;
     clear_len = 0;
+    hints = Array.make 16 0;
+    hints_len = 0;
+    mhints = Array.make 16 0;
+    mhints_len = 0;
     lbd_stamp = [||];
     lbd_epoch = 0;
     assumptions = [||];
@@ -281,6 +299,10 @@ let alloc_clause t ~learnt src len =
 
 let clause_lits t cr =
   Array.init (clause_size t cr) (fun i -> Lit.of_int t.arena.(cr + 2 + i))
+
+let clause_id t cr =
+  let w = t.arena.(cr + 1) in
+  if t.arena.(cr) land learnt_bit <> 0 then t.l_id.(w) else -2 - w
 
 (* ---- VSIDS heap (max-heap on activity) ---- *)
 
@@ -383,14 +405,16 @@ let clause_bump t slot =
 let clause_decay t = t.clause_inc <- t.clause_inc /. t.opts.clause_decay
 
 (* Register a learnt cref in the next slot, with zero activity. *)
-let add_learnt t cr lbd =
+let add_learnt t cr lbd id =
   let s = t.nlearnts in
   t.learnts <- grow_array t.learnts (s + 1) 0;
   t.l_act <- grow_array t.l_act (s + 1) 0.0;
   t.l_lbd <- grow_array t.l_lbd (s + 1) 0;
+  t.l_id <- grow_array t.l_id (s + 1) 0;
   t.learnts.(s) <- cr;
   t.l_act.(s) <- 0.0;
   t.l_lbd.(s) <- lbd;
+  t.l_id.(s) <- id;
   t.arena.(cr + 1) <- s;
   t.nlearnts <- s + 1;
   s
@@ -496,12 +520,22 @@ let propagate t =
 
 (* ---- proof tracing ---- *)
 
+(* Every clause of the certificate stream takes the next id: the inputs
+   of [add_clause] and the traced additions, counted together in stream
+   order, with or without a tracer. *)
+let fresh_id t =
+  let id = t.next_id in
+  t.next_id <- id + 1;
+  id
+
 (* The callbacks receive fresh arrays: arena literals are reordered later
-   by watch swaps, so aliasing would corrupt the certificate. *)
-let trace_add t lits =
-  match t.tracer with
+   by watch swaps, so aliasing would corrupt the certificate. Returns
+   the addition's clause id. *)
+let trace_add t lits hints =
+  (match t.tracer with
   | None -> ()
-  | Some tr -> tr.trace_add (Array.map Lit.of_int lits)
+  | Some tr -> tr.trace_add (Array.map Lit.of_int lits) hints);
+  fresh_id t
 
 let trace_delete t cr =
   match t.tracer with
@@ -518,6 +552,7 @@ let set_input_hook t h = t.input_hook <- h
 
 let add_clause t lits =
   (match t.input_hook with Some f -> f lits | None -> ());
+  let input = fresh_id t in
   if t.ok then begin
     t.last_result <- RNone;
     if decision_level t > 0 then cancel_until t 0;
@@ -542,19 +577,23 @@ let add_clause t lits =
         let simplified = List.length lits < n_orig in
         match lits with
         | [] ->
-            trace_add t [||];
+            ignore (trace_add t [||] [| input |]);
             t.ok <- false
         | [ l ] ->
-            if simplified then trace_add t [| l |];
+            if simplified then ignore (trace_add t [| l |] [| input |]);
             enqueue t l (-1);
-            if propagate t >= 0 then begin
-              trace_add t [||];
+            let confl = propagate t in
+            if confl >= 0 then begin
+              ignore (trace_add t [||] [| clause_id t confl |]);
               t.ok <- false
             end
         | _ ->
             let lits = Array.of_list lits in
-            if simplified then trace_add t lits;
+            let id =
+              if simplified then trace_add t lits [| input |] else input
+            in
             let cr = alloc_clause t ~learnt:false lits (Array.length lits) in
+            t.arena.(cr + 1) <- -2 - id;
             t.clauses <- grow_array t.clauses (t.n_clauses + 1) 0;
             t.clauses.(t.n_clauses) <- cr;
             t.n_clauses <- t.n_clauses + 1;
@@ -592,12 +631,26 @@ let compute_lbd t =
   done;
   !n
 
+let push_hint t id =
+  t.hints <- grow_array t.hints (t.hints_len + 1) 0;
+  t.hints.(t.hints_len) <- id;
+  t.hints_len <- t.hints_len + 1
+
+let push_mhint t id =
+  t.mhints <- grow_array t.mhints (t.mhints_len + 1) 0;
+  t.mhints.(t.mhints_len) <- id;
+  t.mhints_len <- t.mhints_len + 1
+
 (* Is l redundant w.r.t. the current learnt clause (all its reason
    antecedents eventually hit seen literals)? On failure, the marks
-   added during this check are undone to keep later checks sound. *)
+   added during this check are undone to keep later checks sound. When
+   tracing, the reasons a successful check walked join the minimisation
+   hints, deepest first. *)
 let lit_redundant t l abstract_levels =
   let a = t.arena in
+  let tracing = t.tracer <> None in
   let marks = t.clear_len in
+  let hmark = t.mhints_len in
   t.stack.(0) <- l;
   let top = ref 1 in
   let ok = ref true in
@@ -606,6 +659,7 @@ let lit_redundant t l abstract_levels =
     let cr = t.reason.(t.stack.(!top) lsr 1) in
     if cr < 0 then ok := false
     else begin
+      if tracing then push_mhint t (clause_id t cr);
       let k = ref (cr + 2) in
       let stop = cr + 2 + (a.(cr) lsr 2) in
       while !ok && !k < stop do
@@ -631,7 +685,18 @@ let lit_redundant t l abstract_levels =
     for i = marks to t.clear_len - 1 do
       t.seen.(t.clear.(i)) <- false
     done;
-    t.clear_len <- marks
+    t.clear_len <- marks;
+    t.mhints_len <- hmark
+  end
+  else begin
+    let i = ref hmark and j = ref (t.mhints_len - 1) in
+    while !i < !j do
+      let tmp = t.mhints.(!i) in
+      t.mhints.(!i) <- t.mhints.(!j);
+      t.mhints.(!j) <- tmp;
+      incr i;
+      decr j
+    done
   end;
   !ok
 
@@ -642,8 +707,11 @@ let lit_redundant t l abstract_levels =
 let analyze t confl =
   let a = t.arena in
   let dl = decision_level t in
+  let tracing = t.tracer <> None in
   t.out_len <- 1;
   t.clear_len <- 0;
+  t.hints_len <- 0;
+  t.mhints_len <- 0;
   let path_c = ref 0 in
   let p = ref (-1) in
   let index = ref (t.trail_len - 1) in
@@ -651,6 +719,7 @@ let analyze t confl =
   let continue_loop = ref true in
   while !continue_loop do
     let c = !cr in
+    if tracing then push_hint t (clause_id t c);
     if a.(c) land learnt_bit <> 0 then clause_bump t a.(c + 1);
     for k = c + 2 to c + 1 + (a.(c) lsr 2) do
       let q = a.(k) in
@@ -758,9 +827,14 @@ let m_arena_compactions = Obs.Metrics.counter "sat.arena_compactions"
 (* Reclaim removed clauses. First pass: park each survivor's new cref in
    its slot word. Then rewrite every cref through it, and slide the
    survivors down in arena order, restoring slot words as they go
-   (learnts occupy the arena in slot order). *)
+   (learnts occupy the arena in slot order). A traced solver's problem
+   clause ids are set aside first and put back last. *)
 let compact t =
   let a = t.arena in
+  let p_ids =
+    if t.tracer = None then [||]
+    else Array.init t.n_clauses (fun i -> a.(t.clauses.(i) + 1))
+  in
   let dst = ref 0 and cr = ref 0 in
   while !cr < t.arena_len do
     let len = 2 + (a.(!cr) lsr 2) in
@@ -801,6 +875,7 @@ let compact t =
     end;
     cr := !cr + len
   done;
+  Array.iteri (fun i id -> a.(t.clauses.(i) + 1) <- id) p_ids;
   t.arena_len <- !dst;
   Obs.Metrics.incr m_arena_compactions
 
@@ -838,6 +913,7 @@ let reduce_db t =
       t.learnts.(!kept) <- cr;
       t.l_act.(!kept) <- t.l_act.(s);
       t.l_lbd.(!kept) <- t.l_lbd.(s);
+      t.l_id.(!kept) <- t.l_id.(s);
       incr kept
     end
   done;
@@ -906,6 +982,15 @@ let check_terminate t =
     end
   end
 
+(* The hints of the clause [analyze] left in [t.out]: the reasons
+   minimisation used, then the clauses analysis resolved on in trail
+   order, the conflict last. Asserting the negation of the learnt
+   clause, each hint in turn becomes unit or, the last, false. *)
+let learnt_hints t =
+  let m = t.mhints_len and n = t.hints_len in
+  Array.init (m + n) (fun i ->
+      if i < m then t.mhints.(i) else t.hints.(n - 1 - (i - m)))
+
 (* Learn from the conflict at [confl] and backjump. *)
 let learn t confl =
   let bt = analyze t confl in
@@ -913,12 +998,15 @@ let learn t confl =
   (match t.tracer with
   | None -> ()
   | Some tr ->
-      tr.trace_add (Array.init t.out_len (fun i -> Lit.of_int t.out.(i))));
+      tr.trace_add
+        (Array.init t.out_len (fun i -> Lit.of_int t.out.(i)))
+        (learnt_hints t));
+  let id = fresh_id t in
   cancel_until t bt;
   if t.out_len = 1 then enqueue t t.out.(0) (-1)
   else begin
     let cr = alloc_clause t ~learnt:true t.out t.out_len in
-    let slot = add_learnt t cr lbd in
+    let slot = add_learnt t cr lbd id in
     t.n_learnt_total <- t.n_learnt_total + 1;
     clause_bump t slot;
     attach t cr;
@@ -970,7 +1058,7 @@ let search t ~conflict_budget =
         t.n_conflicts <- t.n_conflicts + 1;
         incr conflicts_here;
         if decision_level t = 0 then begin
-          trace_add t [||];
+          ignore (trace_add t [||] [| clause_id t confl |]);
           t.ok <- false;
           t.conflict_core <- [];
           raise (Found Unsat)

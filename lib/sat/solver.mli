@@ -92,20 +92,31 @@ val set_terminate : t -> (unit -> bool) option -> unit
 (** {1 Proof tracing (DRUP)} *)
 
 type tracer = {
-  trace_add : Lit.t array -> unit;
+  trace_add : Lit.t array -> int array -> unit;
   trace_delete : Lit.t array -> unit;
   trace_barrier : unit -> unit;
 }
-(** Certificate sink. [trace_add] fires for every clause the solver adds
-    beyond the clauses given to {!add_clause}: learnt clauses (unit and
-    multi-literal), input clauses strengthened at level 0 (false
-    literals dropped), and the empty clause when unsatisfiability is
-    detected without assumptions. [trace_delete] fires when a learnt
-    clause is removed by database reduction. Every traced addition is
-    RUP with respect to the input clauses plus the previously traced
-    additions (minus deletions), so the stream — interpreted as a DRUP
-    certificate — can be validated by unit propagation alone. The
-    arrays are fresh; the callee may keep them.
+(** Certificate sink. [trace_add lits hints] fires for every clause the
+    solver adds beyond the clauses given to {!add_clause}: learnt
+    clauses (unit and multi-literal), input clauses strengthened at
+    level 0 (false literals dropped), and the empty clause when
+    unsatisfiability is detected without assumptions. [trace_delete]
+    fires when a learnt clause is removed by database reduction. Every
+    traced addition is RUP with respect to the input clauses plus the
+    previously traced additions (minus deletions), so the stream —
+    interpreted as a DRUP certificate — can be validated by unit
+    propagation alone. The arrays are fresh; the callee may keep them.
+
+    Clause ids number the stream: every clause given to {!add_clause}
+    (tautologies and clauses satisfied at level 0 included) and every
+    traced addition takes the next id, from 0, in stream order.
+    [hints] are ids of earlier clauses the addition rests on: the
+    reasons conflict analysis resolved on and minimisation used, in
+    trail order, and the conflict clause last. With the level-0
+    assignment, asserting the negation of [lits] makes each hint unit
+    in turn and the last one false (minimisation's reasons may need
+    more than one pass); a checker can confirm the addition on those
+    clauses alone. A hint is never a deleted clause.
 
     [trace_barrier] fires at restarts and after learnt-database
     reductions — natural phase boundaries of the search. It carries no

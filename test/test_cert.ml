@@ -129,7 +129,8 @@ let test_certificate_across_compaction () =
   S.set_tracer s
     (Some
        {
-         S.trace_add = (fun c -> rec_tr.S.trace_add c; pl_tr.S.trace_add c);
+         S.trace_add =
+           (fun c h -> rec_tr.S.trace_add c h; pl_tr.S.trace_add c h);
          trace_delete =
            (fun c -> rec_tr.S.trace_delete c; pl_tr.S.trace_delete c);
          trace_barrier =
@@ -184,7 +185,8 @@ let replay_session ~clauses steps =
   let tr = Pipeline.tracer c in
   List.iter
     (function
-      | Proof.Add c -> tr.S.trace_add c | Proof.Delete c -> tr.S.trace_delete c)
+      | Proof.Add c -> tr.S.trace_add c [||]
+      | Proof.Delete c -> tr.S.trace_delete c)
     steps;
   c
 
@@ -277,7 +279,7 @@ let test_pipeline_cancel () =
     (fun i st ->
       if i >= mid then
         match st with
-        | Proof.Add c -> tr.S.trace_add c
+        | Proof.Add c -> tr.S.trace_add c [||]
         | Proof.Delete c -> tr.S.trace_delete c)
     steps;
   match Pipeline.check_unsat c ~assumptions:[] with
@@ -411,7 +413,7 @@ let test_session_accepts () =
   Alcotest.(check bool) "steps validated" true (steps1 > 0);
   (* a redundant step (a copy of an input clause), so that the next
      clauses arrive behind a pending step *)
-  (Pipeline.tracer c).S.trace_add (Array.of_list (List.hd php1));
+  (Pipeline.tracer c).S.trace_add (Array.of_list (List.hd php1)) [||];
   List.iter (S.add_clause s) (guarded_pigeonhole ~base:22 ~act:act2 5 4);
   (match unsat_ok s c ~assumptions:[ L.negate act1; act2 ] with
   | Ok _ -> ()
@@ -458,13 +460,13 @@ let session_rejects_step what bad =
 
 let test_session_rejects_non_rup () =
   session_rejects_step "a non-RUP step" (fun _ tr ->
-      tr.S.trace_add [| lit 1 false |])
+      tr.S.trace_add [| lit 1 false |] [||])
 
 (* a step is judged against the axioms before it: one that only a later
    input clause implies is rejected, whatever validates it when *)
 let test_session_rejects_premature_step () =
   session_rejects_step "a step ahead of its axiom" (fun s tr ->
-      tr.S.trace_add [| lit 1 true |];
+      tr.S.trace_add [| lit 1 true |] [||];
       S.add_clause s [ lit 1 true ])
 
 let test_session_rejects_unknown_delete () =
@@ -526,6 +528,123 @@ let test_session_counts_checked () =
   Alcotest.(check bool) "additions validated" true (adds > 0);
   Alcotest.(check int) "counter delta" adds
     (Obs.Metrics.counter_value checked - c0)
+
+(* ---- hinted steps ---- *)
+
+let unhinted_of = function
+  | Ok (sum : Pipeline.summary) -> sum.Pipeline.unhinted
+  | Error m -> Alcotest.failf "genuine UNSAT rejected: %s" m
+
+(* Every addition a solver traces is confirmed by its hints alone: a
+   database reduction's compaction, a warm solver answering under
+   assumptions, and input clauses strengthened at level 0. *)
+let test_hints_suffice () =
+  let nvars, clauses = pigeonhole 8 7 in
+  let s, c = mirrored nvars in
+  List.iter (S.add_clause s) clauses;
+  Alcotest.(check int) "php(8,7)" 0 (unhinted_of (unsat_ok s c ~assumptions:[]));
+  Alcotest.(check bool) "php(8,7) reduces" true
+    ((S.stats s).S.deleted_clauses > 0);
+  let act1 = lit 0 true and act2 = lit 1 true in
+  let s, c = mirrored 42 in
+  List.iter (S.add_clause s) (guarded_pigeonhole ~base:2 ~act:act1 5 4);
+  List.iter (S.add_clause s) (guarded_pigeonhole ~base:22 ~act:act2 5 4);
+  List.iter
+    (fun assumptions ->
+      Alcotest.(check int) "warm, under assumptions" 0
+        (unhinted_of (unsat_ok s c ~assumptions)))
+    [ [ act1 ]; [ L.negate act1; act2 ] ];
+  let s, c = mirrored 3 in
+  List.iter (S.add_clause s)
+    [
+      [ lit 0 true ];
+      [ lit 0 false; lit 1 true; lit 2 true ];
+      [ lit 1 false ];
+      [ lit 2 false ];
+    ];
+  Alcotest.(check int) "strengthened inputs" 0
+    (unhinted_of (unsat_ok s c ~assumptions:[]))
+
+(* A solve's stream, inputs and hinted steps in order *)
+type streamed = In of L.t list | Lemma of L.t array * int array | Del of L.t array
+
+let record_stream nvars clauses =
+  let s = S.create () in
+  let events = ref [] in
+  S.set_input_hook s (Some (fun c -> events := In c :: !events));
+  S.set_tracer s
+    (Some
+       {
+         S.trace_add = (fun c h -> events := Lemma (c, h) :: !events);
+         trace_delete = (fun c -> events := Del c :: !events);
+         trace_barrier = ignore;
+       });
+  for _ = 1 to nvars do
+    ignore (S.new_var s)
+  done;
+  List.iter (S.add_clause s) clauses;
+  Alcotest.(check bool) "unsat" true (S.solve s = S.Unsat);
+  List.rev !events
+
+(* Replay a stream into a fresh session, each addition's hints rewritten
+   by [mutate] (it gets the addition's clause id), and check UNSAT *)
+let replay_hinted ?(mutate = fun _ h -> h) events =
+  let c = Pipeline.session () in
+  let tr = Pipeline.tracer c in
+  let next = ref 0 in
+  List.iter
+    (function
+      | In cl ->
+          Pipeline.axiom c cl;
+          incr next
+      | Lemma (cl, h) ->
+          tr.S.trace_add cl (mutate !next h);
+          incr next
+      | Del cl -> tr.S.trace_delete cl)
+    events;
+  Pipeline.check_unsat c ~assumptions:[]
+
+(* Hints only speed a check up. Reordered, they still suffice; without
+   the conflict clause, or naming a clause that is not yet there, they
+   do not, and the step is propagated instead; no hint makes a non-RUP
+   step pass. *)
+let test_hints_mutated () =
+  let nvars, clauses = pigeonhole 6 5 in
+  let events = record_stream nvars clauses in
+  let last h = Array.length h - 1 in
+  Alcotest.(check int) "genuine" 0 (unhinted_of (replay_hinted events));
+  Alcotest.(check int) "two hints swapped" 0
+    (unhinted_of
+       (replay_hinted
+          ~mutate:(fun _ h ->
+            let h = Array.copy h in
+            if Array.length h >= 2 then begin
+              let h0 = h.(0) in
+              h.(0) <- h.(1);
+              h.(1) <- h0
+            end;
+            h)
+          events));
+  let fallbacks what mutate =
+    Alcotest.(check bool) what true
+      (unhinted_of (replay_hinted ~mutate events) > 0)
+  in
+  fallbacks "conflict clause dropped" (fun _ h ->
+      if Array.length h = 0 then h else Array.sub h 0 (last h));
+  fallbacks "a hint pointing forward" (fun id h ->
+      let h = Array.copy h in
+      if Array.length h > 0 then h.(last h) <- id;
+      h);
+  (* a non-RUP addition carrying a genuine step's hints *)
+  let rec splice = function
+    | (Lemma (_, h) as e) :: rest when Array.length h > 0 ->
+        e :: Lemma ([| lit (nvars + 3) true |], h) :: rest
+    | e :: rest -> e :: splice rest
+    | [] -> []
+  in
+  match replay_hinted (splice events) with
+  | Ok _ -> Alcotest.fail "a non-RUP step passed on borrowed hints"
+  | Error _ -> ()
 
 (* ---- counterexample validation against the simulator ---- *)
 
@@ -764,6 +883,13 @@ let () =
             test_session_rejects_models;
           Alcotest.test_case "counts the steps it validates" `Quick
             test_session_counts_checked;
+        ] );
+      ( "hints",
+        [
+          Alcotest.test_case "suffice on every solver step" `Quick
+            test_hints_suffice;
+          Alcotest.test_case "mutated hints never convince" `Quick
+            test_hints_mutated;
         ] );
       ( "certval",
         [

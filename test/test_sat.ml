@@ -464,7 +464,7 @@ let recording_tracer buf =
     Buffer.add_char buf '\n'
   in
   {
-    Solver.trace_add = step "a";
+    Solver.trace_add = (fun c _ -> step "a" c);
     trace_delete = step "d";
     trace_barrier = (fun () -> Buffer.add_string buf "b\n");
   }
