@@ -123,7 +123,8 @@ let full_cex_arg =
 let no_simp_arg =
   let doc =
     "Escape hatch: disable problem reduction (cone-of-influence \
-     restriction of witness-free SAT calls). Verdicts are identical with \
+     restriction of the witness-free SAT calls that $(b,--portfolio) \
+     races; other calls are never reduced). Verdicts are identical with \
      and without it."
   in
   Arg.(value & flag & info [ "no-simp" ] ~doc)

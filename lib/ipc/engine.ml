@@ -12,7 +12,7 @@ type t = {
   configs : S.options list option;
   certify : bool;
   session : Cert.Pipeline.t option;  (* certified: mirrors [solver] *)
-  simp : bool;  (* problem reduction for witness-free solves *)
+  simp : bool;  (* problem reduction for witness-free races *)
   mutable assumed : Aig.lit list;  (* permanent assumptions, reversed *)
   mutable implications : (Aig.lit * Aig.lit) list;  (* reversed *)
   mutable pre_encoded : int;  (* high-water mark: frames <= this are done *)
@@ -23,7 +23,7 @@ type t = {
   mutable cert_tot : Cert.Proof.totals;
   mutable budget : S.budget;  (* applies to every subsequent solve *)
   mutable interrupt : (unit -> bool) option;  (* cooperative cancellation *)
-  mutable red_solves : int;  (* solves answered on a reduced problem *)
+  mutable red_solves : int;  (* races run on a reduced problem *)
   mutable red_snapshot : (int * int) option;  (* last reduced (vars, clauses) *)
   mutable red_report : Simp.reduction option;  (* finalised accounting *)
 }
@@ -254,22 +254,21 @@ let reduced_snapshot t extra =
   t.red_snapshot <- Some (nvars, List.length clauses);
   (nvars, clauses, assumptions)
 
+(* Does this solve race a snapshot, and is that snapshot reduced? *)
+let races t ~sequential = t.portfolio > 1 && not sequential
+let reduces t ~want_cex ~sequential =
+  t.simp && (not want_cex) && races t ~sequential
+
 let solve_raw_core t ~want_cex ~sequential extra =
-  (* Reduction (simp): a witness-free solve only needs the logic that
-     can reach its constraint cone. Sequentially that means skipping
-     [pre_encode] — the lazy Tseitin encoding then IS the
-     cone-of-influence reduction; on the snapshot path the reduced CNF
-     is rebuilt from the tracked roots. Witness-producing solves always
-     encode the full extraction set, so their CNF — and with it the
-     model and the extracted counterexample — is bit-identical with
-     simp on or off. *)
-  let reduce = t.simp && not want_cex in
+  (* Reduction (simp): a witness-free race only needs the logic that can
+     reach its constraint cone, so its snapshot is rebuilt from the
+     tracked roots. Every other solve runs on the fully encoded problem:
+     a solve on the engine's own solver, and a witness-producing race,
+     whose CNF — and with it the model and the extracted counterexample
+     — is then bit-identical with simp on or off. *)
+  let reduce = reduces t ~want_cex ~sequential in
   if not reduce then pre_encode t;
-  if t.portfolio <= 1 || sequential then begin
-    if reduce then begin
-      t.red_solves <- t.red_solves + 1;
-      Obs.Metrics.incr m_reduced
-    end;
+  if not (races t ~sequential) then begin
     let assumptions = List.map (Aig.Cnf.sat_lit t.cnf) extra in
     let before = S.stats t.solver in
     S.set_terminate t.solver t.interrupt;
@@ -343,10 +342,10 @@ let solve_raw t ~want_cex ~sequential extra =
         ( "mode",
           Obs.Trace.Str
             (if t.certify then "certified"
-             else if t.portfolio > 1 && not sequential then "portfolio"
+             else if races t ~sequential then "portfolio"
              else "incremental") );
         ("assumptions", Obs.Trace.Int (List.length extra));
-        ("reduced", Obs.Trace.Bool (t.simp && not want_cex));
+        ("reduced", Obs.Trace.Bool (reduces t ~want_cex ~sequential));
       ]
     (fun () -> solve_raw_core t ~want_cex ~sequential extra)
 
@@ -370,37 +369,29 @@ let decide ?(cex = true) ?(sequential = false) t q : verdict =
 (* --- reduction accounting ------------------------------------------- *)
 
 let reduction_stats t =
-  if (not t.simp) || t.red_solves = 0 then None
-  else
-    match t.red_report with
-    | Some _ as r -> r
-    | None ->
-        (* Both sides are measured, never estimated. Reduced: the CNF
-           the reduced solves actually shipped — the last rebuilt
-           snapshot, or (sequentially) the solver's lazily-encoded
-           constraint cone. Full: the same solver after [pre_encode],
-           which is exactly the CNF a simp-off run would have held —
-           lazy Tseitin encodes each node once, so encoding the
-           extraction set now (the run is over) measures it. Cached:
-           the first call finalises the accounting. *)
-        let red_vars, red_clauses =
-          match t.red_snapshot with
-          | Some (v, c) -> (v, c)
-          | None -> (S.nvars t.solver, S.nclauses t.solver)
-        in
-        pre_encode t;
-        let r =
-          Some
-            {
-              Simp.red_solves = t.red_solves;
-              red_full_vars = S.nvars t.solver;
-              red_full_clauses = S.nclauses t.solver;
-              red_vars;
-              red_clauses;
-            }
-        in
-        t.red_report <- r;
-        r
+  match (t.red_report, t.red_snapshot) with
+  | (Some _ as r), _ -> r
+  | None, None -> None
+  | None, Some (red_vars, red_clauses) ->
+      (* Both sides are measured, never estimated. Reduced: the last
+         snapshot a reduced race shipped. Full: the engine's own
+         solver after [pre_encode], which is exactly what a simp-off
+         race exports — lazy Tseitin encodes each node once, so
+         encoding the extraction set now (the run is over) measures
+         it. Cached: the first call finalises the accounting. *)
+      pre_encode t;
+      let r =
+        Some
+          {
+            Simp.red_solves = t.red_solves;
+            red_full_vars = S.nvars t.solver;
+            red_full_clauses = S.nclauses t.solver;
+            red_vars;
+            red_clauses;
+          }
+      in
+      t.red_report <- r;
+      r
 
 let solve_stats t = S.stats t.solver
 let last_stats t = t.last_stats

@@ -27,13 +27,14 @@
     winner's session vouches for the winner's answer; the engine's own
     session vouches for its [~sequential] solves.
 
-    With [simp] (the default), witness-free solves — {!decide} with
-    [~cex:false] — are answered on a {e reduced} problem: only the cone
-    of influence of the permanent constraints and the obligation is
-    encoded ({!Simp}). Witness-producing solves always encode the full
-    extraction set, so counterexamples are bit-identical with [simp] on
-    or off; a certified reduced race's sessions take the reduced CNF it
-    actually solved as their axioms. *)
+    With [simp] (the default), witness-free portfolio races — {!decide}
+    with [~cex:false] on an engine with [portfolio > 1], not
+    [~sequential] — race a {e reduced} snapshot: only the cone of
+    influence of the permanent constraints and the obligation
+    ({!Simp}). Every other solve runs on the fully encoded problem, so
+    counterexamples are bit-identical with [simp] on or off; a certified
+    reduced race's sessions take the reduced CNF it actually solved as
+    their axioms. *)
 
 type t
 
@@ -53,7 +54,8 @@ val create :
   Rtl.Netlist.t ->
   t
 (** [simp] (default [true]) enables cone-of-influence reduction for
-    witness-free solves; it never changes verdicts or counterexamples.
+    witness-free portfolio races; it never changes verdicts or
+    counterexamples.
 
     [share] goes to {!Unroller.create}: instance B's cycle-0 state of
     those state variables is A's own, so the engine can only answer
@@ -119,8 +121,8 @@ val decide : ?cex:bool -> ?sequential:bool -> t -> query -> verdict
     the assumptions imply [g] ([Proved] iff assumptions ∧ ¬g is UNSAT);
     [Violation ls] asks whether assumptions ∧ ⋀ls is reachable
     ([Refuted] iff SAT — the violation exists). With [~cex:false]
-    (default [true]) no counterexample is extracted and the solve may
-    run on the reduced problem; [Refuted None] then only reports
+    (default [true]) no counterexample is extracted and a race may run
+    on the reduced problem; [Refuted None] then only reports
     existence. With [~sequential:true] (default [false]) an engine
     created with [portfolio > 1] solves on its own warm solver, as a
     sequential engine does, instead of racing a snapshot. *)
@@ -128,13 +130,13 @@ val decide : ?cex:bool -> ?sequential:bool -> t -> query -> verdict
 (** {1 Statistics} *)
 
 val reduction_stats : t -> Simp.reduction option
-(** Reduction accounting for this engine: how many solves ran on a
+(** Reduction accounting for this engine: how many races ran on a
     reduced problem and the CNF size of the unreduced encoding versus
-    what was actually given to the solver. Both sides are measured, not
+    the last reduced snapshot. Both sides are measured, not
     estimated; the first call finalises the accounting (it may encode
     the remaining extraction set to measure the unreduced size), so call
     it only once the run is over. [None] when the engine was created
-    with [~simp:false] or no solve was ever reduced. *)
+    with [~simp:false] or no race was ever reduced. *)
 
 val solve_stats : t -> Satsolver.Solver.stats
 (** Cumulative statistics of the engine's own solver (sequential solves

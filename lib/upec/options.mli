@@ -11,9 +11,11 @@ type t = {
   max_k : int;  (** Alg2 unrolling-depth cap (default 8) *)
   solver_options : Satsolver.Solver.options option;
   simp : bool;
-      (** cone-of-influence problem reduction for witness-free solves
-          (default [true]); never changes verdicts or counterexamples —
-          see {!Ipc.Engine.create} *)
+      (** cone-of-influence problem reduction for witness-free
+          portfolio races (default [true]); a round's workers are fully
+          encoded when built, so it only applies with [portfolio > 1].
+          Never changes verdicts or counterexamples — see
+          {!Ipc.Engine.create} *)
   jobs : int;
       (** workers of each per-svar round (default 1; values below 1
           mean 1). A round decides its persistent obligations in order

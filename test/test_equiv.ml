@@ -62,12 +62,15 @@ let repr_run (r : Upec.Report.run) =
 let check_identical what on off =
   Alcotest.(check string) what (repr_run off) (repr_run on)
 
-(* ---- simp on/off: bit-identical runs ---- *)
+(* ---- simp on/off: bit-identical runs ----
+
+   Reduction applies to witness-free portfolio races, so the Alg. 1,
+   Alg. 2 and certified runs race two configurations per solve. *)
 
 let test_alg1_simp_equiv () =
   let run ?(jobs = 1) simp =
     Upec.Alg1.run_with
-      { O.default with O.simp; jobs }
+      { O.default with O.simp; jobs; portfolio = 2 }
       (dma_timer Upec.Spec.Vulnerable)
   in
   check_identical "alg1 one worker" (run true) (run false);
@@ -75,19 +78,22 @@ let test_alg1_simp_equiv () =
 
 let test_alg2_simp_equiv () =
   let run ?(jobs = 1) simp =
-    fst (Upec.Alg2.run_with { O.default with O.simp; jobs } (hwpe_memory ()))
+    fst
+      (Upec.Alg2.run_with
+         { O.default with O.simp; jobs; portfolio = 2 }
+         (hwpe_memory ()))
   in
   check_identical "alg2 one worker" (run true) (run false);
   check_identical "alg2 two workers" (run ~jobs:2 true) (run ~jobs:2 false)
 
 let test_certified_simp_equiv () =
-  (* a certified witness-free solve runs on its worker's lazily encoded
-     cone, and the worker's checker vouches for it against exactly the
-     clauses that solver received, so a reduction bug fails this test
-     twice over (verdict or certificate) *)
+  (* a certified witness-free race runs on the reduced snapshot, and
+     its racers' checkers vouch for it against exactly the clauses that
+     snapshot holds, so a reduction bug fails this test twice over
+     (verdict or certificate) *)
   let run simp =
     Upec.Alg1.run_with
-      { O.default with O.simp; jobs = 2; certify = true }
+      { O.default with O.simp; jobs = 2; portfolio = 2; certify = true }
       (dma_timer Upec.Spec.Vulnerable)
   in
   let on = run true and off = run false in
@@ -160,7 +166,9 @@ let test_resume_simp_equiv () =
 let test_json_roundtrip () =
   let r =
     fst
-      (Upec.Alg2.run_with { O.default with O.jobs = 2 } (hwpe_memory ()))
+      (Upec.Alg2.run_with
+         { O.default with O.jobs = 2; portfolio = 2 }
+         (hwpe_memory ()))
   in
   let j = Upec.Report.to_json r in
   let j' = Upec.Json.of_string (Upec.Json.to_string j) in
@@ -191,7 +199,7 @@ let test_json_roundtrip () =
   Alcotest.(check (option int))
     "options.jobs echoed" (Some 2)
     Upec.Json.(to_int (member "jobs" (m "options")));
-  (* per-svar pair checks are witness-free, so reduction fired *)
+  (* per-svar pair checks are witness-free races, so reduction fired *)
   let simp = m "simp" in
   Alcotest.(check bool)
     "reduced solves recorded" true
