@@ -141,10 +141,9 @@ let jobs_arg =
   let doc =
     "Run each refinement round on N worker domains (default 1; 0 or \
      negative = auto: $(b,UPEC_JOBS) or the recommended domain count). A \
-     round decides the persistent state variables on one worker, in \
-     order, and stops at the first that can diverge; it decides the \
-     others on all N. Verdicts, witnesses and reports are identical for \
-     every N."
+     round decides the persistent state variables first, in order, and \
+     stops at the first that can diverge; then the others. Verdicts, \
+     witnesses and reports are identical for every N."
   in
   Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~doc ~docv:"N")
 

@@ -18,12 +18,12 @@ type t = {
           {!Ipc.Engine.create} *)
   jobs : int;
       (** workers of each per-svar round (default 1; values below 1
-          mean 1). A round decides its persistent obligations in order
-          on worker 0 and its other obligations on all of them; the
-          workers are built for the round and share instance B's
-          cycle-0 state with instance A on the round's set. Verdicts,
-          refinement traces and witnesses are the same for every
-          count. *)
+          mean 1). A round decides its persistent obligations in order,
+          up to the first refuted one, and then its other obligations,
+          each phase on all the workers; they are built for the round
+          and share instance B's cycle-0 state with instance A on the
+          round's set. Verdicts, refinement traces and witnesses are the
+          same for every count. *)
   portfolio : int;
       (** solver configurations raced per witness-free SAT call; a
           witness is solved on its worker's own solver *)

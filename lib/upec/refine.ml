@@ -434,20 +434,23 @@ let interrupted = Stop (Report.Inconclusive "interrupted")
    formula, so S_cex — and with it the whole refinement trace — is
    identical for every job count and schedule.
 
-   Persistent obligations come first, one at a time on worker 0 in
-   obligation order: the first one refuted proves the design vulnerable
-   and ends the round, with a witness for it alone. Otherwise the
-   non-persistent obligations go to the pool, and S_cex is every one
-   refuted. *)
+   Persistent obligations come first, on the pool in obligation order:
+   the first one refuted proves the design vulnerable and ends the
+   round, with a witness for it alone. Otherwise the non-persistent
+   obligations go to the pool, and S_cex is every one refuted. *)
 
 (* A round's worker: an engine built for the round's frontier, the
    assumption literals of each obligation, and the obligations decided
-   on it, latest first. *)
+   on its own solver, latest first (a race leaves that solver as it
+   was). *)
 type worker = {
   eng : Ipc.Engine.t;
   query : obligation -> Aig.lit list;
   mutable history : obligation list;
 }
+
+let same_obligation (j, sv) (j', sv') =
+  j = j' && Structural.compare_svar sv sv' = 0
 
 (* One obligation decided witness-free on [w] under the budget. *)
 let decide ctx ?(sequential = false) w ((j, sv) as ob) =
@@ -466,28 +469,41 @@ let decide ctx ?(sequential = false) w ((j, sv) as ob) =
         Ipc.Engine.decide ~cex:false ~sequential w.eng
           (Ipc.Engine.Violation (w.query ob)))
   in
-  w.history <- ob :: w.history;
+  if sequential || ctx.o.Options.portfolio <= 1 then
+    w.history <- ob :: w.history;
   { d with result = (ob, d.result) }
 
-(* The witness of a refuted persistent obligation [ob]: [ob] re-decided
-   with a model on worker 0's own solver, without a budget. That solver
-   first gets the history it has in a sequential run without a lemma
-   cache — the round's persistent obligations up to [ob], decided
-   witness-free in order — so the witness is the same for every job
-   count, portfolio and cache: a racing worker's solver replays what it
-   raced, and an obligation the cache answered is solved, so the
-   witness solve repeats the uncached sequential solver's trajectory
-   whatever its phase policy. Returns the replayed decisions and the
-   witness solve. *)
-let witness ctx w ((j, sv) as ob) =
-  let replay =
-    if ctx.o.Options.portfolio > 1 then List.rev w.history else []
+(* The witness of a refuted persistent obligation [ob], [before] being
+   the round's persistent obligations ahead of it: [ob] re-decided with
+   a model, without a budget, on a solver whose history is the one
+   worker 0 has in a sequential run without a lemma cache — [before],
+   then [ob], decided witness-free in order. It is the solver of the
+   round worker whose history is the longest prefix of that (in such a
+   run, worker 0's whole history; a racing worker's solver has none),
+   which replays the rest; if no worker's is a prefix (a lemma answered
+   an obligation of [before], or several workers shared them), a
+   [fresh] worker replays it all. So the witness is the same for every job
+   count, portfolio and cache, whatever the solver's phase policy.
+   Returns the replayed decisions and the witness solve. *)
+let witness ctx ~fresh workers before ob =
+  let rec rest decided want =
+    match (decided, want) with
+    | [], want -> Some want
+    | d :: decided, o :: want when same_obligation d o -> rest decided want
+    | _ -> None
   in
-  let replay =
-    match w.history with
-    | (j', sv') :: _ when j' = j && Structural.compare_svar sv' sv = 0 ->
-        replay
-    | _ -> replay @ [ ob ]
+  let canonical = before @ [ ob ] in
+  let best =
+    List.fold_left
+      (fun best w ->
+        match (best, rest (List.rev w.history) canonical) with
+        | Some (_, r), Some r' when List.length r' >= List.length r -> best
+        | _, Some r' -> Some (w, r')
+        | _, None -> best)
+      None workers
+  in
+  let w, replay =
+    match best with Some wr -> wr | None -> (fresh (), canonical)
   in
   let replayed = List.map (decide ctx ~sequential:true w) replay in
   Ipc.Engine.set_budget w.eng S.no_budget;
@@ -518,16 +534,26 @@ let round ctx p pool ~iter st =
   (* the round's workers, one per pool domain, each built on first use
      for the round's unroll depth and cycle-0 set and pre-encoded, so
      its CNF is the same with problem reduction on or off *)
+  let build () =
+    let eng, query = p.worker fr in
+    Ipc.Engine.pre_encode eng;
+    { eng; query; history = [] }
+  in
   let workers = Array.make (Parallel.Pool.jobs pool) None in
   let worker wid =
     match workers.(wid) with
     | Some w -> w
     | None ->
-        let eng, query = p.worker fr in
-        Ipc.Engine.pre_encode eng;
-        let w = { eng; query; history = [] } in
+        let w = build () in
         workers.(wid) <- Some w;
         w
+  in
+  (* the worker a witness builds when no round worker's history fits *)
+  let spare = ref None in
+  let fresh_worker () =
+    let w = build () in
+    spare := Some w;
+    w
   in
   (* a lemma answers an obligation before any worker sees it, and every
      fresh answer is offered back; Unknowns never are *)
@@ -548,21 +574,53 @@ let round ctx p pool ~iter st =
         | _, Ipc.Engine.Unknown _ -> ())
       lemmas
   in
-  let rec persistent acc = function
-    | [] -> (List.rev acc, None)
-    | ob :: rest -> (
-        let r =
-          match lookup ob with
-          | Some holds -> cached ob holds
-          | None ->
-              let r = decide ctx (worker 0) ob in
-              store r;
-              r
-        in
-        match r.result with
-        | _, Ipc.Engine.Refuted _ -> (List.rev (r :: acc), Some ob)
-        | _ when stopped ctx -> (List.rev (r :: acc), None)
-        | _ -> persistent (r :: acc) rest)
+  (* The persistent obligations on the pool, in obligation order.
+     [first] is the lowest index refuted so far, never below the first
+     refuted obligation's, and an obligation past it is skipped, so every
+     obligation up to the first refuted one is decided. Returns those
+     answers (lemmas included), the first refuted obligation, and the
+     work of every decision. *)
+  let persistent () =
+    let looked =
+      List.mapi (fun i ob -> (i, ob, lookup ob)) (obligations is_pers)
+    in
+    let first = Atomic.make max_int in
+    let rec lower i =
+      let f = Atomic.get first in
+      if i < f && not (Atomic.compare_and_set first f i) then lower i
+    in
+    List.iter (fun (i, _, c) -> if c = Some false then lower i) looked;
+    let decided =
+      Parallel.Pool.map_wid pool
+        (fun wid (i, ob) ->
+          if i > Atomic.get first || stopped ctx then None
+          else begin
+            let r = decide ctx (worker wid) ob in
+            (match r.result with
+            | _, Ipc.Engine.Refuted _ -> lower i
+            | _, (Ipc.Engine.Proved | Ipc.Engine.Unknown _) -> ());
+            Some (i, r)
+          end)
+        (List.filter_map
+           (fun (i, ob, c) -> if c = None then Some (i, ob) else None)
+           looked)
+      |> List.filter_map Fun.id
+    in
+    let h = Atomic.get first in
+    let fresh = List.filter (fun (i, _) -> i <= h) decided in
+    List.iter (fun (_, r) -> store r) fresh;
+    let answers =
+      List.filter_map
+        (fun (i, ob, c) ->
+          if i > h then None
+          else
+            match c with
+            | Some holds -> Some (cached ob holds)
+            | None -> List.assoc_opt i fresh)
+        looked
+    in
+    let hit = List.find_map (fun (i, ob, _) -> if i = h then Some ob else None) looked in
+    (answers, hit, List.map snd decided)
   in
   let refuted results =
     List.filter_map
@@ -574,7 +632,7 @@ let round ctx p pool ~iter st =
   in
   let svars obs = Svars.of_list (List.map snd obs) in
   let outcome =
-    let pers, hit = persistent [] (obligations is_pers) in
+    let pers, hit, work = persistent () in
     if stopped ctx then interrupted
     else
       match hit with
@@ -583,9 +641,18 @@ let round ctx p pool ~iter st =
              svar's Unknown cannot retract a concrete SAT. *)
           let pers_hit = Svars.singleton sv in
           let unknown = note_unknowns ctx pers in
-          let replayed, w = witness ctx (worker 0) ob in
+          let before =
+            List.filter
+              (fun o -> not (same_obligation o ob))
+              (List.map (fun r -> fst r.result) pers)
+          in
+          let replayed, w =
+            witness ctx ~fresh:fresh_worker
+              (List.filter_map Fun.id (Array.to_list workers))
+              before ob
+          in
           record ctx ~iter fr ~it0 ~s_cex:pers_hit ~pers_hit ~unknown
-            (sum (pers @ replayed @ [ { w with result = (ob, w.result) } ]));
+            (sum (work @ replayed @ [ { w with result = (ob, w.result) } ]));
           match w.result with
           | Ipc.Engine.Refuted (Some cex) ->
               Stop (validate_cex ctx ~claimed:pers_hit ~s_cex:pers_hit cex)
@@ -645,6 +712,7 @@ let round ctx p pool ~iter st =
   in
   (* no reference to a finished round's workers survives it *)
   Array.iter (Option.iter (fun w -> retire ctx w.eng)) workers;
+  Option.iter (fun w -> retire ctx w.eng) !spare;
   outcome
 
 let run ctx p st0 =

@@ -90,17 +90,19 @@ val run : t -> 'st property -> 'st -> Report.run
     resuming) until a verdict, one per-svar round per iteration on
     workers built for that round alone, [max 1 Options.jobs] of them.
 
-    A round first decides the persistent obligations on worker 0, one
-    at a time in obligation order (cycle, then svar), and stops at the
-    first one refuted; a lemma answer counts as a decision. That
-    obligation is then re-decided with a model on worker 0's own solver
-    without a budget, after the witness-free decisions a sequential
-    uncached run makes before it, so the witness, the round's S_cex
-    (that one svar) and the report are the same for every job count,
-    portfolio and cache. Otherwise the non-persistent obligations go to
-    the pool and S_cex is every one refuted. Workers pre-encode the
-    witness variables when they are built, so their CNF is the same
-    with [Options.simp] on or off.
+    A round first decides the persistent obligations on the pool in
+    obligation order (cycle, then svar), skipping those past the first
+    refuted one found, so every obligation up to the first refuted one
+    is decided; a lemma answer counts as a decision. That obligation is
+    then re-decided with a model, without a budget, on a solver that has
+    made exactly the witness-free decisions a sequential uncached run's
+    worker 0 makes up to it: a round worker whose history is a prefix of
+    those replays the rest, or else a fresh worker replays them all. So
+    the witness, the round's S_cex (that one svar) and the report are
+    the same for every job count, portfolio and cache. Otherwise the
+    non-persistent obligations go to the pool and S_cex is every one
+    refuted. Workers pre-encode the witness variables when they are
+    built, so their CNF is the same with [Options.simp] on or off.
 
     After every refinement the new state is checkpointed when
     [Options.checkpoint_file] is set. Any degraded obligation turns a

@@ -665,12 +665,13 @@ let test_share_alg2 spec () =
 
 (* ---- the rounds' witnesses ----
 
-   A round decides its persistent obligations on worker 0 in order and
-   re-decides the first one refuted with a model on that worker, after
-   the history a sequential uncached run gives it. So the trace — the
-   verdict with its full waveform, every step's sets — is the same for
-   every job count, with a portfolio, with problem reduction off, and
-   with a lemma cache that answers the witness's obligation. *)
+   A round decides its persistent obligations in order and re-decides
+   the first one refuted with a model, on a solver given the history a
+   sequential uncached run gives its one worker. So the trace — the verdict
+   with its full waveform, every step's sets — is the same for every
+   job count, with a portfolio, with problem reduction off, and with a
+   lemma cache that answers the witness's obligation or one ahead of
+   it. *)
 
 let test_round_configurations run spec () =
   let base = repr_run (run O.default (spec ())) in
@@ -729,6 +730,63 @@ let test_cached_witness () =
   in
   Alcotest.(check int) "the cache answered the witness's obligation" 1
     !answered;
+  Alcotest.(check string) "trace" (repr_run uncached) (repr_run cached)
+
+(* A lemma that holds for a persistent obligation ahead of the
+   witness's: no round worker decided it, so the witness is solved on a
+   fresh worker after the sequential run's whole history. *)
+let test_cached_prefix_witness () =
+  let spec () = dma_timer Upec.Spec.Vulnerable in
+  let uncached = Upec.Alg1.run_with O.default (spec ()) in
+  let witness =
+    match uncached.Upec.Report.verdict with
+    | Upec.Report.Vulnerable { s_cex; _ } -> names s_cex
+    | _ -> Alcotest.fail "expected a vulnerable verdict"
+  in
+  (* every answer stored, in order: (svar, round S, holds) *)
+  let stored = ref [] in
+  ignore
+    (Upec.Alg1.run_with
+       ~svar_cache:
+         {
+           Upec.Alg1.sc_lookup = (fun _ ~s:_ -> None);
+           sc_store =
+             (fun sv ~s ~holds ->
+               stored := (Structural.svar_name sv, names s, holds) :: !stored);
+         }
+       O.default (spec ()));
+  (* the first obligation its round stored as holding before the
+     witness's *)
+  let rec ahead = function
+    | (n, s, false) :: _ when n = witness -> (
+        match
+          List.find_opt
+            (fun (_, s', holds) -> holds && s' = s)
+            (List.rev !stored)
+        with
+        | Some (n', _, _) -> (n', s)
+        | None -> Alcotest.fail "no obligation ahead of the witness's")
+    | _ :: rest -> ahead rest
+    | [] -> Alcotest.fail "the witness's obligation was never stored"
+  in
+  let first, round_s = ahead (List.rev !stored) in
+  let answered = ref 0 in
+  let cached =
+    Upec.Alg1.run_with
+      ~svar_cache:
+        {
+          Upec.Alg1.sc_lookup =
+            (fun sv ~s ->
+              if Structural.svar_name sv = first && names s = round_s then begin
+                incr answered;
+                Some true
+              end
+              else None);
+          sc_store = (fun _ ~s:_ ~holds:_ -> ());
+        }
+      O.default (spec ())
+  in
+  Alcotest.(check int) "the cache answered an obligation ahead" 1 !answered;
   Alcotest.(check string) "trace" (repr_run uncached) (repr_run cached)
 
 let golden_test ?(speed = `Quick) (name, expected, run) =
@@ -816,6 +874,8 @@ let () =
                countermeasure);
           Alcotest.test_case "cached witness = uncached" `Quick
             test_cached_witness;
+          Alcotest.test_case "cached prefix = uncached" `Quick
+            test_cached_prefix_witness;
         ] );
       ( "sharing",
         [
