@@ -12,12 +12,15 @@
    Pending axioms and steps wait, and the next UNSAT answer replays
    them in order on the checker's database, on the solver's thread. A
    step is validated against exactly the axioms and steps that precede
-   it in the stream: first on the clauses its hints name (ids the
-   session numbers exactly as the solver does), and by propagation over
-   the whole database only if those do not suffice. Steps need validating only before an UNSAT answer
-   relies on them: axioms are never retracted and RUP is monotone, so a
-   step validated long after it was traced is still implied by the
-   axioms of the answer that needs it. *)
+   it in the stream: first on the clauses its hints name, and by
+   propagation over the whole database only if those do not suffice.
+   Every axiom and addition of the stream takes the next arena clause
+   id, a tautology an empty inactive one, so the arena numbers the
+   stream exactly as the solver does and a hint is an arena id. Steps
+   need validating only before an UNSAT answer relies on them: axioms
+   are never retracted and RUP is monotone, so a step validated long
+   after it was traced is still implied by the axioms of the answer
+   that needs it. *)
 
 module S = Satsolver.Solver
 module L = Satsolver.Lit
@@ -51,8 +54,6 @@ type t = {
   mutable n_deletes : int;
   mutable axioms : int array;  (* arena cids of the replayed axioms *)
   mutable n_axioms : int;
-  mutable cids : int array;  (* clause id -> arena cid, -1 if none *)
-  mutable n_ids : int;  (* clause ids replayed so far *)
   mutable mark : summary;  (* the counters at the last UNSAT answer *)
   mutable error : (int * string) option;  (* first failing step *)
 }
@@ -85,27 +86,14 @@ let session () =
     n_deletes = 0;
     axioms = [||];
     n_axioms = 0;
-    cids = Array.make 256 (-1);
-    n_ids = 0;
     mark = zero_summary;
     error = None;
   }
-
-(* The next clause id of the stream names arena clause [cid] *)
-let name_next t cid =
-  if t.n_ids = Array.length t.cids then begin
-    let a = Array.make (2 * t.n_ids) (-1) in
-    Array.blit t.cids 0 a 0 t.n_ids;
-    t.cids <- a
-  end;
-  t.cids.(t.n_ids) <- cid;
-  t.n_ids <- t.n_ids + 1
 
 (* Replay one axiom into the arena (trusted, unindexed) and remember
    its arena cid. *)
 let insert_axiom t arr =
   let cid = Rup.insert_axiom t.st arr in
-  name_next t cid;
   if t.n_axioms = Array.length t.axioms then begin
     let a = Array.make (max 256 (2 * t.n_axioms)) 0 in
     Array.blit t.axioms 0 a 0 t.n_axioms;
@@ -168,23 +156,13 @@ let validate_pending t =
   for i = 0 to t.raw_n - 1 do
     match t.raw.(i) with
     | Axiom arr -> insert_axiom t arr
-    | Vacuous -> name_next t (-1)
+    | Vacuous -> Rup.skip t.st
     | Step (step, hints) ->
-        let n0 = t.st.Rup.a_n in
         (if t.error = None then
-           (* a hint naming no earlier clause names none at all *)
-           let hints =
-             Array.map
-               (fun id -> if id >= 0 && id < t.n_ids then t.cids.(id) else -1)
-               hints
-           in
            match (Rup.validate_step ~hints t.st step, step) with
            | Ok (), Proof.Add _ -> incr checked
            | Ok (), Proof.Delete _ -> ()
            | Error msg, _ -> t.error <- Some (!gstep, msg));
-        (match step with
-        | Proof.Add _ -> name_next t (if t.st.Rup.a_n > n0 then n0 else -1)
-        | Proof.Delete _ -> ());
         incr gstep
   done;
   clear_raw t;

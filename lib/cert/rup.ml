@@ -262,6 +262,9 @@ let insert st lits =
   activate st cid;
   cid
 
+(* A clause id that names nothing: an empty clause never activated *)
+let skip st = ensure_cid st (arena_add st [||])
+
 (* An axiom is never deleted, so it skips the deletion index (whose
    list keys cost an allocation and a hash per clause). *)
 let insert_axiom st lits =
@@ -439,7 +442,10 @@ let step_lits lits = normalize (Array.to_list (Array.map L.to_int lits))
 let validate_step ?(hints = [||]) st = function
   | Proof.Add lits -> (
       match step_lits lits with
-      | None -> Ok () (* a tautology is trivially implied *)
+      | None ->
+          (* a tautology is trivially implied; it takes its id *)
+          skip st;
+          Ok ()
       | Some arr ->
           if
             hinted_implied st arr hints

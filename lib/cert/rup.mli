@@ -76,6 +76,11 @@ val normalize : int list -> int array option
 (** Sort, deduplicate; [None] for tautologies. Every clause entering
     the arena is normalized. *)
 
+val skip : t -> unit
+(** Take the next clause id for a clause the database does not hold (a
+    tautology): an empty clause that is never active, so a hint naming
+    it is ignored. *)
+
 val insert_axiom : t -> int array -> int
 (** Append a normalized clause that is never deleted (an incremental
     checker's input clauses) to the arena and activate it, without RUP
@@ -98,7 +103,8 @@ val validate_step :
     name a clause the deletion index holds (then it is deactivated).
     An addition is first tried on its [hints] ({!hinted_implied},
     default none); only when they do not suffice is it propagated on
-    the whole database (counted in [unhinted]). [Error] carries the
+    the whole database (counted in [unhinted]). An accepted addition
+    takes the next clause id, a tautological one via {!skip}. [Error] carries the
     reason; the step index is the caller's to add. {!check} is this
     step over the whole stream, without hints. *)
 

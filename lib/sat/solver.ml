@@ -14,7 +14,7 @@
                          arrays (learnts, l_act, l_lbd, l_id); for a problem
                          clause [-2 - id], [id] its clause id in the
                          certificate stream (see [fresh_id]), or -1 once
-                         an untraced solver's compaction has moved it
+                         compaction has moved a clause added untraced
      arena.(cr + 2 ..)   the size literals, Lit.to_int encoded
 
    Watch lists, reasons (-1 = none) and the problem and learnt clause
@@ -146,6 +146,7 @@ type t = {
   mutable arena : int array;  (* clause store, layout above *)
   mutable arena_len : int;
   mutable clauses : int array;  (* problem crefs, in addition order *)
+  mutable p_slot : int array;  (* traced: their slot words, by index *)
   mutable n_clauses : int;
   mutable learnts : int array;  (* learnt crefs by slot, oldest first *)
   mutable l_act : float array;  (* learnt activity, by slot *)
@@ -216,6 +217,7 @@ let create ?(options = default_options) () =
     arena = [||];
     arena_len = 0;
     clauses = [||];
+    p_slot = [||];
     n_clauses = 0;
     learnts = [||];
     l_act = [||];
@@ -596,6 +598,10 @@ let add_clause t lits =
             t.arena.(cr + 1) <- -2 - id;
             t.clauses <- grow_array t.clauses (t.n_clauses + 1) 0;
             t.clauses.(t.n_clauses) <- cr;
+            if t.tracer <> None then begin
+              t.p_slot <- grow_array t.p_slot (t.n_clauses + 1) (-1);
+              t.p_slot.(t.n_clauses) <- -2 - id
+            end;
             t.n_clauses <- t.n_clauses + 1;
             attach t cr
     end
@@ -827,14 +833,10 @@ let m_arena_compactions = Obs.Metrics.counter "sat.arena_compactions"
 (* Reclaim removed clauses. First pass: park each survivor's new cref in
    its slot word. Then rewrite every cref through it, and slide the
    survivors down in arena order, restoring slot words as they go
-   (learnts occupy the arena in slot order). A traced solver's problem
-   clause ids are set aside first and put back last. *)
+   (learnts occupy the arena in slot order), and a traced solver's
+   problem clause ids last. *)
 let compact t =
   let a = t.arena in
-  let p_ids =
-    if t.tracer = None then [||]
-    else Array.init t.n_clauses (fun i -> a.(t.clauses.(i) + 1))
-  in
   let dst = ref 0 and cr = ref 0 in
   while !cr < t.arena_len do
     let len = 2 + (a.(!cr) lsr 2) in
@@ -875,7 +877,9 @@ let compact t =
     end;
     cr := !cr + len
   done;
-  Array.iteri (fun i id -> a.(t.clauses.(i) + 1) <- id) p_ids;
+  Array.iteri
+    (fun i w -> if i < t.n_clauses then a.(t.clauses.(i) + 1) <- w)
+    t.p_slot;
   t.arena_len <- !dst;
   Obs.Metrics.incr m_arena_compactions
 

@@ -537,7 +537,8 @@ let unhinted_of = function
 
 (* Every addition a solver traces is confirmed by its hints alone: a
    database reduction's compaction, a warm solver answering under
-   assumptions, and input clauses strengthened at level 0. *)
+   assumptions, and input clauses strengthened at level 0 behind a
+   tautology (which takes a clause id but no clause). *)
 let test_hints_suffice () =
   let nvars, clauses = pigeonhole 8 7 in
   let s, c = mirrored nvars in
@@ -558,11 +559,12 @@ let test_hints_suffice () =
   List.iter (S.add_clause s)
     [
       [ lit 0 true ];
+      [ lit 2 true; lit 2 false ];
       [ lit 0 false; lit 1 true; lit 2 true ];
       [ lit 1 false ];
       [ lit 2 false ];
     ];
-  Alcotest.(check int) "strengthened inputs" 0
+  Alcotest.(check int) "strengthened inputs, after a tautology" 0
     (unhinted_of (unsat_ok s c ~assumptions:[]))
 
 (* A solve's stream, inputs and hinted steps in order *)
