@@ -574,53 +574,45 @@ let round ctx p pool ~iter st =
         | _, Ipc.Engine.Unknown _ -> ())
       lemmas
   in
-  (* The persistent obligations on the pool, in obligation order.
-     [first] is the lowest index refuted so far, never below the first
-     refuted obligation's, and an obligation past it is skipped, so every
-     obligation up to the first refuted one is decided. Returns those
-     answers (lemmas included), the first refuted obligation, and the
-     work of every decision. *)
+  (* The persistent obligations on the pool, in obligation order, each
+     looked up in the lemmas first (one lookup at a time). [first] is the
+     lowest index refuted so far, never below the first refuted
+     obligation's, and an obligation past it is skipped, so every
+     obligation up to the first refuted one is answered and, with one
+     worker, none after it is looked up. Returns those answers, the
+     first refuted obligation, and the work of every decision. *)
   let persistent () =
-    let looked =
-      List.mapi (fun i ob -> (i, ob, lookup ob)) (obligations is_pers)
-    in
+    let obs = List.mapi (fun i ob -> (i, ob)) (obligations is_pers) in
     let first = Atomic.make max_int in
     let rec lower i =
       let f = Atomic.get first in
       if i < f && not (Atomic.compare_and_set first f i) then lower i
     in
-    List.iter (fun (i, _, c) -> if c = Some false then lower i) looked;
-    let decided =
+    let lookup_mu = Mutex.create () in
+    let answered =
       Parallel.Pool.map_wid pool
         (fun wid (i, ob) ->
           if i > Atomic.get first || stopped ctx then None
           else begin
-            let r = decide ctx (worker wid) ob in
+            let r, fresh =
+              match Mutex.protect lookup_mu (fun () -> lookup ob) with
+              | Some holds -> (cached ob holds, false)
+              | None -> (decide ctx (worker wid) ob, true)
+            in
             (match r.result with
             | _, Ipc.Engine.Refuted _ -> lower i
             | _, (Ipc.Engine.Proved | Ipc.Engine.Unknown _) -> ());
-            Some (i, r)
+            Some (i, r, fresh)
           end)
-        (List.filter_map
-           (fun (i, ob, c) -> if c = None then Some (i, ob) else None)
-           looked)
+        obs
       |> List.filter_map Fun.id
     in
     let h = Atomic.get first in
-    let fresh = List.filter (fun (i, _) -> i <= h) decided in
-    List.iter (fun (_, r) -> store r) fresh;
-    let answers =
-      List.filter_map
-        (fun (i, ob, c) ->
-          if i > h then None
-          else
-            match c with
-            | Some holds -> Some (cached ob holds)
-            | None -> List.assoc_opt i fresh)
-        looked
-    in
-    let hit = List.find_map (fun (i, ob, _) -> if i = h then Some ob else None) looked in
-    (answers, hit, List.map snd decided)
+    let answers = List.filter (fun (i, _, _) -> i <= h) answered in
+    List.iter (fun (_, r, fresh) -> if fresh then store r) answers;
+    ( List.map (fun (_, r, _) -> r) answers,
+      List.assoc_opt h obs,
+      List.map (fun (_, r, _) -> r) answered )
   in
   let refuted results =
     List.filter_map

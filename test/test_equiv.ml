@@ -732,6 +732,29 @@ let test_cached_witness () =
     !answered;
   Alcotest.(check string) "trace" (repr_run uncached) (repr_run cached)
 
+(* With one worker and a cache that answers nothing, a round looks up
+   exactly the obligations it decides, and stores each: none past the
+   first refuted persistent obligation (a proof farm counts every
+   lookup a miss). *)
+let test_lookups_decided () =
+  let looked = ref [] and stored = ref [] in
+  let key sv s = Structural.svar_name sv ^ "|" ^ names s in
+  ignore
+    (Upec.Alg1.run_with
+       ~svar_cache:
+         {
+           Upec.Alg1.sc_lookup =
+             (fun sv ~s ->
+               looked := key sv s :: !looked;
+               None);
+           sc_store = (fun sv ~s ~holds:_ -> stored := key sv s :: !stored);
+         }
+       O.default
+       (dma_timer Upec.Spec.Vulnerable));
+  Alcotest.(check bool) "looked up" true (!looked <> []);
+  Alcotest.(check (list string)) "lookups = stores" (List.rev !stored)
+    (List.rev !looked)
+
 (* A lemma that holds for a persistent obligation ahead of the
    witness's: no round worker decided it, so the witness is solved on a
    fresh worker after the sequential run's whole history. *)
@@ -876,6 +899,7 @@ let () =
             test_cached_witness;
           Alcotest.test_case "cached prefix = uncached" `Quick
             test_cached_prefix_witness;
+          Alcotest.test_case "lookups = decisions" `Quick test_lookups_decided;
         ] );
       ( "sharing",
         [
