@@ -478,11 +478,11 @@ let decide ctx ?(sequential = false) w ((j, sv) as ob) =
    a model, without a budget, on a solver whose history is the one
    worker 0 has in a sequential run without a lemma cache — [before],
    then [ob], decided witness-free in order. It is the solver of the
-   round worker whose history is the longest prefix of that (in such a
-   run, worker 0's whole history; a racing worker's solver has none),
-   which replays the rest; if no worker's is a prefix (a lemma answered
-   an obligation of [before], or several workers shared them), a
-   [fresh] worker replays it all. So the witness is the same for every job
+   first round worker whose history is a prefix of that (in such a run,
+   worker 0's whole history; a racing worker's solver has none), which
+   replays the rest; if no worker's is (a lemma answered an obligation
+   of [before], or several workers shared them), a [fresh] worker
+   replays it all. So the witness is the same for every job
    count, portfolio and cache, whatever the solver's phase policy.
    Returns the replayed decisions and the witness solve. *)
 let witness ctx ~fresh workers before ob =
@@ -493,17 +493,15 @@ let witness ctx ~fresh workers before ob =
     | _ -> None
   in
   let canonical = before @ [ ob ] in
-  let best =
-    List.fold_left
-      (fun best w ->
-        match (best, rest (List.rev w.history) canonical) with
-        | Some (_, r), Some r' when List.length r' >= List.length r -> best
-        | _, Some r' -> Some (w, r')
-        | _, None -> best)
-      None workers
-  in
   let w, replay =
-    match best with Some wr -> wr | None -> (fresh (), canonical)
+    match
+      List.find_map
+        (fun w ->
+          Option.map (fun r -> (w, r)) (rest (List.rev w.history) canonical))
+        workers
+    with
+    | Some wr -> wr
+    | None -> (fresh (), canonical)
   in
   let replayed = List.map (decide ctx ~sequential:true w) replay in
   Ipc.Engine.set_budget w.eng S.no_budget;
