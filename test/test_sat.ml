@@ -567,6 +567,48 @@ let incremental_trajectory () =
   call "released" (Solver.solve_bounded s);
   List.rev (("session end", fingerprint_session s buf) :: !calls)
 
+(* The regime of a per-svar round worker: one solver answers many short
+   solves, each under a shared assumption prefix plus its own activation
+   literal, while the learnt clauses of earlier solves pile up past
+   database reductions (each followed by an arena compaction). Two root
+   units put level-0 literals into reasons, and every twelfth
+   activation literal is false at the root, so its core is itself.
+   Every call's fingerprint goes into one digest; the answers are
+   counted and the last call's counters are spelled out. *)
+let rounds_trajectory () =
+  let nv = 120 in
+  let s, buf = traced_solver nv in
+  let rng = Random.State.make [| 24 |] in
+  List.iter (Solver.add_clause s) (random_cnf rng ~nv ~nc:380 ~len:3);
+  let root = lit 3 true in
+  List.iter (Solver.add_clause s) [ [ root ]; [ lit 4 false ] ];
+  let prefix = [ lit 0 true; lit 1 false; lit 2 true ] in
+  let calls = Buffer.create 8192 in
+  let sat = ref 0 and unsat = ref 0 in
+  for round = 1 to 48 do
+    let act = lit (Solver.new_var s) true in
+    List.iter
+      (fun c -> Solver.add_clause s (Lit.negate act :: c))
+      (random_cnf rng ~nv ~nc:70 ~len:3);
+    if round mod 12 = 0 then
+      Solver.add_clause s [ Lit.negate act; Lit.negate root ];
+    let outcome = Solver.solve_bounded ~assumptions:(prefix @ [ act ]) s in
+    (match outcome with
+    | Solver.Solved Solver.Sat -> incr sat
+    | Solver.Solved Solver.Unsat -> incr unsat
+    | Solver.Unknown _ -> ());
+    Buffer.add_string calls (fingerprint_call s outcome);
+    Buffer.add_char calls '\n'
+  done;
+  [
+    ( "rounds calls",
+      Printf.sprintf "sat=%d unsat=%d calls=%s" !sat !unsat
+        (digest (Buffer.contents calls)) );
+    ( "rounds end",
+      Format.asprintf "%a %s" Solver.pp_stats (Solver.stats s)
+        (fingerprint_session s buf) );
+  ]
+
 (* Regenerate these only in a change meant to alter the search, and say
    so in that change. *)
 let trajectory_expected =
@@ -607,6 +649,10 @@ let trajectory_expected =
       "sat model=1d9efc2d584c0839 conflicts=5598 decisions=7031 propagations=83697 restarts=28 learnt=5597 deleted=4976" );
     ( "session end",
       "export=efd4ad5ddedcf3fd drup=cc26a26846067691" );
+    ("rounds calls", "sat=33 unsat=15 calls=f5c95bc9faf5fb1d");
+    ( "rounds end",
+      "conflicts=3184 decisions=4603 propagations=111009 restarts=11 learnt=3184 deleted=2142"
+      ^ " export=536465c061658312 drup=5f6fed9e1d35636b" );
   ]
 
 let trajectory_cases () =
@@ -614,7 +660,8 @@ let trajectory_cases () =
     lazy
       (php_trajectories ()
       @ [ random_3sat_trajectory 150; random_3sat_trajectory 200 ]
-      @ incremental_trajectory ())
+      @ incremental_trajectory ()
+      @ rounds_trajectory ())
   in
   List.map
     (fun (name, expected) ->
