@@ -260,6 +260,10 @@ let create ?(options = default_options) () =
 
 let nvars t = t.nvars
 
+(* [a], or a copy with room for at least [n] elements. The search loop
+   tests the length before it calls this: storing an array into a field
+   of [t] goes through the write barrier even when the array is the
+   same. *)
 let grow_array a n default =
   let old = Array.length a in
   if n <= old then a
@@ -308,50 +312,74 @@ let clause_id t cr =
 
 (* ---- VSIDS heap (max-heap on activity) ---- *)
 
-let heap_lt t a b = t.activity.(a) > t.activity.(b)
+(* A variable leaves the heap when it is picked and comes back when
+   backtracking unassigns it; assigned variables stay in it until a pick
+   pops them (lazy deletion). Sifting moves a hole: the moving variable's
+   activity is read once, each parent or child it passes moves with one
+   write, and the variable is written once, at its final slot. Ties keep
+   the strict [>] of pairwise swaps, so the heap after every insert, bump
+   and pop is the one swaps build: the order of equal activities is part
+   of the search trajectory. *)
 
-let heap_swap t i j =
-  let a = t.heap.(i) and b = t.heap.(j) in
-  t.heap.(i) <- b;
-  t.heap.(j) <- a;
-  t.heap_pos.(b) <- i;
-  t.heap_pos.(a) <- j
-
-let rec heap_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if heap_lt t t.heap.(i) t.heap.(parent) then begin
-      heap_swap t i parent;
-      heap_up t parent
+(* [v] enters the hole at [i] and rises past every lesser parent. *)
+let sift_up t v i =
+  let heap = t.heap and pos = t.heap_pos and act = t.activity in
+  let a = act.(v) in
+  let i = ref i and moving = ref true in
+  while !moving && !i > 0 do
+    let parent = (!i - 1) lsr 1 in
+    let p = heap.(parent) in
+    if a > act.(p) then begin
+      heap.(!i) <- p;
+      pos.(p) <- !i;
+      i := parent
     end
-  end
+    else moving := false
+  done;
+  heap.(!i) <- v;
+  pos.(v) <- !i
 
-let rec heap_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let best = ref i in
-  if l < t.heap_len && heap_lt t t.heap.(l) t.heap.(!best) then best := l;
-  if r < t.heap_len && heap_lt t t.heap.(r) t.heap.(!best) then best := r;
-  if !best <> i then begin
-    heap_swap t i !best;
-    heap_down t !best
-  end
+(* [v] enters the hole at [i] and sinks past every greater child, taking
+   the right child only when it is strictly greater than the left. *)
+let sift_down t v i =
+  let heap = t.heap and pos = t.heap_pos and act = t.activity in
+  let len = t.heap_len in
+  let a = act.(v) in
+  let i = ref i and moving = ref true in
+  while !moving do
+    let l = (2 * !i) + 1 in
+    if l >= len then moving := false
+    else begin
+      let r = l + 1 in
+      let c =
+        if r < len then l + Bool.to_int (act.(heap.(r)) > act.(heap.(l))) else l
+      in
+      let cv = heap.(c) in
+      if act.(cv) > a then begin
+        heap.(!i) <- cv;
+        pos.(cv) <- !i;
+        i := c
+      end
+      else moving := false
+    end
+  done;
+  heap.(!i) <- v;
+  pos.(v) <- !i
 
 let heap_insert t v =
   if t.heap_pos.(v) < 0 then begin
-    t.heap <- grow_array t.heap (t.heap_len + 1) 0;
-    t.heap.(t.heap_len) <- v;
-    t.heap_pos.(v) <- t.heap_len;
-    t.heap_len <- t.heap_len + 1;
-    heap_up t t.heap_pos.(v)
+    let i = t.heap_len in
+    if i = Array.length t.heap then t.heap <- grow_array t.heap (i + 1) 0;
+    t.heap_len <- i + 1;
+    sift_up t v i
   end
 
 let heap_pop t =
   let v = t.heap.(0) in
-  t.heap_len <- t.heap_len - 1;
-  t.heap.(0) <- t.heap.(t.heap_len);
-  t.heap_pos.(t.heap.(0)) <- 0;
   t.heap_pos.(v) <- -1;
-  if t.heap_len > 0 then heap_down t 0;
+  let last = t.heap_len - 1 in
+  t.heap_len <- last;
+  if last > 0 then sift_down t t.heap.(last) 0;
   v
 
 let new_var t =
@@ -391,7 +419,7 @@ let var_bump t v =
     done;
     t.var_inc <- t.var_inc *. 1e-100
   end;
-  if t.heap_pos.(v) >= 0 then heap_up t t.heap_pos.(v)
+  if t.heap_pos.(v) >= 0 then sift_up t v t.heap_pos.(v)
 
 let var_decay t = t.var_inc <- t.var_inc /. t.opts.var_decay
 
@@ -409,10 +437,13 @@ let clause_decay t = t.clause_inc <- t.clause_inc /. t.opts.clause_decay
 (* Register a learnt cref in the next slot, with zero activity. *)
 let add_learnt t cr lbd id =
   let s = t.nlearnts in
-  t.learnts <- grow_array t.learnts (s + 1) 0;
-  t.l_act <- grow_array t.l_act (s + 1) 0.0;
-  t.l_lbd <- grow_array t.l_lbd (s + 1) 0;
-  t.l_id <- grow_array t.l_id (s + 1) 0;
+  if s = Array.length t.learnts then begin
+    (* the four grow together *)
+    t.learnts <- grow_array t.learnts (s + 1) 0;
+    t.l_act <- grow_array t.l_act (s + 1) 0.0;
+    t.l_lbd <- grow_array t.l_lbd (s + 1) 0;
+    t.l_id <- grow_array t.l_id (s + 1) 0
+  end;
   t.learnts.(s) <- cr;
   t.l_act.(s) <- 0.0;
   t.l_lbd.(s) <- lbd;
@@ -435,19 +466,22 @@ let enqueue t l reason =
   t.trail_len <- t.trail_len + 1
 
 let new_decision_level t =
-  t.trail_lim <- grow_array t.trail_lim (t.trail_lim_len + 1) 0;
+  if t.trail_lim_len = Array.length t.trail_lim then
+    t.trail_lim <- grow_array t.trail_lim (t.trail_lim_len + 1) 0;
   t.trail_lim.(t.trail_lim_len) <- t.trail_len;
   t.trail_lim_len <- t.trail_lim_len + 1
 
 let cancel_until t lvl =
   if decision_level t > lvl then begin
     let bound = t.trail_lim.(lvl) in
+    let trail = t.trail and assigns = t.assigns and reason = t.reason in
+    let saving = t.opts.use_phase_saving in
     for i = t.trail_len - 1 downto bound do
-      let l = t.trail.(i) in
+      let l = trail.(i) in
       let v = l lsr 1 in
-      if t.opts.use_phase_saving then t.polarity.(v) <- l land 1 = 0;
-      t.assigns.(v) <- 0;
-      t.reason.(v) <- -1;
+      if saving then t.polarity.(v) <- l land 1 = 0;
+      assigns.(v) <- 0;
+      reason.(v) <- -1;
       heap_insert t v
     done;
     t.trail_len <- bound;
@@ -467,56 +501,88 @@ let detach t cr =
 
 (* ---- propagation ---- *)
 
-(* Index of the first literal in [a.(k .. stop-1)] that is not false, or
-   -1: the search for a replacement watch. *)
-let rec find_watch t a k stop =
-  if k >= stop then -1
-  else if lit_value t a.(k) <> -1 then k
-  else find_watch t a (k + 1) stop
-
-(* Returns the cref of a conflicting clause, or -1. *)
+(* Returns the cref of a conflicting clause, or -1. Literal values are
+   read from [assigns] directly: a literal [l] is true when its
+   variable's value is [1 - 2 * (l land 1)] and false when it is the
+   negation of that. [assigns], [trail], [watches] and the arena keep
+   their arrays while propagation runs, and a replacement watch is never
+   the visited literal's negation, so the visited watch list's array and
+   length can live in locals until its scan ends. *)
 let propagate t =
   let confl = ref (-1) in
+  let assigns = t.assigns and level = t.level and reason = t.reason in
+  let trail = t.trail and watches = t.watches and a = t.arena in
+  let dl = decision_level t in
   while !confl < 0 && t.qhead < t.trail_len do
-    let p = t.trail.(t.qhead) in
+    let p = trail.(t.qhead) in
     t.qhead <- t.qhead + 1;
     t.n_propagations <- t.n_propagations + 1;
     let false_lit = p lxor 1 in
-    let ws = t.watches.(p) in
-    let a = t.arena in
-    let i = ref 0 in
-    while !i < ws.n do
-      let cr = ws.refs.(!i) in
+    let ws = watches.(p) in
+    let refs = ws.refs in
+    let i = ref 0 and n = ref ws.n in
+    while !i < !n do
+      let cr = refs.(!i) in
       let c0 = cr + 2 in
       (* Ensure the false literal is at position 1. *)
-      if a.(c0) = false_lit then begin
-        a.(c0) <- a.(c0 + 1);
-        a.(c0 + 1) <- false_lit
-      end;
-      let first = a.(c0) in
-      if lit_value t first = 1 then incr i (* satisfied *)
-      else begin
-        let k = find_watch t a (c0 + 2) (c0 + (a.(cr) lsr 2)) in
-        if k >= 0 then begin
-          a.(c0 + 1) <- a.(k);
-          a.(k) <- false_lit;
-          watch_push t.watches.(a.(c0 + 1) lxor 1) cr;
-          ws.refs.(!i) <- ws.refs.(ws.n - 1);
-          ws.n <- ws.n - 1
+      let first =
+        let l0 = a.(c0) in
+        if l0 = false_lit then begin
+          let l1 = a.(c0 + 1) in
+          a.(c0) <- l1;
+          a.(c0 + 1) <- false_lit;
+          l1
         end
-        else if lit_value t first = -1 then begin
+        else l0
+      in
+      let first_true = 1 - ((first land 1) lsl 1) in
+      let first_value = assigns.(first lsr 1) in
+      if first_value = first_true then incr i (* satisfied *)
+      else begin
+        (* the first literal from position 2 on that is not false *)
+        let stop = c0 + (a.(cr) lsr 2) in
+        let k = ref (c0 + 2) in
+        while
+          !k < stop
+          &&
+          let l = a.(!k) in
+          assigns.(l lsr 1) = ((l land 1) lsl 1) - 1
+        do
+          incr k
+        done;
+        if !k < stop then begin
+          let w = a.(!k) in
+          a.(c0 + 1) <- w;
+          a.(!k) <- false_lit;
+          let wl = watches.(w lxor 1) in
+          let wn = wl.n in
+          if wn = Array.length wl.refs then watch_push wl cr
+          else begin
+            wl.refs.(wn) <- cr;
+            wl.n <- wn + 1
+          end;
+          n := !n - 1;
+          refs.(!i) <- refs.(!n)
+        end
+        else if first_value <> 0 then begin
           (* conflict *)
           t.qhead <- t.trail_len;
           confl := cr;
-          i := ws.n
+          i := !n
         end
         else begin
           (* unit *)
-          enqueue t first cr;
+          let v = first lsr 1 in
+          assigns.(v) <- first_true;
+          level.(v) <- dl;
+          reason.(v) <- cr;
+          trail.(t.trail_len) <- first;
+          t.trail_len <- t.trail_len + 1;
           incr i
         end
       end
-    done
+    done;
+    ws.n <- !n
   done;
   !confl
 
@@ -559,7 +625,7 @@ let add_clause t lits =
     t.last_result <- RNone;
     if decision_level t > 0 then cancel_until t 0;
     (* normalise: dedupe, drop false-at-0, detect tautology / sat-at-0 *)
-    let lits = List.sort_uniq Stdlib.compare (List.map Lit.to_int lits) in
+    let lits = List.sort_uniq Int.compare (List.map Lit.to_int lits) in
     let n_orig = List.length lits in
     let tauto =
       let rec chk = function
@@ -610,13 +676,15 @@ let add_clause t lits =
 (* ---- conflict analysis ---- *)
 
 let push_out t q =
-  t.out <- grow_array t.out (t.out_len + 1) 0;
+  if t.out_len = Array.length t.out then
+    t.out <- grow_array t.out (t.out_len + 1) 0;
   t.out.(t.out_len) <- q;
   t.out_len <- t.out_len + 1
 
 let mark_seen t v =
   t.seen.(v) <- true;
-  t.clear <- grow_array t.clear (t.clear_len + 1) 0;
+  if t.clear_len = Array.length t.clear then
+    t.clear <- grow_array t.clear (t.clear_len + 1) 0;
   t.clear.(t.clear_len) <- v;
   t.clear_len <- t.clear_len + 1
 
@@ -625,7 +693,8 @@ let mark_seen t v =
 let compute_lbd t =
   (* satisfied assumptions open levels of their own, so levels can
      outnumber variables *)
-  t.lbd_stamp <- grow_array t.lbd_stamp (decision_level t + 1) 0;
+  if decision_level t >= Array.length t.lbd_stamp then
+    t.lbd_stamp <- grow_array t.lbd_stamp (decision_level t + 1) 0;
   t.lbd_epoch <- t.lbd_epoch + 1;
   let n = ref 0 in
   for i = 0 to t.out_len - 1 do
@@ -638,12 +707,14 @@ let compute_lbd t =
   !n
 
 let push_hint t id =
-  t.hints <- grow_array t.hints (t.hints_len + 1) 0;
+  if t.hints_len = Array.length t.hints then
+    t.hints <- grow_array t.hints (t.hints_len + 1) 0;
   t.hints.(t.hints_len) <- id;
   t.hints_len <- t.hints_len + 1
 
 let push_mhint t id =
-  t.mhints <- grow_array t.mhints (t.mhints_len + 1) 0;
+  if t.mhints_len = Array.length t.mhints then
+    t.mhints <- grow_array t.mhints (t.mhints_len + 1) 0;
   t.mhints.(t.mhints_len) <- id;
   t.mhints_len <- t.mhints_len + 1
 
@@ -677,7 +748,8 @@ let lit_redundant t l abstract_levels =
             && abstract_levels land (1 lsl (t.level.(v) land 31)) <> 0
           then begin
             mark_seen t v;
-            t.stack <- grow_array t.stack (!top + 1) 0;
+            if !top = Array.length t.stack then
+              t.stack <- grow_array t.stack (!top + 1) 0;
             t.stack.(!top) <- q;
             incr top
           end
@@ -799,12 +871,15 @@ let analyze t confl =
 (* Final conflict analysis: [failed] is an assumption literal found
    false. Returns the subset of assumption literals responsible (the
    decisions reachable in the reason graph from [failed]), including
-   [failed] itself. *)
+   [failed] itself. Marks go on the [seen] scratch. The walk covers the
+   trail from level 1 up and clears each mark it passes; a level-0
+   variable sits below the walk, so it is never marked. *)
 let analyze_final t failed =
   let core = ref [ failed ] in
   if decision_level t > 0 then begin
-    let seen = Array.make t.nvars false in
-    seen.(failed lsr 1) <- true;
+    let seen = t.seen and level = t.level in
+    let mark v = if level.(v) > 0 then seen.(v) <- true in
+    mark (failed lsr 1);
     for i = t.trail_len - 1 downto t.trail_lim.(0) do
       let q = t.trail.(i) in
       let v = q lsr 1 in
@@ -813,12 +888,12 @@ let analyze_final t failed =
         if cr < 0 then begin
           (* a decision at level >= 1 under assumptions is an
              assumption; it was enqueued with its own polarity *)
-          if t.level.(v) > 0 && q <> failed then core := q :: !core
+          if q <> failed then core := q :: !core
         end
         else
           for k = cr + 2 to cr + 1 + clause_size t cr do
             let r = t.arena.(k) in
-            if r <> q then seen.(r lsr 1) <- true
+            if r <> q then mark (r lsr 1)
           done;
         seen.(v) <- false
       end
