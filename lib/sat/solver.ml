@@ -1239,6 +1239,7 @@ let solve_bounded_core ?(assumptions = []) ?(budget = no_budget) t =
 let m_solves = Obs.Metrics.counter "sat.solves"
 let m_budget_exhausted = Obs.Metrics.counter "sat.budget_exhausted"
 let m_conflicts = Obs.Metrics.counter "sat.conflicts"
+let m_decisions = Obs.Metrics.counter "sat.decisions"
 let m_propagations = Obs.Metrics.counter "sat.propagations"
 let m_restarts = Obs.Metrics.counter "sat.restarts"
 let h_solve_seconds = Obs.Metrics.histogram "sat.solve_seconds"
@@ -1247,12 +1248,16 @@ let h_ppc = Obs.Metrics.histogram "sat.propagations_per_conflict"
 let solve_bounded ?(assumptions = []) ?(budget = no_budget) t =
   Obs.Metrics.incr m_solves;
   let c0 = t.n_conflicts
+  and d0 = t.n_decisions
   and p0 = t.n_propagations
   and r0 = t.n_restarts in
   let t0 = Unix.gettimeofday () in
   let finish verdict =
-    let dc = t.n_conflicts - c0 and dp = t.n_propagations - p0 in
+    let dc = t.n_conflicts - c0
+    and dd = t.n_decisions - d0
+    and dp = t.n_propagations - p0 in
     Obs.Metrics.add m_conflicts dc;
+    Obs.Metrics.add m_decisions dd;
     Obs.Metrics.add m_propagations dp;
     Obs.Metrics.add m_restarts (t.n_restarts - r0);
     Obs.Metrics.observe h_solve_seconds (Unix.gettimeofday () -. t0);
@@ -1273,6 +1278,7 @@ let solve_bounded ?(assumptions = []) ?(budget = no_budget) t =
                 | Some (Unknown _) -> "unknown"
                 | None -> "interrupted") );
             ("conflicts", Obs.Trace.Int dc);
+            ("decisions", Obs.Trace.Int dd);
             ("propagations", Obs.Trace.Int dp);
           ]
   in
