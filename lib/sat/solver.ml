@@ -316,10 +316,9 @@ let clause_id t cr =
    backtracking unassigns it; assigned variables stay in it until a pick
    pops them (lazy deletion). Sifting moves a hole: the moving variable's
    activity is read once, each parent or child it passes moves with one
-   write, and the variable is written once, at its final slot. Ties keep
-   the strict [>] of pairwise swaps, so the heap after every insert, bump
-   and pop is the one swaps build: the order of equal activities is part
-   of the search trajectory. *)
+   write, and the variable is written once, at its final slot. Which of
+   two equal activities leaves the heap first is part of the search
+   trajectory, so every comparison is a strict [>]. *)
 
 (* [v] enters the hole at [i] and rises past every lesser parent. *)
 let sift_up t v i =
